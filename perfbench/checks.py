@@ -51,6 +51,32 @@ def digest_problems(
     return problems
 
 
+def grid_problems(
+    digests: Sequence[Optional[str]],
+    first: Sequence[Optional[str]],
+    reference: Optional[Sequence[str]],
+) -> List[str]:
+    """One problem per grid cell that has no outcome or a wrong digest.
+
+    ``digests`` and ``first`` hold one slot per cell index, ``None`` where
+    a cell has no outcome, so a missing cell never shifts the comparison
+    of the cells after it.
+    """
+    problems = []
+    for i, digest in enumerate(digests):
+        if digest is None:
+            problems.append(f"cell {i}: no outcome")
+            continue
+        cell = digest_problems(
+            digest,
+            first[i] if i < len(first) else None,
+            reference[i] if reference is not None and i < len(reference) else None,
+        )
+        if cell:
+            problems.append(f"cell {i}: " + "; ".join(cell))
+    return problems
+
+
 def load_references(path: Path = REFERENCE_PATH) -> Dict[str, dict]:
     """``{workload: {"params": ..., "digests": {seed: digest}}}``, or empty."""
     try:

@@ -86,7 +86,7 @@ def main(argv=None) -> int:
     workdir.mkdir(parents=True)
     try:
         workload = WORKLOADS[args.workload](args.seed, workdir)
-        setup_times = workload.setup()
+        setup = workload.setup()
         context = machine_context()
         recorder = SpanRecorder() if args.trace else None
         plain = measure(workload, args.seconds / 2.0 if args.trace else args.seconds)
@@ -102,8 +102,9 @@ def main(argv=None) -> int:
         for problem in rep.problems:
             print(f"perfbench: check failed: {problem}", file=sys.stderr)
 
-    jobs_per_s, cells_per_s = plain.rates()
-    raw_jobs_per_s, raw_cells_per_s = plain.raw_rates()
+    jobs_per_s, cells_per_s = plain.rates(workload.scale_reps)
+    raw_jobs_per_s, raw_cells_per_s = plain.rates(scaled=False)
+    setup_s = statistics.median(setup.walls())
     context.update(
         workload=args.workload,
         seed=args.seed,
@@ -113,6 +114,8 @@ def main(argv=None) -> int:
         host_speed=plain.speed(),
         raw_jobs_per_s=raw_jobs_per_s,
         raw_cells_per_s=raw_cells_per_s,
+        raw_setup_s=statistics.median(setup.walls(scaled=False)),
+        setup_samples=[rep.wall for rep in setup.reps],
         samples=[[rep.input, rep.wall, rep.jobs, rep.cells] for rep in plain.reps],
         scores=plain.scores,
     )
@@ -121,8 +124,10 @@ def main(argv=None) -> int:
     if args.trace:
         values = {spec["name"]: 0.0 for spec in per_layer}
         values.update(workload.layer_metrics(recorder.totals(), traced.reps))
-        values[workload.setup_metric] = statistics.median(setup_times)
-        values["trace.overhead_ratio"] = traced.rates()[1] / cells_per_s
+        values[workload.setup_metric] = setup_s
+        values["trace.overhead_ratio"] = (
+            traced.rates(workload.scale_reps)[1] / cells_per_s
+        )
         values["error_rate"] = failed / attempted
         OUT_DIR.mkdir(exist_ok=True)
         recorder.dump(
@@ -135,7 +140,7 @@ def main(argv=None) -> int:
             "jobs_per_s": jobs_per_s,
             "cells_per_s": cells_per_s,
             "peak_rss_mb": peak_rss_mb,
-            "setup_s": statistics.median(setup_times),
+            "setup_s": setup_s,
         }
         specs = end_to_end
     metrics = {

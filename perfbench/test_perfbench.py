@@ -18,7 +18,8 @@ sys.path[:0] = [str(ROOT / "src"), str(ROOT)]
 from perfbench import checks  # noqa: E402
 from perfbench.probes import Patcher  # noqa: E402
 from perfbench.spans import SpanRecorder  # noqa: E402
-from perfbench.workloads import SuspensionHeavy, TraceReplay  # noqa: E402
+from perfbench import workloads  # noqa: E402
+from perfbench.workloads import GridSweep, SuspensionHeavy, TraceReplay  # noqa: E402
 
 
 def _records(job_ids):
@@ -55,12 +56,57 @@ class _SmallSuspension(SuspensionHeavy):
     scale = 0.05
     jobs = 1_500
     inputs = 1
+    builds = 1
 
 
 class _SmallReplay(TraceReplay):
     jobs = 500
     scale = 0.05
     inputs = 1
+    builds = 1
+
+
+def test_a_missing_grid_cell_counts_once_and_shifts_nothing():
+    first = ["a" * 64, "b" * 64, "c" * 64]
+    assert checks.grid_problems(first, first, None) == []
+    problems = checks.grid_problems([first[0], None, first[2]], first, None)
+    assert problems == ["cell 1: no outcome"]
+    wrong = checks.grid_problems([first[0], first[1], "d" * 64], first, None)
+    assert len(wrong) == 1 and wrong[0].startswith("cell 2:")
+
+
+class _SmallGrid(GridSweep):
+    n_seeds = 1
+    builds = 1
+
+
+def test_grid_rep_counts_a_failed_cell_once(tmp_path, monkeypatch):
+    """A cell the fabric could not complete fails once; its neighbours pass."""
+    from repro.experiments.parallel import run_grid_parallel
+
+    fail_cell = []
+
+    def fake_fabric(tasks, backend, cache, **kwargs):
+        assert kwargs.get("keep_going") is True
+        report = run_grid_parallel(tasks, n_workers=1)
+        outcomes = list(report.outcomes)
+        failures = ()
+        if fail_cell:
+            outcomes[fail_cell[0]] = None
+            failures = (SimpleNamespace(
+                index=fail_cell[0], error_type="RuntimeError", message="boom"
+            ),)
+        return SimpleNamespace(outcomes=tuple(outcomes), failures=failures)
+
+    monkeypatch.setattr(workloads, "run_grid_fabric", fake_fabric)
+    grid = _SmallGrid(4, tmp_path)
+    grid.setup()
+    good = grid.run(0)
+    assert good.cells == 3 and good.failed == 0
+    fail_cell.append(0)
+    bad = grid.run(0)
+    assert bad.failed == 1
+    assert not any(problem.startswith(("cell 1", "cell 2")) for problem in bad.problems)
 
 
 def test_workload_counts_a_reference_mismatch_as_failed(tmp_path):

@@ -10,7 +10,6 @@ the same repetition runs under the timing probes of :mod:`perfbench.probes`.
 
 from __future__ import annotations
 
-import os
 import shutil
 import statistics
 import time
@@ -19,7 +18,7 @@ from pathlib import Path
 from typing import Dict, List, Optional
 
 from repro import high_suspension, run_simulation
-from repro.benchtrack import calibrate, result_digest
+from repro.benchtrack import result_digest
 from repro.experiments.cache import ResultCache, stable_hash
 from repro.experiments.parallel import run_grid_parallel
 from repro.fabric import SubprocessWorkerBackend, run_grid_fabric
@@ -61,15 +60,20 @@ class Workload:
     inputs = 1
     #: Which per-layer set-up metric the set-up samples feed.
     setup_metric = "workload.scenario_build_s"
-    #: Whether a rep keeps every CPU busy (then host speed is sampled on each).
-    parallel = False
+    #: Timed builds per run (set-up samples); input ``i % inputs`` is built
+    #: on the ``i``-th, so every input is built at least once.
+    builds = 1
+    #: Whether the reported rates scale each rep's wall to the reference
+    #: host (:meth:`Measurement.walls`); set-up walls always are.
+    scale_reps = True
 
     def __init__(self, seed: int, workdir: Path) -> None:
         self.seed = seed
         self.workdir = workdir
         self.references = checks.load_references()
         self.reference_hits = 0
-        self._first_digest: Dict[int, str] = {}
+        self._first_digest: Dict[int, object] = {}
+        self._inputs: Dict[int, object] = {}
 
     def params(self) -> dict:
         raise NotImplementedError
@@ -78,9 +82,21 @@ class Workload:
         """Seed of the ``index``-th input; distinct across benchmark seeds."""
         return 1000 + self.inputs * self.seed + index
 
-    def setup(self) -> List[float]:
-        """Build every input; return the seconds each build took."""
+    def build(self, index: int):
+        """Build the ``index``-th input."""
         raise NotImplementedError
+
+    def setup(self) -> Measurement:
+        """Build every input, each build timed like a rep (see :func:`measure`)."""
+        builds = []
+        scores = [host_score()]
+        for i in range(max(self.builds, self.inputs)):
+            index = i % self.inputs
+            start = time.perf_counter()
+            self._inputs[index] = self.build(index)
+            builds.append(Rep(index, time.perf_counter() - start, 0, 0, 0))
+            scores.append(host_score())
+        return Measurement(builds, scores)
 
     def run(self, index: int, recorder: Optional[SpanRecorder] = None) -> Rep:
         raise NotImplementedError
@@ -181,6 +197,7 @@ class SuspensionHeavy(Workload):
 
     name = "suspension_heavy"
     inputs = 4
+    builds = 8
     scale = 0.25
     #: Each input keeps the first this-many jobs of its scenario's week,
     #: so inputs are equally large whatever the seed and a rep is short.
@@ -191,22 +208,16 @@ class SuspensionHeavy(Workload):
         return {"scale": self.scale, "jobs": self.jobs, "policy": self.policy_spec,
                 "inputs": self.inputs}
 
-    def setup(self) -> List[float]:
-        self._inputs = []
-        times = []
-        for index in range(self.inputs):
-            seed = self.input_seed(index)
-            start = time.perf_counter()
-            scenario = high_suspension(scale=self.scale, seed=seed)
-            trace = Trace(scenario.trace.jobs[: self.jobs])
-            policy = policy_from_spec(
-                self.policy_spec, defaults={"wait_threshold": scenario.wait_threshold}
-            )
-            config = SimulationConfig(strict=False, seed=seed)
-            times.append(time.perf_counter() - start)
-            job_ids = [job.job_id for job in trace]
-            self._inputs.append((seed, trace, scenario.cluster, policy, config, job_ids))
-        return times
+    def build(self, index: int) -> tuple:
+        seed = self.input_seed(index)
+        scenario = high_suspension(scale=self.scale, seed=seed)
+        trace = Trace(scenario.trace.jobs[: self.jobs])
+        policy = policy_from_spec(
+            self.policy_spec, defaults={"wait_threshold": scenario.wait_threshold}
+        )
+        config = SimulationConfig(strict=False, seed=seed)
+        job_ids = [job.job_id for job in trace]
+        return seed, trace, scenario.cluster, policy, config, job_ids
 
     def run(self, index: int, recorder: Optional[SpanRecorder] = None) -> Rep:
         seed, trace, cluster, policy, config, job_ids = self._inputs[index]
@@ -234,6 +245,7 @@ class TraceReplay(Workload):
 
     name = "trace_replay"
     inputs = 3
+    builds = 6
     setup_metric = "workload.fixture_write_s"
     jobs = 15_000
     scale = 0.25
@@ -243,21 +255,15 @@ class TraceReplay(Workload):
         return {"jobs": self.jobs, "scale": self.scale, "policy": self.policy_spec,
                 "inputs": self.inputs}
 
-    def setup(self) -> List[float]:
-        self._inputs = []
-        times = []
-        for index in range(self.inputs):
-            seed = self.input_seed(index)
-            path = self.workdir / f"trace-{seed}.swf"
-            start = time.perf_counter()
-            template = ClusterTemplate(scale=self.scale)
-            cluster = template.build(RandomStreams(2010))
-            generate_swf_fixture(path, self.jobs, seed=seed, target_cores=cluster.total_cores)
-            spec = default_replay_spec(template)
-            policy = policy_from_spec(self.policy_spec)
-            times.append(time.perf_counter() - start)
-            self._inputs.append((seed, path, cluster, spec, policy))
-        return times
+    def build(self, index: int) -> tuple:
+        seed = self.input_seed(index)
+        path = self.workdir / f"trace-{seed}.swf"
+        template = ClusterTemplate(scale=self.scale)
+        cluster = template.build(RandomStreams(2010))
+        generate_swf_fixture(path, self.jobs, seed=seed, target_cores=cluster.total_cores)
+        spec = default_replay_spec(template)
+        policy = policy_from_spec(self.policy_spec)
+        return seed, path, cluster, spec, policy
 
     def run(self, index: int, recorder: Optional[SpanRecorder] = None) -> Rep:
         seed, path, cluster, spec, policy = self._inputs[index]
@@ -299,13 +305,14 @@ class GridSweep(Workload):
     """Cold ``smoke_grid`` replications on two subprocess fabric workers."""
 
     name = "grid_sweep"
-    parallel = True
     #: Grid builds per run (set-up samples); every build is the same grid.
-    builds = 3
+    builds = 10
+    #: A grid's two workers run on both CPUs, and part of its wall is
+    #: polling sleep, so the one-process host-speed sample tracks it less
+    #: well than the raw wall does (NOTES.md, *Steadiness*).
+    scale_reps = False
     n_seeds = 12
     workers = 2
-    #: Seconds between the backend's and the coordinator's cache polls.
-    poll_interval = 0.05
 
     def params(self) -> dict:
         return {"n_seeds": self.n_seeds, "workers": self.workers}
@@ -313,36 +320,32 @@ class GridSweep(Workload):
     def grid_seed(self) -> int:
         return 1000 + 100 * self.seed
 
-    def build(self):
+    def build(self, index: int):
         return smoke_grid(seed=self.grid_seed(), n_seeds=self.n_seeds)
 
-    def setup(self) -> List[float]:
-        times = []
-        for _ in range(self.builds):
-            start = time.perf_counter()
-            self._tasks = self.build()
-            times.append(time.perf_counter() - start)
+    def setup(self) -> Measurement:
+        builds = super().setup()
+        self._tasks = self._inputs[0]
         self._cells = len(self._tasks)
         self._rep = 0
         self.layers: List[dict] = []
-        return times
+        return builds
 
     def run(self, index: int, recorder: Optional[SpanRecorder] = None) -> Rep:
+        """One cold grid, with the backend and coordinator defaults of ``repro run-grid``."""
         self._rep += 1
         cache_dir = self.workdir / f"grid-cache-{self._rep}"
         shutil.rmtree(cache_dir, ignore_errors=True)
         cache = ResultCache(cache_dir)
         if recorder is not None:
-            backend = TracedSubprocessBackend(self.workers, self.poll_interval)
+            backend = TracedSubprocessBackend(self.workers)
             probes = coordinator_probes(recorder)
         else:
-            backend = SubprocessWorkerBackend(self.workers, self.poll_interval)
+            backend = SubprocessWorkerBackend(self.workers)
             probes = None
         try:
             start = time.perf_counter()
-            report = run_grid_fabric(
-                self._tasks, backend, cache, poll_interval=self.poll_interval
-            )
+            report = run_grid_fabric(self._tasks, backend, cache, keep_going=True)
             end = time.perf_counter()
         finally:
             if probes is not None:
@@ -352,38 +355,23 @@ class GridSweep(Workload):
                 self.layers.append(self._grid_layers(backend, cache_dir, start, end))
         finally:
             shutil.rmtree(cache_dir, ignore_errors=True)
-        failed = len(report.failures)
-        problems = [f"{failed} cell(s) failed"] if failed else []
-        hashes = []
-        jobs = 0
-        for outcome in report.outcomes:
-            if outcome is None:
-                problems.append("a cell has no outcome")
-                continue
-            hashes.append(stable_hash(outcome.summary))
-            jobs += outcome.summary.job_count
+        hashes = [
+            None if outcome is None else stable_hash(outcome.summary)
+            for outcome in report.outcomes
+        ]
+        jobs = sum(o.summary.job_count for o in report.outcomes if o is not None)
         reference = checks.reference_for(
             self.references, self.name, self.params(), self.grid_seed()
         )
         if reference is not None:
             self.reference_hits += 1
         first = self._first_digest.setdefault(0, hashes)
-        bad = 0
-        for i, digest in enumerate(hashes):
-            cell_problems = checks.digest_problems(
-                digest,
-                first[i] if i < len(first) else None,
-                reference[i] if reference is not None and i < len(reference) else None,
-            )
-            if cell_problems:
-                bad += 1
-                problems.append(f"cell {i}: " + "; ".join(cell_problems))
-        if len(hashes) != self._cells:
-            bad += self._cells - len(hashes)
-        return Rep(
-            0, end - start, jobs, self._cells,
-            min(self._cells, failed + bad), problems, hashes,
-        )
+        problems = checks.grid_problems(hashes, first, reference)
+        failed = len(problems)
+        problems += [
+            f"cell {f.index} raised {f.error_type}: {f.message}" for f in report.failures
+        ]
+        return Rep(0, end - start, jobs, self._cells, failed, problems, hashes)
 
     def serial_digest(self) -> List[str]:
         """Per-cell digests of the grid computed serially, with no fabric."""
@@ -469,33 +457,67 @@ WORKLOADS = {cls.name: cls for cls in (SuspensionHeavy, TraceReplay, GridSweep)}
 
 # -- measurement ----------------------------------------------------------------------------
 
-#: Calibration score (iterations/s) of the reference host that reported
-#: throughput is scaled to; about that of the 2-core host this was tuned on.
+#: Host-speed score (iterations/s of :func:`host_score`'s spin) of the
+#: reference host that reported times and rates are scaled to; about that
+#: of the 2-core host this was tuned on.
 REFERENCE_SCORE = 1.0e7
 
-#: Iterations of each calibration sample taken between reps (~50 ms).
+#: Iterations of each host-speed sample taken between reps (~50 ms).
 CALIBRATION_ITERATIONS = 500_000
+
+
+def host_score(iterations: int = CALIBRATION_ITERATIONS) -> float:
+    """Iterations per second of a fixed pure-Python spin: the host's speed now.
+
+    The spin is the benchmark's own (the same operation mix as
+    ``repro.benchtrack.calibrate``), so no change to the program can move
+    the yardstick the benchmark's times are scaled by.
+    """
+    start = time.perf_counter()
+    acc = 0
+    sink: List[int] = []
+    append = sink.append
+    for i in range(iterations):
+        acc += i & 7
+        if not i & 1023:
+            append(acc)
+    return iterations / (time.perf_counter() - start)
 
 
 @dataclass
 class Measurement:
-    """The reps of one measuring phase and the host speed around them."""
+    """Timed reps (or set-up builds) and the host speed around them."""
 
     reps: List[Rep]
-    #: ``calibrate()`` scores taken before the first rep and after each.
+    #: :func:`host_score` samples taken before the first rep and after each.
     scores: List[float]
 
     def speed(self) -> float:
         """Mean host speed during the phase, relative to the reference host."""
         return statistics.fmean(self.scores) / REFERENCE_SCORE
 
-    def _rates(self, walls: List[float]):
+    def walls(self, scaled: bool = True) -> List[float]:
+        """Each rep's wall time, scaled to the reference host unless ``scaled`` is off.
+
+        The host is shared and its speed moves by a third within
+        seconds.  The host-speed samples just before and after a rep
+        move with it, so a wall scaled by their mean is steady where the
+        raw wall is not.
+        """
+        scores = self.scores
+        return [
+            rep.wall * ((scores[i] + scores[i + 1]) / (2.0 * REFERENCE_SCORE) if scaled else 1.0)
+            for i, rep in enumerate(self.reps)
+        ]
+
+    def rates(self, scaled: bool = True):
         """``(jobs/s, cells/s)`` from each input's median wall time.
 
         Every input contributes its size and its median wall, so a rep
         that noise slowed moves nothing and no input weighs more for
         having been run more often.
         """
+        walls = self.walls(scaled)
         jobs = cells = wall = 0.0
         for index in sorted({rep.input for rep in self.reps}):
             mine = [i for i, rep in enumerate(self.reps) if rep.input == index]
@@ -504,60 +526,22 @@ class Measurement:
             cells += self.reps[mine[0]].cells
         return jobs / wall, cells / wall
 
-    def raw_rates(self):
-        """Rates from the measured wall times."""
-        return self._rates([rep.wall for rep in self.reps])
-
-    def rates(self):
-        """Rates on the reference host: each wall scaled by the host speed.
-
-        The host is shared and its speed moves by a third within
-        seconds.  The calibration samples just before and after a rep
-        move with it, so a wall scaled by their mean is steady where the
-        raw wall is not.
-        """
-        scores = self.scores
-        return self._rates([
-            rep.wall * (scores[i] + scores[i + 1]) / (2.0 * REFERENCE_SCORE)
-            for i, rep in enumerate(self.reps)
-        ])
-
-
-def host_score(cpus=None) -> float:
-    """One short ``calibrate()`` sample, averaged over ``cpus`` when given.
-
-    A workload whose processes spread over several CPUs runs at their
-    mean speed, so the sample visits each of them in turn.
-    """
-    if not cpus:
-        return calibrate(CALIBRATION_ITERATIONS, rounds=1)
-    mask = os.sched_getaffinity(0)
-    try:
-        scores = []
-        for cpu in cpus:
-            os.sched_setaffinity(0, {cpu})
-            scores.append(calibrate(CALIBRATION_ITERATIONS, rounds=1))
-    finally:
-        os.sched_setaffinity(0, mask)
-    return statistics.fmean(scores)
-
 
 def measure(workload: Workload, seconds: float, recorder=None) -> Measurement:
     """Cycle through the inputs until ``seconds`` pass (each input at least once).
 
-    A short calibration sample follows every rep, so host speed is
+    A short host-speed sample follows every rep, so host speed is
     sampled as often as the workload is.
     """
     n_inputs = workload.inputs
-    cpus = sorted(os.sched_getaffinity(0)) if workload.parallel else None
     reps: List[Rep] = []
-    scores = [host_score(cpus)]
+    scores = [host_score()]
     start = time.perf_counter()
     i = 0
     while i < n_inputs or time.perf_counter() - start < seconds:
         if recorder is not None:
             recorder.run += 1
         reps.append(workload.run(i % n_inputs, recorder))
-        scores.append(host_score(cpus))
+        scores.append(host_score())
         i += 1
     return Measurement(reps, scores)
