@@ -158,8 +158,7 @@ class FaultInjector:
     def schedule_initial(self, events, pool_order: Sequence[str], pools) -> None:
         """Push the first crash per machine and every outage window.
 
-        Must run after the trace is bulk-loaded (bulk load requires an
-        empty queue).  Raises :class:`UnknownPoolError` for an outage
+        Raises :class:`UnknownPoolError` for an outage
         naming a pool the cluster does not have.
         """
         from ..simulator.events import EVENT_MACHINE_CRASH, EVENT_POOL_DOWN, EVENT_POOL_UP
@@ -266,23 +265,11 @@ class FaultInjector:
 
     # -- end of run ------------------------------------------------------------------
 
-    def finalize(self, records) -> FaultStats:
-        """Freeze the counters into the run's :class:`FaultStats`."""
-        goodput = sum(
-            r.runtime_minutes
-            for r in records
-            if not r.rejected and r.finish_minute is not None
-        )
-        return self.finalize_with_goodput(goodput)
+    def finalize(self, goodput_minutes: float) -> FaultStats:
+        """Freeze the counters into the run's :class:`FaultStats`.
 
-    def finalize_with_goodput(self, goodput: float) -> FaultStats:
-        """Freeze the counters around an externally accumulated goodput.
-
-        The streaming-results path (:class:`~repro.simulator.online.OnlineResults`)
-        accumulates completed demand record-by-record instead of keeping
-        the records, and hands the finished sum in here.  Both paths add
-        the same values in the same (completion) order, so the stats are
-        bit-identical.
+        ``goodput_minutes`` is the completed reference-speed demand the
+        engine's result sink accumulated in completion order.
         """
         return FaultStats(
             machine_crashes=self.machine_crashes,
@@ -295,5 +282,5 @@ class FaultInjector:
             retries_scheduled=self.retries_scheduled,
             permanent_failures=self.permanent_failures,
             lost_work_minutes=self.lost_work_minutes,
-            goodput_minutes=goodput,
+            goodput_minutes=goodput_minutes,
         )

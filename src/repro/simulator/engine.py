@@ -23,7 +23,7 @@ import random
 from collections import deque
 from dataclasses import replace
 from time import perf_counter
-from typing import Deque, Dict, Iterable, List, Optional, Tuple, Union
+from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.context import PoolSnapshot, SystemView
 from ..core.decisions import Action, Decision
@@ -42,7 +42,7 @@ from ..telemetry.hooks import EngineTelemetry
 from ..telemetry.profiler import EngineProfiler
 from ..workload.cluster import ClusterSpec
 from ..workload.distributions import RandomStreams
-from ..workload.trace import Trace, TraceJob
+from ..workload.trace import TraceJob
 from .config import SimulationConfig
 from .events import (
     EVENT_FINISH,
@@ -63,16 +63,15 @@ from .job import Job, JobState
 from .machine import Machine
 from .pool import PhysicalPool, SubmitOutcome, SubmitResult
 from .observer import SimEvent
-from .results import JobRecord, SimulationResult, StateSample
+from .results import JobRecord, RecordingSink, SimulationResult, StateSample
 from .virtual_pool import VirtualPoolManager
 
-__all__ = ["SimulationEngine", "LiveSystemView", "STREAMING_SHADOW_ID_BASE"]
+__all__ = ["SimulationEngine", "LiveSystemView", "SHADOW_ID_BASE"]
 
-#: First shadow-job id in streaming mode.  A streaming feed's maximum
-#: job id is unknown until the feed is exhausted, so shadow attempts
-#: are numbered from a base no sane trace reaches instead of
-#: ``max(trace ids) + 1``.
-STREAMING_SHADOW_ID_BASE = 1 << 62
+#: First shadow-job id.  A feed's maximum job id is unknown until the
+#: feed is exhausted, so shadow attempts are numbered upwards from a
+#: base no sane trace reaches.
+SHADOW_ID_BASE = 1 << 62
 
 #: Upper bound on entries in the engine-level eligibility memos.  Keeps
 #: replay RSS bounded even for traces whose requirement signatures never
@@ -114,7 +113,7 @@ class SimulationEngine:
 
     def __init__(
         self,
-        trace: Union[Trace, Iterable[TraceJob]],
+        trace: Iterable[TraceJob],
         cluster: ClusterSpec,
         policy: Optional[ReschedulingPolicy] = None,
         initial_scheduler: Optional[InitialScheduler] = None,
@@ -124,22 +123,22 @@ class SimulationEngine:
         """Build one single-use engine.
 
         Args:
-            trace: the workload.  A :class:`~repro.workload.trace.Trace`
-                is bulk-loaded up front (the classic path); any other
-                iterable of :class:`TraceJob` is consumed **lazily** in
-                submission order during :meth:`run` — constant-memory
-                streaming ingestion for traces too large to materialise.
-                Streaming feeds must be sorted by ``submit_minute``.
+            trace: the workload: a :class:`~repro.workload.trace.Trace`
+                or any iterable of :class:`TraceJob` sorted by
+                ``submit_minute``.  Either is consumed **lazily** in
+                submission order during :meth:`run`, so only in-flight
+                jobs are live at any moment.
             cluster: the site to emulate.
             policy: rescheduling policy (default: the NoRes baseline).
             initial_scheduler: VPM initial scheduler (default round-robin).
             config: engine knobs.
-            sink: optional result sink (e.g.
-                :class:`~repro.simulator.online.OnlineResults`).  When
-                given, per-job records and samples are folded into it as
-                they are produced instead of being materialised, and
-                :meth:`run` returns ``sink.finalize(...)``'s value
-                instead of a :class:`SimulationResult`.
+            sink: result sink the per-job records and samples are folded
+                into as they are produced; :meth:`run` returns its
+                ``finalize(...)`` value.  The default
+                :class:`~repro.simulator.results.RecordingSink` keeps
+                them all and finalizes to a :class:`SimulationResult`;
+                :class:`~repro.simulator.online.OnlineResults` keeps
+                constant-size aggregates instead.
         """
         self.config = config or SimulationConfig()
         self.policy = policy or NoRescheduling()
@@ -178,20 +177,14 @@ class SimulationEngine:
             for i in range(self.config.vpm_count)
         ]
         self._events = EventQueue()
-        self._records: List[JobRecord] = []
-        self._samples: List[StateSample] = []
-        self._sink = sink
-        # Hot-path record/sample routing: bound once, so the recording
-        # sites need no per-record sink check.
-        self._add_record = self._records.append if sink is None else sink.add_record
-        self._add_sample = self._samples.append if sink is None else sink.add_sample
-        streaming = not isinstance(trace, Trace)
-        self._feed = iter(trace) if streaming else None
-        #: True once a streaming feed has yielded its last job (always
-        #: True in materialised mode: every submission is queued up
-        #: front, so the sampler's keep-alive check needs no feed term).
-        self._feed_exhausted = not streaming
-        self._outstanding = 0 if streaming else len(trace)
+        self._sink = sink if sink is not None else RecordingSink()
+        # Hot-path record/sample routing, bound once.
+        self._add_record = self._sink.add_record
+        self._add_sample = self._sink.add_sample
+        self._feed = iter(trace)
+        #: True once the feed has yielded its last job.
+        self._feed_exhausted = False
+        self._outstanding = 0
         # Eligible-pool tuples cached at two levels: per requirement
         # signature, and per (signature, whitelist) pair so whitelisted
         # jobs skip the per-call filter too.
@@ -203,25 +196,10 @@ class SimulationEngine:
         # failure) merges both attempts' accounting.
         self._dup_fallen: Dict[int, Job] = {}
         self._outage_depth: Dict[str, int] = {}
-        if streaming:
-            # The feed's maximum job id is unknown until it is drained;
-            # shadow attempts start from a base no real trace reaches.
-            self._shadow_ids = itertools.count(STREAMING_SHADOW_ID_BASE)
-            if self.config.record_samples:
-                self._events.push(0.0, EVENT_SAMPLE, None)
-        else:
-            self._shadow_ids = itertools.count(
-                (max((j.job_id for j in trace), default=0) + 1) if len(trace) else 1
-            )
+        self._shadow_ids = itertools.count(SHADOW_ID_BASE)
+        if self.config.record_samples:
+            self._events.push(0.0, EVENT_SAMPLE, None)
         self._finished = False
-
-        if not streaming:
-            events: List[Tuple[float, int, object]] = [
-                (spec.submit_minute, EVENT_SUBMIT, Job(spec)) for spec in trace
-            ]
-            if self.config.record_samples:
-                events.append((0.0, EVENT_SAMPLE, None))
-            self._events.push_many_unsorted(events)
         self._faults: Optional[FaultInjector] = None
         if self.config.faults.enabled:
             self._faults = FaultInjector(
@@ -229,8 +207,7 @@ class SimulationEngine:
             )
             self._faults.schedule_initial(self._events, self.pool_order, self.pools)
         # Handler table indexed by event kind (the kinds are dense small
-        # ints); every handler takes (payload, now).  Replaces a per-event
-        # if/elif chain in the drain loop.
+        # ints); every handler takes (payload, now).
         handlers = {
             EVENT_SUBMIT: self._on_submit,
             EVENT_FINISH: self._on_finish,
@@ -244,7 +221,30 @@ class SimulationEngine:
             EVENT_JOB_FAILURE: self._on_job_failure,
             EVENT_JOB_RETRY: self._on_job_retry,
         }
+        if self._telemetry is not None or self._profiler is not None:
+            # Instrumentation lives in the table, not in the loop.
+            handlers = {
+                kind: self._instrumented(EVENT_NAMES[kind], handler)
+                for kind, handler in handlers.items()
+            }
         self._dispatch = tuple(handlers[kind] for kind in range(len(handlers)))
+
+    def _instrumented(self, name: str, handler):
+        """``handler`` wrapped to count its event and time it when enabled."""
+        telemetry = self._telemetry
+        profiler = self._profiler
+
+        def instrumented(payload, now: float) -> None:
+            if telemetry is not None:
+                telemetry.count_queue_event(name)
+            if profiler is None:
+                handler(payload, now)
+                return
+            started_at = perf_counter()
+            handler(payload, now)
+            profiler.record(name, perf_counter() - started_at)
+
+        return instrumented
 
     # -- public API -----------------------------------------------------------------
 
@@ -264,59 +264,19 @@ class SimulationEngine:
         return self._profiler.report()
 
     def run(self) -> SimulationResult:
-        """Execute until every job completes; return the result.
+        """Execute until every job completes; return ``sink.finalize(...)``.
 
-        With a ``sink`` the return value is ``sink.finalize(...)``'s
-        result (an :class:`~repro.simulator.online.OnlineResults` for
-        the standard sink) instead of a :class:`SimulationResult`.
+        With the default sink that is a :class:`SimulationResult`; with
+        an :class:`~repro.simulator.online.OnlineResults` sink it is the
+        sink itself.
         """
         if self._finished:
             raise SimulationError("engine instances are single-use; build a new one")
-        max_minutes = self.config.max_minutes
-        events = self._events
         telemetry = self._telemetry
         profiler = self._profiler
         if profiler is not None:
             profiler.start()
-        faults = self._faults
-        dispatch = self._dispatch
-        pop = events.pop
-        if self._feed is not None:
-            self._drain_streaming()
-        elif telemetry is None and profiler is None:
-            # Fast drain: no per-event instrumentation checks at all.
-            # Fault renewal processes (machine crash/recover) outlive
-            # the workload; once every job is accounted for, the
-            # remaining events are pure fault noise and the run is over.
-            # Without faults the queue drains naturally, exactly as
-            # before.
-            while len(events):
-                if faults is not None and self._outstanding == 0:
-                    break
-                time, _, kind, payload = pop()
-                if max_minutes is not None and time > max_minutes:
-                    raise SimulationError(
-                        f"simulation exceeded max_minutes={max_minutes} "
-                        f"with {self._outstanding} jobs outstanding"
-                    )
-                dispatch[kind](payload, time)
-        else:
-            while len(events):
-                if faults is not None and self._outstanding == 0:
-                    break
-                time, _, kind, payload = pop()
-                if max_minutes is not None and time > max_minutes:
-                    raise SimulationError(
-                        f"simulation exceeded max_minutes={max_minutes} "
-                        f"with {self._outstanding} jobs outstanding"
-                    )
-                if telemetry is not None:
-                    telemetry.count_queue_event(EVENT_NAMES[kind])
-                if profiler is not None:
-                    started_at = perf_counter()
-                dispatch[kind](payload, time)
-                if profiler is not None:
-                    profiler.record(EVENT_NAMES[kind], perf_counter() - started_at)
+        self._drain()
         if profiler is not None:
             profiler.stop()
         if self._outstanding != 0:
@@ -339,59 +299,41 @@ class SimulationEngine:
             close = getattr(observer, "close", None)
             if close is not None:
                 close()
-        fault_stats = None
-        if faults is not None:
-            # The sink accumulates completed demand record-by-record in
-            # the same order finalize() would sum it, so both paths
-            # produce bit-identical goodput.
-            fault_stats = (
-                faults.finalize_with_goodput(self._sink.goodput_minutes)
-                if self._sink is not None
-                else faults.finalize(self._records)
-            )
-        if self._sink is not None:
-            return self._sink.finalize(
-                pool_ids=self.pool_order,
-                policy_name=self.policy.name,
-                scheduler_name=self.scheduler.name,
-                total_cores=self.total_cores,
-                fault_stats=fault_stats,
-            )
-        return SimulationResult(
-            records=self._records,
-            samples=self._samples,
+        faults = self._faults
+        return self._sink.finalize(
             pool_ids=self.pool_order,
             policy_name=self.policy.name,
             scheduler_name=self.scheduler.name,
             total_cores=self.total_cores,
-            fault_stats=fault_stats,
+            fault_stats=(
+                None if faults is None else faults.finalize(self._sink.goodput_minutes)
+            ),
         )
 
-    def _drain_streaming(self) -> None:
-        """The event loop for a lazily consumed (streaming) trace feed.
+    def _drain(self) -> None:
+        """The event loop: merge the trace feed with the event queue.
 
         Submissions are *pulled* from the feed and processed directly —
         never queued — so memory stays constant in the trace length:
         only in-flight jobs and their runtime events are live at any
-        moment.  Pop order is nevertheless **bit-identical** to the
-        materialised path: bulk load gives every submission a lower seq
-        than any runtime event, so at equal times submissions fire
-        first, in trace order — exactly what processing the next
-        arrival whenever ``submit_minute <= peek_time()`` reproduces
-        (the clock is advanced to the submission time first, as a popped
-        event would have done).
+        moment.  At equal times a submission fires before any queued
+        event, in trace order: the next arrival is processed whenever
+        ``submit_minute <= peek_time()`` (the clock is advanced to the
+        submission time first, as a popped event would have done).
+
+        Fault renewal processes (machine crash/recover) outlive the
+        workload; once the feed is drained and every job is accounted
+        for, the remaining events are pure fault noise and the run is
+        over.  Without faults the queue drains naturally.
         """
         events = self._events
         max_minutes = self.config.max_minutes
-        telemetry = self._telemetry
-        profiler = self._profiler
-        instrumented = telemetry is not None or profiler is not None
         faults = self._faults
         dispatch = self._dispatch
+        submit = dispatch[EVENT_SUBMIT]
         pop = events.pop
         peek = events.peek_time
         advance = events.advance_to
-        on_submit = self._on_submit
         feed = self._feed
         next_spec = next(feed, None)
         if next_spec is None:
@@ -404,7 +346,7 @@ class SimulationEngine:
                 if queue_time is None or submit_minute <= queue_time:
                     if submit_minute < last_submit:
                         raise SimulationError(
-                            f"streaming trace feed is not sorted by submission "
+                            f"trace feed is not sorted by submission "
                             f"time: job {next_spec.job_id} submits at minute "
                             f"{submit_minute} after minute {last_submit}"
                         )
@@ -416,16 +358,7 @@ class SimulationEngine:
                         )
                     advance(submit_minute)
                     self._outstanding += 1
-                    if instrumented:
-                        if telemetry is not None:
-                            telemetry.count_queue_event("submit")
-                        if profiler is not None:
-                            started_at = perf_counter()
-                        on_submit(Job(next_spec), submit_minute)
-                        if profiler is not None:
-                            profiler.record("submit", perf_counter() - started_at)
-                    else:
-                        on_submit(Job(next_spec), submit_minute)
+                    submit(Job(next_spec), submit_minute)
                     next_spec = next(feed, None)
                     if next_spec is None:
                         self._feed_exhausted = True
@@ -440,16 +373,7 @@ class SimulationEngine:
                     f"simulation exceeded max_minutes={max_minutes} "
                     f"with {self._outstanding} jobs outstanding"
                 )
-            if instrumented:
-                if telemetry is not None:
-                    telemetry.count_queue_event(EVENT_NAMES[kind])
-                if profiler is not None:
-                    started_at = perf_counter()
-                dispatch[kind](payload, time)
-                if profiler is not None:
-                    profiler.record(EVENT_NAMES[kind], perf_counter() - started_at)
-            else:
-                dispatch[kind](payload, time)
+            dispatch[kind](payload, time)
 
     def eligible_candidates(self, spec: TraceJob) -> Tuple[str, ...]:
         """Pools where ``spec`` is whitelisted and statically eligible.
@@ -1110,50 +1034,33 @@ class SimulationEngine:
             self._add_record(record)
             self._outstanding -= 1
             return
-        identity = partner if winner.is_shadow else winner
-        attempts = [winner, partner]
-        record = JobRecord(
-            job_id=identity.job_id,
-            priority=identity.priority,
-            submit_minute=identity.spec.submit_minute,
-            finish_minute=now,
-            runtime_minutes=identity.spec.runtime_minutes,
-            cores=identity.spec.cores,
-            memory_gb=identity.spec.memory_gb,
-            wait_time=sum(a.total_wait for a in attempts),
-            suspend_time=sum(a.total_suspend for a in attempts),
-            wasted_restart_time=sum(a.wasted_restart for a in attempts),
-            suspension_count=sum(a.suspension_count for a in attempts),
-            restart_count=sum(a.restart_count for a in attempts) + 1,
-            migration_count=sum(a.migration_count for a in attempts),
-            waiting_move_count=sum(a.waiting_move_count for a in attempts),
-            pools_visited=tuple(
-                dict.fromkeys(p for a in attempts for p in a.pools_visited)
-            ),
-            rejected=False,
-            task_id=identity.spec.task_id,
-            user=identity.spec.user,
-            machine_failures=sum(a.machine_failures for a in attempts),
-            transient_failures=sum(a.transient_failures for a in attempts),
-            failed=False,
-        )
-        self._add_record(record)
-        self._outstanding -= 1
+        self._record_attempts(winner, partner, now)
 
     def _record_failure(self, job: Job, partner: Optional[Job], now: float) -> None:
         """Emit the JobRecord for a permanently failed logical job."""
-        identity = job
-        attempts = [job]
-        if partner is not None:
-            attempts.append(partner)
-            if job.is_shadow:
-                identity = partner
+        self._record_attempts(job, partner, None)
+        self._faults.note_permanent_failure()
+
+    def _record_attempts(
+        self, job: Job, partner: Optional[Job], finish_minute: Optional[float]
+    ) -> None:
+        """Emit one JobRecord merging ``job`` and its duplicate ``partner``.
+
+        The record is keyed by the original's identity even when ``job``
+        is the shadow.  ``finish_minute`` is ``None`` for a permanent
+        failure; a completed pair counts its duplication as one restart.
+        """
+        attempts = [job] if partner is None else [job, partner]
+        identity = partner if partner is not None and job.is_shadow else job
+        restarts = sum(a.restart_count for a in attempts)
+        if partner is not None and finish_minute is not None:
+            restarts += 1
         self._add_record(
             JobRecord(
                 job_id=identity.job_id,
                 priority=identity.priority,
                 submit_minute=identity.spec.submit_minute,
-                finish_minute=None,
+                finish_minute=finish_minute,
                 runtime_minutes=identity.spec.runtime_minutes,
                 cores=identity.spec.cores,
                 memory_gb=identity.spec.memory_gb,
@@ -1161,7 +1068,7 @@ class SimulationEngine:
                 suspend_time=sum(a.total_suspend for a in attempts),
                 wasted_restart_time=sum(a.wasted_restart for a in attempts),
                 suspension_count=sum(a.suspension_count for a in attempts),
-                restart_count=sum(a.restart_count for a in attempts),
+                restart_count=restarts,
                 migration_count=sum(a.migration_count for a in attempts),
                 waiting_move_count=sum(a.waiting_move_count for a in attempts),
                 pools_visited=tuple(
@@ -1172,11 +1079,10 @@ class SimulationEngine:
                 user=identity.spec.user,
                 machine_failures=sum(a.machine_failures for a in attempts),
                 transient_failures=sum(a.transient_failures for a in attempts),
-                failed=True,
+                failed=finish_minute is None,
             )
         )
         self._outstanding -= 1
-        self._faults.note_permanent_failure()
 
     def _record_rejection(self, job: Job) -> None:
         self._add_record(

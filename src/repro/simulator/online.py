@@ -130,10 +130,11 @@ class StreamingHistogram:
 class OnlineResults:
     """A result sink folding per-job records into constant-size aggregates.
 
-    Drop-in replacement for record materialisation in the engine: the
-    engine calls :meth:`add_record` / :meth:`add_sample` where it would
-    have appended, and :meth:`finalize` where it would have constructed
-    a :class:`~repro.simulator.results.SimulationResult`.
+    Drop-in replacement for the engine's default
+    :class:`~repro.simulator.results.RecordingSink`: the engine calls
+    :meth:`add_record` / :meth:`add_sample` as records and samples are
+    produced, reads :attr:`goodput_minutes` for the fault statistics,
+    and ends the run with :meth:`finalize`.
 
     Attributes mirror what :func:`~repro.metrics.summary.summarize`
     derives from the materialised records; :meth:`summary` assembles the

@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 
-__all__ = ["JobRecord", "StateSample", "SimulationResult"]
+__all__ = ["JobRecord", "StateSample", "SimulationResult", "RecordingSink"]
 
 
 @dataclass(frozen=True)
@@ -214,3 +214,31 @@ class SimulationResult:
         for record in self.completed_records():
             grouped.setdefault(record.user, []).append(record)
         return grouped
+
+
+class RecordingSink:
+    """The engine's default result sink: keeps every record and sample.
+
+    ``add_record`` and ``add_sample`` are the bound ``append`` methods of
+    plain lists, so recording costs the engine one C call per record.
+    :meth:`finalize` wraps both lists in a :class:`SimulationResult`.
+    """
+
+    def __init__(self) -> None:
+        self.records: List[JobRecord] = []
+        self.samples: List[StateSample] = []
+        self.add_record = self.records.append
+        self.add_sample = self.samples.append
+
+    @property
+    def goodput_minutes(self) -> float:
+        """Completed reference-speed demand, summed in completion order."""
+        return sum(
+            r.runtime_minutes
+            for r in self.records
+            if not r.rejected and r.finish_minute is not None
+        )
+
+    def finalize(self, **run) -> SimulationResult:
+        """Wrap the kept records and samples with the run's metadata."""
+        return SimulationResult(records=self.records, samples=self.samples, **run)

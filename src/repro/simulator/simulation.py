@@ -98,14 +98,8 @@ def run_streaming(
     Returns:
         The finalized sink.
     """
-    if isinstance(feed, Trace):
-        # A materialised Trace still works, but go through the bulk
-        # loader: it is faster and the sink output is identical.
-        feed_arg: object = feed
-    else:
-        feed_arg = iter(feed)
     engine = SimulationEngine(
-        feed_arg,
+        feed,
         cluster,
         policy=policy,
         initial_scheduler=initial_scheduler,

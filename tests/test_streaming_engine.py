@@ -8,6 +8,8 @@ import repro
 from repro.errors import SimulationError
 from repro.faults import FaultConfig, MachineChurn
 from repro.simulator.config import SimulationConfig
+from repro.simulator.engine import SimulationEngine
+from repro.telemetry import Instrumentation, MetricsRegistry, to_prometheus
 from repro.workload.distributions import Exponential
 from repro.workload.traces import TraceReplaySpec, default_replay_spec, generate_swf_fixture
 
@@ -78,7 +80,6 @@ class TestFeedValidation:
         # engine's signature caches stay small.
         import io
 
-        from repro.simulator.engine import SimulationEngine
         from repro.workload.traces.swf import SWFJob, write_swf
 
         raw = [
@@ -100,3 +101,55 @@ class TestFeedValidation:
         engine.run()
         assert len(engine._signature_pools) <= 4
         assert len(engine._eligibility_cache) <= 4
+
+
+class TestInstrumentedFeed:
+    """Metrics and the profiler wrap the handlers, whatever the input shape."""
+
+    @staticmethod
+    def _run(trace_input, scenario, faults):
+        registry = MetricsRegistry()
+        extra = {}
+        if faults:
+            extra["faults"] = FaultConfig(
+                machine_churn=MachineChurn(
+                    mtbf=Exponential(3000.0), mttr=Exponential(60.0)
+                ),
+                job_failure_probability=0.05,
+            )
+        engine = SimulationEngine(
+            trace_input,
+            scenario.cluster,
+            policy=repro.res_sus_wait_util(),
+            config=SimulationConfig(
+                strict=False,
+                instrumentation=Instrumentation(metrics=registry, profile=True),
+                **extra,
+            ),
+        )
+        result = engine.run()
+        # Wall-clock metrics differ run to run; everything else is exact.
+        lines = [
+            line
+            for line in to_prometheus(registry).splitlines()
+            if "second" not in line.split("{")[0].split(" ")[0]
+        ]
+        counts = {h.handler: h.events for h in engine.profile_report().handlers}
+        return result, lines, counts
+
+    @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+    def test_trace_and_iterator_report_the_same_run(self, smoke_scenario, faults):
+        trace = smoke_scenario.trace
+        materialized, trace_lines, trace_counts = self._run(
+            trace, smoke_scenario, faults
+        )
+        streamed, feed_lines, feed_counts = self._run(
+            iter(trace), smoke_scenario, faults
+        )
+        assert streamed.records == materialized.records
+        assert feed_lines == trace_lines
+        assert any(line.startswith("repro_engine_queue_events_total") for line in feed_lines)
+        assert feed_counts == trace_counts
+        assert feed_counts["submit"] == len(trace)
+        if faults:
+            assert feed_counts["machine-crash"] > 0
