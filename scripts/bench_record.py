@@ -7,8 +7,9 @@ campaign and append one record to the trajectory:
     PYTHONPATH=src python scripts/bench_record.py
 
 CI gate — measure the quick matrix and fail when calibration-normalised
-throughput regresses more than 20% against the last committed record,
-without writing anything:
+throughput regresses more than 20%, or a same-spec workload's result
+digest changes, against the last committed record, without writing
+anything:
 
     PYTHONPATH=src python scripts/bench_record.py --check --quick
 
@@ -400,14 +401,14 @@ def main(argv=None) -> int:
         )
         if failures:
             print(
-                f"throughput regression vs record {previous.label!r}:",
+                f"engine regression vs record {previous.label!r}:",
                 file=sys.stderr,
             )
             for failure in failures:
                 print(f"  {failure}", file=sys.stderr)
             return 1
         print(
-            f"throughput OK vs record {previous.label!r} "
+            f"throughput and digests OK vs record {previous.label!r} "
             f"(threshold {args.threshold:.0%})"
         )
         return 0

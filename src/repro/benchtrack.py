@@ -16,7 +16,8 @@ tracked performance trajectory:
   jobs/sec;
 * a regression gate (:func:`check_regression`) CI runs against the
   last committed record, failing when calibration-normalised
-  throughput drops by more than a threshold;
+  throughput drops by more than a threshold or a same-spec workload's
+  result digest changes;
 * a per-workload **result digest** over the simulation's job records,
   making every timing run double as a correctness tripwire — an
   optimisation that changes scheduling decisions shows up as a digest
@@ -765,25 +766,35 @@ def check_regression(
 ) -> List[str]:
     """Compare two records; returns human-readable failures (empty = pass).
 
-    A workload fails when its calibration-normalised throughput drops
-    by more than ``threshold`` relative to ``previous``.  Workloads are
-    joined by name and compared only when their spec (scenario, scale,
-    policy, seed, faults) is unchanged; a renamed or re-scoped cell
-    simply starts a new trajectory.  Speedups never fail.
+    Workloads are joined by name and compared only when their spec
+    (scenario, scale, policy, seed, faults) is unchanged; a renamed or
+    re-scoped cell simply starts a new trajectory.  Two gates apply:
+
+    * **digest** — the record digest must match ``previous`` exactly;
+      a flip means the engine's behaviour changed, whatever the timings
+      say.
+    * **throughput** — calibration-normalised jobs/sec may not drop by
+      more than ``threshold``.  Speedups never fail.
     """
     failures: List[str] = []
     prev_norm = _normalised(previous)
     cur_norm = _normalised(current)
-    prev_specs = {w.spec.name: w.spec for w in previous.workloads}
-    cur_specs = {w.spec.name: w.spec for w in current.workloads}
-    for name, cur in sorted(cur_norm.items()):
-        if name not in prev_norm:
+    prev_workloads = {w.spec.name: w for w in previous.workloads}
+    for cur_workload in current.workloads:
+        name = cur_workload.spec.name
+        prev_workload = prev_workloads.get(name)
+        if prev_workload is None or prev_workload.spec != cur_workload.spec:
             continue
-        if prev_specs[name] != cur_specs[name]:
-            continue
+        before, after = prev_workload.result_digest, cur_workload.result_digest
+        if before and after and before != after:
+            failures.append(
+                f"{name}: result digest changed ({before[:12]} -> {after[:12]}) "
+                "— same-spec records no longer reproduce the committed run"
+            )
         prev = prev_norm[name]
         if prev <= 0:
             continue
+        cur = cur_norm[name]
         drop = 1.0 - cur / prev
         if drop > threshold:
             failures.append(

@@ -997,9 +997,8 @@ class SimulationEngine:
     def _record_completion(self, winner: Job, partner: Optional[Job], now: float) -> None:
         """Emit the JobRecord for a finished logical job.
 
-        For duplicate pairs the winner may be the shadow; the record is
-        keyed by the original job's identity and merges both attempts'
-        accounting.
+        For duplicate pairs the winner may be the shadow; see
+        :meth:`_record_attempts`.
         """
         if winner.is_shadow and partner is None:  # pragma: no cover - defensive
             raise SimulationError(

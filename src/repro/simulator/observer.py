@@ -5,9 +5,9 @@ The reference simulator "outputs the results as logs for post-analysis"
 analyses need the raw event stream — every start, suspension, resume,
 restart, move and completion with its timestamp.  An
 :class:`EventObserver` subscribed via
-:attr:`~repro.simulator.config.SimulationConfig.observer` receives each
-event as it happens; :class:`EventLog` collects them in memory and
-:class:`JsonlEventWriter` streams them to disk.
+:attr:`~repro.telemetry.instrumentation.Instrumentation.observers`
+receives each event as it happens; :class:`EventLog` collects them in
+memory and :class:`JsonlEventWriter` streams them to disk.
 
 Observation is strictly read-only: observers receive immutable event
 tuples, never live simulator objects, so they cannot perturb a run.
@@ -43,6 +43,13 @@ EVENT_TYPES: Tuple[str, ...] = (
     "duplicate",  # a shadow attempt was launched
     "finish",  # completed
     "reject",  # statically unschedulable everywhere
+    "fraction",  # suspended but granted a fractional share of its host
+    "fault-defer",  # placement postponed: every eligible pool is dark
+    "fault-reroute",  # arrived at a pool that went dark in transit
+    "fault-kill",  # running/suspended attempt killed by a crash or outage
+    "fault-requeue",  # drained out of a blacked-out pool's wait queue
+    "fault-job-failure",  # execution segment lost to a transient failure
+    "fault-give-up",  # retry budget exhausted; recorded as failed
 )
 
 

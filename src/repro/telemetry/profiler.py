@@ -1,10 +1,10 @@
 """Opt-in wall-clock profiling of the engine's event handlers.
 
-The engine's run loop is a dispatch over five event kinds (submit,
-finish, wait-timeout, pool-arrival, sample).  When
-:attr:`~repro.telemetry.instrumentation.Instrumentation.profile` is
-set, the engine times every handler invocation with
-``time.perf_counter`` and feeds the deltas here; the profiler reduces
+The engine's run loop is a dispatch over eleven event kinds (submit,
+finish, wait-timeout, pool-arrival, sample, and the six fault kinds).
+When :attr:`~repro.telemetry.instrumentation.Instrumentation.profile`
+is set, the engine wraps every handler to time each invocation with
+``time.perf_counter`` and feed the deltas here; the profiler reduces
 them to per-handler totals and an overall events/sec figure — the
 "where does engine time go" answer the ROADMAP's as-fast-as-the-
 hardware-allows goal needs before any optimisation work.

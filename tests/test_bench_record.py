@@ -136,6 +136,18 @@ class TestRegressionGate:
         cur = record(workloads=[workload(jps=1.0)])
         assert check_regression(prev, cur) == []
 
+    def test_digest_change_fails(self):
+        prev = record(workloads=[workload(digest="a" * 64)])
+        cur = record(workloads=[workload(digest="b" * 64)])
+        failures = check_regression(prev, cur)
+        assert len(failures) == 1
+        assert "cell" in failures[0] and "digest" in failures[0]
+
+    def test_digest_change_after_respec_passes(self):
+        prev = record(workloads=[workload(digest="a" * 64, scale=0.08)])
+        cur = record(workloads=[workload(digest="b" * 64, scale=0.25)])
+        assert check_regression(prev, cur) == []
+
     def test_bad_calibration_rejected(self):
         prev = record(calibration=0.0, workloads=[workload()])
         with pytest.raises(BenchFormatError):

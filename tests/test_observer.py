@@ -2,6 +2,7 @@
 
 
 import repro
+from repro.faults import FaultConfig, MachineChurn
 from repro.simulator.observer import (
     EVENT_TYPES,
     EventLog,
@@ -11,6 +12,7 @@ from repro.simulator.observer import (
 from repro.simulator.config import SimulationConfig
 from repro.telemetry import Instrumentation
 from repro.workload.cluster import ClusterSpec
+from repro.workload.distributions import Exponential
 
 from conftest import make_cluster, make_job, make_pool, make_trace
 
@@ -102,6 +104,27 @@ class TestEventEmission:
         assert counts["submit"] == len(smoke_scenario.trace)
         assert counts["finish"] >= len(smoke_scenario.trace)
         assert counts["start"] >= counts["finish"]
+
+    def test_vocabulary_covers_fractional_and_fault_events(self, smoke_scenario):
+        log = EventLog()
+        repro.run_simulation(
+            smoke_scenario.trace,
+            smoke_scenario.cluster,
+            policy=repro.policy_from_spec("dfrs"),
+            config=SimulationConfig(
+                strict=False,
+                instrumentation=Instrumentation(observers=(log,)),
+                faults=FaultConfig(
+                    machine_churn=MachineChurn(
+                        mtbf=Exponential(3000.0), mttr=Exponential(60.0)
+                    )
+                ),
+            ),
+        )
+        counts = log.counts()
+        assert counts["fraction"] > 0
+        assert counts["fault-kill"] > 0
+        assert all(e.event in EVENT_TYPES for e in log.events)
 
     def test_no_observer_costs_nothing(self):
         # just confirms the default path still runs (no attribute errors)
