@@ -83,6 +83,11 @@ def run_digest(trace_input, cluster, wait_threshold, spec: str, faults: bool) ->
     result = repro.run_simulation(
         trace_input, cluster, policy=policy, config=_config(faults)
     )
+    return result_digest(result)
+
+
+def result_digest(result) -> str:
+    """SHA-256 over every record, every sample and the fault statistics."""
     hasher = hashlib.sha256()
     for record in result.records:
         hasher.update(repr(record).encode("utf-8"))
