@@ -20,8 +20,12 @@ class SimulationConfig:
     Attributes:
         sample_interval: minutes between state samples.  ASCA "samples
             at each minute the current states of all NetBatch
-            components", so the default is 1.0; raise it for very long
-            horizons where per-minute samples are not needed.
+            components", so the default is 1.0.  Sampling costs per
+            state change, not per minute of horizon: a stretch of ticks
+            with no event between them is emitted from one queue event
+            and shares one set of per-pool tuples, so only the sample
+            list itself grows with the horizon.  Raise the interval for
+            very long horizons where per-minute samples are not needed.
         vpm_count: number of virtual pool managers accepting
             submissions; jobs are assigned round-robin by job id.  The
             paper's site has several, but its evaluation semantics do

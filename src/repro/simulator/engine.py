@@ -164,11 +164,10 @@ class SimulationEngine:
         }
         self.pool_order: Tuple[str, ...] = cluster.pool_ids
         self.total_cores = cluster.total_cores
-        # Per-pool core totals in pool order; immutable over a run, so
-        # the sampling tick need not rebuild the list every minute.
-        self._pool_core_totals = [
-            self.pools[pool_id].total_cores for pool_id in self.pool_order
-        ]
+        # Pools and their core totals in pool order, fixed over a run,
+        # so the sampling tick need not look them up every minute.
+        self._pool_list = [self.pools[pool_id] for pool_id in self.pool_order]
+        self._pool_core_totals = [pool.total_cores for pool in self._pool_list]
         self._streams = RandomStreams(self.config.seed)
         self.decision_rng = self._streams.stream("decisions")
         self.view = LiveSystemView(self)
@@ -182,8 +181,9 @@ class SimulationEngine:
         self._add_record = self._sink.add_record
         self._add_sample = self._sink.add_sample
         self._feed = iter(trace)
-        #: True once the feed has yielded its last job.
-        self._feed_exhausted = False
+        #: Submission minute of the feed's next job; ``None`` once the
+        #: feed has yielded its last job.
+        self._next_submit: Optional[float] = None
         self._outstanding = 0
         # Eligible-pool tuples cached at two levels: per requirement
         # signature, and per (signature, whitelist) pair so whitelisted
@@ -336,8 +336,8 @@ class SimulationEngine:
         advance = events.advance_to
         feed = self._feed
         next_spec = next(feed, None)
-        if next_spec is None:
-            self._feed_exhausted = True
+        if next_spec is not None:
+            self._next_submit = next_spec.submit_minute
         last_submit = 0.0
         while True:
             if next_spec is not None:
@@ -360,8 +360,9 @@ class SimulationEngine:
                     self._outstanding += 1
                     submit(Job(next_spec), submit_minute)
                     next_spec = next(feed, None)
-                    if next_spec is None:
-                        self._feed_exhausted = True
+                    self._next_submit = (
+                        None if next_spec is None else next_spec.submit_minute
+                    )
                     continue
             if not len(events):
                 break
@@ -571,53 +572,67 @@ class SimulationEngine:
         self._after_placement(job, result, now)
 
     def _on_sample(self, _payload: None, now: float) -> None:
-        busy = 0
-        running = 0
-        suspended = 0
-        waiting = 0
-        per_pool_busy: List[int] = []
-        per_pool_waiting: List[int] = []
-        per_pool_suspended: List[int] = []
-        for pool_id in self.pool_order:
-            pool = self.pools[pool_id]
-            pool_waiting = len(pool.wait_queue)
-            pool_suspended = len(pool.suspended)
-            busy += pool.busy_cores
-            running += pool.running_jobs
-            suspended += pool_suspended
-            waiting += pool_waiting
-            per_pool_busy.append(pool.busy_cores)
-            per_pool_waiting.append(pool_waiting)
-            per_pool_suspended.append(pool_suspended)
-        self._add_sample(
-            StateSample(
-                minute=now,
-                busy_cores=busy,
-                total_cores=self.total_cores,
-                running_jobs=running,
-                suspended_jobs=suspended,
-                waiting_jobs=waiting,
-                per_pool_busy=tuple(per_pool_busy),
-                per_pool_waiting=tuple(per_pool_waiting),
-                per_pool_suspended=tuple(per_pool_suspended),
-            )
+        """Sample the state at ``now`` and at every idle tick after it.
+
+        Only a queued event or a feed submission can change the state,
+        so every tick strictly before the earlier of the two (the
+        *horizon*) repeats this sample and is emitted here, and one
+        ``EVENT_SAMPLE`` is queued for the first tick at or after it.
+        Strict-before keeps ties exact: a submission at a tick's minute
+        fires before the tick, and a queued event at that minute was
+        pushed before the tick would have been, so it fires first too.
+        Tick minutes come from the same repeated ``+ sample_interval``
+        additions as one event per tick would produce, and the sink,
+        telemetry and invariant checks still see every tick.
+        """
+        pools = self._pool_list
+        per_pool_busy = [pool.busy_cores for pool in pools]
+        per_pool_waiting = [len(pool.wait_queue) for pool in pools]
+        per_pool_suspended = [len(pool.suspended) for pool in pools]
+        state = (
+            sum(per_pool_busy),
+            self.total_cores,
+            sum([pool.running_jobs for pool in pools]),
+            sum(per_pool_suspended),
+            sum(per_pool_waiting),
+            tuple(per_pool_busy),
+            tuple(per_pool_waiting),
+            tuple(per_pool_suspended),
         )
-        if self._telemetry is not None:
-            self._telemetry.on_sample(
-                now,
-                self._outstanding,
-                self.total_cores,
-                self.pool_order,
-                per_pool_busy,
-                self._pool_core_totals,
-                per_pool_waiting,
-                per_pool_suspended,
-            )
-        if self.config.check_invariants:
-            for pool in self.pools.values():
-                pool.check_invariants()
-        if self._outstanding > 0 or not self._feed_exhausted:
-            self._events.push(now + self.config.sample_interval, EVENT_SAMPLE, None)
+        horizon = self._events.peek_time()
+        next_submit = self._next_submit
+        if horizon is None or (next_submit is not None and next_submit < horizon):
+            horizon = next_submit
+        interval = self.config.sample_interval
+        max_minutes = self.config.max_minutes
+        add_sample = self._add_sample
+        telemetry = self._telemetry
+        check_invariants = self.config.check_invariants
+        tick = now
+        while True:
+            add_sample(StateSample(tick, *state))
+            if telemetry is not None:
+                telemetry.on_sample(
+                    tick,
+                    self._outstanding,
+                    self.total_cores,
+                    self.pool_order,
+                    per_pool_busy,
+                    self._pool_core_totals,
+                    per_pool_waiting,
+                    per_pool_suspended,
+                )
+            if check_invariants:
+                for pool in pools:
+                    pool.check_invariants()
+            if self._outstanding == 0 and next_submit is None:
+                return
+            tick = tick + interval
+            if (horizon is not None and tick >= horizon) or (
+                max_minutes is not None and tick > max_minutes
+            ):
+                break
+        self._events.push(tick, EVENT_SAMPLE, None)
 
     # -- fault handlers -----------------------------------------------------------------
 

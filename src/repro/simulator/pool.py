@@ -275,7 +275,9 @@ class PhysicalPool:
         self._capacity_version += 1
         if not self.up or not machine.up:
             return placed
-        while True:
+        # Every job needs at least one core, so a full machine can
+        # neither resume nor start anything: skip the probes.
+        while machine.free_cores > 0:
             resumable = self._best_resumable(machine)
             waiting = None
             if resumable is None:

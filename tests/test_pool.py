@@ -140,6 +140,64 @@ class TestFillMachine:
         assert {j.job_id for j in placed} == {2, 3}
 
 
+@pytest.fixture
+def probes(monkeypatch):
+    """Counts ``best_schedulable`` calls on every wait queue."""
+    calls = []
+    queue_type = type(pool().wait_queue)
+    original = queue_type.best_schedulable
+
+    def spy(self, fits):
+        calls.append(self)
+        return original(self, fits)
+
+    monkeypatch.setattr(queue_type, "best_schedulable", spy)
+    return calls
+
+
+class TestFillMachineGuard:
+    def test_no_probe_after_machine_fills(self, probes):
+        p = pool(machine_count=1, cores=4)
+        blocker, _ = submit(p, 1, cores=4, runtime=10.0)
+        a, _ = submit(p, 2, cores=2)
+        b, _ = submit(p, 3, cores=2)
+        c, _ = submit(p, 4, cores=1)
+        machine = p.finish_job(blocker, 10.0)
+        del probes[:]
+        placed = p.fill_machine(machine, 10.0)
+        assert placed == [a, b]
+        assert machine.free_cores == 0
+        # One probe per start; none once the machine is full.
+        assert len(probes) == 2
+        assert c.state is JobState.WAITING
+
+    def test_full_machine_is_never_probed(self, probes):
+        p = pool(machine_count=1, cores=2)
+        submit(p, 1, cores=2)
+        waiting, _ = submit(p, 2, cores=1)
+        del probes[:]
+        assert p.fill_machine(p.machines[0], 5.0) == []
+        assert probes == []
+        assert waiting.state is JobState.WAITING
+
+    def test_resident_suspended_job_resumes_before_queued_work(self, probes):
+        p = pool(machine_count=1, cores=4)
+        victim, _ = submit(p, 1, priority=0, cores=2, runtime=100.0)
+        submit(p, 2, priority=100, cores=2, runtime=100.0)
+        preemptor, result = submit(p, 3, now=5.0, priority=100, cores=2, runtime=10.0)
+        assert result.victims == (victim,)
+        queued, _ = submit(p, 4, now=6.0, priority=100, cores=1)
+        assert queued.state is JobState.WAITING
+        machine = p.finish_job(preemptor, 15.0)
+        del probes[:]
+        placed = p.fill_machine(machine, 15.0)
+        assert placed == [victim]
+        assert victim.state is JobState.RUNNING
+        assert queued.state is JobState.WAITING
+        # The resumed job used the freed cores; the queue was not probed.
+        assert probes == []
+
+
 class TestDetach:
     def test_detach_suspended_abandons_and_frees_memory(self):
         p = pool(machine_count=1, cores=1, memory=16.0)
