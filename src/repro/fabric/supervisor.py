@@ -293,7 +293,11 @@ class FleetSupervisor:
         return any(s.restart_at is not None for s in self._slots)
 
     def _reap(self, now: float, desired: int) -> None:
-        """Process deaths: restart, quarantine, or retire each one."""
+        """Process deaths: restart, quarantine, or retire each one.
+
+        ``desired`` is the demand-clamped fleet size, or 0 once the
+        grid is complete.
+        """
         cfg = self.config
         for slot in self._slots:
             if slot.handle is None or slot.quarantined or slot.retired:
@@ -305,6 +309,9 @@ class FleetSupervisor:
             tail = self._tail_of(slot.handle)
             slot.handle = None
             if returncode == 0:
+                if desired == 0:
+                    # The grid is complete: a clean exit is the normal end.
+                    continue
                 # A clean exit while cells remain unpublished means the
                 # worker's view of the grid went stale (e.g. an entry
                 # was corrupted after it moved on).  One fresh re-scan
@@ -449,6 +456,39 @@ class FleetSupervisor:
             except OSError:
                 pass
 
+    def _settle(self, grace_until: float) -> None:
+        """Wind the fleet down once the grid is complete.
+
+        Workers notice the complete grid and exit on their own (they
+        release their last leases cleanly); stragglers get until
+        ``grace_until`` before :meth:`_drain` terminates them.  A slot
+        caught mid crash streak is still followed to a verdict: its
+        pending restart runs, and each incarnation is watched until it
+        exits cleanly, outlives ``healthy_uptime_seconds`` or crashes
+        into quarantine.  Whether a crash-looper is quarantined thus
+        does not depend on how fast the rest of the fleet drained the
+        grid.
+        """
+        healthy = self.config.healthy_uptime_seconds
+        while not self._drain_requested:
+            now = self._clock()
+            self._reap(now, 0)
+            self._restart_due(now)
+            if not any(
+                slot.restart_at is not None
+                or (
+                    slot.handle is not None
+                    and slot.handle.poll() is None
+                    and (
+                        now < grace_until
+                        or (slot.streak and now - slot.started_at < healthy)
+                    )
+                )
+                for slot in self._slots
+            ):
+                return
+            self._sleep(0.05)
+
     def run(
         self,
         status: Callable[[], int],
@@ -471,15 +511,7 @@ class FleetSupervisor:
             remaining = int(status())
             if remaining <= 0:
                 self.stats.completed_at = self._clock()
-                # Grid complete: let workers notice and exit on their
-                # own (they release their last leases cleanly) before
-                # terminating stragglers.
-                deadline = self._clock() + 2.0
-                while self._clock() < deadline and any(
-                    s.handle is not None and s.handle.poll() is None
-                    for s in self._slots
-                ):
-                    self._sleep(0.05)
+                self._settle(self.stats.completed_at + 2.0)
                 self._drain()
                 return self.stats
             if self._drain_requested:

@@ -174,6 +174,49 @@ class TestCrashLoop:
         gaps = [b - a for a, b in zip(first, first[1:])]
         assert any(abs(gap - round(gap)) > 0.01 for gap in gaps)  # skewed
 
+    def test_crash_loop_is_quarantined_after_grid_completes(self):
+        clock = FakeClock()
+        spawns = []
+
+        def spawn(slot, incarnation):
+            spawns.append(incarnation)
+            # The first incarnation works a while; every restart dies
+            # at boot.
+            return FakeHandle(clock, lifetime=1.0 if incarnation == 0 else 0.1)
+
+        # The rest of the fleet finishes the grid right after the first
+        # death, long before the slot's restart budget is spent.
+        sup = make_supervisor(clock, spawn)
+        stats = sup.run(lambda: 0 if clock() >= 1.5 else 4, poll_interval=0.1)
+
+        assert spawns == [0, 1, 2, 3]
+        assert stats.restarts == 3
+        assert stats.quarantined == 1
+        assert stats.completed_at == pytest.approx(1.5, abs=0.1)
+
+    def test_clean_restart_after_grid_completes_ends_the_streak(self):
+        clock = FakeClock()
+        handles = []
+
+        def spawn(slot, incarnation):
+            # The first incarnation crashes; the restart boots, finds
+            # the grid complete and exits cleanly.
+            if incarnation == 0:
+                handle = FakeHandle(clock, lifetime=1.0)
+            else:
+                handle = FakeHandle(clock, lifetime=0.1, returncode=0)
+            handles.append(handle)
+            return handle
+
+        sup = make_supervisor(clock, spawn)
+        stats = sup.run(lambda: 0 if clock() >= 1.5 else 4, poll_interval=0.1)
+
+        assert len(handles) == 2
+        assert stats.restarts == 1
+        assert stats.quarantined == 0
+        assert stats.shrunk == 0
+        assert not handles[1].terminated  # exited on its own
+
     def test_healthy_uptime_resets_streak(self):
         clock = FakeClock()
         incarnations = []
