@@ -5,6 +5,7 @@ import pytest
 from repro.errors import SchedulingError
 from repro.simulator.job import Job, JobState
 from repro.simulator.pool import PhysicalPool, SubmitOutcome
+from repro.simulator.queues import PriorityWaitQueue
 
 from conftest import make_job, make_pool
 
@@ -144,14 +145,13 @@ class TestFillMachine:
 def probes(monkeypatch):
     """Counts ``best_schedulable`` calls on every wait queue."""
     calls = []
-    queue_type = type(pool().wait_queue)
-    original = queue_type.best_schedulable
+    original = PriorityWaitQueue.best_schedulable
 
     def spy(self, fits):
         calls.append(self)
         return original(self, fits)
 
-    monkeypatch.setattr(queue_type, "best_schedulable", spy)
+    monkeypatch.setattr(PriorityWaitQueue, "best_schedulable", spy)
     return calls
 
 
