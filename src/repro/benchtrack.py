@@ -1,27 +1,35 @@
-"""Engine performance trajectory: measure, record, compare.
+"""Performance trajectories: measure, record, compare.
 
 The simulator's hot paths are rewritten over time (sharded wait
 queues, calendar event scheduling, incremental pool accounting), and
-"it felt faster" is not evidence.  This module gives the repo a
-tracked performance trajectory:
+"it felt faster" is not evidence.  This module gives the repo tracked
+performance trajectories, one per **suite** (:data:`SUITES`):
 
-* a fixed **workload matrix** (:data:`WORKLOADS`) every measurement
-  runs against, so numbers stay comparable across commits;
-* a :class:`BenchRecord` JSON schema, appended per PR to
-  ``BENCH_engine.json`` by ``scripts/bench_record.py`` — one record
-  per engine-touching change, oldest first;
+* ``engine`` (``BENCH_engine.json``) — in-process simulation
+  throughput over a fixed **workload matrix** (:data:`WORKLOADS`);
+* ``ingest`` (``BENCH_ingest.json``) — the real-trace pipeline end to
+  end, with its peak RSS;
+* ``grid`` (``BENCH_grid.json``) — experiment grids through the
+  distributed fabric's backends;
+* ``chaos`` (``BENCH_chaos.json``) — recovery of a supervised fleet
+  under seeded fault scenarios.
+
+Every suite shares one :class:`Record` schema, appended per PR to its
+file by ``scripts/bench_record.py`` (oldest first), one loader
+(:func:`load_history`), one writer (:func:`write_record`) and one
+regression gate (:func:`check_regression`).  A suite supplies only its
+spec and result types, its measure function and its gate terms.
+
+Shared by all four:
+
 * a **calibration score** (a fixed pure-Python spin measured on the
   same interpreter just before the workloads) so records taken on
-  different machines can be compared as ratios rather than raw
-  jobs/sec;
-* a regression gate (:func:`check_regression`) CI runs against the
-  last committed record, failing when calibration-normalised
-  throughput drops by more than a threshold or a same-spec workload's
-  result digest changes;
-* a per-workload **result digest** over the simulation's job records,
-  making every timing run double as a correctness tripwire — an
-  optimisation that changes scheduling decisions shows up as a digest
-  flip even when it is fast.
+  different machines can be compared as ratios rather than raw rates;
+* the gate joins cells by name and skips a cell whose spec changed, so
+  a renamed or re-scoped cell simply starts a new trajectory;
+* a per-cell **result digest** (engine and grid) makes every timing
+  run double as a correctness tripwire — an optimisation that changes
+  scheduling decisions shows up as a digest flip even when it is fast.
 
 Timings use the best (minimum) wall-clock of N rounds: the minimum is
 the least noisy location statistic for "how fast can this code go"
@@ -34,64 +42,49 @@ import hashlib
 import json
 import os
 import time
-from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple
+from dataclasses import asdict, dataclass, fields
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 from .errors import ReproError
 from .simulator.config import SimulationConfig
 
 __all__ = [
     "SCHEMA_VERSION",
-    "WorkloadSpec",
-    "WorkloadResult",
-    "BenchRecord",
-    "WORKLOADS",
-    "QUICK_WORKLOADS",
+    "BenchFormatError",
+    "Record",
+    "Suite",
+    "SUITES",
     "calibrate",
     "result_digest",
-    "measure_workload",
-    "measure_matrix",
-    "measure_table1",
-    "record_to_dict",
-    "record_from_dict",
     "load_history",
     "write_record",
+    "record_to_dict",
+    "record_from_dict",
     "check_regression",
+    "WorkloadSpec",
+    "WorkloadResult",
+    "WORKLOADS",
+    "QUICK_WORKLOADS",
+    "measure_workload",
+    "measure_table1",
     "IngestSpec",
     "IngestResult",
-    "IngestRecord",
     "INGEST_WORKLOADS",
+    "INGEST_RSS_SLACK",
     "measure_ingest",
-    "measure_ingest_matrix",
-    "ingest_record_to_dict",
-    "ingest_record_from_dict",
-    "load_ingest_history",
-    "write_ingest_record",
-    "check_ingest_regression",
     "GridSpec",
     "GridBackendTiming",
     "GridResult",
-    "GridRecord",
     "GRID_WORKLOADS",
     "QUICK_GRID_WORKLOADS",
+    "GRID_MIN_SPEEDUP",
     "measure_grid",
-    "measure_grid_matrix",
-    "grid_record_to_dict",
-    "grid_record_from_dict",
-    "load_grid_history",
-    "write_grid_record",
-    "check_grid_regression",
     "ChaosSpec",
     "ChaosScenarioResult",
-    "ChaosRecord",
     "CHAOS_SCENARIOS",
+    "CHAOS_THRESHOLD",
+    "CHAOS_EPSILON_SECONDS",
     "measure_chaos",
-    "measure_chaos_matrix",
-    "chaos_record_to_dict",
-    "chaos_record_from_dict",
-    "load_chaos_history",
-    "write_chaos_record",
-    "check_chaos_regression",
 ]
 
 #: Bumped when the JSON layout changes incompatibly.
@@ -100,6 +93,161 @@ SCHEMA_VERSION = 1
 
 class BenchFormatError(ReproError):
     """A BENCH_*.json file does not match the expected schema."""
+
+
+@dataclass(frozen=True)
+class Record:
+    """One point on a suite's performance trajectory.
+
+    Attributes:
+        suite: key into :data:`SUITES` naming the trajectory.
+        label: what was measured — normally the abbreviated git
+            revision, set by ``scripts/bench_record.py``.
+        recorded_at: ISO-8601 timestamp, or ``None`` in deterministic
+            tests.
+        calibration_score: iterations/second of the fixed calibration
+            spin on the recording machine; divide a rate by it to
+            compare across machines.
+        results: the suite's per-cell results, in matrix order.
+        notes: free-form context (host class, special conditions).
+        available_cores: CPUs on the recording host (grid and chaos
+            suites, whose speedups are bounded by it).
+        table1_cold_seconds: engine suite — wall-clock of the Table-1
+            campaign with a cold cache (``None`` when skipped).
+        table1_warm_seconds: engine suite — the cache-warm rerun
+            (``None`` when skipped).
+    """
+
+    suite: str
+    label: str
+    recorded_at: Optional[str]
+    calibration_score: float
+    results: Tuple[Any, ...]
+    notes: str = ""
+    available_cores: Optional[int] = None
+    table1_cold_seconds: Optional[float] = None
+    table1_warm_seconds: Optional[float] = None
+
+
+@dataclass(frozen=True)
+class Suite:
+    """One trajectory family: its file, cell types, matrix and gate terms.
+
+    Attributes:
+        name: key in :data:`SUITES` and :attr:`Record.suite`.
+        path: default trajectory file.
+        cells_key: JSON key of a record's per-cell list; it also tells
+            :func:`record_from_dict` which suite a record belongs to.
+        spec_type: frozen dataclass naming one cell; the gate compares
+            cells only when their specs are equal.
+        result_type: frozen dataclass of one measured cell, with a
+            ``spec`` field.
+        matrix: the cells a full measurement runs.
+        quick: the cheap subset ``--quick`` measures.
+        measure: ``(spec, rounds, progress) -> result``.
+        gate: ``(previous, current, calibration, threshold) -> failures``
+            for one same-spec cell pair; ``calibration`` is the two
+            records' scores.
+        floor: ``(current) -> failures`` for gates that need no
+            baseline, or ``None``.
+        threshold: default allowed fractional regression.
+        header: :class:`Record` fields the suite writes besides the
+            common ones.
+        renames: JSON key for a spec field whose name a result field
+            already uses.
+        nested: result fields holding a tuple of dataclasses, and their
+            type.
+    """
+
+    name: str
+    path: str
+    cells_key: str
+    spec_type: type
+    result_type: type
+    matrix: Tuple[Any, ...]
+    quick: Tuple[Any, ...]
+    measure: Callable[[Any, int, Callable[[str], None]], Any]
+    gate: Callable[[Any, Any, Tuple[float, float], float], List[str]]
+    floor: Optional[Callable[[Any], List[str]]] = None
+    threshold: float = 0.20
+    header: Tuple[str, ...] = ()
+    renames: Tuple[Tuple[str, str], ...] = ()
+    nested: Tuple[Tuple[str, type], ...] = ()
+
+
+def calibrate(iterations: int = 2_000_000, rounds: int = 3) -> float:
+    """Score this interpreter/machine with a fixed pure-Python spin.
+
+    Returns iterations per second, best of ``rounds``.  The spin mixes
+    integer arithmetic, attribute-free name lookups and list appends —
+    the same operation mix the simulator burns — so the ratio
+    ``jobs_per_second / calibration_score`` is roughly
+    machine-independent and is what the regression gate compares.
+    """
+    best = float("inf")
+    for _ in range(rounds):
+        start = time.perf_counter()
+        acc = 0
+        sink: List[int] = []
+        append = sink.append
+        for i in range(iterations):
+            acc += i & 7
+            if not i & 1023:
+                append(acc)
+        elapsed = time.perf_counter() - start
+        if elapsed < best:
+            best = elapsed
+    return iterations / best
+
+
+def result_digest(result) -> str:
+    """SHA-256 over a simulation's job records (order included)."""
+    hasher = hashlib.sha256()
+    for record in result.records:
+        hasher.update(repr(record).encode("utf-8"))
+        hasher.update(b"\n")
+    return hasher.hexdigest()
+
+
+# -- shared gate terms ---------------------------------------------------------------
+
+
+def _rate_drop(
+    label: str,
+    what: str,
+    before: float,
+    after: float,
+    calibration: Optional[Tuple[float, float]],
+    threshold: float,
+    unit: str = "",
+) -> List[str]:
+    """One failure when a rate fell more than ``threshold``.
+
+    With ``calibration`` (previous, current scores) each rate is first
+    divided by its record's score.  A non-positive baseline rate is not
+    gated; speedups never fail.
+    """
+    if calibration is not None:
+        before, after = before / calibration[0], after / calibration[1]
+    if before <= 0:
+        return []
+    drop = 1.0 - after / before
+    if drop <= threshold:
+        return []
+    return [
+        f"{label}: {what} dropped {drop:.1%} (limit {threshold:.0%}; "
+        f"{before:.4f} -> {after:.4f}{unit})"
+    ]
+
+
+def _digest_change(label: str, kind: str, before: str, after: str, why: str) -> List[str]:
+    """One failure when both digests are set and differ."""
+    if before and after and before != after:
+        return [f"{label}: {kind} digest changed ({before[:12]} -> {after[:12]}) — {why}"]
+    return []
+
+
+# -- engine trajectory (BENCH_engine.json) -------------------------------------------
 
 
 @dataclass(frozen=True)
@@ -139,37 +287,6 @@ class WorkloadResult:
     result_digest: str
 
 
-@dataclass(frozen=True)
-class BenchRecord:
-    """One point on the performance trajectory.
-
-    Attributes:
-        schema_version: layout version of this record.
-        label: what was measured — normally the abbreviated git
-            revision, set by ``scripts/bench_record.py``.
-        recorded_at: ISO-8601 timestamp, or ``None`` in deterministic
-            tests.
-        calibration_score: iterations/second of the fixed calibration
-            spin on the recording machine; divide ``jobs_per_second``
-            by it to compare across machines.
-        workloads: matrix measurements, in matrix order.
-        table1_cold_seconds: wall-clock of the Table-1 campaign with a
-            cold cache (``None`` when skipped).
-        table1_warm_seconds: wall-clock of the cache-warm rerun
-            (``None`` when skipped).
-        notes: free-form context (host class, special conditions).
-    """
-
-    schema_version: int
-    label: str
-    recorded_at: Optional[str]
-    calibration_score: float
-    workloads: Tuple[WorkloadResult, ...]
-    table1_cold_seconds: Optional[float] = None
-    table1_warm_seconds: Optional[float] = None
-    notes: str = ""
-
-
 #: The tracked matrix.  Reduced-scale cells cover the policy spread
 #: (bare dispatcher, the paper's heaviest policy, the suspension-heavy
 #: scenario, fault churn); the full-scale cell is the headline number
@@ -188,40 +305,6 @@ WORKLOADS: Tuple[WorkloadSpec, ...] = (
 QUICK_WORKLOADS: Tuple[WorkloadSpec, ...] = tuple(
     spec for spec in WORKLOADS if spec.scale <= 0.25
 )
-
-
-def calibrate(iterations: int = 2_000_000, rounds: int = 3) -> float:
-    """Score this interpreter/machine with a fixed pure-Python spin.
-
-    Returns iterations per second, best of ``rounds``.  The spin mixes
-    integer arithmetic, attribute-free name lookups and list appends —
-    the same operation mix the simulator burns — so the ratio
-    ``jobs_per_second / calibration_score`` is roughly
-    machine-independent and is what the regression gate compares.
-    """
-    best = float("inf")
-    for _ in range(rounds):
-        start = time.perf_counter()
-        acc = 0
-        sink: List[int] = []
-        append = sink.append
-        for i in range(iterations):
-            acc += i & 7
-            if not i & 1023:
-                append(acc)
-        elapsed = time.perf_counter() - start
-        if elapsed < best:
-            best = elapsed
-    return iterations / best
-
-
-def result_digest(result) -> str:
-    """SHA-256 over a simulation's job records (order included)."""
-    hasher = hashlib.sha256()
-    for record in result.records:
-        hasher.update(repr(record).encode("utf-8"))
-        hasher.update(b"\n")
-    return hasher.hexdigest()
 
 
 def _build_workload(spec: WorkloadSpec):
@@ -299,20 +382,6 @@ def measure_workload(spec: WorkloadSpec, rounds: int = 3) -> WorkloadResult:
     )
 
 
-def measure_matrix(
-    specs: Sequence[WorkloadSpec] = WORKLOADS,
-    rounds: int = 3,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[WorkloadResult, ...]:
-    """Measure every cell of ``specs`` (matrix order preserved)."""
-    results = []
-    for spec in specs:
-        if progress is not None:
-            progress(f"measuring {spec.name} (scale={spec.scale}, rounds={rounds})")
-        results.append(measure_workload(spec, rounds=rounds))
-    return tuple(results)
-
-
 def measure_table1(scale: float = 0.08) -> Tuple[float, float]:
     """Time the Table-1 campaign cold, then cache-warm.
 
@@ -338,107 +407,17 @@ def measure_table1(scale: float = 0.08) -> Tuple[float, float]:
     return cold, warm
 
 
-# -- JSON round-trip -----------------------------------------------------------------
-
-
-def record_to_dict(record: BenchRecord) -> Dict:
-    """Plain-JSON form of one record (inverse of :func:`record_from_dict`)."""
-    return {
-        "schema_version": record.schema_version,
-        "label": record.label,
-        "recorded_at": record.recorded_at,
-        "calibration_score": record.calibration_score,
-        "table1_cold_seconds": record.table1_cold_seconds,
-        "table1_warm_seconds": record.table1_warm_seconds,
-        "notes": record.notes,
-        "workloads": [
-            {
-                "name": w.spec.name,
-                "scenario": w.spec.scenario,
-                "scale": w.spec.scale,
-                "policy": w.spec.policy,
-                "seed": w.spec.seed,
-                "faults": w.spec.faults,
-                "jobs": w.jobs,
-                "rounds": w.rounds,
-                "best_wall_seconds": w.best_wall_seconds,
-                "jobs_per_second": w.jobs_per_second,
-                "result_digest": w.result_digest,
-            }
-            for w in record.workloads
-        ],
-    }
-
-
-def record_from_dict(data: Dict) -> BenchRecord:
-    """Parse one record dict, validating the schema."""
-    try:
-        version = data["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise BenchFormatError(f"unsupported bench schema version {version!r}")
-        workloads = tuple(
-            WorkloadResult(
-                spec=WorkloadSpec(
-                    name=w["name"],
-                    scenario=w["scenario"],
-                    scale=w["scale"],
-                    policy=w["policy"],
-                    seed=w["seed"],
-                    faults=w["faults"],
-                ),
-                jobs=w["jobs"],
-                rounds=w["rounds"],
-                best_wall_seconds=w["best_wall_seconds"],
-                jobs_per_second=w["jobs_per_second"],
-                result_digest=w["result_digest"],
-            )
-            for w in data["workloads"]
-        )
-        return BenchRecord(
-            schema_version=version,
-            label=data["label"],
-            recorded_at=data["recorded_at"],
-            calibration_score=data["calibration_score"],
-            workloads=workloads,
-            table1_cold_seconds=data.get("table1_cold_seconds"),
-            table1_warm_seconds=data.get("table1_warm_seconds"),
-            notes=data.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise BenchFormatError(f"bench record is missing field {exc}") from None
-
-
-def load_history(path: str) -> List[BenchRecord]:
-    """All records in ``path``, oldest first; ``[]`` when absent."""
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or "records" not in data:
-        raise BenchFormatError(f"{path}: expected an object with a 'records' list")
-    return [record_from_dict(entry) for entry in data["records"]]
-
-
-def write_record(path: str, record: BenchRecord, append: bool = True) -> int:
-    """Persist ``record``; returns the new history length.
-
-    With ``append`` (the default) the record joins the existing
-    trajectory; without it the file is rewritten to hold only this
-    record — useful for starting a fresh trajectory after a schema or
-    matrix change.
-    """
-    history = load_history(path) if append else []
-    history.append(record)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [record_to_dict(entry) for entry in history],
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return len(history)
+def _engine_gate(prev, cur, calibration, threshold) -> List[str]:
+    """Digest must reproduce; normalised jobs/sec may not drop."""
+    name = cur.spec.name
+    return _digest_change(
+        name, "result", prev.result_digest, cur.result_digest,
+        "same-spec records no longer reproduce the committed run",
+    ) + _rate_drop(
+        name, "normalised throughput", prev.jobs_per_second,
+        cur.jobs_per_second, calibration, threshold,
+        " jobs/sec per calibration unit",
+    )
 
 
 # -- streaming-ingestion trajectory (BENCH_ingest.json) -----------------------------
@@ -487,18 +466,6 @@ class IngestResult:
     peak_rss_mb: float
 
 
-@dataclass(frozen=True)
-class IngestRecord:
-    """One point on the ingestion-performance trajectory."""
-
-    schema_version: int
-    label: str
-    recorded_at: Optional[str]
-    calibration_score: float
-    ingests: Tuple[IngestResult, ...]
-    notes: str = ""
-
-
 #: The tracked ingestion matrix: the headline SWF cell (the CI gate's
 #: fixture size) plus a smaller Google-CSV cell covering the
 #: watermark-reorder path.
@@ -507,10 +474,11 @@ INGEST_WORKLOADS: Tuple[IngestSpec, ...] = (
     IngestSpec(name="google_30k", fmt="google", jobs=30_000),
 )
 
+#: Allowed fractional peak-RSS growth over the baseline.
+INGEST_RSS_SLACK = 0.25
 
-def measure_ingest(
-    spec: IngestSpec, fixture_dir: Optional[str] = None, rounds: int = 3
-) -> IngestResult:
+
+def measure_ingest(spec: IngestSpec, rounds: int = 3) -> IngestResult:
     """Generate the cell's fixture and replay it in a fresh subprocess.
 
     The subprocess runs ``python -m repro ingest <fixture> --json`` and
@@ -521,16 +489,14 @@ def measure_ingest(
     only ever slows a run down — along with the *worst* peak RSS, the
     conservative direction for the memory gate.
     """
+    import shutil
     import subprocess
     import sys as sys_module
     import tempfile
 
     from .workload.traces import generate_google_fixture, generate_swf_fixture
 
-    own_dir = None
-    if fixture_dir is None:
-        own_dir = tempfile.mkdtemp(prefix="benchtrack-ingest-")
-        fixture_dir = own_dir
+    fixture_dir = tempfile.mkdtemp(prefix="benchtrack-ingest-")
     try:
         suffix = ".swf" if spec.fmt == "swf" else ".csv"
         fixture = os.path.join(fixture_dir, f"{spec.name}{suffix}")
@@ -592,216 +558,28 @@ def measure_ingest(
             peak_rss_mb=worst_rss,
         )
     finally:
-        if own_dir is not None:
-            import shutil
-
-            shutil.rmtree(own_dir, ignore_errors=True)
+        shutil.rmtree(fixture_dir, ignore_errors=True)
 
 
-def measure_ingest_matrix(
-    specs: Sequence[IngestSpec] = INGEST_WORKLOADS,
-    progress: Optional[Callable[[str], None]] = None,
-    rounds: int = 3,
-) -> Tuple[IngestResult, ...]:
-    """Measure every ingestion cell (matrix order preserved)."""
-    results = []
-    for spec in specs:
-        if progress is not None:
-            progress(f"measuring ingest {spec.name} ({spec.fmt}, {spec.jobs} jobs)")
-        results.append(measure_ingest(spec, rounds=rounds))
-    return tuple(results)
+def _ingest_gate(prev, cur, calibration, threshold) -> List[str]:
+    """Normalised jobs/sec may not drop; peak RSS may not creep.
 
-
-def ingest_record_to_dict(record: IngestRecord) -> Dict:
-    """Plain-JSON form (inverse of :func:`ingest_record_from_dict`)."""
-    return {
-        "schema_version": record.schema_version,
-        "label": record.label,
-        "recorded_at": record.recorded_at,
-        "calibration_score": record.calibration_score,
-        "notes": record.notes,
-        "ingests": [
-            {
-                "name": r.spec.name,
-                "fmt": r.spec.fmt,
-                "fixture_jobs": r.spec.jobs,
-                "seed": r.spec.seed,
-                "scale": r.spec.scale,
-                "utilization": r.spec.utilization,
-                "jobs": r.jobs,
-                "wall_seconds": r.wall_seconds,
-                "jobs_per_second": r.jobs_per_second,
-                "peak_rss_mb": r.peak_rss_mb,
-            }
-            for r in record.ingests
-        ],
-    }
-
-
-def ingest_record_from_dict(data: Dict) -> IngestRecord:
-    """Parse one ingestion record dict, validating the schema."""
-    try:
-        version = data["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise BenchFormatError(f"unsupported bench schema version {version!r}")
-        ingests = tuple(
-            IngestResult(
-                spec=IngestSpec(
-                    name=r["name"],
-                    fmt=r["fmt"],
-                    jobs=r["fixture_jobs"],
-                    seed=r["seed"],
-                    scale=r["scale"],
-                    utilization=r["utilization"],
-                ),
-                jobs=r["jobs"],
-                wall_seconds=r["wall_seconds"],
-                jobs_per_second=r["jobs_per_second"],
-                peak_rss_mb=r["peak_rss_mb"],
-            )
-            for r in data["ingests"]
-        )
-        return IngestRecord(
-            schema_version=version,
-            label=data["label"],
-            recorded_at=data["recorded_at"],
-            calibration_score=data["calibration_score"],
-            ingests=ingests,
-            notes=data.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise BenchFormatError(f"ingest record is missing field {exc}") from None
-
-
-def load_ingest_history(path: str) -> List[IngestRecord]:
-    """All ingestion records in ``path``, oldest first; ``[]`` if absent."""
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or "records" not in data:
-        raise BenchFormatError(f"{path}: expected an object with a 'records' list")
-    return [ingest_record_from_dict(entry) for entry in data["records"]]
-
-
-def write_ingest_record(path: str, record: IngestRecord, append: bool = True) -> int:
-    """Persist an ingestion record; returns the new history length."""
-    history = load_ingest_history(path) if append else []
-    history.append(record)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [ingest_record_to_dict(entry) for entry in history],
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return len(history)
-
-
-def check_ingest_regression(
-    previous: IngestRecord,
-    current: IngestRecord,
-    threshold: float = 0.20,
-    rss_slack: float = 0.25,
-) -> List[str]:
-    """Compare two ingestion records; returns failures (empty = pass).
-
-    Two gates per cell (joined by name, compared only when the spec is
-    unchanged):
-
-    * calibration-normalised jobs/sec may not drop more than
-      ``threshold`` — same rule as the engine matrix;
-    * peak RSS may not grow more than ``rss_slack`` (plus a 16 MB
-      absolute allowance for interpreter noise) — RSS is already
-      machine-comparable, and creeping memory is exactly the
-      regression streaming ingestion exists to prevent.
+    RSS is already machine-comparable, and creeping memory is exactly
+    the regression streaming ingestion exists to prevent; the 16 MB
+    absolute allowance absorbs interpreter noise.
     """
-    failures: List[str] = []
-    if previous.calibration_score <= 0 or current.calibration_score <= 0:
-        raise BenchFormatError("ingest record has a non-positive calibration score")
-    prev_cells = {r.spec.name: r for r in previous.ingests}
-    for result in current.ingests:
-        prev = prev_cells.get(result.spec.name)
-        if prev is None or prev.spec != result.spec:
-            continue
-        prev_norm = prev.jobs_per_second / previous.calibration_score
-        cur_norm = result.jobs_per_second / current.calibration_score
-        if prev_norm > 0:
-            drop = 1.0 - cur_norm / prev_norm
-            if drop > threshold:
-                failures.append(
-                    f"{result.spec.name}: normalised ingest throughput dropped "
-                    f"{drop:.1%} (limit {threshold:.0%}; {prev_norm:.4f} -> "
-                    f"{cur_norm:.4f} jobs/sec per calibration unit)"
-                )
-        rss_limit = prev.peak_rss_mb * (1.0 + rss_slack) + 16.0
-        if result.peak_rss_mb > rss_limit:
-            failures.append(
-                f"{result.spec.name}: peak RSS grew from {prev.peak_rss_mb:.0f} MB "
-                f"to {result.peak_rss_mb:.0f} MB (limit {rss_limit:.0f} MB) — "
-                f"streaming ingestion is leaking memory"
-            )
-    return failures
-
-
-# -- regression gate -----------------------------------------------------------------
-
-
-def _normalised(record: BenchRecord) -> Dict[str, float]:
-    """Workload name -> jobs/sec divided by the calibration score."""
-    if record.calibration_score <= 0:
-        raise BenchFormatError("record has a non-positive calibration score")
-    return {
-        w.spec.name: w.jobs_per_second / record.calibration_score
-        for w in record.workloads
-    }
-
-
-def check_regression(
-    previous: BenchRecord,
-    current: BenchRecord,
-    threshold: float = 0.20,
-) -> List[str]:
-    """Compare two records; returns human-readable failures (empty = pass).
-
-    Workloads are joined by name and compared only when their spec
-    (scenario, scale, policy, seed, faults) is unchanged; a renamed or
-    re-scoped cell simply starts a new trajectory.  Two gates apply:
-
-    * **digest** — the record digest must match ``previous`` exactly;
-      a flip means the engine's behaviour changed, whatever the timings
-      say.
-    * **throughput** — calibration-normalised jobs/sec may not drop by
-      more than ``threshold``.  Speedups never fail.
-    """
-    failures: List[str] = []
-    prev_norm = _normalised(previous)
-    cur_norm = _normalised(current)
-    prev_workloads = {w.spec.name: w for w in previous.workloads}
-    for cur_workload in current.workloads:
-        name = cur_workload.spec.name
-        prev_workload = prev_workloads.get(name)
-        if prev_workload is None or prev_workload.spec != cur_workload.spec:
-            continue
-        before, after = prev_workload.result_digest, cur_workload.result_digest
-        if before and after and before != after:
-            failures.append(
-                f"{name}: result digest changed ({before[:12]} -> {after[:12]}) "
-                "— same-spec records no longer reproduce the committed run"
-            )
-        prev = prev_norm[name]
-        if prev <= 0:
-            continue
-        cur = cur_norm[name]
-        drop = 1.0 - cur / prev
-        if drop > threshold:
-            failures.append(
-                f"{name}: normalised throughput dropped {drop:.1%} "
-                f"(limit {threshold:.0%}; {prev:.4f} -> {cur:.4f} jobs/sec "
-                f"per calibration unit)"
-            )
+    failures = _rate_drop(
+        cur.spec.name, "normalised ingest throughput", prev.jobs_per_second,
+        cur.jobs_per_second, calibration, threshold,
+        " jobs/sec per calibration unit",
+    )
+    rss_limit = prev.peak_rss_mb * (1.0 + INGEST_RSS_SLACK) + 16.0
+    if cur.peak_rss_mb > rss_limit:
+        failures.append(
+            f"{cur.spec.name}: peak RSS grew from {prev.peak_rss_mb:.0f} MB "
+            f"to {cur.peak_rss_mb:.0f} MB (limit {rss_limit:.0f} MB) — "
+            f"streaming ingestion is leaking memory"
+        )
     return failures
 
 
@@ -891,19 +669,6 @@ class GridResult:
         if one is None or many is None or one.cells_per_second <= 0:
             return None
         return many.cells_per_second / one.cells_per_second
-
-
-@dataclass(frozen=True)
-class GridRecord:
-    """One point on the fabric-performance trajectory."""
-
-    schema_version: int
-    label: str
-    recorded_at: Optional[str]
-    calibration_score: float
-    available_cores: int
-    grids: Tuple[GridResult, ...]
-    notes: str = ""
 
 
 #: Minimum subprocess:4 / subprocess:1 speedup for padded grids.
@@ -1056,185 +821,44 @@ def measure_grid(
     )
 
 
-def measure_grid_matrix(
-    specs: Sequence[GridSpec] = GRID_WORKLOADS,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[GridResult, ...]:
-    """Measure every grid cell (matrix order preserved)."""
-    return tuple(measure_grid(spec, progress=progress) for spec in specs)
+def _grid_gate(prev, cur, calibration, threshold) -> List[str]:
+    """Digest must reproduce; per-backend cells/sec may not drop.
 
-
-def grid_record_to_dict(record: GridRecord) -> Dict:
-    """Plain-JSON form (inverse of :func:`grid_record_from_dict`)."""
-    return {
-        "schema_version": record.schema_version,
-        "label": record.label,
-        "recorded_at": record.recorded_at,
-        "calibration_score": record.calibration_score,
-        "available_cores": record.available_cores,
-        "notes": record.notes,
-        "grids": [
-            {
-                "name": g.spec.name,
-                "preset": g.spec.preset,
-                "scale": g.spec.scale,
-                "seed": g.spec.seed,
-                "cell_floor": g.spec.cell_floor,
-                "worker_counts": list(g.spec.worker_counts),
-                "cells": g.cells,
-                "digest": g.digest,
-                "warm_seconds": g.warm_seconds,
-                "timings": [
-                    {
-                        "backend": t.backend,
-                        "wall_seconds": t.wall_seconds,
-                        "cells_per_second": t.cells_per_second,
-                    }
-                    for t in g.timings
-                ],
-            }
-            for g in record.grids
-        ],
-    }
-
-
-def grid_record_from_dict(data: Dict) -> GridRecord:
-    """Parse one grid record dict, validating the schema."""
-    try:
-        version = data["schema_version"]
-        if version != SCHEMA_VERSION:
-            raise BenchFormatError(f"unsupported bench schema version {version!r}")
-        grids = tuple(
-            GridResult(
-                spec=GridSpec(
-                    name=g["name"],
-                    preset=g["preset"],
-                    scale=g["scale"],
-                    seed=g["seed"],
-                    cell_floor=g["cell_floor"],
-                    worker_counts=tuple(g["worker_counts"]),
-                ),
-                cells=g["cells"],
-                digest=g["digest"],
-                timings=tuple(
-                    GridBackendTiming(
-                        backend=t["backend"],
-                        wall_seconds=t["wall_seconds"],
-                        cells_per_second=t["cells_per_second"],
-                    )
-                    for t in g["timings"]
-                ),
-                warm_seconds=g["warm_seconds"],
-            )
-            for g in data["grids"]
-        )
-        return GridRecord(
-            schema_version=version,
-            label=data["label"],
-            recorded_at=data["recorded_at"],
-            calibration_score=data["calibration_score"],
-            available_cores=data["available_cores"],
-            grids=grids,
-            notes=data.get("notes", ""),
-        )
-    except KeyError as exc:
-        raise BenchFormatError(f"grid record is missing field {exc}") from None
-
-
-def load_grid_history(path: str) -> List[GridRecord]:
-    """All grid records in ``path``, oldest first; ``[]`` when absent."""
-    if not os.path.exists(path):
-        return []
-    with open(path, encoding="utf-8") as handle:
-        data = json.load(handle)
-    if not isinstance(data, dict) or "records" not in data:
-        raise BenchFormatError(f"{path}: expected an object with a 'records' list")
-    return [grid_record_from_dict(entry) for entry in data["records"]]
-
-
-def write_grid_record(path: str, record: GridRecord, append: bool = True) -> int:
-    """Persist a grid record; returns the new history length."""
-    history = load_grid_history(path) if append else []
-    history.append(record)
-    payload = {
-        "schema_version": SCHEMA_VERSION,
-        "records": [grid_record_to_dict(entry) for entry in history],
-    }
-    tmp = f"{path}.tmp"
-    with open(tmp, "w", encoding="utf-8") as handle:
-        json.dump(payload, handle, indent=2, sort_keys=True)
-        handle.write("\n")
-    os.replace(tmp, path)
-    return len(history)
-
-
-def check_grid_regression(
-    previous: GridRecord,
-    current: GridRecord,
-    threshold: float = 0.20,
-    min_speedup: float = GRID_MIN_SPEEDUP,
-) -> List[str]:
-    """Compare two grid records; returns failures (empty = pass).
-
-    Three gates, per grid joined by name (skipped when the spec
-    changed):
-
-    * **digest** — the per-cell summary digest must match the
-      committed record exactly; the fabric's entire value proposition
-      is bit-identical sharding, so a flip is a hard failure whatever
-      the timings say.
-    * **throughput** — per backend joined by name, cells/sec may not
-      drop more than ``threshold``.  CPU-bound grids
-      (``cell_floor == 0``) are calibration-normalised like the engine
-      matrix; padded grids compare raw cells/sec, which is already
-      machine-comparable because the cells are wall-clock-bound.
-    * **overlap** — padded grids must keep their 4-vs-1-worker speedup
-      at or above ``min_speedup``; a collapse means the fabric started
-      serialising its workers.
+    Backends are joined by name.  CPU-bound grids (``cell_floor == 0``)
+    are calibration-normalised like the engine matrix; padded grids
+    compare raw cells/sec, which is already machine-comparable because
+    the cells are wall-clock-bound.
     """
-    failures: List[str] = []
-    if previous.calibration_score <= 0 or current.calibration_score <= 0:
-        raise BenchFormatError("grid record has a non-positive calibration score")
-    prev_grids = {g.spec.name: g for g in previous.grids}
-    for grid in current.grids:
-        prev = prev_grids.get(grid.spec.name)
-        if prev is None or prev.spec != grid.spec:
-            continue
-        if prev.digest and grid.digest and prev.digest != grid.digest:
-            failures.append(
-                f"{grid.spec.name}: per-cell digest flipped "
-                f"({prev.digest[:12]} -> {grid.digest[:12]}) — sharded "
-                "results no longer reproduce the committed grid"
+    name = cur.spec.name
+    failures = _digest_change(
+        name, "per-cell", prev.digest, cur.digest,
+        "sharded results no longer reproduce the committed grid",
+    )
+    normalise = calibration if cur.spec.cell_floor == 0 else None
+    unit = "normalised " if normalise else ""
+    before = {t.backend: t for t in prev.timings}
+    for timing in cur.timings:
+        if timing.backend in before:
+            failures += _rate_drop(
+                f"{name}/{timing.backend}", f"{unit}cells/sec",
+                before[timing.backend].cells_per_second,
+                timing.cells_per_second, normalise, threshold,
             )
-        normalise = grid.spec.cell_floor == 0
-        prev_timings = {t.backend: t for t in prev.timings}
-        for timing in grid.timings:
-            before = prev_timings.get(timing.backend)
-            if before is None or before.cells_per_second <= 0:
-                continue
-            if normalise:
-                prev_rate = before.cells_per_second / previous.calibration_score
-                cur_rate = timing.cells_per_second / current.calibration_score
-            else:
-                prev_rate = before.cells_per_second
-                cur_rate = timing.cells_per_second
-            drop = 1.0 - cur_rate / prev_rate
-            if drop > threshold:
-                unit = "normalised " if normalise else ""
-                failures.append(
-                    f"{grid.spec.name}/{timing.backend}: {unit}cells/sec "
-                    f"dropped {drop:.1%} (limit {threshold:.0%}; "
-                    f"{prev_rate:.4f} -> {cur_rate:.4f})"
-                )
-        if grid.spec.cell_floor > 0:
-            speedup = grid.speedup(4)
-            if speedup is not None and speedup < min_speedup:
-                failures.append(
-                    f"{grid.spec.name}: subprocess:4 speedup fell to "
-                    f"{speedup:.2f}x (floor {min_speedup:.1f}x) — fabric "
-                    "workers are serialising"
-                )
     return failures
+
+
+def _grid_floor(cur) -> List[str]:
+    """Padded grids must keep their 4-vs-1-worker overlap speedup.
+
+    A collapse means the fabric started serialising its workers.
+    """
+    speedup = cur.speedup(4) if cur.spec.cell_floor > 0 else None
+    if speedup is None or speedup >= GRID_MIN_SPEEDUP:
+        return []
+    return [
+        f"{cur.spec.name}: subprocess:4 speedup fell to {speedup:.2f}x "
+        f"(floor {GRID_MIN_SPEEDUP:.1f}x) — fabric workers are serialising"
+    ]
 
 
 # -- chaos-recovery trajectory (BENCH_chaos.json) ------------------------------------
@@ -1285,19 +909,6 @@ class ChaosScenarioResult:
     violations: Tuple[str, ...]
 
 
-@dataclass(frozen=True)
-class ChaosRecord:
-    """One point on the chaos-recovery trajectory."""
-
-    schema_version: int
-    label: str
-    recorded_at: Optional[str]
-    calibration_score: float
-    available_cores: int
-    scenarios: Tuple[ChaosScenarioResult, ...]
-    notes: str = ""
-
-
 #: Recovery-time regressions beyond this fraction fail the gate.
 CHAOS_THRESHOLD = 0.25
 
@@ -1315,10 +926,7 @@ CHAOS_SCENARIOS: Tuple[ChaosSpec, ...] = (
 )
 
 
-def measure_chaos(
-    spec: ChaosSpec,
-    progress: Optional[Callable[[str], None]] = None,
-) -> ChaosScenarioResult:
+def measure_chaos(spec: ChaosSpec) -> ChaosScenarioResult:
     """Run one chaos scenario and distil its report into a result.
 
     Violations are *recorded*, not raised — the regression gate turns
@@ -1327,8 +935,6 @@ def measure_chaos(
     """
     from .chaos import run_scenario
 
-    if progress is not None:
-        progress(f"chaos {spec.name}: seed {spec.seed}, {spec.workers} workers")
     report = run_scenario(spec.name, seed=spec.seed, workers=spec.workers)
     return ChaosScenarioResult(
         spec=spec,
@@ -1344,97 +950,175 @@ def measure_chaos(
     )
 
 
-def measure_chaos_matrix(
-    specs: Sequence[ChaosSpec] = CHAOS_SCENARIOS,
-    progress: Optional[Callable[[str], None]] = None,
-) -> Tuple[ChaosScenarioResult, ...]:
-    """Measure every tracked scenario (matrix order preserved)."""
-    return tuple(measure_chaos(spec, progress=progress) for spec in specs)
+def _chaos_gate(prev, cur, calibration, threshold) -> List[str]:
+    """Recovery may not exceed ``prev * (1 + threshold) + epsilon``.
+
+    A run with violations on either side is not gated on time: the
+    floor already fails a violated current run, and a violated
+    baseline's clock measures a broken recovery.
+    """
+    if cur.violations or prev.violations:
+        return []
+    allowed = prev.recovery_seconds * (1.0 + threshold) + CHAOS_EPSILON_SECONDS
+    if cur.recovery_seconds <= allowed:
+        return []
+    return [
+        f"{cur.spec.name}: recovery took {cur.recovery_seconds:.2f}s, over the "
+        f"{allowed:.2f}s limit ({prev.recovery_seconds:.2f}s baseline + "
+        f"{threshold:.0%} + {CHAOS_EPSILON_SECONDS:.2f}s slack)"
+    ]
 
 
-def chaos_record_to_dict(record: ChaosRecord) -> Dict:
-    """Plain-JSON form (inverse of :func:`chaos_record_from_dict`)."""
-    return {
-        "schema_version": record.schema_version,
+def _chaos_floor(cur) -> List[str]:
+    """Any invariant violation fails, baseline or not."""
+    return [f"{cur.spec.name}: invariant violated — {v}" for v in cur.violations]
+
+
+#: Every tracked trajectory, keyed by :attr:`Record.suite`.
+SUITES: Dict[str, Suite] = {
+    suite.name: suite
+    for suite in (
+        Suite(
+            name="engine", path="BENCH_engine.json", cells_key="workloads",
+            spec_type=WorkloadSpec, result_type=WorkloadResult,
+            matrix=WORKLOADS, quick=QUICK_WORKLOADS,
+            measure=lambda spec, rounds, progress: measure_workload(spec, rounds),
+            gate=_engine_gate,
+            header=("table1_cold_seconds", "table1_warm_seconds"),
+        ),
+        Suite(
+            name="ingest", path="BENCH_ingest.json", cells_key="ingests",
+            spec_type=IngestSpec, result_type=IngestResult,
+            matrix=INGEST_WORKLOADS, quick=INGEST_WORKLOADS,
+            measure=lambda spec, rounds, progress: measure_ingest(spec, rounds),
+            gate=_ingest_gate,
+            renames=(("jobs", "fixture_jobs"),),
+        ),
+        Suite(
+            name="grid", path="BENCH_grid.json", cells_key="grids",
+            spec_type=GridSpec, result_type=GridResult,
+            matrix=GRID_WORKLOADS, quick=QUICK_GRID_WORKLOADS,
+            measure=lambda spec, rounds, progress: measure_grid(spec, progress),
+            gate=_grid_gate, floor=_grid_floor,
+            header=("available_cores",),
+            nested=(("timings", GridBackendTiming),),
+        ),
+        Suite(
+            name="chaos", path="BENCH_chaos.json", cells_key="scenarios",
+            spec_type=ChaosSpec, result_type=ChaosScenarioResult,
+            matrix=CHAOS_SCENARIOS, quick=CHAOS_SCENARIOS,
+            measure=lambda spec, rounds, progress: measure_chaos(spec),
+            gate=_chaos_gate, floor=_chaos_floor,
+            threshold=CHAOS_THRESHOLD,
+            header=("available_cores",),
+        ),
+    )
+}
+
+
+# -- JSON round-trip -----------------------------------------------------------------
+
+
+def record_to_dict(record: Record) -> Dict:
+    """Plain-JSON form of one record (inverse of :func:`record_from_dict`).
+
+    Each cell flattens its spec's fields next to the result's.
+    """
+    suite = SUITES[record.suite]
+    renames = dict(suite.renames)
+    cells = []
+    for result in record.results:
+        cell = asdict(result)
+        spec = cell.pop("spec")
+        cell.update((renames.get(key, key), value) for key, value in spec.items())
+        cells.append(cell)
+    data = {
+        "schema_version": SCHEMA_VERSION,
         "label": record.label,
         "recorded_at": record.recorded_at,
         "calibration_score": record.calibration_score,
-        "available_cores": record.available_cores,
         "notes": record.notes,
-        "scenarios": [
-            {
-                "name": s.spec.name,
-                "seed": s.spec.seed,
-                "workers": s.spec.workers,
-                "cells": s.cells,
-                "wall_seconds": s.wall_seconds,
-                "recovery_seconds": s.recovery_seconds,
-                "restarts": s.restarts,
-                "quarantined": s.quarantined,
-                "cells_recovered": s.cells_recovered,
-                "takeovers": s.takeovers,
-                "swept_leases": s.swept_leases,
-                "violations": list(s.violations),
-            }
-            for s in record.scenarios
-        ],
+        suite.cells_key: cells,
     }
+    data.update((name, getattr(record, name)) for name in suite.header)
+    return data
 
 
-def chaos_record_from_dict(data: Dict) -> ChaosRecord:
-    """Parse one chaos record dict, validating the schema."""
+def _from_plain(cls: type, data: Dict, renames: Dict[str, str], skip: str = "") -> Dict:
+    """Keyword arguments for dataclass ``cls`` from its JSON form.
+
+    Lists become tuples; a missing key raises ``KeyError``.
+    """
+    kwargs = {}
+    for field in fields(cls):
+        if field.name == skip:
+            continue
+        value = data[renames.get(field.name, field.name)]
+        kwargs[field.name] = tuple(value) if isinstance(value, list) else value
+    return kwargs
+
+
+def record_from_dict(data: Dict) -> Record:
+    """Parse one record dict, validating the schema.
+
+    The suite is the one whose ``cells_key`` the record carries.
+    """
     try:
         version = data["schema_version"]
         if version != SCHEMA_VERSION:
             raise BenchFormatError(f"unsupported bench schema version {version!r}")
-        scenarios = tuple(
-            ChaosScenarioResult(
-                spec=ChaosSpec(
-                    name=s["name"], seed=s["seed"], workers=s["workers"]
-                ),
-                cells=s["cells"],
-                wall_seconds=s["wall_seconds"],
-                recovery_seconds=s["recovery_seconds"],
-                restarts=s["restarts"],
-                quarantined=s["quarantined"],
-                cells_recovered=s["cells_recovered"],
-                takeovers=s["takeovers"],
-                swept_leases=s["swept_leases"],
-                violations=tuple(s["violations"]),
-            )
-            for s in data["scenarios"]
-        )
-        return ChaosRecord(
-            schema_version=version,
+        suite = next((s for s in SUITES.values() if s.cells_key in data), None)
+        if suite is None:
+            keys = ", ".join(s.cells_key for s in SUITES.values())
+            raise BenchFormatError(f"bench record has none of the cell lists {keys}")
+        renames = dict(suite.renames)
+        nested = dict(suite.nested)
+        results = []
+        for cell in data[suite.cells_key]:
+            values = _from_plain(suite.result_type, cell, {}, skip="spec")
+            for name, kind in nested.items():
+                values[name] = tuple(kind(**_from_plain(kind, item, {})) for item in values[name])
+            spec = suite.spec_type(**_from_plain(suite.spec_type, cell, renames))
+            results.append(suite.result_type(spec=spec, **values))
+        return Record(
+            suite=suite.name,
             label=data["label"],
             recorded_at=data["recorded_at"],
             calibration_score=data["calibration_score"],
-            available_cores=data["available_cores"],
-            scenarios=scenarios,
+            results=tuple(results),
             notes=data.get("notes", ""),
+            **{name: data[name] for name in suite.header},
         )
     except KeyError as exc:
-        raise BenchFormatError(f"chaos record is missing field {exc}") from None
+        raise BenchFormatError(f"bench record is missing field {exc}") from None
 
 
-def load_chaos_history(path: str) -> List[ChaosRecord]:
-    """All chaos records in ``path``, oldest first; ``[]`` when absent."""
+def load_history(path: str) -> List[Record]:
+    """All records in ``path``, oldest first; ``[]`` when absent."""
     if not os.path.exists(path):
         return []
     with open(path, encoding="utf-8") as handle:
         data = json.load(handle)
     if not isinstance(data, dict) or "records" not in data:
         raise BenchFormatError(f"{path}: expected an object with a 'records' list")
-    return [chaos_record_from_dict(entry) for entry in data["records"]]
+    return [record_from_dict(entry) for entry in data["records"]]
 
 
-def write_chaos_record(path: str, record: ChaosRecord, append: bool = True) -> int:
-    """Persist a chaos record; returns the new history length."""
-    history = load_chaos_history(path) if append else []
+def write_record(path: str, record: Record, append: bool = True) -> int:
+    """Persist ``record``; returns the new history length.
+
+    With ``append`` (the default) the record joins the existing
+    trajectory; without it the file is rewritten to hold only this
+    record — useful for starting a fresh trajectory after a schema or
+    matrix change.  Appending to another suite's trajectory raises.
+    """
+    history = load_history(path) if append else []
+    if any(entry.suite != record.suite for entry in history):
+        raise BenchFormatError(f"{path} is not a {record.suite} trajectory")
     history.append(record)
     payload = {
         "schema_version": SCHEMA_VERSION,
-        "records": [chaos_record_to_dict(entry) for entry in history],
+        "records": [record_to_dict(entry) for entry in history],
     }
     tmp = f"{path}.tmp"
     with open(tmp, "w", encoding="utf-8") as handle:
@@ -1444,37 +1128,44 @@ def write_chaos_record(path: str, record: ChaosRecord, append: bool = True) -> i
     return len(history)
 
 
-def check_chaos_regression(
-    previous: ChaosRecord,
-    current: ChaosRecord,
-    threshold: float = CHAOS_THRESHOLD,
-    epsilon_seconds: float = CHAOS_EPSILON_SECONDS,
-) -> List[str]:
-    """Compare two chaos records; returns failures (empty = pass).
+# -- regression gate -----------------------------------------------------------------
 
-    Invariant violations in the *current* record always fail; the
-    recovery clock is gated per scenario joined on (name, seed,
-    workers) at ``previous * (1 + threshold) + epsilon_seconds``.
+
+def check_regression(
+    previous: Optional[Record],
+    current: Record,
+    threshold: Optional[float] = None,
+) -> List[str]:
+    """Compare a record with its baseline; returns failures (empty = pass).
+
+    The suite's floor (grid overlap speedup, chaos invariants) applies
+    to every current cell whether or not a baseline exists.  With a
+    ``previous`` record, cells are joined by name and compared only
+    when their spec is unchanged, through the suite's gate terms at
+    ``threshold`` (the suite's default when ``None``).  Speedups never
+    fail.
+
+    Raises:
+        BenchFormatError: a record has a non-positive calibration
+            score, or the two records belong to different suites.
     """
+    suite = SUITES[current.suite]
+    if threshold is None:
+        threshold = suite.threshold
+    records = (current,) if previous is None else (previous, current)
+    if any(record.calibration_score <= 0 for record in records):
+        raise BenchFormatError(f"{suite.name} record has a non-positive calibration score")
+    if previous is not None and previous.suite != current.suite:
+        raise BenchFormatError(
+            f"cannot compare a {current.suite} record with a {previous.suite} baseline"
+        )
+    baseline = {} if previous is None else {r.spec.name: r for r in previous.results}
     failures: List[str] = []
-    for scenario in current.scenarios:
-        for violation in scenario.violations:
-            failures.append(
-                f"{scenario.spec.name}: invariant violated — {violation}"
-            )
-    prev_scenarios = {s.spec: s for s in previous.scenarios}
-    for scenario in current.scenarios:
-        if scenario.violations:
-            continue
-        prev = prev_scenarios.get(scenario.spec)
-        if prev is None or prev.violations:
-            continue
-        allowed = prev.recovery_seconds * (1.0 + threshold) + epsilon_seconds
-        if scenario.recovery_seconds > allowed:
-            failures.append(
-                f"{scenario.spec.name}: recovery took "
-                f"{scenario.recovery_seconds:.2f}s, over the "
-                f"{allowed:.2f}s limit ({prev.recovery_seconds:.2f}s "
-                f"baseline + {threshold:.0%} + {epsilon_seconds:.2f}s slack)"
-            )
+    for result in current.results:
+        if suite.floor is not None:
+            failures += suite.floor(result)
+        prev = baseline.get(result.spec.name)
+        if prev is not None and prev.spec == result.spec:
+            calibration = (previous.calibration_score, current.calibration_score)
+            failures += suite.gate(prev, result, calibration, threshold)
     return failures

@@ -50,13 +50,13 @@ def grid(spec=FAULT_SWEEP, digest="a" * 64, **rates):
 
 
 def grid_record(*grids, calibration=10.0):
-    return benchtrack.GridRecord(
-        schema_version=benchtrack.SCHEMA_VERSION,
+    return benchtrack.Record(
+        suite="grid",
         label="grid",
         recorded_at=None,
         calibration_score=calibration,
         available_cores=4,
-        grids=tuple(grids),
+        results=tuple(grids),
     )
 
 
@@ -76,18 +76,18 @@ def scenario(name="kill-storm", recovery=4.0, violations=(), seed=2010):
 
 
 def chaos_record(*scenarios):
-    return benchtrack.ChaosRecord(
-        schema_version=benchtrack.SCHEMA_VERSION,
+    return benchtrack.Record(
+        suite="chaos",
         label="chaos",
         recorded_at=None,
         calibration_score=10.0,
         available_cores=4,
-        scenarios=tuple(scenarios),
+        results=tuple(scenarios),
     )
 
 
-check_grid = benchtrack.check_grid_regression
-check_chaos = benchtrack.check_chaos_regression
+check_grid = benchtrack.check_regression
+check_chaos = benchtrack.check_regression
 
 
 class TestGridGate:
@@ -172,14 +172,8 @@ class TestChaosGate:
 
 
 TRAJECTORIES = {
-    "BENCH_engine.json": (benchtrack.load_history, benchtrack.write_record),
-    "BENCH_ingest.json": (
-        benchtrack.load_ingest_history, benchtrack.write_ingest_record
-    ),
-    "BENCH_grid.json": (benchtrack.load_grid_history, benchtrack.write_grid_record),
-    "BENCH_chaos.json": (
-        benchtrack.load_chaos_history, benchtrack.write_chaos_record
-    ),
+    suite.path: (benchtrack.load_history, benchtrack.write_record)
+    for suite in benchtrack.SUITES.values()
 }
 
 
@@ -194,3 +188,26 @@ def test_committed_trajectory_rewrites_byte_for_byte(name, tmp_path):
         write(rewritten, record)
     with open(committed, "rb") as before, open(rewritten, "rb") as after:
         assert after.read() == before.read()
+
+
+class TestNoBaseline:
+    """The overlap floor and the invariant check need no previous record."""
+
+    def test_padded_speedup_floor_applies(self):
+        slow = grid(PADDED, subprocess_1=1.0, subprocess_4=2.0)
+        failures = benchtrack.check_regression(None, grid_record(slow))
+        assert len(failures) == 1
+        assert "smoke_padded: subprocess:4 speedup" in failures[0]
+
+    def test_chaos_violation_fails(self):
+        broken = scenario(violations=("cell 3 lost",))
+        failures = benchtrack.check_regression(None, chaos_record(broken))
+        assert failures == ["kill-storm: invariant violated — cell 3 lost"]
+
+    def test_clean_records_pass(self):
+        ok = grid(PADDED, subprocess_1=1.0, subprocess_4=GRID_MIN_SPEEDUP)
+        assert benchtrack.check_regression(None, grid_record(ok)) == []
+        assert benchtrack.check_regression(None, chaos_record(scenario())) == []
+
+    def test_relative_terms_need_a_baseline(self):
+        assert benchtrack.check_regression(None, grid_record(grid(digest="b" * 64))) == []

@@ -7,7 +7,7 @@ import pytest
 from repro import benchtrack
 from repro.benchtrack import (
     BenchFormatError,
-    BenchRecord,
+    Record,
     WorkloadResult,
     WorkloadSpec,
     check_regression,
@@ -31,12 +31,12 @@ def workload(name="cell", jps=100.0, digest="d" * 64, **spec_kwargs):
 
 
 def record(label="rec", calibration=10.0, workloads=(), **kwargs):
-    return BenchRecord(
-        schema_version=benchtrack.SCHEMA_VERSION,
+    return Record(
+        suite="engine",
         label=label,
         recorded_at=None,
         calibration_score=calibration,
-        workloads=tuple(workloads),
+        results=tuple(workloads),
         **kwargs,
     )
 
@@ -54,12 +54,12 @@ class TestSchemaRoundTrip:
         assert record_from_dict(payload) == original
 
     def test_timestamp_survives(self):
-        original = BenchRecord(
-            schema_version=benchtrack.SCHEMA_VERSION,
+        original = Record(
+            suite="engine",
             label="x",
             recorded_at="2026-08-09T00:00:00+00:00",
             calibration_score=1.0,
-            workloads=(),
+            results=(),
         )
         assert record_from_dict(record_to_dict(original)) == original
 
@@ -177,3 +177,80 @@ class TestMeasurement:
         quick = {spec.name for spec in benchtrack.QUICK_WORKLOADS}
         assert quick < names
         assert all(spec.scale <= 0.25 for spec in benchtrack.QUICK_WORKLOADS)
+
+
+def _load_driver():
+    import importlib.util
+    import os
+
+    path = os.path.join(
+        os.path.dirname(os.path.dirname(os.path.abspath(__file__))),
+        "scripts", "bench_record.py",
+    )
+    spec = importlib.util.spec_from_file_location("bench_record", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+class TestDriverDefaults:
+    """``--output`` and ``--threshold`` resolve from the suite only when unset."""
+
+    @pytest.fixture
+    def driver(self, monkeypatch, tmp_path):
+        from dataclasses import replace
+
+        from repro.benchtrack import (
+            ChaosScenarioResult, ChaosSpec, GridResult, GridSpec,
+        )
+
+        def chaos_result(spec, rounds, progress):
+            return ChaosScenarioResult(
+                spec=spec, cells=4, wall_seconds=6.0, recovery_seconds=5.6,
+                restarts=1, quarantined=0, cells_recovered=1, takeovers=0,
+                swept_leases=0, violations=(),
+            )
+
+        def grid_result(spec, rounds, progress):
+            return GridResult(spec=spec, cells=4, digest="d" * 64, timings=(),
+                              warm_seconds=0.1)
+
+        suites = benchtrack.SUITES
+        monkeypatch.setitem(suites, "chaos", replace(
+            suites["chaos"], measure=chaos_result, matrix=(ChaosSpec("kill-storm"),),
+        ))
+        monkeypatch.setitem(suites, "grid", replace(
+            suites["grid"], measure=grid_result,
+            matrix=(GridSpec(name="g", preset="smoke"),),
+        ))
+        monkeypatch.setattr(benchtrack, "calibrate", lambda: 10.0)
+        monkeypatch.chdir(tmp_path)
+        return _load_driver()
+
+    def test_explicit_output_is_not_redirected(self, driver, tmp_path):
+        assert driver.main(["--grid", "--label", "x", "--output", "BENCH_engine.json"]) == 0
+        written = json.loads((tmp_path / "BENCH_engine.json").read_text())
+        assert "grids" in written["records"][0]
+        assert not (tmp_path / "BENCH_grid.json").exists()
+
+    def test_default_output_is_the_suite_file(self, driver, tmp_path):
+        assert driver.main(["--grid", "--label", "x"]) == 0
+        assert [r.suite for r in load_history(str(tmp_path / "BENCH_grid.json"))] == ["grid"]
+        assert not (tmp_path / "BENCH_engine.json").exists()
+
+    def test_explicit_threshold_is_kept(self, driver, tmp_path):
+        # Baseline recovery 4.0s: 5.6s passes the chaos default
+        # (4.0 * 1.25 + 0.75 = 5.75) but not an explicit 0.2
+        # (4.0 * 1.2 + 0.75 = 5.55).
+        baseline = benchtrack.Record(
+            suite="chaos", label="base", recorded_at=None, calibration_score=10.0,
+            available_cores=4,
+            results=(benchtrack.ChaosScenarioResult(
+                spec=benchtrack.ChaosSpec("kill-storm"), cells=4, wall_seconds=5.0,
+                recovery_seconds=4.0, restarts=1, quarantined=0, cells_recovered=1,
+                takeovers=0, swept_leases=0, violations=(),
+            ),),
+        )
+        write_record(str(tmp_path / "BENCH_chaos.json"), baseline)
+        assert driver.main(["--chaos", "--check"]) == 0
+        assert driver.main(["--chaos", "--check", "--threshold", "0.2"]) == 1
