@@ -63,7 +63,6 @@ from .core import (
     SystemView,
     WeightedSelector,
     no_res,
-    policy_from_name,
     res_sus_rand,
     res_sus_util,
     res_sus_wait_rand,
@@ -187,7 +186,6 @@ __all__ = [
     "SystemView",
     "WeightedSelector",
     "no_res",
-    "policy_from_name",
     "res_sus_rand",
     "res_sus_util",
     "res_sus_wait_rand",

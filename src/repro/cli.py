@@ -201,7 +201,7 @@ def build_parser() -> argparse.ArgumentParser:
         default="local",
         metavar="SPEC",
         help="execution backend: local[:N], subprocess[:N] or "
-        "ssh:host1,host2 (default: local)",
+        "supervised[:MIN-MAX] (default: local)",
     )
     run_grid.add_argument(
         "--shard-id", type=int, default=None, metavar="K",

@@ -19,7 +19,6 @@ from .policies import (
     RescheduleSuspendedAndWaiting,
     RescheduleWaitingOnly,
     no_res,
-    policy_from_name,
     res_sus_rand,
     res_sus_util,
     res_sus_wait_rand,
@@ -58,7 +57,6 @@ __all__ = [
     "RescheduleSuspendedAndWaiting",
     "RescheduleWaitingOnly",
     "no_res",
-    "policy_from_name",
     "res_sus_rand",
     "res_sus_util",
     "res_sus_wait_rand",

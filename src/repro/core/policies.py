@@ -15,8 +15,7 @@ Paper name                Construction
 
 The experiment runner and the CLI address these (and every other
 registered family) through spec strings via
-:mod:`repro.policies`; :func:`policy_from_name` remains as a
-deprecated shim over the five paper names.  Two extensions go beyond
+:mod:`repro.policies`.  Two extensions go beyond
 the paper: :class:`DuplicateSuspended` (the future-work
 job-duplication technique) and :class:`RescheduleWaitingOnly` (an
 ablation isolating the waiting-job mechanism).
@@ -24,9 +23,9 @@ ablation isolating the waiting-job mechanism).
 
 from __future__ import annotations
 
-from typing import Callable, Dict, Optional, Tuple
+from typing import Optional, Tuple
 
-from ..errors import ConfigurationError, UnknownPolicyError
+from ..errors import ConfigurationError
 from .context import SystemView
 from .decisions import STAY, Decision, duplicate, migrate, restart
 from .policy import ReschedulingPolicy
@@ -44,7 +43,6 @@ __all__ = [
     "res_sus_rand",
     "res_sus_wait_util",
     "res_sus_wait_rand",
-    "policy_from_name",
     "PAPER_POLICY_NAMES",
     "DEFAULT_WAIT_THRESHOLD",
 ]
@@ -238,43 +236,11 @@ def res_sus_wait_rand(
     )
 
 
-_FACTORIES: Dict[str, Callable[..., ReschedulingPolicy]] = {
-    "NoRes": lambda threshold: no_res(),
-    "ResSusUtil": lambda threshold: res_sus_util(),
-    "ResSusRand": lambda threshold: res_sus_rand(),
-    "ResSusWaitUtil": lambda threshold: res_sus_wait_util(threshold),
-    "ResSusWaitRand": lambda threshold: res_sus_wait_rand(threshold),
-}
-
 #: The strategy names used throughout the paper's tables.
-PAPER_POLICY_NAMES: Tuple[str, ...] = tuple(_FACTORIES)
-
-
-def policy_from_name(
-    name: str, wait_threshold: float = DEFAULT_WAIT_THRESHOLD
-) -> ReschedulingPolicy:
-    """Build one of the paper's strategies by its table name.
-
-    .. deprecated::
-        Use :func:`repro.policies.policy_from_spec`, which accepts the
-        same five names plus every registered policy family and spec
-        parameters (``"dfrs:share=0.5"``).
-
-    Args:
-        name: one of :data:`PAPER_POLICY_NAMES` (case-sensitive).
-        wait_threshold: threshold for the ``...Wait...`` strategies;
-            ignored by the others.
-    """
-    import warnings
-
-    warnings.warn(
-        "policy_from_name is deprecated; use repro.policy_from_spec "
-        "(same paper names, plus registered families and parameters)",
-        DeprecationWarning,
-        stacklevel=2,
-    )
-    try:
-        factory = _FACTORIES[name]
-    except KeyError:
-        raise UnknownPolicyError(name, known=PAPER_POLICY_NAMES) from None
-    return factory(wait_threshold)
+PAPER_POLICY_NAMES: Tuple[str, ...] = (
+    "NoRes",
+    "ResSusUtil",
+    "ResSusRand",
+    "ResSusWaitUtil",
+    "ResSusWaitRand",
+)

@@ -13,7 +13,6 @@ in parallel, or from cache.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
 
@@ -212,7 +211,7 @@ class ExperimentRunner:
                 * ``"serial"``: force in-process serial execution;
                 * ``"local"`` / ``"local:N"``: process pool with the
                   runner's / ``N`` workers;
-                * ``"subprocess:N"`` / ``"ssh:host1,host2"``: the
+                * ``"subprocess:N"`` / ``"supervised:MIN-MAX"``: the
                   distributed fabric
                   (:func:`~repro.fabric.coordinator.run_grid_fabric`);
                   requires the runner to have a result cache, the
@@ -300,25 +299,6 @@ class ExperimentRunner:
                 )
             )
         return cells
-
-    def run_grid(
-        self,
-        scenarios: Sequence[Scenario],
-        policy_factories: Sequence[Callable[[], ReschedulingPolicy]],
-        scheduler_factories: Optional[
-            Sequence[Callable[[], InitialScheduler]]
-        ] = None,
-    ) -> List[ExperimentCell]:
-        """Deprecated alias for :meth:`run` (same behaviour, no ``backend``)."""
-        warnings.warn(
-            "ExperimentRunner.run_grid is deprecated; use ExperimentRunner.run "
-            "(same arguments, plus backend=)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        return self.run(
-            scenarios, policy_factories, scheduler_factories=scheduler_factories
-        )
 
     def _policy_factories(
         self,

@@ -19,11 +19,9 @@ coordination medium:
   sub-100ms cells.
 * :mod:`.backends` — pluggable execution backends behind the
   :class:`~repro.fabric.backends.Backend` protocol:
-  :class:`~repro.fabric.backends.LocalPoolBackend` (in-process pool),
-  :class:`~repro.fabric.backends.SubprocessWorkerBackend` (N
-  independent worker processes) and the
-  :class:`~repro.fabric.backends.SSHBackend` stub that plans the same
-  worker invocations across hosts.
+  :class:`~repro.fabric.backends.LocalPoolBackend` (in-process pool)
+  and :class:`~repro.fabric.backends.SubprocessWorkerBackend` (N
+  independent worker processes).
 * :mod:`.coordinator` — :func:`~repro.fabric.coordinator.run_grid_fabric`,
   the grid driver: cache/checkpoint pre-scan, backend dispatch,
   streaming result aggregation (summaries only — the coordinator never
@@ -51,7 +49,6 @@ from .backends import (
     Backend,
     BackendError,
     LocalPoolBackend,
-    SSHBackend,
     SubprocessWorkerBackend,
     backend_from_spec,
 )
@@ -85,7 +82,6 @@ __all__ = [
     "BackendError",
     "LocalPoolBackend",
     "SubprocessWorkerBackend",
-    "SSHBackend",
     "backend_from_spec",
     # supervision
     "FleetSupervisor",

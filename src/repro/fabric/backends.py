@@ -17,12 +17,6 @@ for free.
   multi-host fabric: the workers share nothing but the cache
   directory, so the same binary scales to any transport that can
   mount one.
-* :class:`SSHBackend` — the multi-host stub: :meth:`SSHBackend.plan`
-  emits the exact per-host command lines (same worker module, same
-  flags), :meth:`SSHBackend.run` refuses with a pointer to the plan.
-  Kept a stub deliberately — this repository's CI has one host — but
-  it shares the full :class:`Backend` interface so swapping it in is
-  a one-line change.
 
 Every spawned worker's stderr is captured to a per-worker log file
 under ``<cache>/manifests/``; when a worker dies, the last
@@ -31,8 +25,7 @@ failure message (and in the supervisor's restart log), so chaos kills
 and real crashes alike are diagnosable from the coordinating process.
 
 :func:`backend_from_spec` parses the CLI's ``--backend`` strings:
-``local``, ``local:4``, ``subprocess:2``, ``supervised:1-4``,
-``ssh:host1,host2``.
+``local``, ``local:4``, ``subprocess:2``, ``supervised:1-4``.
 """
 
 from __future__ import annotations
@@ -55,7 +48,6 @@ __all__ = [
     "Backend",
     "BackendError",
     "LocalPoolBackend",
-    "SSHBackend",
     "STDERR_TAIL_LINES",
     "SubprocessWorkerBackend",
     "backend_from_spec",
@@ -312,57 +304,6 @@ class SubprocessWorkerBackend:
             time.sleep(self.poll_interval)
 
 
-class SSHBackend:
-    """Multi-host execution stub sharing the :class:`Backend` interface.
-
-    ``plan()`` renders the exact command every host would run — the
-    same ``python -m repro.fabric.worker`` invocation the subprocess
-    backend spawns, pointed at a commonly mounted cache directory.
-    ``run()`` raises: this repository's CI has a single host, and a
-    silent no-op would violate the backend contract that results are
-    published on return.
-    """
-
-    def __init__(self, hosts: Sequence[str], remote_python: str = "python3") -> None:
-        if not hosts:
-            raise ReproError("ssh backend needs at least one host")
-        self.hosts = tuple(hosts)
-        self.remote_python = remote_python
-        self.name = f"ssh:{len(self.hosts)}"
-
-    def plan(
-        self,
-        tasks: Sequence[CellTask],
-        cache_dir: Path,
-        run_id: str,
-        lease_ttl: float = DEFAULT_TTL_SECONDS,
-    ) -> List[str]:
-        """Per-host command lines (one worker per host)."""
-        manifest = Path(cache_dir) / "manifests" / f"{run_id}.manifest"
-        lines = []
-        for i, host in enumerate(self.hosts):
-            lines.append(
-                f"ssh {host} {self.remote_python} -m repro.fabric._worker_main"
-                f" --manifest {manifest} --cache-dir {cache_dir}"
-                f" --worker-id {run_id}-{host}-w{i} --run-id {run_id}"
-                f" --ttl {lease_ttl}"
-            )
-        return lines
-
-    def run(
-        self,
-        tasks: Sequence[CellTask],
-        cache_dir: Path,
-        run_id: str,
-        lease_ttl: float = DEFAULT_TTL_SECONDS,
-    ) -> None:
-        plan = "\n  ".join(self.plan(tasks, cache_dir, run_id, lease_ttl))
-        raise BackendError(
-            "the ssh backend is a planning stub (single-host CI); "
-            f"it would run:\n  {plan}"
-        )
-
-
 def backend_from_spec(spec: str) -> Backend:
     """Parse a CLI ``--backend`` spec into a backend instance.
 
@@ -370,8 +311,7 @@ def backend_from_spec(spec: str) -> Backend:
     ``subprocess:N`` (``subprocess`` alone defaults to 2) →
     :class:`SubprocessWorkerBackend`; ``supervised:MIN-MAX`` (or
     ``supervised:N``, defaults 1-4) → the self-healing
-    :class:`~repro.fabric.supervisor.SupervisedWorkerBackend`;
-    ``ssh:host1,host2`` → :class:`SSHBackend`.
+    :class:`~repro.fabric.supervisor.SupervisedWorkerBackend`.
     """
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
@@ -395,12 +335,9 @@ def backend_from_spec(spec: str) -> Backend:
             )
     except ValueError:
         raise ReproError(f"bad worker count in backend spec: {spec!r}") from None
-    if kind == "ssh":
-        hosts = [h.strip() for h in arg.split(",") if h.strip()]
-        return SSHBackend(hosts)
     raise ReproError(
-        f"unknown backend {spec!r} (expected local[:N], subprocess[:N], "
-        "supervised[:MIN-MAX] or ssh:hosts)"
+        f"unknown backend {spec!r} (expected local[:N], subprocess[:N] "
+        "or supervised[:MIN-MAX])"
     )
 
 

@@ -168,8 +168,8 @@ def run_grid_fabric(
         run_id: explicit run identity (tests); fresh by default.
 
     Raises:
-        BackendError: the backend could not run at all (e.g. the SSH
-            stub) — never for individual cell failures.
+        BackendError: the backend could not run at all — never for
+            individual cell failures.
         ExperimentExecutionError: a cell failed and ``keep_going`` is
             off.
     """

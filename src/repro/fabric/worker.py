@@ -22,8 +22,7 @@ cells get expensive — cheap cells amortize claim overhead, expensive
 cells keep takeover granularity fine).
 
 Runnable as ``python -m repro.fabric.worker`` — this is the process
-the :class:`~repro.fabric.backends.SubprocessWorkerBackend` spawns and
-the exact command line the SSH backend plans for remote hosts.
+the :class:`~repro.fabric.backends.SubprocessWorkerBackend` spawns.
 
 ``REPRO_FABRIC_CELL_FLOOR`` (seconds, float) pads every computed cell
 to at least that wall time.  It exists for scheduling-bound fabric

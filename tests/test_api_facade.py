@@ -81,17 +81,6 @@ class TestRunExperiment:
         )
         assert [c.summary for c in direct] == [c.summary for c in via_facade]
 
-    def test_run_grid_alias_warns_but_matches(self, smoke_scenario):
-        import warnings
-
-        runner = repro.ExperimentRunner()
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            legacy = runner.run_grid([smoke_scenario], [repro.no_res])
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
-        modern = repro.ExperimentRunner().run([smoke_scenario], [repro.no_res])
-        assert [c.summary for c in legacy] == [c.summary for c in modern]
-
     def test_empty_scenarios_rejected(self):
         with pytest.raises(ConfigurationError):
             repro.run_experiment([], ["NoRes"])

@@ -156,24 +156,24 @@ class TestResultCacheIO:
 class TestRunnerCaching:
     def test_second_grid_run_is_all_hits(self, smoke_scenario, tmp_path):
         cold = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        cells_cold = cold.run_grid([smoke_scenario], [repro.no_res, repro.res_sus_util])
+        cells_cold = cold.run([smoke_scenario], [repro.no_res, repro.res_sus_util])
         assert cold.cache_stats.misses == 2 and cold.cache_stats.stores == 2
 
         warm = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        cells_warm = warm.run_grid([smoke_scenario], [repro.no_res, repro.res_sus_util])
+        cells_warm = warm.run([smoke_scenario], [repro.no_res, repro.res_sus_util])
         assert warm.cache_stats.hits == 2 and warm.cache_stats.misses == 0
         assert all(c.from_cache for c in cells_warm)
         assert [c.summary for c in cells_cold] == [c.summary for c in cells_warm]
 
     def test_corrupt_grid_entry_recomputed(self, smoke_scenario, tmp_path):
         cold = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        cells_cold = cold.run_grid([smoke_scenario], [repro.no_res])
+        cells_cold = cold.run([smoke_scenario], [repro.no_res])
         entries = list(tmp_path.rglob("*.bin"))
         assert len(entries) == 1
         entries[0].write_bytes(b"garbage" * 100)
 
         warm = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        cells_warm = warm.run_grid([smoke_scenario], [repro.no_res])
+        cells_warm = warm.run([smoke_scenario], [repro.no_res])
         assert warm.cache_stats.evictions == 1
         assert warm.cache_stats.hits == 0 and warm.cache_stats.stores == 1
         assert not cells_warm[0].from_cache
@@ -181,34 +181,34 @@ class TestRunnerCaching:
 
         # and the recomputed entry is served on the next run
         third = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        cells_third = third.run_grid([smoke_scenario], [repro.no_res])
+        cells_third = third.run([smoke_scenario], [repro.no_res])
         assert third.cache_stats.hits == 1
         assert cells_third[0].summary == cells_cold[0].summary
 
     def test_keep_results_upgrade_recomputes(self, smoke_scenario, tmp_path):
         summary_only = ExperimentRunner(config=FAST, cache_dir=tmp_path)
-        summary_only.run_grid([smoke_scenario], [repro.no_res])
+        summary_only.run([smoke_scenario], [repro.no_res])
 
         wants_results = ExperimentRunner(
             config=FAST, cache_dir=tmp_path, keep_results=True
         )
-        cells = wants_results.run_grid([smoke_scenario], [repro.no_res])
+        cells = wants_results.run([smoke_scenario], [repro.no_res])
         assert cells[0].result is not None, "summary-only entry cannot satisfy keep_results"
         assert wants_results.cache_stats.misses == 1
 
         # ... but afterwards the full-result entry serves both kinds
         again = ExperimentRunner(config=FAST, cache_dir=tmp_path, keep_results=True)
-        cells_again = again.run_grid([smoke_scenario], [repro.no_res])
+        cells_again = again.run([smoke_scenario], [repro.no_res])
         assert again.cache_stats.hits == 1
         assert cells_again[0].result is not None
 
     def test_parallel_run_populates_and_uses_cache(self, smoke_scenario, tmp_path):
         cold = ExperimentRunner(config=FAST, n_workers=2, cache_dir=tmp_path)
-        cells_cold = cold.run_grid(
+        cells_cold = cold.run(
             [smoke_scenario], [repro.no_res, repro.res_sus_util, repro.res_sus_rand]
         )
         warm = ExperimentRunner(config=FAST, n_workers=2, cache_dir=tmp_path)
-        cells_warm = warm.run_grid(
+        cells_warm = warm.run(
             [smoke_scenario], [repro.no_res, repro.res_sus_util, repro.res_sus_rand]
         )
         assert warm.cache_stats.hits == 3

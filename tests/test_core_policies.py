@@ -13,7 +13,6 @@ from repro.core.policies import (
     RescheduleSuspended,
     RescheduleWaitingOnly,
     no_res,
-    policy_from_name,
     res_sus_rand,
     res_sus_util,
     res_sus_wait_rand,
@@ -27,6 +26,7 @@ from repro.core.selectors import (
     WeightedSelector,
 )
 from repro.errors import ConfigurationError, UnknownPolicyError
+from repro.policies import policy_from_spec
 
 from conftest import make_job
 
@@ -276,24 +276,17 @@ class TestPolicies:
 class TestPolicyRegistry:
     def test_all_paper_names_constructible(self):
         for name in PAPER_POLICY_NAMES:
-            policy = policy_from_name(name)
+            policy = policy_from_spec(name)
             assert policy.name == name
 
     def test_unknown_name_raises(self):
         with pytest.raises(UnknownPolicyError):
-            policy_from_name("NotAPolicy")
+            policy_from_spec("NotAPolicy")
 
     def test_threshold_passed_to_wait_policies(self):
-        assert policy_from_name("ResSusWaitUtil", 99.0).wait_threshold == 99.0
-        assert policy_from_name("NoRes", 99.0).wait_threshold is None
-
-    def test_policy_from_name_is_deprecated(self):
-        import warnings
-
-        with warnings.catch_warnings(record=True) as caught:
-            warnings.simplefilter("always")
-            policy_from_name("NoRes")
-        assert any(issubclass(w.category, DeprecationWarning) for w in caught)
+        threshold = {"wait_threshold": 99.0}
+        assert policy_from_spec("ResSusWaitUtil", defaults=threshold).wait_threshold == 99.0
+        assert policy_from_spec("NoRes", defaults=threshold).wait_threshold is None
 
     def test_default_threshold_constant(self):
         assert DEFAULT_WAIT_THRESHOLD == 30.0

@@ -126,9 +126,9 @@ class TestAblations:
 class TestRunner:
     def test_grid_dimensions(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST)
-        cells = runner.run_grid(
+        cells = runner.run(
             scenarios=[smoke_scenario],
-            policy_factories=[repro.no_res, repro.res_sus_util],
+            policies=[repro.no_res, repro.res_sus_util],
         )
         assert len(cells) == 2
         assert cells[0].scenario_name == "smoke"
@@ -136,18 +136,18 @@ class TestRunner:
 
     def test_keep_results(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST, keep_results=True)
-        cells = runner.run_grid([smoke_scenario], [repro.no_res])
+        cells = runner.run([smoke_scenario], [repro.no_res])
         assert cells[0].result is not None
 
     def test_by_scenario_grouping(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST)
-        cells = runner.run_grid([smoke_scenario], [repro.no_res])
+        cells = runner.run([smoke_scenario], [repro.no_res])
         grouped = ExperimentRunner.by_scenario(cells)
         assert list(grouped) == ["smoke"]
 
     def test_validation(self, smoke_scenario):
         runner = ExperimentRunner()
         with pytest.raises(ConfigurationError):
-            runner.run_grid([], [repro.no_res])
+            runner.run([], [repro.no_res])
         with pytest.raises(ConfigurationError):
-            runner.run_grid([smoke_scenario], [])
+            runner.run([smoke_scenario], [])

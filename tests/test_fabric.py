@@ -37,7 +37,6 @@ from repro.experiments.parallel import (
 )
 from repro.fabric import (
     LocalPoolBackend,
-    SSHBackend,
     SubprocessWorkerBackend,
     backend_from_spec,
     build_grid,
@@ -45,7 +44,6 @@ from repro.fabric import (
     run_worker,
     shard_tasks,
 )
-from repro.fabric.backends import BackendError
 from repro.fabric.lease import LeaseStore
 from repro.fabric import worker as worker_mod
 from repro.simulator.config import SimulationConfig
@@ -115,27 +113,15 @@ class TestBackendSpecs:
         assert backend_from_spec("subprocess").n_workers == 2
         assert backend_from_spec("subprocess:8").n_workers == 8
 
-    def test_ssh_spec(self):
-        backend = backend_from_spec("ssh:alpha,beta")
-        assert backend.hosts == ("alpha", "beta")
+    def test_ssh_spec_is_unknown(self):
+        with pytest.raises(ReproError, match="unknown backend"):
+            backend_from_spec("ssh:a")
 
     def test_bad_specs(self):
         with pytest.raises(ReproError):
             backend_from_spec("mesos:4")
         with pytest.raises(ReproError):
             backend_from_spec("local:banana")
-        with pytest.raises(ReproError):
-            backend_from_spec("ssh:")
-
-    def test_ssh_backend_plans_but_refuses_to_run(self, smoke_scenario, tmp_path):
-        tasks = small_grid(smoke_scenario)
-        backend = SSHBackend(["alpha", "beta"])
-        plan = backend.plan(tasks, tmp_path, "run-1")
-        assert len(plan) == 2
-        assert "repro.fabric._worker_main" in plan[0]
-        assert "ssh alpha" in plan[0]
-        with pytest.raises(BackendError):
-            backend.run(tasks, tmp_path, "run-1")
 
 
 class TestWorkerLoop:

@@ -38,16 +38,16 @@ def _mid_size_trace():
 class TestSummaryEquality:
     @pytest.mark.parametrize("policy_name", [None, "ResSusUtil"])
     def test_streaming_summary_is_bit_identical(self, policy_name):
-        from repro.core.policies import policy_from_name
+        from repro.policies import policy_from_spec
 
         trace = _mid_size_trace()
         cluster = make_cluster((("p0", 3), ("p1", 3), ("p2", 2)))
         config = SimulationConfig(strict=False)  # the 64-core job rejects
-        policy = policy_from_name(policy_name) if policy_name else None
+        policy = policy_from_spec(policy_name) if policy_name else None
         materialized = repro.summarize(
             repro.run_simulation(trace, cluster, policy=policy, config=config)
         )
-        policy2 = policy_from_name(policy_name) if policy_name else None
+        policy2 = policy_from_spec(policy_name) if policy_name else None
         streamed = repro.run_streaming(
             iter(trace.jobs), cluster, policy=policy2, config=config
         ).summary()

@@ -46,7 +46,7 @@ class TestPublicApi:
 
     def test_paper_policy_names_resolve(self):
         for name in repro.PAPER_POLICY_NAMES:
-            assert repro.policy_from_name(name).name == name
+            assert repro.policy_from_spec(name).name == name
 
 
 class TestRepositoryLayout:

@@ -52,10 +52,10 @@ def hostile_policy():
 
 class TestSerialParallelEquivalence:
     def test_run_grid_summaries_identical(self, smoke_scenario):
-        serial = ExperimentRunner(config=FAST, n_workers=1).run_grid(
+        serial = ExperimentRunner(config=FAST, n_workers=1).run(
             [smoke_scenario], ALL_POLICIES
         )
-        parallel = ExperimentRunner(config=FAST, n_workers=4).run_grid(
+        parallel = ExperimentRunner(config=FAST, n_workers=4).run(
             [smoke_scenario], ALL_POLICIES
         )
         assert [c.summary for c in serial] == [c.summary for c in parallel]
@@ -63,7 +63,7 @@ class TestSerialParallelEquivalence:
         assert not any(c.from_cache for c in serial + parallel)
 
     def test_parallel_cells_report_wall_time(self, smoke_scenario):
-        cells = ExperimentRunner(config=FAST, n_workers=2).run_grid(
+        cells = ExperimentRunner(config=FAST, n_workers=2).run(
             [smoke_scenario], [repro.no_res, repro.res_sus_util]
         )
         assert all(c.wall_seconds > 0 for c in cells)
@@ -85,15 +85,15 @@ class TestSerialParallelEquivalence:
 
 class TestCellSeeding:
     def test_cells_with_different_policies_get_different_seeds(self, smoke_scenario):
-        cells = ExperimentRunner(config=FAST).run_grid([smoke_scenario], ALL_POLICIES)
+        cells = ExperimentRunner(config=FAST).run([smoke_scenario], ALL_POLICIES)
         seeds = [c.seed for c in cells]
         assert len(set(seeds)) == len(seeds)
 
     def test_seed_depends_on_identity_not_call_order(self, smoke_scenario):
-        forward = ExperimentRunner(config=FAST).run_grid(
+        forward = ExperimentRunner(config=FAST).run(
             [smoke_scenario], [repro.res_sus_util, repro.res_sus_rand]
         )
-        reversed_ = ExperimentRunner(config=FAST).run_grid(
+        reversed_ = ExperimentRunner(config=FAST).run(
             [smoke_scenario], [repro.res_sus_rand, repro.res_sus_util]
         )
         by_policy_fwd = {c.policy_name: c for c in forward}
@@ -103,8 +103,8 @@ class TestCellSeeding:
             assert by_policy_fwd[name].summary == by_policy_rev[name].summary
 
     def test_single_cell_reproduces_its_grid_result(self, smoke_scenario):
-        grid = ExperimentRunner(config=FAST).run_grid([smoke_scenario], ALL_POLICIES)
-        alone = ExperimentRunner(config=FAST).run_grid(
+        grid = ExperimentRunner(config=FAST).run([smoke_scenario], ALL_POLICIES)
+        alone = ExperimentRunner(config=FAST).run(
             [smoke_scenario], [repro.res_sus_rand]
         )
         grid_cell = next(c for c in grid if c.policy_name == "ResSusRand")
@@ -119,10 +119,10 @@ class TestCellSeeding:
 
 class TestPicklingFallback:
     def test_hostile_policy_falls_back_to_serial(self, smoke_scenario):
-        parallel = ExperimentRunner(config=FAST, n_workers=2).run_grid(
+        parallel = ExperimentRunner(config=FAST, n_workers=2).run(
             [smoke_scenario], [hostile_policy, repro.res_sus_util]
         )
-        serial = ExperimentRunner(config=FAST, n_workers=1).run_grid(
+        serial = ExperimentRunner(config=FAST, n_workers=1).run(
             [smoke_scenario], [hostile_policy, repro.res_sus_util]
         )
         assert [c.summary for c in parallel] == [c.summary for c in serial]
@@ -133,7 +133,7 @@ class TestErrorPaths:
     def test_factory_error_names_cell_and_keeps_completed(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST)
         with pytest.raises(ExperimentExecutionError) as excinfo:
-            runner.run_grid(
+            runner.run(
                 [smoke_scenario],
                 [repro.no_res, _raising_factory, repro.res_sus_util],
             )
@@ -148,7 +148,7 @@ class TestErrorPaths:
     def test_simulation_error_names_cell_serial(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST, n_workers=1)
         with pytest.raises(ExperimentExecutionError) as excinfo:
-            runner.run_grid(
+            runner.run(
                 [smoke_scenario], [repro.no_res, exploding_policy, repro.res_sus_util]
             )
         err = excinfo.value
@@ -158,7 +158,7 @@ class TestErrorPaths:
     def test_simulation_error_names_cell_parallel(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST, n_workers=2)
         with pytest.raises(ExperimentExecutionError) as excinfo:
-            runner.run_grid(
+            runner.run(
                 [smoke_scenario], [repro.no_res, exploding_policy, repro.res_sus_util]
             )
         assert excinfo.value.policy_name == "Exploding"
@@ -172,9 +172,9 @@ class TestErrorPaths:
     def test_empty_grid_still_validated(self, smoke_scenario):
         runner = ExperimentRunner(config=FAST, n_workers=2)
         with pytest.raises(ConfigurationError):
-            runner.run_grid([], [repro.no_res])
+            runner.run([], [repro.no_res])
         with pytest.raises(ConfigurationError):
-            runner.run_grid([smoke_scenario], [])
+            runner.run([smoke_scenario], [])
 
 
 def _raising_factory():

@@ -296,7 +296,7 @@ class TestCheckpointResume:
             checkpoint_path=tmp_path / "runner.ckpt",
             keep_going=True,
         )
-        cells = runner.run_grid([scenario], [_no_res])
+        cells = runner.run([scenario], [_no_res])
         assert len(cells) == 1
         assert runner.last_failures == ()
         assert len(runner.checkpoint) == 1
@@ -305,6 +305,6 @@ class TestCheckpointResume:
             config=SimulationConfig(strict=False),
             checkpoint_path=tmp_path / "runner.ckpt",
         )
-        cells2 = resumed.run_grid([scenario], [_no_res])
+        cells2 = resumed.run([scenario], [_no_res])
         assert cells2[0].from_checkpoint is True
         assert cells2[0].summary == cells[0].summary
