@@ -18,7 +18,9 @@
 #           serial vs parallel, and a grid survives a forced worker
 #           kill; then checks `repro run` with churn flags is
 #           byte-identical across two invocations
-#   bench   engine-throughput gate: measures the quick workload matrix
+#   bench   engine-throughput gate: perfbench's own tests (its probes
+#           wrap named engine methods, so a rename fails here), then
+#           measures the quick workload matrix
 #           (scripts/bench_record.py --check) and fails when
 #           calibration-normalised throughput regresses more than 20%
 #           against the last committed BENCH_engine.json record
@@ -143,6 +145,12 @@ run_faults() {
 }
 
 run_bench() {
+    echo "== bench: perfbench contract (probed names, digests) =="
+    # The traced-replay test installs every engine probe, so a refactor
+    # that renames a probed method fails here rather than in the
+    # benchmark run.
+    python -m pytest perfbench -q
+
     echo "== bench: engine-throughput trajectory gate =="
     python scripts/bench_record.py --check --quick --skip-table1 \
         --threshold "${BENCH_THRESHOLD:-0.20}" --output BENCH_engine.json

@@ -259,8 +259,10 @@ class WorkloadSpec:
         scenario: scenario factory name (``busy_week``,
             ``high_suspension`` or ``high_load``).
         scale: workload scale passed to the scenario factory.
-        policy: paper strategy name (one of ``PAPER_POLICY_NAMES``),
-            or ``none`` for the bare dispatcher.
+        policy: policy spec for
+            :func:`~repro.policies.policy_from_spec` (a paper strategy
+            name or a registered plugin such as ``dfrs``), or ``none``
+            for the bare dispatcher.
         seed: simulation seed.
         faults: when True, run under exponential machine churn —
             exercises the eviction/requeue paths the fault-free cells
@@ -289,14 +291,17 @@ class WorkloadResult:
 
 #: The tracked matrix.  Reduced-scale cells cover the policy spread
 #: (bare dispatcher, the paper's heaviest policy, the suspension-heavy
-#: scenario, fault churn); the full-scale cell is the headline number
-#: quoted in docs/performance.md.
+#: scenario, fault churn, the fractional-share and migration-cost
+#: plugins); the full-scale cell is the headline number quoted in
+#: docs/performance.md.
 WORKLOADS: Tuple[WorkloadSpec, ...] = (
     WorkloadSpec(name="busy_week_nores", policy="none"),
     WorkloadSpec(name="busy_week_wait_util"),
     WorkloadSpec(name="high_suspension_util", scenario="high_suspension",
                  scale=0.25, policy="ResSusUtil"),
     WorkloadSpec(name="busy_week_churn", faults=True),
+    WorkloadSpec(name="busy_week_dfrs", policy="dfrs"),
+    WorkloadSpec(name="busy_week_migration_cost", policy="migration_cost"),
     WorkloadSpec(name="busy_week_full", scale=1.0),
 )
 

@@ -126,7 +126,14 @@ def load_manifest(path) -> List[CellTask]:
 
 
 class _Heartbeat:
-    """Daemon thread refreshing every lease the worker currently holds."""
+    """Daemon thread refreshing every lease the worker currently holds.
+
+    Each refresh runs under the lock that :meth:`drop` takes, so
+    ``drop`` returns only once no refresh of that key is in flight, and
+    none starts after it.  A refresh reads the lease and then rewrites
+    it; without that wait, one that read the claim just before
+    ``release_done`` would rename the stale claim over the done marker.
+    """
 
     def __init__(self, leases: LeaseStore, stats: WorkerStats) -> None:
         self._leases = leases
@@ -152,6 +159,7 @@ class _Heartbeat:
             self._held.add(key)
 
     def drop(self, key: str) -> None:
+        """Stop refreshing ``key``; waits out a refresh in flight."""
         with self._lock:
             self._held.discard(key)
 
@@ -160,14 +168,17 @@ class _Heartbeat:
             with self._lock:
                 held = list(self._held)
             for key in held:
-                try:
-                    if not self._leases.heartbeat(key):
-                        self._stats.lease_lost += 1
-                except Exception:
-                    # A failed heartbeat never kills the compute loop;
-                    # worst case the lease goes stale and is stolen,
-                    # which the protocol already survives.
-                    pass
+                with self._lock:
+                    if key not in self._held:
+                        continue  # dropped since the snapshot
+                    try:
+                        if not self._leases.heartbeat(key):
+                            self._stats.lease_lost += 1
+                    except Exception:
+                        # A failed heartbeat never kills the compute
+                        # loop; worst case the lease goes stale and is
+                        # stolen, which the protocol already survives.
+                        pass
 
 
 def run_worker(
@@ -272,9 +283,9 @@ def run_worker(
                     if chaos is not None:
                         chaos.on_post_publish(key, ordinal)
                     # Stop heartbeating before writing the done marker:
-                    # a heartbeat in flight after release_done could
-                    # rename a stale CLAIMED body over the marker,
-                    # leaving a settled orphan for the sweep to clean.
+                    # drop() waits out a heartbeat in flight, which
+                    # could otherwise rename a stale CLAIMED body over
+                    # the marker.
                     heartbeat.drop(key)
                     leases.release_done(key, wall_seconds=wall)
                 except Exception:

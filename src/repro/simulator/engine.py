@@ -22,6 +22,7 @@ import itertools
 import random
 from collections import deque
 from dataclasses import replace
+from operator import attrgetter
 from time import perf_counter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
@@ -77,6 +78,9 @@ SHADOW_ID_BASE = 1 << 62
 #: replay RSS bounded even for traces whose requirement signatures never
 #: repeat; overflow degrades to recomputation, never to wrong answers.
 _SIGNATURE_CACHE_CAP = 8192
+
+_busy_cores = attrgetter("busy_cores")
+_running_jobs = attrgetter("running_jobs")
 
 
 class LiveSystemView(SystemView):
@@ -168,6 +172,10 @@ class SimulationEngine:
         # so the sampling tick need not look them up every minute.
         self._pool_list = [self.pools[pool_id] for pool_id in self.pool_order]
         self._pool_core_totals = [pool.total_cores for pool in self._pool_list]
+        # The per-pool waiting and suspended sets are fixed objects too,
+        # so a sample counts them with ``map(len, ...)``, no Python loop.
+        self._pool_waiting = [pool.wait_queue.members for pool in self._pool_list]
+        self._pool_suspended = [pool.suspended for pool in self._pool_list]
         self._streams = RandomStreams(self.config.seed)
         self.decision_rng = self._streams.stream("decisions")
         self.view = LiveSystemView(self)
@@ -364,9 +372,10 @@ class SimulationEngine:
                         None if next_spec is None else next_spec.submit_minute
                     )
                     continue
-            if not len(events):
+                # Otherwise a queued event comes first: pop it below.
+            elif not len(events):
                 break
-            if faults is not None and next_spec is None and self._outstanding == 0:
+            elif faults is not None and self._outstanding == 0:
                 break
             time, _, kind, payload = pop()
             if max_minutes is not None and time > max_minutes:
@@ -476,18 +485,19 @@ class SimulationEngine:
         deferred rather than rejected: the job tries again after the
         configured requeue delay.
         """
-        candidates = self.available_candidates(job.spec)
-        if (
-            self._faults is not None
-            and not candidates
-            and self.eligible_candidates(job.spec)
-        ):
-            self._faults.note_deferred()
-            self._emit(now, "fault-defer", job)
-            self._events.push(
-                now + self.config.faults.requeue_delay_minutes, EVENT_JOB_RETRY, job
-            )
-            return
+        candidates = self.eligible_candidates(job.spec)
+        if self._faults is not None:
+            available = self.available_candidates(job.spec)
+            if not available and candidates:
+                self._faults.note_deferred()
+                self._emit(now, "fault-defer", job)
+                self._events.push(
+                    now + self.config.faults.requeue_delay_minutes,
+                    EVENT_JOB_RETRY,
+                    job,
+                )
+                return
+            candidates = available
         vpm = self._vpms[job.job_id % len(self._vpms)]
         result, _ = vpm.submit(job, candidates, self.view, now)
         self._after_placement(job, result, now)
@@ -586,18 +596,18 @@ class SimulationEngine:
         telemetry and invariant checks still see every tick.
         """
         pools = self._pool_list
-        per_pool_busy = [pool.busy_cores for pool in pools]
-        per_pool_waiting = [len(pool.wait_queue) for pool in pools]
-        per_pool_suspended = [len(pool.suspended) for pool in pools]
+        per_pool_busy = tuple(map(_busy_cores, pools))
+        per_pool_waiting = tuple(map(len, self._pool_waiting))
+        per_pool_suspended = tuple(map(len, self._pool_suspended))
         state = (
             sum(per_pool_busy),
             self.total_cores,
-            sum([pool.running_jobs for pool in pools]),
+            sum(map(_running_jobs, pools)),
             sum(per_pool_suspended),
             sum(per_pool_waiting),
-            tuple(per_pool_busy),
-            tuple(per_pool_waiting),
-            tuple(per_pool_suspended),
+            per_pool_busy,
+            per_pool_waiting,
+            per_pool_suspended,
         )
         horizon = self._events.peek_time()
         next_submit = self._next_submit
@@ -1037,7 +1047,7 @@ class SimulationEngine:
                 restart_count=winner.restart_count,
                 migration_count=winner.migration_count,
                 waiting_move_count=winner.waiting_move_count,
-                pools_visited=tuple(dict.fromkeys(winner.pools_visited)),
+                pools_visited=tuple(winner.pools_visited),
                 rejected=False,
                 task_id=spec.task_id,
                 user=spec.user,

@@ -12,7 +12,9 @@ are later computed:
   restarted at another pool (*c3*, "wasted time by rescheduling").
 
 State diagram (all transitions validated; illegal ones raise
-:class:`~repro.errors.JobStateError`)::
+:class:`~repro.errors.JobStateError`).  The *start* transition is made
+by :meth:`repro.simulator.pool.PhysicalPool._start_on`, together with
+the machine and pool accounting it implies, so a start is one call::
 
     PENDING --start--> RUNNING --finish--> FINISHED
        |                |   ^
@@ -56,6 +58,9 @@ class Job:
 
     Attributes:
         spec: the immutable :class:`~repro.workload.trace.TraceJob`.
+        job_id: the trace job id (shadows carry their own spec's id),
+            copied from ``spec`` once so hot paths read a slot.
+        priority: the job's priority level, copied from ``spec``.
         state: current :class:`JobState`.
         pool_id: pool currently responsible for the job (waiting,
             running or suspended there), else ``None``.
@@ -75,6 +80,8 @@ class Job:
 
     __slots__ = (
         "spec",
+        "job_id",
+        "priority",
         "state",
         "pool_id",
         "machine",
@@ -101,6 +108,8 @@ class Job:
 
     def __init__(self, spec: TraceJob, *, is_shadow: bool = False) -> None:
         self.spec = spec
+        self.job_id: int = spec.job_id
+        self.priority: int = spec.priority
         self.state = JobState.PENDING
         self.pool_id: Optional[str] = None
         self.machine = None
@@ -126,19 +135,10 @@ class Job:
 
     # -- derived quantities --------------------------------------------------
 
-    @property
-    def job_id(self) -> int:
-        """The trace job id (shadows share their original's id)."""
-        return self.spec.job_id
-
-    @property
-    def priority(self) -> int:
-        """The job's priority level."""
-        return self.spec.priority
-
     def remaining_minutes(self) -> float:
         """Reference-speed minutes of work left in the current attempt."""
-        return max(0.0, self.spec.runtime_minutes - self.progress)
+        remaining = self.spec.runtime_minutes - self.progress
+        return remaining if remaining > 0.0 else 0.0
 
     def was_suspended(self) -> bool:
         """Whether the job was suspended at least once."""
@@ -176,22 +176,6 @@ class Job:
         self.pool_id = None
         self.wait_episode += 1
         self.waiting_move_count += 1
-        self.segment_start = now
-
-    def start(self, machine, pool_id: str, now: float) -> None:
-        """Begin (or begin again, after a restart) executing on ``machine``."""
-        self._require("start", JobState.PENDING, JobState.WAITING)
-        if self.state is JobState.WAITING:
-            self.total_wait += now - self.segment_start
-            self.wait_episode += 1
-        self.state = JobState.RUNNING
-        self.machine = machine
-        self.pool_id = pool_id
-        self.epoch += 1
-        if self.first_start_minute is None:
-            self.first_start_minute = now
-        if pool_id not in self.pools_visited:
-            self.pools_visited.append(pool_id)
         self.segment_start = now
 
     def accrue_progress(self, now: float) -> None:
@@ -337,11 +321,12 @@ class Job:
         too when a fractional share let it run out its remaining work
         in place — that caps the suspension episode at the finish time.
         """
-        if self.state is JobState.SUSPENDED and self.fractional_share:
+        state = self.state
+        if state is JobState.SUSPENDED and self.fractional_share:
             self.fractional_share = 0.0
             self.total_suspend += now - self.segment_start
-        else:
-            self._require("finish", JobState.RUNNING)
+        elif state is not JobState.RUNNING:
+            raise JobStateError(self.job_id, state.value, "finish")
         self.progress = self.spec.runtime_minutes
         self.state = JobState.FINISHED
         self.finish_minute = now

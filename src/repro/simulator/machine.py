@@ -107,6 +107,17 @@ class Machine:
             and self.free_memory_gb >= job_spec.memory_gb
         )
 
+    def can_start(self, job_spec) -> bool:
+        """Whether the job could start here right now: :meth:`fits_now`
+        and :meth:`eligible` together, capacity first because it rejects
+        more often than the memoized eligibility check."""
+        return (
+            self.free_cores >= job_spec.cores
+            and self.free_memory_gb >= job_spec.memory_gb
+            and self.up
+            and self.eligible(job_spec)
+        )
+
     def preemptible_cores(self, priority: int) -> int:
         """Cores held by running jobs with priority strictly below ``priority``."""
         return sum(
@@ -160,6 +171,10 @@ class Machine:
         return []  # pragma: no cover - guarded by the freed_limit check
 
     # -- occupancy transitions ---------------------------------------------------
+    #
+    # A job *starts* here through :meth:`PhysicalPool._start_on`, and a
+    # running job *finishes* through :meth:`PhysicalPool.finish_job`:
+    # each does the machine, pool and job accounting in one step.
 
     def _note_running(self, priority: int) -> None:
         """Account one more running job at ``priority``."""
@@ -180,19 +195,6 @@ class Machine:
                 self._min_running_priority = (
                     min(counts) if counts else float("inf")
                 )
-
-    def place(self, job: Job) -> None:
-        """Account a job that starts running here."""
-        if not self.fits_now(job.spec):
-            raise SchedulingError(
-                f"machine {self.machine_id}: job {job.job_id} does not fit "
-                f"(free {self.free_cores}c/{self.free_memory_gb}GB, "
-                f"needs {job.spec.cores}c/{job.spec.memory_gb}GB)"
-            )
-        self.free_cores -= job.spec.cores
-        self.free_memory_gb -= job.spec.memory_gb
-        self.running[job.job_id] = job
-        self._note_running(job.spec.priority)
 
     def suspend(self, job: Job) -> None:
         """Move a running job to the suspended set (cores freed, memory kept)."""

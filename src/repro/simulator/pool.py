@@ -27,7 +27,7 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Tuple
 
 from ..core.context import PoolSnapshot
-from ..errors import SchedulingError
+from ..errors import JobStateError, SchedulingError
 from ..workload.cluster import PoolSpec
 from .job import Job, JobState
 from .machine import Machine
@@ -36,6 +36,8 @@ from .queues import PriorityWaitQueue
 #: Upper bound on per-pool eligibility-cache entries (the negative
 #: first-fit cache shares its keys, so bounding one bounds both).
 _SIGNATURE_CACHE_CAP = 4096
+
+_INF = float("inf")
 
 __all__ = ["PhysicalPool", "SubmitOutcome", "SubmitResult"]
 
@@ -65,6 +67,12 @@ class SubmitResult:
     victims: Tuple[Job, ...] = ()
 
 
+#: The two machine-less outcomes carry no per-call data, so every
+#: submission that queues or is given back shares one result object.
+_QUEUED = SubmitResult(SubmitOutcome.QUEUED)
+_INELIGIBLE = SubmitResult(SubmitOutcome.INELIGIBLE)
+
+
 class PhysicalPool:
     """Runtime state and dispatch logic of one physical pool.
 
@@ -77,6 +85,8 @@ class PhysicalPool:
 
     def __init__(self, spec: PoolSpec, telemetry=None) -> None:
         self.spec = spec
+        #: The pool's identifier (a copy of ``spec.pool_id``).
+        self.pool_id: str = spec.pool_id
         self.machines: List[Machine] = [Machine(m) for m in spec.machines]
         self.wait_queue = PriorityWaitQueue()
         self.suspended: Dict[int, Job] = {}
@@ -116,11 +126,6 @@ class PhysicalPool:
 
     # -- statistics --------------------------------------------------------------
 
-    @property
-    def pool_id(self) -> str:
-        """The pool's identifier."""
-        return self.spec.pool_id
-
     def utilization(self) -> float:
         """Busy fraction of the pool's cores."""
         if self.total_cores == 0:
@@ -134,7 +139,7 @@ class PhysicalPool:
         live counters on every call (so it can never go stale) and the
         frozen snapshot object is rebuilt only when a counter moved.
         """
-        key = (self.busy_cores, len(self.wait_queue), len(self.suspended))
+        key = (self.busy_cores, len(self.wait_queue.members), len(self.suspended))
         if key != self._snapshot_key:
             self._snapshot_key = key
             self._snapshot = PoolSnapshot(
@@ -184,7 +189,7 @@ class PhysicalPool:
             eligible = tuple(m for m in self.machines if m.eligible(spec))
             self._remember_eligible(sig, eligible)
         if not eligible:
-            return SubmitResult(SubmitOutcome.INELIGIBLE)
+            return _INELIGIBLE
         cores = spec.cores
         memory = spec.memory_gb
         # 1. First fit on an available eligible machine (dynamic checks
@@ -217,7 +222,7 @@ class PhysicalPool:
         else:
             job.enqueue(self.pool_id, now)
             self.wait_queue.push(job)
-            return SubmitResult(SubmitOutcome.QUEUED)
+            return _QUEUED
         for machine in eligible:
             # Preemption frees cores but never memory: cheap rejects
             # first, then the exact victim computation.  The priority
@@ -249,7 +254,7 @@ class PhysicalPool:
         # 3. Queue.
         job.enqueue(self.pool_id, now)
         self.wait_queue.push(job)
-        return SubmitResult(SubmitOutcome.QUEUED)
+        return _QUEUED
 
     # -- capacity refill ---------------------------------------------------------------
 
@@ -275,22 +280,12 @@ class PhysicalPool:
         self._capacity_version += 1
         if not self.up or not machine.up:
             return placed
+        wait_queue = self.wait_queue
         # Every job needs at least one core, so a full machine can
         # neither resume nor start anything: skip the probes.
         while machine.free_cores > 0:
-            resumable = self._best_resumable(machine)
-            waiting = None
-            if resumable is None:
-                # Machine fit depends only on the job's requirement
-                # signature, so the sharded queue evaluates it once per
-                # signature instead of once per queued job.
-                waiting = self.wait_queue.best_schedulable(
-                    lambda spec: machine.eligible(spec) and machine.fits_now(spec)
-                )
-            if resumable is None and waiting is None:
-                break
-            if resumable is not None:
-                job = resumable
+            job = self._best_resumable(machine) if machine.suspended else None
+            if job is not None:
                 machine.resume(job)
                 if self._telemetry is not None:
                     self._telemetry.observe_suspension(
@@ -302,12 +297,20 @@ class PhysicalPool:
                 self.busy_cores += job.spec.cores
                 self.running_jobs += 1
                 counts = self._running_priorities
-                priority = job.spec.priority
+                priority = job.priority
                 counts[priority] = counts.get(priority, 0) + 1
-            else:
-                job = waiting
-                self.wait_queue.remove(job)
-                self._start_on(job, machine, now)
+                placed.append(job)
+                continue
+            if not wait_queue.members:
+                break
+            # Machine fit depends only on the job's requirement
+            # signature, so the sharded queue evaluates it once per
+            # signature instead of once per queued job.
+            job = wait_queue.best_schedulable(machine.can_start)
+            if job is None:
+                break
+            wait_queue.remove(job)
+            self._start_on(job, machine, now)
             placed.append(job)
         return placed
 
@@ -327,16 +330,35 @@ class PhysicalPool:
     # -- job lifecycle hooks (called by the engine) ------------------------------------------
 
     def finish_job(self, job: Job, now: float) -> Machine:
-        """Account a running job's completion; returns its machine."""
+        """Account a running job's completion; returns its machine.
+
+        The machine release and its running-priority histogram update
+        happen here (the mirror image of :meth:`_start_on`), followed
+        by the job's one ``finish`` transition.
+        """
         machine = job.machine
-        if machine is None or job.job_id not in machine.running:
+        job_id = job.job_id
+        if machine is None or job_id not in machine.running:
             raise SchedulingError(
-                f"pool {self.pool_id}: job {job.job_id} is not running on any machine here"
+                f"pool {self.pool_id}: job {job_id} is not running on any machine here"
             )
-        machine.remove(job)
-        self.busy_cores -= job.spec.cores
+        spec = job.spec
+        cores = spec.cores
+        priority = job.priority
+        del machine.running[job_id]
+        machine.free_cores += cores
+        machine.free_memory_gb += spec.memory_gb
+        counts = machine._running_priorities
+        remaining = counts[priority] - 1
+        if remaining:
+            counts[priority] = remaining
+        else:
+            del counts[priority]
+            if priority == machine._min_running_priority:
+                machine._min_running_priority = min(counts) if counts else _INF
+        self.busy_cores -= cores
         self.running_jobs -= 1
-        self._running_priorities[job.spec.priority] -= 1
+        self._running_priorities[priority] -= 1
         self._capacity_version += 1
         job.finish(now)
         return machine
@@ -500,14 +522,57 @@ class PhysicalPool:
     # -- internals ---------------------------------------------------------------------
 
     def _start_on(self, job: Job, machine: Machine, now: float) -> None:
-        machine.place(job)
-        if self._telemetry is not None and job.state is JobState.WAITING:
-            self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
-        job.start(machine, self.pool_id, now)
-        self.busy_cores += job.spec.cores
+        """Start ``job`` on ``machine``: the job's *start* transition.
+
+        One step does the machine's occupancy and priority histogram,
+        the job's state and wait accounting, and the pool's counters.
+        Both checks run before anything changes: a job that does not
+        fit raises :class:`SchedulingError`, and a job that is neither
+        PENDING nor WAITING raises :class:`JobStateError`.
+        """
+        spec = job.spec
+        cores = spec.cores
+        memory = spec.memory_gb
+        if not (
+            machine.up
+            and machine.free_cores >= cores
+            and machine.free_memory_gb >= memory
+        ):
+            raise SchedulingError(
+                f"machine {machine.machine_id}: job {job.job_id} does not fit "
+                f"(free {machine.free_cores}c/{machine.free_memory_gb}GB, "
+                f"needs {cores}c/{memory}GB)"
+            )
+        state = job.state
+        if state is JobState.WAITING:
+            if self._telemetry is not None:
+                self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
+            job.total_wait += now - job.segment_start
+            job.wait_episode += 1
+        elif state is not JobState.PENDING:
+            raise JobStateError(job.job_id, state.value, "start")
+        pool_id = self.pool_id
+        priority = job.priority
+        machine.free_cores -= cores
+        machine.free_memory_gb -= memory
+        machine.running[job.job_id] = job
+        counts = machine._running_priorities
+        counts[priority] = counts.get(priority, 0) + 1
+        if priority < machine._min_running_priority:
+            machine._min_running_priority = priority
+        job.state = JobState.RUNNING
+        job.machine = machine
+        job.pool_id = pool_id
+        job.epoch += 1
+        if job.first_start_minute is None:
+            job.first_start_minute = now
+        # Kept duplicate-free, so records take it as it is.
+        if pool_id not in job.pools_visited:
+            job.pools_visited.append(pool_id)
+        job.segment_start = now
+        self.busy_cores += cores
         self.running_jobs += 1
         counts = self._running_priorities
-        priority = job.spec.priority
         counts[priority] = counts.get(priority, 0) + 1
 
     def _suspend_on(self, victim: Job, machine: Machine, now: float) -> None:
@@ -568,6 +633,7 @@ class PhysicalPool:
                     )
         for machine in self.machines:
             machine.check_invariants()
+        self.wait_queue.check_invariants()
         for job in self.wait_queue.iter_jobs():
             if job.state is not JobState.WAITING:
                 raise SchedulingError(

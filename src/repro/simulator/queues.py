@@ -63,7 +63,7 @@ class PriorityWaitQueue:
         "_shards",
         "_valid",
         "_counter",
-        "_members",
+        "members",
         "_pushes",
         "_peak_depth",
         "_compactions",
@@ -75,19 +75,21 @@ class PriorityWaitQueue:
         # Valid (non-removed) entry count per shard.
         self._valid: Dict[Signature, int] = {}
         self._counter = itertools.count()
-        # Currently queued jobs keyed by id; the value carries the order
-        # token of the job's live entry, so stale entries from earlier
-        # wait episodes of the same object can never validate.
-        self._members: Dict[int, Tuple[Job, int]] = {}
+        #: Currently queued jobs keyed by id (read-only outside this
+        #: class; pools test it for emptiness without a method call).
+        #: The value carries the order token of the job's live entry, so
+        #: stale entries from earlier wait episodes of the same object
+        #: can never validate.
+        self.members: Dict[int, Tuple[Job, int]] = {}
         self._pushes = 0
         self._peak_depth = 0
         self._compactions = 0
 
     def __len__(self) -> int:
-        return len(self._members)
+        return len(self.members)
 
     def __contains__(self, job: Job) -> bool:
-        member = self._members.get(job.job_id)
+        member = self.members.get(job.job_id)
         return member is not None and member[0] is job
 
     @property
@@ -97,7 +99,7 @@ class PriorityWaitQueue:
 
     def push(self, job: Job) -> None:
         """Enqueue ``job`` (must not already be queued here)."""
-        if job.job_id in self._members:
+        if job.job_id in self.members:
             raise SchedulingError(f"job {job.job_id} is already in this wait queue")
         spec = job.spec
         sig = (spec.os_family, spec.cores, spec.memory_gb)
@@ -109,15 +111,16 @@ class PriorityWaitQueue:
         else:
             heapq.heappush(shard, (-job.priority, order, job))
             self._valid[sig] += 1
-        self._members[job.job_id] = (job, order)
+        self.members[job.job_id] = (job, order)
         self._pushes += 1
-        if len(self._members) > self._peak_depth:
-            self._peak_depth = len(self._members)
+        depth = len(self.members)
+        if depth > self._peak_depth:
+            self._peak_depth = depth
 
     def _shard_top(self, sig: Signature) -> Optional[Tuple[int, int, Job]]:
         """The shard's best valid entry, discarding stale tops; None if drained."""
         shard = self._shards[sig]
-        members = self._members
+        members = self.members
         while shard:
             entry = shard[0]
             member = members.get(entry[2].job_id)
@@ -141,10 +144,14 @@ class PriorityWaitQueue:
                 best_sig = sig
         if best_entry is None:
             raise SchedulingError("pop from an empty wait queue")
-        heapq.heappop(self._shards[best_sig])
+        shard = self._shards[best_sig]
+        heapq.heappop(shard)
         self._valid[best_sig] -= 1
+        if not shard:
+            del self._shards[best_sig]
+            del self._valid[best_sig]
         job = best_entry[2]
-        del self._members[job.job_id]
+        del self.members[job.job_id]
         return job
 
     def peek(self) -> Optional[Job]:
@@ -158,14 +165,18 @@ class PriorityWaitQueue:
 
     def remove(self, job: Job) -> None:
         """Remove ``job`` from anywhere in the queue (lazy)."""
-        member = self._members.get(job.job_id)
+        member = self.members.get(job.job_id)
         if member is None or member[0] is not job:
             raise SchedulingError(f"job {job.job_id} is not in this wait queue")
-        del self._members[job.job_id]
+        del self.members[job.job_id]
         spec = job.spec
         sig = (spec.os_family, spec.cores, spec.memory_gb)
-        self._valid[sig] -= 1
-        self._compact_if_stale(sig)
+        valid = self._valid[sig] - 1
+        self._valid[sig] = valid
+        stored = len(self._shards[sig])
+        # Rebuild the shard once more than half its entries are stale.
+        if stored > 16 and stored > 2 * valid:
+            self._compact(sig, valid)
 
     def best_schedulable(self, fits: Callable[[object], bool]) -> Optional[Job]:
         """Highest-priority (oldest within level) job whose *spec* fits.
@@ -178,13 +189,21 @@ class PriorityWaitQueue:
         but costs O(signatures) instead of O(queued jobs): within one
         shard every entry fits or none does, so only shard tops are
         consulted.  This is the pool hot path on every capacity release.
+
+        A shard's stored top, stale or live, orders no later than its
+        live top and carries the shard's signature, so it settles both
+        "can this shard beat the best so far?" and "does it fit?"
+        before the (popping) validation runs on the few shards left.
         """
         best_entry = None
-        for sig in list(self._shards):
-            entry = self._shard_top(sig)
-            if entry is None:
+        for sig, shard in list(self._shards.items()):
+            top = shard[0]
+            if best_entry is not None and best_entry < top:
                 continue
-            if (best_entry is None or entry < best_entry) and fits(entry[2].spec):
+            if not fits(top[2].spec):
+                continue
+            entry = self._shard_top(sig)
+            if entry is not None and (best_entry is None or entry < best_entry):
                 best_entry = entry
         return None if best_entry is None else best_entry[2]
 
@@ -195,7 +214,7 @@ class PriorityWaitQueue:
         may be arbitrary (unlike :meth:`best_schedulable` it need not be
         uniform within a signature).
         """
-        members = self._members
+        members = self.members
         best_key: Optional[Tuple[int, int]] = None
         best_job: Optional[Job] = None
         for shard in self._shards.values():
@@ -215,7 +234,7 @@ class PriorityWaitQueue:
         O(n log n); used by pools when draining a blacked-out pool's
         queue, and by tests.
         """
-        members = self._members
+        members = self.members
         entries = [
             entry
             for shard in self._shards.values()
@@ -235,23 +254,68 @@ class PriorityWaitQueue:
             compactions=self._compactions,
         )
 
-    def _compact_if_stale(self, sig: Signature) -> None:
-        """Rebuild one shard when more than half its entries are invalid."""
-        shard = self._shards[sig]
-        valid = self._valid[sig]
-        if len(shard) > 16 and len(shard) > 2 * valid:
-            members = self._members
-            self._shards[sig] = [
-                entry
-                for entry in shard
-                if (member := members.get(entry[2].job_id)) is not None
-                and member[1] == entry[1]
-            ]
-            heapq.heapify(self._shards[sig])
-            self._compactions += 1
-        elif not valid and len(shard) > 16:
+    def _compact(self, sig: Signature, valid: int) -> None:
+        """Drop one shard's stale entries and re-heapify it.
+
+        A shard with no valid entry left is deleted instead, so no
+        shard is ever an empty list.
+        """
+        if not valid:
             del self._shards[sig]
             del self._valid[sig]
+            return
+        members = self.members
+        shard = [
+            entry
+            for entry in self._shards[sig]
+            if (member := members.get(entry[2].job_id)) is not None
+            and member[1] == entry[1]
+        ]
+        heapq.heapify(shard)
+        self._shards[sig] = shard
+        self._compactions += 1
+
+    def check_invariants(self) -> None:
+        """Raise :class:`SchedulingError` if the lazy-removal accounting drifted.
+
+        Stale entries may linger in any shard; what must hold is that
+        each shard's valid count equals its live entries, the counts
+        sum to the number of members, every member has exactly one live
+        entry, and no shard is an empty list.
+        """
+        members = self.members
+        live: Dict[int, int] = {}
+        for sig, shard in self._shards.items():
+            if not shard:
+                raise SchedulingError(f"wait queue: empty shard {sig} kept")
+            count = 0
+            for _, order, job in shard:
+                member = members.get(job.job_id)
+                if member is not None and member[1] == order:
+                    if member[0] is not job:
+                        raise SchedulingError(
+                            f"wait queue: live entry of job {job.job_id} "
+                            f"holds another job object"
+                        )
+                    count += 1
+                    live[job.job_id] = live.get(job.job_id, 0) + 1
+            if self._valid.get(sig) != count:
+                raise SchedulingError(
+                    f"wait queue: shard {sig} counts {self._valid.get(sig)} "
+                    f"valid entries but holds {count}"
+                )
+        if set(self._valid) != set(self._shards):
+            raise SchedulingError("wait queue: valid counts and shards disagree")
+        if sum(self._valid.values()) != len(members):
+            raise SchedulingError(
+                f"wait queue: valid counts sum to {sum(self._valid.values())} "
+                f"for {len(members)} members"
+            )
+        for job_id in members:
+            if live.get(job_id) != 1:
+                raise SchedulingError(
+                    f"wait queue: job {job_id} has {live.get(job_id, 0)} live entries"
+                )
 
     def __repr__(self) -> str:
         return f"PriorityWaitQueue(len={len(self)})"

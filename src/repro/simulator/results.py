@@ -16,7 +16,7 @@ from typing import Dict, Iterator, List, Optional, Sequence, Tuple
 __all__ = ["JobRecord", "StateSample", "SimulationResult", "RecordingSink"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class JobRecord:
     """Everything the metrics need to know about one completed job.
 
@@ -95,7 +95,7 @@ class JobRecord:
         return self.wait_time + self.suspend_time + self.wasted_restart_time
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class StateSample:
     """One tick of the per-minute state sampler.
 

@@ -26,6 +26,7 @@ from repro.experiments.cache import (
 from repro.experiments.runner import ExperimentRunner
 from repro.simulator.config import SimulationConfig
 from repro.simulator.observer import EventLog
+from repro.simulator.results import JobRecord
 from repro.telemetry import Instrumentation, MetricsRegistry
 
 FAST = SimulationConfig(strict=False, record_samples=False)
@@ -151,6 +152,54 @@ class TestResultCacheIO:
         path.write_bytes(b"repro-cache\x00" + hashlib.sha256(payload).digest() + payload)
         assert cache.get(key) is None
         assert not path.exists()
+
+
+class _DictStateRecord:
+    """Pickles as a ``JobRecord`` carrying dict state, as records did
+    before they became slotted (cache schema 1)."""
+
+    def __init__(self, state):
+        self.state = state
+
+    def __reduce_ex__(self, protocol):
+        return object.__new__, (JobRecord,), self.state
+
+
+class TestSchemaBump:
+    def test_schema1_dict_state_record_is_a_miss(self, tmp_path):
+        state = {
+            "job_id": 7, "priority": 0, "submit_minute": 0.0,
+            "finish_minute": 5.0, "runtime_minutes": 5.0, "cores": 1,
+            "memory_gb": 1.0, "wait_time": 0.0, "suspend_time": 0.0,
+            "wasted_restart_time": 0.0, "suspension_count": 0,
+            "restart_count": 0, "migration_count": 0,
+            "waiting_move_count": 0, "pools_visited": ("p0",),
+            "rejected": False, "task_id": None, "user": "u",
+        }
+        payload = pickle.dumps(
+            {
+                "schema": 1,
+                "salt": f"repro/{repro.__version__}/schema1",
+                "value": [_DictStateRecord(state)],
+            }
+        )
+        # Why the bump matters: the old pickle loads without an error,
+        # into a record whose fields hold the state's *keys*.
+        corrupt = pickle.loads(payload)["value"][0]
+        assert isinstance(corrupt, JobRecord)
+        assert corrupt.job_id == "job_id"
+
+        assert CACHE_SCHEMA_VERSION == 2
+        cache = ResultCache(tmp_path)
+        key = "cc" + "0" * 62
+        path = cache.path_for(key)
+        path.parent.mkdir(parents=True, exist_ok=True)
+        path.write_bytes(b"repro-cache\x00" + hashlib.sha256(payload).digest() + payload)
+        assert cache.peek(key) is None
+        assert cache.get(key) is None
+        assert not path.exists(), "schema-1 entry must be evicted"
+        assert cache.stats.evictions == 1 and cache.stats.misses == 1
+        assert cache.stats.hits == 0
 
 
 class TestRunnerCaching:

@@ -521,9 +521,18 @@ class TestCrashMidPublish:
         )
         assert orphan["status"] == CLAIMED  # release_done never ran
 
-        # The sweep reconciles the settled orphan (real clock: the
-        # lease stopped heartbeating when the worker died).
-        swept = sweep_settled_leases(cache, keys, ttl=0.5)
+        # The sweep reconciles the settled orphan: the lease stopped
+        # heartbeating when the worker died.  Its TTL wait runs on a
+        # clock that only the sweep's own sleeps advance, so how much
+        # CPU the host gives the loop cannot decide the outcome.
+        virtual = [time.time()]
+
+        def advance(seconds):
+            virtual[0] += seconds
+
+        swept = sweep_settled_leases(
+            cache, keys, ttl=0.5, clock=lambda: virtual[0], sleep=advance
+        )
         assert swept == 1
         assert not (cache.leases_dir / f"{published[0]}.lease").exists()
 

@@ -17,6 +17,7 @@ import random
 
 import repro
 from repro.simulator.job import Job, JobState
+from repro.simulator.pool import PhysicalPool
 from repro.workload.cluster import ClusterSpec
 from repro.workload.distributions import Exponential
 
@@ -42,10 +43,17 @@ class TestWaitEpisodeAudit:
         assert job.wait_episode == 2
 
     def test_start_from_waiting_bumps(self):
+        # The queued job starts through the pool's refill path once the
+        # one-core machine frees up.
+        pool = PhysicalPool(make_pool("p0", 1, cores=1))
+        blocker = Job(make_job(0))
+        pool.submit(blocker, 0.0)
         job = Job(make_job(1))
-        job.enqueue("p0", 0.0)
+        pool.submit(job, 0.0)
+        assert job.state is JobState.WAITING
         episode = job.wait_episode
-        job.start(machine=None, pool_id="p0", now=1.0)
+        machine = pool.finish_job(blocker, 1.0)
+        assert pool.fill_machine(machine, 1.0) == [job]
         assert job.wait_episode == episode + 1
 
     def test_fault_drain_bumps(self):

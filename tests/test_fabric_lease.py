@@ -352,3 +352,52 @@ class TestDoneMarkerTakeovers:
         marker = a.read(KEY)
         assert marker.status == DONE
         assert marker.takeovers == 1
+
+
+class TestHeartbeatDrop:
+    def test_refresh_in_flight_never_lands_over_done_marker(self, tmp_path):
+        """A refresh that read the claim just before ``release_done``
+        must finish before ``drop`` returns, not after the marker."""
+        from repro.fabric.worker import WorkerStats, _Heartbeat
+
+        entered = threading.Event()
+        resume = threading.Event()
+
+        class StallingStore(LeaseStore):
+            stall_next_read = False
+
+            def read(self, key):
+                lease = super().read(key)
+                if self.stall_next_read:
+                    # The heartbeat thread, between reading the claim
+                    # and rewriting it.
+                    self.stall_next_read = False
+                    entered.set()
+                    resume.wait(5.0)
+                return lease
+
+            def heartbeat(self, key):
+                self.stall_next_read = True
+                return super().heartbeat(key)
+
+        store = StallingStore(tmp_path, run_id="run-a", worker_id="w0", ttl_seconds=0.15)
+        assert store.claim("k")
+        beat = _Heartbeat(store, WorkerStats(worker_id="w0"))
+        with beat:
+            beat.hold("k")
+            assert entered.wait(5.0), "the heartbeat thread never refreshed"
+
+            def publish():
+                beat.drop("k")
+                store.release_done("k")
+
+            publisher = threading.Thread(target=publish)
+            publisher.start()
+            publisher.join(0.5)
+            # drop() is waiting for the stalled refresh to finish.
+            assert publisher.is_alive()
+            resume.set()
+            publisher.join(5.0)
+            assert not publisher.is_alive()
+            time.sleep(0.2)  # a few more heartbeat intervals
+        assert store.read("k").status == DONE

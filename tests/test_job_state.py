@@ -1,19 +1,28 @@
-"""Unit tests for the Job state machine and its accounting."""
+"""Unit tests for the Job state machine and its accounting.
+
+The *start* transition belongs to the pool
+(:meth:`PhysicalPool._start_on`), so tests start jobs through a
+one-machine pool.
+"""
 
 import pytest
 
 from repro.errors import JobStateError
 from repro.simulator.job import Job, JobState
-from repro.simulator.machine import Machine
+from repro.simulator.pool import PhysicalPool
 
-from conftest import make_job, make_machine
+from conftest import make_job, make_pool
+
+
+def one_machine_pool(pool_id="p0", speed=1.0):
+    return PhysicalPool(make_pool(pool_id, 1, speed_factor=speed))
 
 
 def running_job(runtime=10.0, speed=1.0, start=0.0):
-    machine = Machine(make_machine(speed_factor=speed))
+    pool = one_machine_pool(speed=speed)
     job = Job(make_job(1, submit=0.0, runtime=runtime))
-    job.start(machine, "p0", start)
-    return job, machine
+    pool._start_on(job, pool.machines[0], start)
+    return job, pool
 
 
 class TestLifecycle:
@@ -24,7 +33,7 @@ class TestLifecycle:
         assert job.remaining_minutes() == 10.0
 
     def test_straight_run_accounting(self):
-        job, machine = running_job(runtime=10.0)
+        job, _ = running_job(runtime=10.0)
         job.finish(10.0)
         assert job.state is JobState.FINISHED
         assert job.completion_time() == 10.0
@@ -36,14 +45,14 @@ class TestLifecycle:
         job = Job(make_job(1, submit=0.0, runtime=10.0))
         job.enqueue("p0", 0.0)
         assert job.state is JobState.WAITING
-        machine = Machine(make_machine())
-        job.start(machine, "p0", 7.0)
+        pool = one_machine_pool()
+        pool._start_on(job, pool.machines[0], 7.0)
         assert job.total_wait == 7.0
         job.finish(17.0)
         assert job.wasted_completion_time() == 7.0
 
     def test_suspend_resume_accounting(self):
-        job, machine = running_job(runtime=10.0)
+        job, _ = running_job(runtime=10.0)
         job.suspend(4.0)
         assert job.state is JobState.SUSPENDED
         assert job.progress == 4.0
@@ -56,13 +65,13 @@ class TestLifecycle:
         assert job.was_suspended()
 
     def test_speed_factor_scales_progress(self):
-        job, machine = running_job(runtime=12.0, speed=2.0)
+        job, _ = running_job(runtime=12.0, speed=2.0)
         job.suspend(3.0)
         assert job.progress == 6.0
         assert job.remaining_minutes() == 6.0
 
     def test_abandon_discards_progress(self):
-        job, machine = running_job(runtime=10.0)
+        job, _ = running_job(runtime=10.0)
         job.suspend(4.0)
         job.abandon(6.0)
         assert job.state is JobState.PENDING
@@ -74,7 +83,7 @@ class TestLifecycle:
         assert job.pool_id is None
 
     def test_abandon_from_running(self):
-        job, machine = running_job(runtime=10.0)
+        job, _ = running_job(runtime=10.0)
         job.abandon(3.0)
         assert job.wasted_restart == 3.0
         assert job.state is JobState.PENDING
@@ -89,9 +98,9 @@ class TestLifecycle:
 
     def test_epoch_bumps_on_every_transition(self):
         job = Job(make_job(1, runtime=10.0))
-        machine = Machine(make_machine())
+        pool = one_machine_pool()
         epochs = [job.epoch]
-        job.start(machine, "p0", 0.0)
+        pool._start_on(job, pool.machines[0], 0.0)
         epochs.append(job.epoch)
         job.suspend(1.0)
         epochs.append(job.epoch)
@@ -111,12 +120,17 @@ class TestLifecycle:
 
     def test_pools_visited_deduplicated(self):
         job = Job(make_job(1, runtime=100.0))
-        m = Machine(make_machine())
-        job.start(m, "p0", 0.0)
-        job.suspend(1.0)
-        job.abandon(2.0)
-        m2 = Machine(make_machine("p1/m0", "p1"))
-        job.start(m2, "p1", 2.0)
+        p0 = one_machine_pool("p0")
+        p0._start_on(job, p0.machines[0], 0.0)
+        p0._suspend_on(job, p0.machines[0], 1.0)
+        p0.detach_suspended(job, 2.0)
+        p1 = one_machine_pool("p1")
+        p1._start_on(job, p1.machines[0], 2.0)
+        assert job.pools_visited == ["p0", "p1"]
+        # Records take the list as it is, so a return visit adds nothing.
+        p1._suspend_on(job, p1.machines[0], 3.0)
+        p1.detach_suspended(job, 4.0)
+        p0._start_on(job, p0.machines[0], 4.0)
         assert job.pools_visited == ["p0", "p1"]
 
     def test_reject(self):
@@ -162,9 +176,16 @@ class TestIllegalTransitions:
             job.resume(1.0)
 
     def test_cannot_start_running_job(self):
-        job, machine = running_job()
-        with pytest.raises(JobStateError):
-            job.start(machine, "p0", 1.0)
+        job, pool = running_job()
+        machine = pool.machines[0]
+        with pytest.raises(JobStateError) as excinfo:
+            pool._start_on(job, machine, 1.0)
+        assert excinfo.value.attempted == "start"
+        assert excinfo.value.current == "running"
+        # The state check runs before anything changes.
+        assert machine.free_cores == machine.spec.cores - 1
+        assert job.epoch == 1
+        pool.check_invariants()
 
     def test_cannot_enqueue_twice(self):
         job = Job(make_job(1))

@@ -198,6 +198,31 @@ class TestFillMachineGuard:
         assert probes == []
 
 
+    def test_empty_queue_is_never_probed(self, probes):
+        p = pool(machine_count=1, cores=4)
+        job, _ = submit(p, 1, cores=2)
+        machine = p.finish_job(job, 10.0)
+        assert len(p.wait_queue) == 0
+        assert p.fill_machine(machine, 10.0) == []
+        assert probes == []
+
+    def test_no_resumable_scan_without_resident_suspended_jobs(self, monkeypatch):
+        scans = []
+        original = PhysicalPool._best_resumable
+
+        def spy(self, machine):
+            scans.append(machine)
+            return original(self, machine)
+
+        monkeypatch.setattr(PhysicalPool, "_best_resumable", spy)
+        p = pool(machine_count=1, cores=1)
+        first, _ = submit(p, 1)
+        queued, _ = submit(p, 2)
+        machine = p.finish_job(first, 10.0)
+        assert p.fill_machine(machine, 10.0) == [queued]
+        assert scans == []
+
+
 class TestDetach:
     def test_detach_suspended_abandons_and_frees_memory(self):
         p = pool(machine_count=1, cores=1, memory=16.0)

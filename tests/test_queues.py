@@ -1,12 +1,15 @@
 """Unit tests for the priority wait queue."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
 from repro.simulator.job import Job
+from repro.simulator.machine import Machine
 from repro.simulator.queues import PriorityWaitQueue
 
-from conftest import make_job
+from conftest import make_job, make_machine
 
 
 def job(job_id, priority=0):
@@ -208,3 +211,112 @@ class TestBestSchedulable:
         assert q.best_schedulable(lambda spec: True) is None
         q.push(self.sig_job(1, priority=0, cores=4, memory=16.0))
         assert q.best_schedulable(lambda spec: spec.cores <= 2) is None
+
+
+class TestCheckInvariants:
+    def test_passes_with_stale_entries(self):
+        q = PriorityWaitQueue()
+        a, b = job(1), job(2)
+        q.push(a)
+        q.push(b)
+        q.remove(a)
+        q.push(a)  # a's first entry is now stale but stays stored
+        assert q.storage_size == 3
+        q.check_invariants()
+
+    def test_detects_valid_count_drift(self):
+        q = PriorityWaitQueue()
+        q.push(job(1))
+        (sig,) = q._valid
+        q._valid[sig] += 1
+        with pytest.raises(SchedulingError, match="valid entries"):
+            q.check_invariants()
+
+    def test_detects_member_without_live_entry(self):
+        q = PriorityWaitQueue()
+        a = job(1)
+        q.push(a)
+        q.members[a.job_id] = (a, -1)  # token matches no stored entry
+        with pytest.raises(SchedulingError):
+            q.check_invariants()
+
+
+_SIGNATURES = [
+    ("linux", 1, 1.0),
+    ("linux", 2, 4.0),
+    ("linux", 4, 8.0),
+    ("windows", 1, 1.0),
+]
+
+_OPS = st.one_of(
+    st.tuples(st.just("push"), st.integers(0, 11)),
+    st.tuples(st.just("remove"), st.integers(0, 11)),
+    # push + remove the same job ``k`` times: a burst of stale entries,
+    # enough to drive a shard over the compaction threshold; "repush"
+    # leaves the job queued at its newest position, "churn" leaves it out.
+    st.tuples(st.sampled_from(["repush", "churn"]), st.integers(0, 11),
+              st.integers(1, 20)),
+    st.tuples(st.just("pop")),
+    st.tuples(st.just("probe"), st.integers(0, 4), st.sampled_from([0.0, 1.0, 4.0, 8.0])),
+    st.tuples(st.just("probe"), st.integers(1, 4), st.sampled_from([1.0, 4.0, 8.0])),
+)
+
+
+class TestShardAccountingProperty:
+    """Interleaved push/remove/re-push/pop and machine-fit probes.
+
+    ``best_schedulable`` checks fit on a shard's stored top before it
+    validates that top, so stale entries linger longer; the sharded
+    answer must still equal the per-job scan, and the lazy-removal
+    accounting must hold after every step.
+    """
+
+    @given(
+        specs=st.lists(
+            st.tuples(st.sampled_from([0, 50, 100]), st.sampled_from(_SIGNATURES)),
+            min_size=12,
+            max_size=12,
+        ),
+        ops=st.lists(_OPS, max_size=250),
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_probe_matches_scan_and_invariants_hold(self, specs, ops):
+        jobs = [
+            Job(make_job(i, priority=priority, cores=cores, memory_gb=memory,
+                         os_family=os_family))
+            for i, (priority, (os_family, cores, memory)) in enumerate(specs)
+        ]
+        machine = Machine(make_machine(cores=4, memory_gb=8.0))
+
+        def fits(spec):
+            return (
+                machine.free_cores >= spec.cores
+                and machine.free_memory_gb >= spec.memory_gb
+                and machine.eligible(spec)
+            )
+
+        q = PriorityWaitQueue()
+        for op in ops:
+            if op[0] == "push":
+                if jobs[op[1]] not in q:
+                    q.push(jobs[op[1]])
+            elif op[0] == "remove":
+                if jobs[op[1]] in q:
+                    q.remove(jobs[op[1]])
+            elif op[0] in ("repush", "churn"):
+                for _ in range(op[2]):
+                    if jobs[op[1]] not in q:
+                        q.push(jobs[op[1]])
+                    q.remove(jobs[op[1]])
+                if op[0] == "repush":
+                    q.push(jobs[op[1]])
+            elif op[0] == "pop":
+                if len(q):
+                    expected = q.best_match(lambda j: True)
+                    assert q.pop() is expected
+            else:
+                machine.free_cores, machine.free_memory_gb = op[1], op[2]
+                expected = q.best_match(lambda j: fits(j.spec))
+                assert q.best_schedulable(fits) is expected
+            q.check_invariants()
+        assert sorted(j.job_id for j in q.iter_jobs()) == sorted(q.members)
