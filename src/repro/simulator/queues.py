@@ -292,11 +292,6 @@ class PriorityWaitQueue:
             for _, order, job in shard:
                 member = members.get(job.job_id)
                 if member is not None and member[1] == order:
-                    if member[0] is not job:
-                        raise SchedulingError(
-                            f"wait queue: live entry of job {job.job_id} "
-                            f"holds another job object"
-                        )
                     count += 1
                     live[job.job_id] = live.get(job.job_id, 0) + 1
             if self._valid.get(sig) != count:
