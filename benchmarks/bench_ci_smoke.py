@@ -1,6 +1,6 @@
 """CI smoke gate: the invariants the execution backend promises.
 
-1. **Parallel == serial.** Table 1 run on a 2-process pool must be
+1. **Parallel == serial.** Table 1 run on a 2-worker fleet must be
    bit-identical to the serial run — per-cell seeds derive from cell
    identity, never from worker order.
 2. **Warm cache >= 5x cold.** A second invocation against a populated
@@ -31,7 +31,7 @@ MIN_CACHE_SPEEDUP = 5.0
 def test_parallel_matches_serial(benchmark):
     serial = tables.table1(workers=1, use_cache=False)
     parallel = run_once(benchmark, tables.table1, workers=2, use_cache=False)
-    print(banner("CI smoke: Table 1, serial vs 2-worker pool"))
+    print(banner("CI smoke: Table 1, serial vs 2-worker fleet"))
     print(tables.render(parallel, ""))
     assert parallel.summaries == serial.summaries, (
         "parallel Table 1 diverged from serial — per-cell seeding broke"

@@ -4,7 +4,7 @@
    `FaultConfig` must produce byte-identical records and fault
    counters across two fresh engine runs.
 2. **Parallel == serial under faults.** A fault-enabled experiment
-   grid on a 2-process pool must be bit-identical to the serial run,
+   grid on a 2-worker fleet must be bit-identical to the serial run,
    exactly like the zero-fault grids in ``bench_ci_smoke.py``.
 3. **Worker death is survived.** A grid containing a cell whose worker
    process is forcibly killed mid-simulation must retry that cell and
@@ -84,7 +84,7 @@ def test_fault_grid_parallel_matches_serial(benchmark):
     parallel = run_once(
         benchmark, run_grid_parallel, _fault_grid_tasks(), n_workers=2
     )
-    print(banner("fault smoke: fault-enabled grid, serial vs 2-worker pool"))
+    print(banner("fault smoke: fault-enabled grid, serial vs 2-worker fleet"))
     for outcome in parallel.outcomes:
         print(f"{outcome.policy_name:12s} AvgCT {outcome.summary.avg_ct_all:8.1f}")
     assert [o.summary for o in parallel.outcomes] == [
@@ -127,9 +127,7 @@ def test_worker_crash_is_retried(benchmark, tmp_path):
     def crash_and_recover():
         if os.path.exists(marker):
             os.unlink(marker)
-        return run_grid_parallel(
-            build_tasks(), n_workers=2, max_attempts=3, retry_backoff=0.01
-        )
+        return run_grid_parallel(build_tasks(), n_workers=2)
 
     report = run_once(benchmark, crash_and_recover)
     print(banner("fault smoke: grid survives a worker kill"))

@@ -35,7 +35,9 @@
 #           files, then a real 2-worker subprocess fleet racing the
 #           smoke grid (benchmarks/bench_fabric_smoke.py — sharded
 #           results must be bit-identical to serial), a CLI run-grid +
-#           cache stats/gc round trip, and the BENCH_grid.json
+#           cache stats/gc round trip, a cache-less `--backend local:2`
+#           fault-sweep whose digest must equal the serial run's (the
+#           temporary-cache path), and the BENCH_grid.json
 #           regression gate (scripts/bench_record.py --grid --check
 #           --quick: digest flips, >20% cells/sec drops, or the padded
 #           grid's 4-worker overlap speedup falling under 3x fail the
@@ -230,6 +232,20 @@ run_fabric() {
         exit 1
     fi
     echo "CLI run-grid round trip OK"
+
+    echo "== fabric: cache-less local:2 fleet vs serial (same digest) =="
+    python -m repro run-grid --preset fault-sweep --scale 0.06 \
+        --backend local --no-cache > "$fdir/serial.txt"
+    python -m repro run-grid --preset fault-sweep --scale 0.06 \
+        --backend local:2 --no-cache > "$fdir/local2.txt"
+    if ! grep -q '^  digest ' "$fdir/serial.txt" \
+            || ! diff <(grep '^  digest ' "$fdir/serial.txt") \
+                <(grep '^  digest ' "$fdir/local2.txt"); then
+        echo "error: cache-less local:2 digest differs from serial" >&2
+        cat "$fdir/serial.txt" "$fdir/local2.txt" >&2
+        exit 1
+    fi
+    echo "cache-less local:2 fleet OK ($(grep '^  digest ' "$fdir/local2.txt"))"
 
     echo "== fabric: BENCH_grid.json regression gate =="
     python scripts/bench_record.py --grid --check --quick \

@@ -104,7 +104,6 @@ from .schedulers import (
     UtilizationBasedScheduler,
     initial_scheduler_from_name,
 )
-from .experiments.checkpoint import GridCheckpoint
 from .experiments.fault_sweep import FaultSweep, fault_sweep
 from .experiments.runner import ExperimentCell, ExperimentRunner
 from .faults import NO_FAULTS, FaultConfig, FaultStats, MachineChurn, PoolOutage, RetryPolicy
@@ -149,7 +148,6 @@ __all__ = [
     # experiments
     "ExperimentCell",
     "ExperimentRunner",
-    "GridCheckpoint",
     "FaultSweep",
     "fault_sweep",
     # fault injection

@@ -101,7 +101,8 @@ def compare_strategies(
             (fresh, because round-robin keeps cursors); defaults to the
             engine's round-robin.
         config: simulation config shared across runs.
-        n_workers: process-pool width; ``1`` runs serially in-process.
+        n_workers: local worker-fleet width; ``1`` runs serially
+            in-process.
         cache: optional :class:`~repro.experiments.cache.ResultCache`
             serving previously computed cells.
         keep_results: also keep (and cache) each run's full

@@ -13,6 +13,7 @@ Usage (installed as ``repro``, or ``python -m repro``)::
     repro run --policy ResSusUtil --machine-mtbf 4000 --machine-mttr 120
     repro table 2 --policy NoRes --policy dfrs:share=0.5   # custom strategy set
     repro faults --mtbf 2000 --mtbf 8000    # churn sweep per policy
+    repro run-grid --preset fault-sweep --backend local:4 --no-cache   # local fleet
     repro run-grid --preset fault-sweep --backend subprocess:4 --cache-dir /shared/cache
     repro run-grid --preset smoke --policy NoRes --policy dfrs:share=0.5
     repro run-grid --preset fault-sweep --shard-id 0 --num-shards 4   # static shard
@@ -36,13 +37,16 @@ registered; grammar and plugin guide in ``docs/policies.md``).
 
 All experiment commands honour ``--scale`` and ``--seed`` (and the
 ``REPRO_SCALE`` / ``REPRO_SEED`` environment variables).  The ``table``
-and ``figure`` commands additionally honour ``--workers`` (process-pool
-fan-out; results are bit-identical to serial runs), ``--cache-dir``
+and ``figure`` commands additionally honour ``--workers`` (a supervised
+fleet of local worker processes; results are bit-identical to serial
+runs), ``--cache-dir``
 (content-addressed on-disk result cache; defaults to
 ``REPRO_CACHE_DIR``), ``--no-cache``, ``--progress`` (per-cell
 heartbeat on stderr) and ``--telemetry-dir`` (per-cell execution
 telemetry as ``cells.jsonl``); see ``docs/performance.md`` and
-``docs/observability.md``.
+``docs/observability.md``.  An interrupted grid resumes by running
+again with the same ``--cache-dir``; ``run-grid`` ends with a
+``digest`` line that is equal for bit-identical results.
 """
 
 from __future__ import annotations
@@ -200,8 +204,9 @@ def build_parser() -> argparse.ArgumentParser:
         "--backend",
         default="local",
         metavar="SPEC",
-        help="execution backend: local[:N], subprocess[:N] or "
-        "supervised[:MIN-MAX] (default: local)",
+        help="execution backend: local (serial, in-process), local:N "
+        "(supervised fleet of up to N local workers), subprocess[:N] "
+        "or supervised[:MIN-MAX] (default: local)",
     )
     run_grid.add_argument(
         "--shard-id", type=int, default=None, metavar="K",
@@ -219,18 +224,14 @@ def build_parser() -> argparse.ArgumentParser:
         "over (default 60)",
     )
     run_grid.add_argument(
-        "--checkpoint", default=None, metavar="PATH",
-        help="grid checkpoint file; an interrupted run resumes from it",
-    )
-    run_grid.add_argument(
         "--cache-dir", default=None, metavar="PATH",
         help="shared result cache directory — the fabric's coordination "
         "medium (default: REPRO_CACHE_DIR)",
     )
     run_grid.add_argument(
         "--no-cache", action="store_true",
-        help="bypass the cache; only the local backend (serial/pool) "
-        "can run cache-less",
+        help="bypass the cache; a worker fleet then coordinates through "
+        "a temporary cache deleted after the run",
     )
     run_grid.add_argument(
         "--progress", action="store_true",
@@ -527,7 +528,6 @@ def _execution_kwargs(
 _PROVENANCE_SOURCES = {
     "computed": "simulated",
     "cache_hit": "cache",
-    "checkpoint": "checkpoint",
     "claimed_elsewhere": "elsewhere",
 }
 
@@ -769,16 +769,8 @@ def _cmd_policies(args: argparse.Namespace) -> int:
 
 
 def _cmd_run_grid(args: argparse.Namespace) -> int:
-    from .experiments.cache import open_cache
-    from .experiments.checkpoint import GridCheckpoint
-    from .experiments.parallel import run_grid_parallel
-    from .fabric import (
-        LocalPoolBackend,
-        backend_from_spec,
-        build_grid,
-        run_grid_fabric,
-        shard_tasks,
-    )
+    from .experiments.cache import open_cache, stable_hash
+    from .fabric import backend_from_spec, build_grid, run_grid_fabric, shard_tasks
 
     if (args.shard_id is None) != (args.num_shards is None):
         raise ReproError("--shard-id and --num-shards must be given together")
@@ -814,7 +806,6 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
     else:
         backend = backend_from_spec(args.backend)
     cache = open_cache(args.cache_dir, False if args.no_cache else None)
-    checkpoint = GridCheckpoint(args.checkpoint) if args.checkpoint else None
     feed = _make_cell_feed(args)
     registry = None
     if args.telemetry_dir:
@@ -822,39 +813,18 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
 
         registry = MetricsRegistry()
 
-    if cache is None:
-        # No shared cache, no coordination medium: only the local
-        # backend can run, serially or pooled.  Static sharding still
-        # applies, which is exactly the degraded multi-host mode.
-        if not isinstance(backend, LocalPoolBackend):
-            raise ReproError(
-                f"backend {backend.name!r} needs a shared cache directory "
-                "(--cache-dir or REPRO_CACHE_DIR); cache-less runs support "
-                "--backend local[:N] with --shard-id/--num-shards"
-            )
-        grid = run_grid_parallel(
-            tasks,
-            n_workers=backend.n_workers,
-            checkpoint=checkpoint,
-            keep_going=True,
-            progress=feed,
-        )
-        backend_name = backend.name
-        worker_totals = ()
-    else:
-        report = run_grid_fabric(
-            tasks,
-            backend,
-            cache,
-            checkpoint=checkpoint,
-            progress=feed,
-            registry=registry,
-            keep_going=True,
-            lease_ttl=args.lease_ttl,
-        )
-        grid = report
-        backend_name = report.backend
-        worker_totals = report.worker_totals
+    # Without a cache a fleet coordinates through a temporary one;
+    # static sharding still applies, which is exactly the degraded
+    # multi-host mode.
+    grid = run_grid_fabric(
+        tasks,
+        backend,
+        cache,
+        progress=feed,
+        registry=registry,
+        keep_going=True,
+        lease_ttl=args.lease_ttl,
+    )
 
     _print_cell_stats(list(grid.completed))
     split = ", ".join(
@@ -862,14 +832,20 @@ def _cmd_run_grid(args: argparse.Namespace) -> int:
         for kind, count in grid.provenance_counts().items()
     )
     print(
-        f"  backend {backend_name}: {len(grid.completed)}/{len(tasks)} "
+        f"  backend {grid.backend}: {len(grid.completed)}/{len(tasks)} "
         f"cells ({split or 'none'})"
     )
-    if worker_totals:
+    if grid.worker_totals:
         print(
             "  fleet: "
-            + ", ".join(f"{k}={v}" for k, v in worker_totals)
+            + ", ".join(f"{k}={v}" for k, v in grid.worker_totals)
         )
+    # One digest over every cell's summary, in grid order: equal
+    # digests mean bit-identical results, whatever the backend.
+    digests = [
+        stable_hash(o.summary) if o is not None else None for o in grid.outcomes
+    ]
+    print(f"  digest {stable_hash(digests)}")
     if cache is not None:
         print(f"  {cache.stats.as_line()}")
     for failure in grid.failures:

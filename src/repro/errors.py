@@ -135,5 +135,26 @@ class ExperimentExecutionError(ReproError):
         )
 
 
+class WorkerDied(ReproError):
+    """A grid cell killed every worker process that tried to compute it.
+
+    The fleet supervisor gives up on a cell once ``deaths`` holders
+    died while computing it (its restart budget), so a persistently
+    crashing cell fails on its own instead of taking the grid down.
+
+    Attributes:
+        cell_id: the cell's stable identity.
+        deaths: how many worker processes died holding the cell.
+    """
+
+    def __init__(self, cell_id: str, deaths: int) -> None:
+        self.cell_id = cell_id
+        self.deaths = deaths
+        super().__init__(
+            f"cell {cell_id} killed {deaths} worker process(es); "
+            "the fleet supervisor gave up on it"
+        )
+
+
 class CacheError(ReproError):
     """The on-disk experiment result cache is misconfigured."""

@@ -1,8 +1,9 @@
 """Paper experiments: one entry point per table and figure, plus ablations.
 
-Grid execution runs through a shared backend supporting process-pool
-parallelism (:mod:`repro.experiments.parallel`) and a content-addressed
-on-disk result cache (:mod:`repro.experiments.cache`); every entry
+Grid execution runs through a shared backend supporting supervised
+worker-fleet parallelism (:mod:`repro.experiments.parallel`) and a
+content-addressed on-disk result cache
+(:mod:`repro.experiments.cache`); every entry
 point honours ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` /
 ``REPRO_NO_CACHE`` (see ``docs/performance.md``).
 """
@@ -15,7 +16,6 @@ from .ablations import (
     threshold_sweep,
 )
 from .cache import CacheStats, ResultCache, derive_cell_seed, open_cache
-from .checkpoint import GridCheckpoint
 from .fault_sweep import FaultSweep, FaultSweepCell, fault_sweep
 from .figures import Figure2, Figure4, figure2, figure3, figure4, render_figure3
 from .parallel import (
@@ -55,7 +55,6 @@ __all__ = [
     "ResultCache",
     "derive_cell_seed",
     "open_cache",
-    "GridCheckpoint",
     "FaultSweep",
     "FaultSweepCell",
     "fault_sweep",

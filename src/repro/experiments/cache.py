@@ -67,11 +67,10 @@ __all__ = [
 
 #: Bump when the on-disk entry layout changes (entries with another
 #: schema are evicted on load).  The version is part of
-#: :func:`engine_salt`, so a bump also retires every cache key and grid
-#: checkpoint.  2: ``JobRecord``/``StateSample`` became slotted; a
-#: schema-1 pickle of either unpickles *without error* into a corrupt
-#: record (its dict state zipped onto the slots), so those entries
-#: must never load.
+#: :func:`engine_salt`, so a bump also retires every cache key.
+#: 2: ``JobRecord``/``StateSample`` became slotted; a schema-1 pickle
+#: of either unpickles *without error* into a corrupt record (its dict
+#: state zipped onto the slots), so those entries must never load.
 CACHE_SCHEMA_VERSION = 2
 
 #: File magic identifying a repro cache entry.

@@ -10,7 +10,7 @@ benchmark suite can be scaled without editing code:
 
 The execution backend honours three more (see ``docs/performance.md``):
 
-* ``REPRO_WORKERS`` — process-pool width for experiment grids
+* ``REPRO_WORKERS`` — local worker-fleet width for experiment grids
   (default 1 = serial; parallel results are bit-identical to serial).
 * ``REPRO_CACHE_DIR`` — directory for the content-addressed on-disk
   result cache; unset disables caching.

@@ -3,12 +3,13 @@
 The table/figure functions cover the paper; :class:`ExperimentRunner`
 is for users who want their own (scenario x policy x scheduler) grids
 with consistent configuration and labelled results.  The runner is the
-thin policy-facing layer over the shared execution backend
-(:mod:`repro.experiments.parallel`): it supports process-pool parallel
-execution (``n_workers``), content-addressed on-disk result caching
-(``cache_dir`` / :mod:`repro.experiments.cache`), and per-cell derived
-seeds, so a grid's results are bit-identical whether it runs serially,
-in parallel, or from cache.
+thin policy-facing layer over the shared grid driver
+(:func:`repro.fabric.coordinator.run_grid_fabric`): it supports
+parallel execution on a supervised worker fleet (``n_workers``),
+content-addressed on-disk result caching (``cache_dir`` /
+:mod:`repro.experiments.cache`), and per-cell derived seeds, so a
+grid's results are bit-identical whether it runs serially, in
+parallel, or from cache.
 """
 
 from __future__ import annotations
@@ -25,8 +26,7 @@ from ..simulator.config import SimulationConfig
 from ..simulator.results import SimulationResult
 from ..workload.scenarios import Scenario
 from .cache import CacheStats, ResultCache, open_cache
-from .checkpoint import GridCheckpoint
-from .parallel import CellFailure, make_cell_task, run_grid_parallel
+from .parallel import CellFailure, make_cell_task
 
 __all__ = ["ExperimentCell", "ExperimentRunner"]
 
@@ -49,12 +49,10 @@ class ExperimentCell:
             result cache instead of being simulated.
         seed: the derived per-cell simulation seed (stable across runs
             and worker orderings).
-        from_checkpoint: True when the cell was resumed from a grid
-            checkpoint instead of being simulated.
         provenance: where the result came from — one of the
             ``PROVENANCE_*`` constants in
             :mod:`repro.experiments.parallel` (``computed``,
-            ``cache_hit``, ``checkpoint`` or ``claimed_elsewhere``).
+            ``cache_hit`` or ``claimed_elsewhere``).
         policy_spec: the canonical registry spec string the policy was
             built from (``None`` when it was constructed directly).
     """
@@ -67,7 +65,6 @@ class ExperimentCell:
     wall_seconds: float = 0.0
     from_cache: bool = False
     seed: Optional[int] = None
-    from_checkpoint: bool = False
     provenance: str = "computed"
     policy_spec: Optional[str] = None
 
@@ -96,9 +93,11 @@ class ExperimentRunner:
             :class:`~repro.simulator.results.SimulationResult` (memory
             heavy for big grids).
         n_workers: number of worker processes; ``1`` (the default) runs
-            serially in-process.  Parallel results are bit-identical to
-            serial ones.  Cells whose policy cannot be pickled fall
-            back to serial execution automatically.
+            serially in-process, more runs the grid on a supervised
+            fleet of up to ``n_workers`` workers (the ``local:N``
+            backend).  Parallel results are bit-identical to serial
+            ones.  Cells whose policy cannot be pickled fall back to
+            serial execution automatically.
         cache_dir: directory for the content-addressed result cache;
             defaults to ``$REPRO_CACHE_DIR`` when set.  ``None`` (and no
             environment override) disables caching.
@@ -108,20 +107,12 @@ class ExperimentRunner:
             :class:`~repro.experiments.parallel.CellOutcome` (cache
             hits included) as the grid executes — e.g. a
             :class:`~repro.telemetry.ProgressReporter` heartbeat.
-        cell_timeout: optional seconds the grid may go without
-            completing a cell before the stuck cells are failed (see
-            :func:`~repro.experiments.parallel.run_grid_parallel`).
-        max_attempts: total executions allowed per cell whose worker
-            process died; deterministic errors are never retried.
-        retry_backoff: base seconds slept after a worker-pool break,
-            doubling per subsequent break.
         keep_going: do not raise on cell failures — return the
             completed cells and expose the structured failures via
             :attr:`last_failures`.
-        checkpoint_path: optional path for a
-            :class:`~repro.experiments.checkpoint.GridCheckpoint`;
-            completed cells are journalled there so an interrupted grid
-            resumes without recomputing them.
+
+    A grid resumes by running again over the same cache directory: the
+    cells an interrupted run published are served from the cache.
     """
 
     def __init__(
@@ -132,11 +123,7 @@ class ExperimentRunner:
         cache_dir: Optional[object] = None,
         use_cache: Optional[bool] = None,
         progress: Optional[Callable] = None,
-        cell_timeout: Optional[float] = None,
-        max_attempts: int = 3,
-        retry_backoff: float = 0.5,
         keep_going: bool = False,
-        checkpoint_path: Optional[object] = None,
     ) -> None:
         if n_workers < 1:
             raise ConfigurationError(f"n_workers must be >= 1, got {n_workers}")
@@ -145,13 +132,7 @@ class ExperimentRunner:
         self._n_workers = n_workers
         self._cache = open_cache(cache_dir, use_cache)
         self._progress = progress
-        self._cell_timeout = cell_timeout
-        self._max_attempts = max_attempts
-        self._retry_backoff = retry_backoff
         self._keep_going = keep_going
-        self._checkpoint = (
-            GridCheckpoint(checkpoint_path) if checkpoint_path is not None else None
-        )
         self._last_failures: Tuple[CellFailure, ...] = ()
 
     @property
@@ -163,11 +144,6 @@ class ExperimentRunner:
     def cache_stats(self) -> CacheStats:
         """Hit/miss/store/eviction counters (all zero when caching is off)."""
         return self._cache.stats if self._cache is not None else CacheStats()
-
-    @property
-    def checkpoint(self) -> Optional[GridCheckpoint]:
-        """The grid checkpoint in use, if any."""
-        return self._checkpoint
 
     @property
     def last_failures(self) -> Tuple[CellFailure, ...]:
@@ -190,11 +166,11 @@ class ExperimentRunner:
     ) -> List[ExperimentCell]:
         """Run the full cross product and return one cell per run.
 
-        The one grid entry point: serial, process-pool parallel and
-        fabric execution all route through here, selected by
-        ``backend``.  Results are bit-identical across backends — the
-        per-cell seed derives from the cell's identity, never from how
-        or where it ran.
+        The one grid entry point: serial, local-fleet and distributed
+        execution all route through here, selected by ``backend``.
+        Results are bit-identical across backends — the per-cell seed
+        derives from the cell's identity, never from how or where it
+        ran.
 
         Args:
             scenarios: the scenarios to sweep.
@@ -207,15 +183,17 @@ class ExperimentRunner:
             backend: execution backend spec —
 
                 * ``None`` (default): the runner's ``n_workers``
-                  (serial for 1, else an in-process pool);
+                  (serial for 1, else ``local:n_workers``);
                 * ``"serial"``: force in-process serial execution;
-                * ``"local"`` / ``"local:N"``: process pool with the
-                  runner's / ``N`` workers;
+                * ``"local"`` / ``"local:N"``: the runner's
+                  ``n_workers`` / ``N`` local workers (serial for 1,
+                  else a supervised fleet);
                 * ``"subprocess:N"`` / ``"supervised:MIN-MAX"``: the
-                  distributed fabric
-                  (:func:`~repro.fabric.coordinator.run_grid_fabric`);
-                  requires the runner to have a result cache, the
-                  fabric's coordination medium.
+                  other fabric backends (see
+                  :func:`~repro.fabric.backends.backend_from_spec`).
+
+                Fleets coordinate through the runner's result cache,
+                or a temporary one when caching is off.
 
         Raises:
             ExperimentExecutionError: when building or running any cell
@@ -227,8 +205,9 @@ class ExperimentRunner:
                 :class:`ExperimentCell` completed before the failure in
                 ``completed_cells``, so a long sweep's finished work is
                 never lost.
-            ConfigurationError: for an empty grid, an unknown
-                ``backend`` spec, or a fabric backend without a cache.
+            ConfigurationError: for an empty grid or a bad ``serial``
+                spec.
+            ReproError: for an unknown ``backend`` spec.
         """
         self._last_failures = ()
         if not scenarios:
@@ -237,7 +216,7 @@ class ExperimentRunner:
             raise ConfigurationError("run needs at least one policy")
         policy_factories = self._policy_factories(scenarios, policies)
         scheduler_factories = scheduler_factories or [RoundRobinScheduler]
-        n_workers, fabric_spec = self._resolve_backend(backend)
+        fleet = self._resolve_backend(backend)
 
         # Register the whole grid with the reporter here (the serial
         # path below executes cell-by-cell, which would otherwise feed
@@ -255,7 +234,7 @@ class ExperimentRunner:
             def notify(outcome) -> None:
                 progress(outcome)
 
-        serial = fabric_spec is None and n_workers == 1
+        serial = fleet is None
         cells: List[ExperimentCell] = []
         tasks = []
         index = 0
@@ -284,20 +263,12 @@ class ExperimentRunner:
                     index += 1
                     if serial:
                         cells.extend(
-                            self._execute(
-                                [task], n_workers=1, done=cells, progress=notify
-                            )
+                            self._execute([task], None, done=cells, progress=notify)
                         )
                     else:
                         tasks.append(task)
-        if fabric_spec is not None:
-            return self._execute_fabric(tasks, fabric_spec, progress=notify)
         if tasks:
-            cells.extend(
-                self._execute(
-                    tasks, n_workers=n_workers, done=cells, progress=notify
-                )
-            )
+            cells.extend(self._execute(tasks, fleet, done=cells, progress=notify))
         return cells
 
     def _policy_factories(
@@ -322,67 +293,33 @@ class ExperimentRunner:
             for entry in policies
         ]
 
-    def _resolve_backend(
-        self, backend: Optional[str]
-    ) -> Tuple[Optional[int], Optional[str]]:
-        """Split a backend spec into (local worker count, fabric spec)."""
-        if backend is None:
-            return self._n_workers, None
+    def _resolve_backend(self, backend: Optional[str]):
+        """The fleet backend a spec selects; ``None`` runs serially."""
+        # imported here: the fabric package imports this one.
+        from ..fabric.backends import backend_from_spec
+
+        if backend is None or backend.strip().lower() == "local":
+            return backend_from_spec(f"local:{self._n_workers}")
         kind, _, arg = backend.partition(":")
-        kind = kind.strip().lower()
-        if kind == "serial":
+        if kind.strip().lower() == "serial":
             if arg:
                 raise ConfigurationError(
                     f"backend 'serial' takes no argument, got {backend!r}"
                 )
-            return 1, None
-        if kind == "local":
-            try:
-                return (int(arg) if arg else self._n_workers), None
-            except ValueError:
-                raise ConfigurationError(
-                    f"bad worker count in backend spec {backend!r}"
-                ) from None
-        # anything else is a fabric backend spec, validated at dispatch
-        return None, backend
-
-    def _execute_fabric(self, tasks, spec: str, progress=None) -> List[ExperimentCell]:
-        """Dispatch a built grid onto the distributed fabric."""
-        # imported here: the fabric package is heavyweight and only
-        # needed when a fabric backend is actually requested.
-        from ..fabric.backends import backend_from_spec
-        from ..fabric.coordinator import run_grid_fabric
-
-        if self._cache is None:
-            raise ConfigurationError(
-                "fabric backends coordinate through the result cache; "
-                "construct the runner with cache_dir=... to use one"
-            )
-        backend = backend_from_spec(spec)
-        report = run_grid_fabric(
-            tasks,
-            backend,
-            self._cache,
-            checkpoint=self._checkpoint,
-            progress=progress,
-            keep_going=self._keep_going,
-        )
-        self._last_failures = self._last_failures + report.failures
-        return [self._to_cell(outcome) for outcome in report.completed]
+            return None
+        return backend_from_spec(backend)
 
     def _execute(
-        self, tasks, n_workers: int, done: Sequence[ExperimentCell], progress=None
-    ):
-        """Run tasks via the shared backend, mapping outcomes to cells."""
+        self, tasks, fleet, done: Sequence[ExperimentCell], progress=None
+    ) -> List[ExperimentCell]:
+        """Run tasks via the grid driver, mapping outcomes to cells."""
+        from ..fabric.coordinator import run_grid_fabric
+
         try:
-            grid = run_grid_parallel(
+            grid = run_grid_fabric(
                 tasks,
-                n_workers=n_workers,
-                cache=self._cache,
-                checkpoint=self._checkpoint,
-                cell_timeout=self._cell_timeout,
-                max_attempts=self._max_attempts,
-                retry_backoff=self._retry_backoff,
+                fleet,
+                self._cache,
                 keep_going=self._keep_going,
                 progress=progress,
             )
@@ -408,9 +345,8 @@ class ExperimentRunner:
             wall_seconds=outcome.wall_seconds,
             from_cache=outcome.from_cache,
             seed=outcome.seed,
-            from_checkpoint=outcome.from_checkpoint,
-            provenance=getattr(outcome, "provenance", "computed"),
-            policy_spec=getattr(outcome, "policy_spec", None),
+            provenance=outcome.provenance,
+            policy_spec=outcome.policy_spec,
         )
 
     @staticmethod

@@ -19,22 +19,25 @@ coordination medium:
   sub-100ms cells.
 * :mod:`.backends` — pluggable execution backends behind the
   :class:`~repro.fabric.backends.Backend` protocol:
-  :class:`~repro.fabric.backends.LocalPoolBackend` (in-process pool)
-  and :class:`~repro.fabric.backends.SubprocessWorkerBackend` (N
-  independent worker processes).
+  :class:`~repro.fabric.backends.SubprocessWorkerBackend` (N
+  independent worker processes) and the supervised fleet below.
 * :mod:`.coordinator` — :func:`~repro.fabric.coordinator.run_grid_fabric`,
-  the grid driver: cache/checkpoint pre-scan, backend dispatch,
-  streaming result aggregation (summaries only — the coordinator never
-  materializes every ``SimulationResult``), per-backend telemetry
-  gauges, and static sharding (:func:`~repro.fabric.coordinator.shard_tasks`)
-  as the no-shared-cache fallback.
+  the one grid driver, serial or distributed: cache pre-scan, backend
+  dispatch, streaming result aggregation (summaries only unless a cell
+  asks for its full result), the serial pass for cells no worker can
+  carry, per-backend telemetry gauges, and static sharding
+  (:func:`~repro.fabric.coordinator.shard_tasks`) as the
+  no-shared-cache fallback.
 * :mod:`.supervisor` — the self-healing layer:
   :class:`~repro.fabric.supervisor.FleetSupervisor` restarts dead
   workers with exponential backoff and deterministic jitter,
   quarantines crash-loopers after a budget, grows/shrinks the fleet
   elastically as the grid drains, and drains gracefully on request;
   :class:`~repro.fabric.supervisor.SupervisedWorkerBackend` wraps it
-  as a drop-in backend (``--backend supervised:1-4``).
+  as a drop-in backend (``--backend supervised:1-4``).  It is also
+  what ``local:N``, ``n_workers=N`` and ``--workers N`` run: the one
+  multi-worker stack.  A reaped worker's cells are released at once,
+  and a cell that kills ``restart_budget`` workers fails alone.
 * :mod:`.presets` — named grid builders for the CLI and benchmarks.
 
 Determinism contract: because every cell's seed derives from its
@@ -48,7 +51,6 @@ wrong results.
 from .backends import (
     Backend,
     BackendError,
-    LocalPoolBackend,
     SubprocessWorkerBackend,
     backend_from_spec,
 )
@@ -80,7 +82,6 @@ __all__ = [
     # backends
     "Backend",
     "BackendError",
-    "LocalPoolBackend",
     "SubprocessWorkerBackend",
     "backend_from_spec",
     # supervision

@@ -2,21 +2,21 @@
 
 A :class:`Backend` answers exactly one question: *given a grid
 manifest and the shared cache directory, make every cell's result
-appear in the cache*.  How — in-process pool, local worker processes,
-remote hosts — is the backend's business; the coordinator
+appear in the cache*.  How — local worker processes, remote hosts — is
+the backend's business; the coordinator
 (:mod:`.coordinator`) only ever polls the cache for published results,
 so every backend gets streaming aggregation, provenance and telemetry
 for free.
 
-* :class:`LocalPoolBackend` — delegate to the battle-tested
-  :func:`~repro.experiments.parallel.run_grid_parallel` process pool.
-  No leases: single coordinating process, nothing to coordinate.
 * :class:`SubprocessWorkerBackend` — spawn N independent
   ``python -m repro.fabric.worker`` processes that coordinate purely
   through the lease protocol.  This is the single-host version of the
   multi-host fabric: the workers share nothing but the cache
   directory, so the same binary scales to any transport that can
   mount one.
+* :class:`~repro.fabric.supervisor.SupervisedWorkerBackend` — the same
+  fleet kept healthy by a supervisor; ``local:N`` is this fleet with
+  up to N workers.
 
 Every spawned worker's stderr is captured to a per-worker log file
 under ``<cache>/manifests/``; when a worker dies, the last
@@ -25,7 +25,9 @@ failure message (and in the supervisor's restart log), so chaos kills
 and real crashes alike are diagnosable from the coordinating process.
 
 :func:`backend_from_spec` parses the CLI's ``--backend`` strings:
-``local``, ``local:4``, ``subprocess:2``, ``supervised:1-4``.
+``local``, ``local:4``, ``subprocess:2``, ``supervised:1-4``.  Plain
+``local`` (``local:1``) means no backend at all: the coordinator runs
+the grid serially in-process.
 """
 
 from __future__ import annotations
@@ -40,14 +42,13 @@ from typing import List, Optional, Protocol, Sequence
 
 from ..errors import ReproError
 from ..experiments.cache import ResultCache
-from ..experiments.parallel import CellTask, run_grid_parallel
-from .lease import DEFAULT_TTL_SECONDS, LeaseStore
-from .worker import run_worker, write_manifest
+from ..experiments.parallel import CellTask
+from .lease import DEFAULT_TTL_SECONDS
+from .worker import write_manifest
 
 __all__ = [
     "Backend",
     "BackendError",
-    "LocalPoolBackend",
     "STDERR_TAIL_LINES",
     "SubprocessWorkerBackend",
     "backend_from_spec",
@@ -101,32 +102,6 @@ class Backend(Protocol):
         ...
 
 
-class LocalPoolBackend:
-    """In-process pool execution (the pre-fabric fast path).
-
-    A thin adapter over :func:`run_grid_parallel`: one coordinating
-    process, a :class:`~concurrent.futures.ProcessPoolExecutor`, no
-    leases.  Publication happens through the same cache writes, so
-    the coordinator cannot tell this backend from a distributed one.
-    """
-
-    def __init__(self, n_workers: int = 1) -> None:
-        if n_workers < 1:
-            raise ReproError(f"local backend needs n_workers >= 1, got {n_workers}")
-        self.n_workers = n_workers
-        self.name = f"local:{n_workers}"
-
-    def run(
-        self,
-        tasks: Sequence[CellTask],
-        cache_dir: Path,
-        run_id: str,
-        lease_ttl: float = DEFAULT_TTL_SECONDS,
-    ) -> None:
-        cache = ResultCache(cache_dir)
-        run_grid_parallel(list(tasks), n_workers=self.n_workers, cache=cache)
-
-
 class SubprocessWorkerBackend:
     """N independent worker processes coordinating via the cache.
 
@@ -138,8 +113,8 @@ class SubprocessWorkerBackend:
     a dead worker costs only its held cell after the TTL.
 
     If every worker dies (OOM killer, interpreter bug), the backend
-    falls back to computing the unpublished remainder in-process so
-    the grid still completes; the failure is reported on stderr.
+    reports the deaths on stderr and returns; the coordinator computes
+    the unpublished remainder in-process, so the grid still completes.
     """
 
     def __init__(
@@ -154,15 +129,34 @@ class SubprocessWorkerBackend:
         self.name = f"subprocess:{n_workers}"
 
     def _worker_env(self) -> dict:
-        """The spawned worker's environment: ours + the live repro path."""
+        """The spawned worker's environment: ours, plus our import path.
+
+        A worker unpickles the manifest, so it must import every module
+        the tasks reference: the live ``repro`` first, then each
+        ``sys.path`` entry of this process outside the interpreter's
+        own prefixes (a fresh interpreter finds the stdlib and
+        site-packages by itself).
+        """
         import repro
 
-        pkg_root = str(Path(repro.__file__).resolve().parent.parent)
+        prefixes = tuple(
+            os.path.join(p, "")
+            for p in {sys.prefix, sys.base_prefix, sys.exec_prefix}
+        )
+        paths = [str(Path(repro.__file__).resolve().parent.parent)]
+        for entry in sys.path:
+            if (
+                entry
+                and entry not in paths
+                and not os.path.join(entry, "").startswith(prefixes)
+                and os.path.isdir(entry)
+            ):
+                paths.append(entry)
         env = dict(os.environ)
         existing = env.get("PYTHONPATH")
-        env["PYTHONPATH"] = (
-            pkg_root if not existing else pkg_root + os.pathsep + existing
-        )
+        if existing:
+            paths.append(existing)
+        env["PYTHONPATH"] = os.pathsep.join(paths)
         return env
 
     def worker_stderr_path(self, cache_dir: Path, worker_id: str) -> Path:
@@ -233,7 +227,7 @@ class SubprocessWorkerBackend:
                         worker_id=f"{run_id}-w{i}",
                     )
                 )
-            self._await(procs, tasks, cache_dir, run_id, lease_ttl)
+            self._await(procs, tasks, cache_dir)
         finally:
             for proc in procs:
                 if proc.poll() is None:
@@ -249,10 +243,8 @@ class SubprocessWorkerBackend:
         procs: List[subprocess.Popen],
         tasks: Sequence[CellTask],
         cache_dir: Path,
-        run_id: str,
-        lease_ttl: float,
     ) -> None:
-        """Wait for the fleet; recover in-process if it dies entirely."""
+        """Wait until the grid is published or every worker has exited."""
         cache = ResultCache(cache_dir)
         keys = [t.cache_key for t in tasks if t.cache_key]
         while True:
@@ -267,62 +259,56 @@ class SubprocessWorkerBackend:
                 if crashed:
                     print(
                         f"[fabric] all {len(procs)} workers exited "
-                        f"({len(crashed)} nonzero); computing "
-                        f"{len(unpublished)} remaining cell(s) in-process",
+                        f"({len(crashed)} nonzero) with "
+                        f"{len(unpublished)} cell(s) unpublished",
                         file=sys.stderr,
                     )
                     for proc in crashed:
-                        tail = stderr_tail(
-                            getattr(proc, "stderr_path", None)
+                        tail = stderr_tail(getattr(proc, "stderr_path", None))
+                        print(
+                            f"[fabric] worker exit {proc.returncode} "
+                            f"(pid {proc.pid}), last stderr lines:\n"
+                            f"{tail or '(none captured)'}",
+                            file=sys.stderr,
                         )
-                        label = (
-                            f"[fabric] worker exit {proc.returncode}"
-                            f" (pid {proc.pid})"
-                        )
-                        if tail:
-                            print(
-                                f"{label}, last stderr lines:\n{tail}",
-                                file=sys.stderr,
-                            )
-                        else:
-                            print(
-                                f"{label}, no stderr output captured",
-                                file=sys.stderr,
-                            )
-                    leases = LeaseStore(
-                        cache_dir,
-                        run_id=run_id,
-                        worker_id=f"{run_id}-recovery",
-                        ttl_seconds=lease_ttl,
-                    )
-                    todo = [t for t in tasks if t.cache_key in set(unpublished)]
-                    run_worker(todo, cache, leases)
-                # Cells still unpublished after a clean fleet exit
-                # failed deterministically in every worker that tried;
-                # the coordinator's serial pass owns the diagnosis.
+                # The coordinator computes what is left serially: it
+                # reproduces deterministic errors with full context.
                 return
             time.sleep(self.poll_interval)
 
 
-def backend_from_spec(spec: str) -> Backend:
+def backend_from_spec(spec: str) -> Optional[Backend]:
     """Parse a CLI ``--backend`` spec into a backend instance.
 
-    ``local`` / ``local:N`` → :class:`LocalPoolBackend`;
-    ``subprocess:N`` (``subprocess`` alone defaults to 2) →
-    :class:`SubprocessWorkerBackend`; ``supervised:MIN-MAX`` (or
-    ``supervised:N``, defaults 1-4) → the self-healing
-    :class:`~repro.fabric.supervisor.SupervisedWorkerBackend`.
+    ``local`` / ``local:1`` → ``None`` (no fleet: the coordinator runs
+    the grid serially in-process); ``local:N`` →
+    :class:`~repro.fabric.supervisor.SupervisedWorkerBackend` with 1 to
+    N workers, named ``local:N``; ``subprocess:N`` (``subprocess``
+    alone defaults to 2) → :class:`SubprocessWorkerBackend`;
+    ``supervised:MIN-MAX`` (or ``supervised:N``, defaults 1-4) → the
+    self-healing :class:`~repro.fabric.supervisor.SupervisedWorkerBackend`.
     """
+    from .supervisor import SupervisedWorkerBackend
+
     kind, _, arg = spec.partition(":")
     kind = kind.strip().lower()
     try:
         if kind == "local":
-            return LocalPoolBackend(int(arg) if arg else 1)
+            n_workers = int(arg) if arg else 1
+            if n_workers < 1:
+                raise ReproError(
+                    f"local backend needs n_workers >= 1, got {n_workers}"
+                )
+            if n_workers == 1:
+                return None
+            backend = SupervisedWorkerBackend(
+                min_workers=1, max_workers=n_workers
+            )
+            backend.name = f"local:{n_workers}"
+            return backend
         if kind == "subprocess":
             return SubprocessWorkerBackend(int(arg) if arg else 2)
         if kind == "supervised":
-            from .supervisor import SupervisedWorkerBackend
-
             if not arg:
                 return SupervisedWorkerBackend()
             low, sep, high = arg.partition("-")

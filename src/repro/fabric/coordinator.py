@@ -1,23 +1,24 @@
-"""The fabric grid driver: dispatch, stream, aggregate.
+"""The grid driver: pre-scan, dispatch, stream, aggregate.
 
-:func:`run_grid_fabric` is the distributed sibling of
-:func:`~repro.experiments.parallel.run_grid_parallel` and returns the
-same shape of report.  The division of labour:
+:func:`run_grid_fabric` runs every grid in this repository, serial or
+distributed, and returns one shape of report.  The division of labour:
 
 * the **backend** makes results appear in the shared cache (however it
-  likes — pool, subprocesses, remote hosts);
-* the **coordinator** pre-scans cache and checkpoint, streams results
-  out of the cache *as workers publish them* (emitting progress and
-  journalling the checkpoint cell by cell), attributes provenance from
-  the lease journal, and computes the leftovers — unpicklable,
-  uncacheable, ``keep_result`` or worker-poisoned cells — serially
-  in-process.
+  likes — local subprocesses, remote hosts); no backend means the grid
+  runs serially in-process;
+* the **coordinator** pre-scans the cache, streams results out of it
+  *as workers publish them* (emitting progress), attributes provenance
+  from the lease journal, turns cells the fleet's supervisor gave up on
+  into :class:`~repro.experiments.parallel.CellFailure` records, and
+  computes the leftovers — unpicklable or uncacheable cells, cells no
+  worker could publish, or the whole grid when there is no backend —
+  serially in-process.
 
-Streaming is load-bearing, not cosmetic: fabric cells travel as
-summaries only (``result=None`` in the cache envelope unless the task
-asked otherwise), so the coordinator's memory is O(grid) summaries —
-it never materializes all :class:`~repro.simulator.results.SimulationResult`
-objects no matter how many workers feed it.
+Streaming keeps the coordinator's memory at O(grid) summaries: fleet
+cells travel as summaries only (``result=None`` in the cache envelope
+unless the task asked for its full result), so it never materializes
+every :class:`~repro.simulator.results.SimulationResult` no matter how
+many workers feed it.
 
 Static sharding (:func:`shard_tasks`) is the degraded mode for fleets
 *without* a shared cache directory: shard ``k`` of ``n`` computes the
@@ -30,29 +31,34 @@ from __future__ import annotations
 import glob
 import json
 import sys
+import tempfile
 import threading
 import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
-from ..errors import ConfigurationError
+from ..errors import ConfigurationError, ExperimentExecutionError, WorkerDied
 from ..experiments.cache import ResultCache
-from ..experiments.checkpoint import GridCheckpoint
 from ..experiments.parallel import (
+    PROVENANCE_CACHE_HIT,
     PROVENANCE_CLAIMED_ELSEWHERE,
     PROVENANCE_COMPUTED,
+    CellFailure,
     CellOutcome,
     CellTask,
     GridReport,
-    _is_picklable,
+    _is_portable,
     _outcome,
-    run_grid_parallel,
+    _simulate_task,
 )
 from .backends import Backend, BackendError, new_run_id
 from .lease import DEFAULT_TTL_SECONDS, DONE, LeaseStore
 
 __all__ = ["FabricReport", "run_grid_fabric", "shard_tasks"]
+
+#: Report label of a grid run without a backend (serial, in-process).
+SERIAL_BACKEND_NAME = "local:1"
 
 
 @dataclass(frozen=True)
@@ -62,7 +68,7 @@ class FabricReport(GridReport):
     backend: str = ""
     run_id: str = ""
     #: Summed WorkerStats counters across the fleet (empty for
-    #: backends that do not emit per-worker stats files).
+    #: serial runs).
     worker_totals: Tuple[Tuple[str, int], ...] = ()
 
 
@@ -83,20 +89,6 @@ def shard_tasks(
             f"shard_id must be in [0, {num_shards}), got {shard_id}"
         )
     return [t for t in tasks if t.index % num_shards == shard_id]
-
-
-class _ForwardOnly:
-    """Progress wrapper hiding ``add_total`` from nested grid runners.
-
-    The coordinator pre-registers the whole grid once; the serial
-    leftovers pass must not register its subset again.
-    """
-
-    def __init__(self, progress: Callable[[CellOutcome], None]) -> None:
-        self._progress = progress
-
-    def __call__(self, outcome: CellOutcome) -> None:
-        self._progress(outcome)
 
 
 def _sum_worker_stats(cache_root: Path, run_id: str) -> Dict[str, int]:
@@ -126,12 +118,99 @@ def _record_gauges(registry, backend_name: str, states: Dict[str, int]) -> None:
         gauge.labels(backend=backend_name, state=state).set(states[state])
 
 
-def run_grid_fabric(
+def _stream_fleet(
     tasks: Sequence[CellTask],
     backend: Backend,
     cache: ResultCache,
+    run_id: str,
+    lease_ttl: float,
+    poll_interval: float,
+    record: Callable[[CellOutcome], None],
+) -> List[CellTask]:
+    """Run ``backend`` on ``tasks``, recording each cell as it is
+    published; return the cells left unpublished, grid order."""
+    leases = LeaseStore(
+        cache.root, run_id=run_id, worker_id="coordinator", ttl_seconds=lease_ttl
+    )
+    backend_error: List[BaseException] = []
+
+    def drive() -> None:
+        try:
+            backend.run(tasks, cache.root, run_id, lease_ttl=lease_ttl)
+        except BaseException as exc:  # noqa: BLE001 — re-raised below
+            backend_error.append(exc)
+
+    thread = threading.Thread(target=drive, name="fabric-backend")
+    thread.start()
+
+    def provenance(key: str) -> str:
+        lease = leases.read(key)
+        if lease is not None and lease.status == DONE and lease.run_id != run_id:
+            return PROVENANCE_CLAIMED_ELSEWHERE
+        return PROVENANCE_COMPUTED
+
+    # Cells with identical content share one key (and one computation).
+    waiting: Dict[str, List[CellTask]] = {}
+    for task in tasks:
+        waiting.setdefault(task.cache_key, []).append(task)
+
+    def sweep() -> None:
+        for key in list(waiting):
+            entry = cache.peek(key)
+            if entry is None:
+                continue
+            wanted = waiting[key]
+            if any(t.keep_result for t in wanted) and entry.get("result") is None:
+                continue  # a summary-only entry; the serial pass recomputes
+            del waiting[key]
+            source = provenance(key)
+            for task in wanted:
+                record(
+                    _outcome(
+                        task,
+                        entry["summary"],
+                        entry.get("result") if task.keep_result else None,
+                        entry.get("wall_seconds", 0.0),
+                        provenance=source,
+                    )
+                )
+
+    try:
+        while thread.is_alive():
+            sweep()
+            time.sleep(poll_interval)
+    except BaseException:
+        # Interrupted (Ctrl-C): stop a supervised fleet before
+        # unwinding, or it would keep restarting its workers.
+        drain = getattr(backend, "request_drain", None)
+        if drain is not None:
+            drain()
+            thread.join()
+        raise
+    thread.join()
+    sweep()
+
+    left = sorted(
+        (t for wanted in waiting.values() for t in wanted), key=lambda t: t.index
+    )
+    if backend_error:
+        exc = backend_error[0]
+        if isinstance(exc, BackendError):
+            raise exc
+        print(
+            f"[fabric] backend {backend.name} failed "
+            f"({type(exc).__name__}: {exc}); recomputing "
+            f"{len(left)} cell(s) serially",
+            file=sys.stderr,
+        )
+    return left
+
+
+def run_grid_fabric(
+    tasks: Sequence[CellTask],
+    backend: Optional[Backend],
+    cache: Optional[ResultCache] = None,
     *,
-    checkpoint: Optional[GridCheckpoint] = None,
     progress: Optional[Callable[[CellOutcome], None]] = None,
     registry=None,
     keep_going: bool = False,
@@ -139,18 +218,18 @@ def run_grid_fabric(
     poll_interval: float = 0.1,
     run_id: Optional[str] = None,
 ) -> FabricReport:
-    """Execute a grid on an execution backend; return a streamed report.
+    """Execute a grid, on a backend or serially; return a streamed report.
 
     Args:
         tasks: the grid, as built by
             :func:`~repro.experiments.parallel.make_cell_task`.
-        backend: any :class:`~repro.fabric.backends.Backend`.
-        cache: the shared result cache — the fabric's coordination
-            medium, consulted before dispatch and polled during it.
-        checkpoint: optional grid checkpoint; pre-scanned like the
-            cache and journalled as fabric results stream in, so an
-            interrupted coordinated run resumes exactly like a serial
-            one.
+        backend: any :class:`~repro.fabric.backends.Backend`, or
+            ``None`` to run the grid serially in-process.
+        cache: the shared result cache — consulted before dispatch,
+            updated with every fresh result, and the fleet's
+            coordination medium.  ``None`` disables caching; a fleet
+            then coordinates through a temporary cache deleted after
+            the run.
         progress: per-cell callback (cache hits included, completion
             order); ``add_total`` is honoured once for the whole grid.
         registry: optional
@@ -158,11 +237,9 @@ def run_grid_fabric(
             run publishes ``repro_fabric_cells{backend=,state=}``
             gauges (claimed / computed / stolen / lease_expired /
             skipped / failed from the fleet's stats, plus this
-            coordinator's cache_hit / checkpoint / claimed_elsewhere
-            attribution).
+            coordinator's cache_hit / claimed_elsewhere attribution).
         keep_going: degrade to structured failures instead of raising
-            on the first failed cell (the serial leftovers pass owns
-            failure semantics, exactly like ``run_grid_parallel``).
+            on the first failed cell.
         lease_ttl: heartbeat age after which workers steal leases.
         poll_interval: coordinator cache-poll cadence.
         run_id: explicit run identity (tests); fresh by default.
@@ -171,26 +248,51 @@ def run_grid_fabric(
         BackendError: the backend could not run at all — never for
             individual cell failures.
         ExperimentExecutionError: a cell failed and ``keep_going`` is
-            off.
+            off; carries every completed cell, in grid order.
     """
     run_id = run_id or new_run_id()
     if progress is not None:
         add_total = getattr(progress, "add_total", None)
         if add_total is not None:
             add_total(len(tasks))
-        progress = _ForwardOnly(progress)
 
     outcomes: Dict[int, CellOutcome] = {}
+    failures: Dict[int, CellFailure] = {}
 
     def record(outcome: CellOutcome) -> None:
         outcomes[outcome.index] = outcome
         if progress is not None:
             progress(outcome)
 
-    # --- pre-scan: cache, then checkpoint (same rules as the serial path)
+    def fail(task: CellTask, exc: BaseException, attempts: int) -> None:
+        scheduler_name = task.scheduler.name if task.scheduler else "RoundRobin"
+        if not keep_going:
+            raise ExperimentExecutionError(
+                task.scenario.name,
+                task.policy.name,
+                scheduler_name,
+                exc,
+                # Grid order, not completion order: error reports must
+                # be stable however the fleet interleaved the cells.
+                completed_cells=tuple(outcomes[i] for i in sorted(outcomes)),
+            ) from exc
+        failures[task.index] = CellFailure(
+            index=task.index,
+            cell_id=task.cell_id,
+            scenario_name=task.scenario.name,
+            policy_name=task.policy.name,
+            scheduler_name=scheduler_name,
+            error_type=type(exc).__name__,
+            message=str(exc),
+            attempts=attempts,
+            error=exc,
+        )
+
+    # --- pre-scan: serve what the cache already holds
     pending: List[CellTask] = []
+    summary_only = set()  # keep_result cells whose entry lacks the result
     for task in tasks:
-        entry = cache.get(task.cache_key) if task.cache_key else None
+        entry = cache.get(task.cache_key) if cache is not None and task.cache_key else None
         if entry is not None and (
             not task.keep_result or entry.get("result") is not None
         ):
@@ -200,153 +302,83 @@ def run_grid_fabric(
                     entry["summary"],
                     entry.get("result") if task.keep_result else None,
                     entry.get("wall_seconds", 0.0),
-                    from_cache=True,
+                    provenance=PROVENANCE_CACHE_HIT,
                 )
             )
             continue
         if entry is not None:
+            # present but missing the raw result this caller needs:
+            # recompute (and overwrite); keep the stats honest.
             cache.stats.hits -= 1
             cache.stats.misses += 1
-        if checkpoint is not None and task.cache_key:
-            saved = checkpoint.get(task.cell_id, task.cache_key)
-            if saved is not None and (
-                not task.keep_result or saved.get("result") is not None
-            ):
-                record(
-                    _outcome(
-                        task,
-                        saved["summary"],
-                        saved.get("result") if task.keep_result else None,
-                        saved.get("wall_seconds", 0.0),
-                        from_cache=False,
-                        from_checkpoint=True,
-                    )
-                )
-                continue
+            summary_only.add(task.index)
         pending.append(task)
 
-    # --- partition: what the fabric can carry vs what must stay local.
-    # Fabric cells travel by cache entry, so they need a cache key and
-    # must not need the full result shipped back; unpicklable payloads
-    # cannot cross a process boundary at all.
-    fabric_tasks = [
-        t
-        for t in pending
-        if t.cache_key and not t.keep_result and _is_picklable(t)
-    ]
-    fabric_keys = {t.cache_key for t in fabric_tasks}
-    serial_tasks = [t for t in pending if t.cache_key not in fabric_keys]
+    # --- partition: what the fleet can carry vs what must stay local.
+    # Fleet cells travel by cache entry, so they need a cache key, and
+    # a worker must be able to load them; a summary-only entry would
+    # read as published to every worker.
+    fleet_tasks: List[CellTask] = []
+    if backend is not None:
+        fleet_tasks = [
+            t
+            for t in pending
+            if t.cache_key and t.index not in summary_only and _is_portable(t)
+        ]
+    in_fleet = {t.index for t in fleet_tasks}
+    serial_tasks = [t for t in pending if t.index not in in_fleet]
 
     worker_totals: Dict[str, int] = {}
-    if fabric_tasks:
-        coordinator_leases = LeaseStore(
-            cache.root, run_id=run_id, worker_id="coordinator",
-            ttl_seconds=lease_ttl,
-        )
-        backend_error: List[BaseException] = []
-
-        def drive() -> None:
-            try:
-                backend.run(
-                    fabric_tasks, cache.root, run_id, lease_ttl=lease_ttl
-                )
-            except BaseException as exc:  # noqa: BLE001 — re-raised below
-                backend_error.append(exc)
-
-        thread = threading.Thread(target=drive, name="fabric-backend")
-        thread.start()
-
-        def attribute(task: CellTask) -> str:
-            lease = coordinator_leases.read(task.cache_key)
-            if (
-                lease is not None
-                and lease.status == DONE
-                and lease.run_id != run_id
-            ):
-                return PROVENANCE_CLAIMED_ELSEWHERE
-            return PROVENANCE_COMPUTED
-
-        def sweep(waiting: Dict[str, CellTask]) -> None:
-            for key in list(waiting):
-                entry = cache.peek(key)
-                if entry is None:
-                    continue
-                task = waiting.pop(key)
-                provenance = attribute(task)
-                wall = entry.get("wall_seconds", 0.0)
-                if checkpoint is not None:
-                    checkpoint.put(
-                        task.cell_id,
-                        key,
-                        {
-                            "summary": entry["summary"],
-                            "result": None,
-                            "wall_seconds": wall,
-                        },
-                    )
-                record(
-                    _outcome(
-                        task,
-                        entry["summary"],
-                        None,
-                        wall,
-                        from_cache=False,
-                        provenance=provenance,
-                    )
-                )
-
-        waiting = {t.cache_key: t for t in fabric_tasks}
-        while thread.is_alive():
-            sweep(waiting)
-            time.sleep(poll_interval)
-        thread.join()
-        sweep(waiting)
-
-        if backend_error:
-            exc = backend_error[0]
-            if isinstance(exc, BackendError):
-                raise exc
-            # A cell-level failure inside the backend (e.g. the local
-            # pool raising on a poisoned cell): the serial pass below
-            # recomputes the stragglers and owns the failure report.
-            print(
-                f"[fabric] backend {backend.name} failed "
-                f"({type(exc).__name__}: {exc}); recomputing "
-                f"{len(waiting)} cell(s) serially",
-                file=sys.stderr,
+    if fleet_tasks:
+        with tempfile.TemporaryDirectory(
+            prefix="repro-grid-", ignore_cleanup_errors=True
+        ) as scratch:
+            # Without a cache the fleet coordinates through a scratch one.
+            fleet = cache if cache is not None else ResultCache(scratch)
+            left = _stream_fleet(
+                fleet_tasks, backend, fleet, run_id, lease_ttl,
+                poll_interval, record,
             )
-        # Unpublished fabric cells (worker-poisoned or lost to a
-        # backend failure) fall through to the serial pass.
-        serial_tasks.extend(waiting.values())
+            worker_totals = _sum_worker_stats(Path(fleet.root), run_id)
+        stats = getattr(backend, "last_supervisor_stats", None)
+        abandoned = stats.abandoned if stats is not None else {}
+        for task in left:
+            deaths = abandoned.get(task.cache_key)
+            if deaths:
+                # Never recomputed in-process: the cell kills its host.
+                fail(task, WorkerDied(task.cell_id, deaths), deaths)
+            else:
+                serial_tasks.append(task)
         serial_tasks.sort(key=lambda t: t.index)
-        worker_totals = _sum_worker_stats(Path(cache.root), run_id)
 
-    serial_report: Optional[GridReport] = None
-    if serial_tasks:
-        serial_report = run_grid_parallel(
-            serial_tasks,
-            n_workers=1,
-            cache=cache,
-            checkpoint=checkpoint,
-            keep_going=keep_going,
-            progress=progress,
-        )
-        for outcome in serial_report.completed:
-            outcomes[outcome.index] = outcome
+    # --- the serial pass
+    for task in serial_tasks:
+        try:
+            _, summary, result, wall = _simulate_task(task)
+        except Exception as exc:
+            fail(task, exc, 1)
+            continue
+        if cache is not None and task.cache_key:
+            cache.put(
+                task.cache_key,
+                {"summary": summary, "result": result, "wall_seconds": wall},
+            )
+        record(_outcome(task, summary, result, wall))
 
+    backend_name = backend.name if backend is not None else SERIAL_BACKEND_NAME
     report = FabricReport(
         outcomes=tuple(outcomes.get(t.index) for t in tasks),
-        failures=serial_report.failures if serial_report is not None else (),
-        backend=backend.name,
+        failures=tuple(failures[t.index] for t in tasks if t.index in failures),
+        backend=backend_name,
         run_id=run_id,
         worker_totals=tuple(sorted(worker_totals.items())),
     )
 
     if registry is not None:
         # Fleet-side states from the workers' own counters, falling
-        # back to this coordinator's attribution when the backend
-        # emits no stats files (local pool); plus the coordinator-only
-        # provenances either way.
+        # back to this coordinator's attribution when there are none
+        # (serial runs); plus the coordinator-only provenances either
+        # way.
         provenance_counts = report.provenance_counts()
         states: Dict[str, int] = {}
         for key, state in (
@@ -360,10 +392,10 @@ def run_grid_fabric(
             if key in worker_totals:
                 states[state] = worker_totals[key]
         states.setdefault("computed", provenance_counts.get("computed", 0))
-        for provenance in ("cache_hit", "checkpoint", "claimed_elsewhere"):
+        for provenance in ("cache_hit", "claimed_elsewhere"):
             if provenance in provenance_counts:
                 states[provenance] = provenance_counts[provenance]
-        _record_gauges(registry, backend.name, states)
+        _record_gauges(registry, backend_name, states)
         supervisor_stats = getattr(backend, "last_supervisor_stats", None)
         if supervisor_stats is not None:
             registry.gauge(
@@ -371,7 +403,7 @@ def run_grid_fabric(
                 "Worker restarts the fleet supervisor performed in the "
                 "last coordinated run",
                 ("backend",),
-            ).labels(backend=backend.name).set(supervisor_stats.restarts)
+            ).labels(backend=backend_name).set(supervisor_stats.restarts)
             events = registry.gauge(
                 "repro_fabric_supervisor",
                 "Fleet supervisor recovery actions in the last "
@@ -384,6 +416,6 @@ def run_grid_fabric(
                 ("shrunk", supervisor_stats.shrunk),
                 ("swept_leases", getattr(backend, "last_swept_leases", 0)),
             ):
-                events.labels(backend=backend.name, event=event).set(value)
+                events.labels(backend=backend_name, event=event).set(value)
 
     return report

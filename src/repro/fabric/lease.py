@@ -19,6 +19,13 @@ One small JSON file per cell under ``<cache_root>/leases/``, named
   up by ``repro cache gc``.  On failure the holder deletes the lease
   so another worker can retry immediately.
 
+Two moves belong to the fleet supervisor, which spawned and reaped the
+holder and so knows it is dead: **expire** makes the dead holder's
+claim stale at once (the next claim takes it over without waiting out
+the TTL), and **quarantine** replaces it with a ``quarantined`` marker
+once the cell has killed too many holders, so no worker of that run
+claims it again.
+
 Safety does **not** depend on the protocol: cells are deterministic
 and published through the cache's atomic write, so the worst outcome
 of any race (two holders after a partition, a stale TTL that was
@@ -53,6 +60,7 @@ from ..errors import ReproError
 __all__ = [
     "CLAIMED",
     "DONE",
+    "QUARANTINED",
     "DEFAULT_TTL_SECONDS",
     "Lease",
     "LeaseError",
@@ -62,6 +70,8 @@ __all__ = [
 #: Lease states on disk.
 CLAIMED = "claimed"
 DONE = "done"
+#: The run's supervisor gave up on the cell (it killed its holders).
+QUARANTINED = "quarantined"
 
 #: Heartbeat age after which a claimed lease may be taken over.
 DEFAULT_TTL_SECONDS = 60.0
@@ -202,7 +212,8 @@ class LeaseStore:
                     except OSError:
                         pass
                 return False
-            if existing.status == DONE:
+            if existing.status != CLAIMED:
+                # done, or quarantined: neither is ever taken over.
                 self._observed.pop(key, None)
                 return False
             # Wall-clock staleness catches ordinary deaths; the
@@ -303,6 +314,42 @@ class LeaseStore:
             claimed_at=now,
             takeovers=takeovers,
             wall_seconds=wall_seconds,
+        )
+        atomic_write_text(self.path_for(key), body)
+        self._observed.pop(key, None)
+
+    def expire(self, key: str, holder: str) -> None:
+        """Make the claim of ``holder``, known to be dead, stale now.
+
+        The next :meth:`claim` takes the lease over as it would from any
+        stale holder, so the takeover count (the journal's record of a
+        lost-then-recovered cell) is kept.  A claim that has meanwhile
+        passed to someone else is left alone.
+        """
+        from ..fsutil import atomic_write_text
+
+        current = self.read(key)
+        if current is None or current.status != CLAIMED or current.worker_id != holder:
+            return
+        data = current.to_dict()
+        del data["key"]
+        data["heartbeat_at"] = 0.0
+        atomic_write_text(self.path_for(key), json.dumps(data, sort_keys=True))
+
+    def quarantine(self, key: str) -> None:
+        """Replace the claim on ``key`` with a ``quarantined`` marker.
+
+        Workers of this run skip the cell from then on; a later run
+        clears the marker and tries the cell afresh.
+        """
+        from ..fsutil import atomic_write_text
+
+        current = self.read(key)
+        body = self._render(
+            key,
+            QUARANTINED,
+            claimed_at=self._clock(),
+            takeovers=current.takeovers if current is not None else 0,
         )
         atomic_write_text(self.path_for(key), body)
         self._observed.pop(key, None)

@@ -62,7 +62,7 @@ def fault_sweep_grid(
     rung of the MTBF ladder.  The MTBF lives in the *config* (the fault
     model), not the scenario/policy/scheduler triple, so each rung is
     distinguished through the cell-id ``variant`` — distinct seeds,
-    distinct cache keys, distinct checkpoint entries.
+    distinct cache keys.
     """
     mtbfs = tuple(
         mtbf_minutes if mtbf_minutes is not None else exp_presets.fault_mtbfs()

@@ -12,9 +12,15 @@ will; the scheduler's job is to keep the work moving anyway):
 * **deterministic jitter** — each backoff is skewed by a hash of
   (run, slot, incarnation), so simultaneous deaths do not respawn in
   lockstep yet every run replays identically;
+* **release** — the supervisor spawned every worker on this host and
+  reaps it itself, so a reaped worker is certainly dead: the cells it
+  held are expired at once (:class:`FleetLeases`) instead of waiting
+  out the lease TTL;
 * **quarantine** — a slot that crash-loops past its restart budget is
-  benched instead of burning spawns forever (recovery actions are
-  priced and bounded, not ad hoc);
+  benched instead of burning spawns forever, and a *cell* whose
+  holders died ``restart_budget`` times is given up on, so a
+  persistently crashing cell fails alone (recovery actions are priced
+  and bounded, not ad hoc);
 * **elastic grow/shrink** — the fleet tracks the remaining work:
   capacity lost to quarantine is replaced while the grid is deep, and
   slots whose capacity is no longer needed are retired by attrition
@@ -37,11 +43,10 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import os
-import subprocess
 import sys
 import time
 from pathlib import Path
-from typing import Callable, List, Optional, Sequence
+from typing import Callable, Dict, List, Optional, Sequence
 
 from ..experiments.cache import ResultCache
 from ..experiments.parallel import CellTask
@@ -52,9 +57,9 @@ from .backends import (
     write_manifest,
 )
 from .lease import CLAIMED, DEFAULT_TTL_SECONDS, LeaseStore
-from .worker import run_worker
 
 __all__ = [
+    "FleetLeases",
     "FleetSupervisor",
     "SupervisedWorkerBackend",
     "SupervisorConfig",
@@ -76,7 +81,8 @@ class SupervisorConfig:
         jitter_fraction: each delay is skewed by up to this fraction,
             deterministically (hash of run/slot/incarnation).
         restart_budget: consecutive fast crashes a slot may burn before
-            it is quarantined.
+            it is quarantined; also how many holders a cell may kill
+            before it is given up on.
         healthy_uptime_seconds: a worker that stays alive this long
             resets its slot's crash streak — it was working, not
             crash-looping.
@@ -111,6 +117,8 @@ class SupervisorStats:
     shrunk: int = 0
     spawned: int = 0
     drained: bool = False
+    #: Cells given up on: cache key -> worker deaths while holding it.
+    abandoned: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Monotonic instants bounding the recovery window (None = no
     #: failure observed / run never completed).
     first_failure_at: Optional[float] = None
@@ -147,6 +155,49 @@ def deterministic_jitter(token: str, fraction: float) -> float:
     digest = hashlib.sha256(token.encode("utf-8")).digest()
     unit = int.from_bytes(digest[:8], "big") / float(2**64)
     return (2.0 * unit - 1.0) * fraction
+
+
+class FleetLeases(LeaseStore):
+    """One run's lease journal, as the supervisor of its fleet uses it.
+
+    :meth:`held_by` finds a reaped worker's cells; the supervisor then
+    calls :meth:`~repro.fabric.lease.LeaseStore.expire` or
+    :meth:`~repro.fabric.lease.LeaseStore.quarantine` on each.
+    """
+
+    def __init__(
+        self,
+        cache: ResultCache,
+        keys: Sequence[str],
+        run_id: str,
+        ttl_seconds: float = DEFAULT_TTL_SECONDS,
+    ) -> None:
+        super().__init__(
+            cache.root,
+            run_id=run_id,
+            worker_id=f"{run_id}-supervisor",
+            ttl_seconds=ttl_seconds,
+        )
+        self._cache = cache
+        self._keys = list(keys)
+
+    def held_by(self, worker_id: str) -> List[str]:
+        """Unpublished cells whose claim names ``worker_id``.
+
+        A claim on a published cell (the holder died between publish
+        and release) is left for :func:`sweep_settled_leases`.
+        """
+        held = []
+        for key in self._keys:
+            lease = self.read(key)
+            if (
+                lease is not None
+                and lease.status == CLAIMED
+                and lease.worker_id == worker_id
+                and self._cache.peek(key) is None
+            ):
+                held.append(key)
+        return held
 
 
 class _Slot:
@@ -195,6 +246,12 @@ class FleetSupervisor:
         sleep: sleep function, injectable for tests.
         on_event: ``on_event(kind, message)`` observer; defaults to a
             ``[supervisor]``-prefixed stderr line per action.
+        leases: optional :class:`FleetLeases` (or any object with its
+            ``held_by`` / ``expire`` / ``quarantine`` methods).  With
+            it, each crashed worker's cells are released or, after
+            ``restart_budget`` holder deaths, quarantined into
+            :attr:`SupervisorStats.abandoned`; handles need a
+            ``worker_id`` attribute.
     """
 
     def __init__(
@@ -208,6 +265,7 @@ class FleetSupervisor:
         clock=time.monotonic,
         sleep=time.sleep,
         on_event: Optional[Callable[[str, str], None]] = None,
+        leases=None,
     ) -> None:
         if not 1 <= min_workers <= max_workers:
             raise BackendError(
@@ -223,6 +281,9 @@ class FleetSupervisor:
         self._clock = clock
         self._sleep = sleep
         self._on_event = on_event
+        self._leases = leases
+        self._cell_deaths: Dict[str, int] = {}
+        self._stalled = False
         self._slots: List[_Slot] = []
         self._drain_requested = False
         self.stats = SupervisorStats()
@@ -292,6 +353,30 @@ class FleetSupervisor:
     def _pending_restart(self) -> bool:
         return any(s.restart_at is not None for s in self._slots)
 
+    def _release_cells(self, handle) -> None:
+        """Free the cells a crashed worker held, or give up on them.
+
+        Deaths are counted per cell, not per slot: a slot's crash
+        streak resets once an incarnation outlives
+        ``healthy_uptime_seconds``, but a cell that kills every holder
+        must still reach a verdict.
+        """
+        worker_id = getattr(handle, "worker_id", None)
+        if self._leases is None or worker_id is None:
+            return
+        for key in self._leases.held_by(worker_id):
+            deaths = self._cell_deaths.get(key, 0) + 1
+            self._cell_deaths[key] = deaths
+            if deaths >= self.config.restart_budget:
+                self._leases.quarantine(key)
+                self.stats.abandoned[key] = deaths
+                self._event(
+                    "abandon",
+                    f"cell {key[:12]} abandoned after {deaths} holder deaths",
+                )
+            else:
+                self._leases.expire(key, worker_id)
+
     def _reap(self, now: float, desired: int) -> None:
         """Process deaths: restart, quarantine, or retire each one.
 
@@ -302,11 +387,12 @@ class FleetSupervisor:
         for slot in self._slots:
             if slot.handle is None or slot.quarantined or slot.retired:
                 continue
-            returncode = slot.handle.poll()
+            handle = slot.handle
+            returncode = handle.poll()
             if returncode is None:
                 continue
             uptime = now - slot.started_at
-            tail = self._tail_of(slot.handle)
+            tail = self._tail_of(handle)
             slot.handle = None
             if returncode == 0:
                 if desired == 0:
@@ -325,7 +411,12 @@ class FleetSupervisor:
                         "re-scanning the grid",
                     )
                 else:
+                    # A worker exits clean only once every cell it has
+                    # not seen published failed in its own hands: more
+                    # workers would fail them again.  The fleet stops
+                    # growing; the coordinator diagnoses those cells.
                     slot.retired = True
+                    self._stalled = True
                     self.stats.shrunk += 1
                     self._event(
                         "shrink", f"w{slot.index} retired (grid almost drained)"
@@ -333,6 +424,7 @@ class FleetSupervisor:
                 continue
             if self.stats.first_failure_at is None:
                 self.stats.first_failure_at = now
+            self._release_cells(handle)
             slot.streak = (
                 1 if uptime >= cfg.healthy_uptime_seconds else slot.streak + 1
             )
@@ -387,7 +479,7 @@ class FleetSupervisor:
     def _resize(self, desired: int, now: float) -> None:
         """Grow toward the demand-clamped fleet size (shrink happens by
         attrition in :meth:`_reap`, never by killing a busy worker)."""
-        while self._active_count() < desired:
+        while self._active_count() < desired and not self._stalled:
             if self.stats.spawned >= self._spawn_budget():
                 return
             slot = _Slot(len(self._slots))
@@ -627,8 +719,12 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
     (``<run>-w2r1`` is slot 2's first restart) so every incarnation
     writes its own stats and stderr files.
 
-    After the grid completes, settled orphan leases (publisher killed
-    pre-release) are swept so a chaos-audited run ends with a clean
+    Cells the fleet could not publish — every slot gave up, or a cell
+    was abandoned after killing its holders — are left to the
+    coordinator (:func:`~repro.fabric.coordinator.run_grid_fabric`),
+    which computes the former serially and reports the latter as
+    failures.  After the grid completes, settled orphan leases
+    (publisher killed pre-release) are swept so a chaos-audited run ends with a clean
     journal; ``last_supervisor_stats`` / ``last_swept_leases`` expose
     what recovery cost, and the coordinator exports them as
     ``repro_fabric_restarts`` telemetry.
@@ -677,7 +773,10 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
         keys = [t.cache_key for t in tasks if t.cache_key]
 
         def status() -> int:
-            return sum(1 for k in keys if cache.peek(k) is None)
+            abandoned = supervisor.stats.abandoned
+            return sum(
+                1 for k in keys if k not in abandoned and cache.peek(k) is None
+            )
 
         def spawn(slot: int, incarnation: int):
             # Incarnations are first-class: slot 2's original process
@@ -696,6 +795,7 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
             max_workers=self.max_workers,
             config=self.config,
             name=run_id,
+            leases=FleetLeases(cache, keys, run_id, lease_ttl),
         )
         self.current_supervisor = supervisor
         try:
@@ -708,22 +808,14 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
                 f"supervised fleet drained on request with {status()} "
                 "cell(s) unpublished"
             )
-        unpublished = [k for k in keys if cache.peek(k) is None]
-        if unpublished:
+        remaining = status()
+        if remaining:
             print(
-                f"[fabric] supervised fleet stopped with "
-                f"{len(unpublished)} cell(s) unpublished; computing "
-                "them in-process",
+                f"[fabric] supervised fleet stopped with {remaining} "
+                "cell(s) unpublished; the coordinator computes them "
+                "in-process",
                 file=sys.stderr,
             )
-            leases = LeaseStore(
-                cache_dir,
-                run_id=run_id,
-                worker_id=f"{run_id}-recovery",
-                ttl_seconds=lease_ttl,
-            )
-            todo = [t for t in tasks if t.cache_key in set(unpublished)]
-            run_worker(todo, cache, leases)
         self.last_swept_leases = sweep_settled_leases(
             cache, keys, ttl=lease_ttl
         )

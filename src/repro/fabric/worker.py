@@ -54,7 +54,7 @@ from ..errors import ReproError
 from ..experiments.cache import ResultCache
 from ..experiments.parallel import CellTask, _simulate_task
 from ..fsutil import atomic_write_text
-from .lease import DEFAULT_TTL_SECONDS, DONE, LeaseStore
+from .lease import CLAIMED, DEFAULT_TTL_SECONDS, DONE, QUARANTINED, LeaseStore
 
 __all__ = [
     "BATCH_TARGET_SECONDS",
@@ -233,14 +233,24 @@ def run_worker(
                     stats.skipped += 1
                     continue
                 before = leases.read(key)
-                if before is not None and before.status == DONE:
+                if (
+                    before is not None
+                    and before.status == QUARANTINED
+                    and before.run_id == leases.run_id
+                ):
+                    # This run's supervisor gave up on the cell (it
+                    # killed its holders): leave it unpublished.
+                    failed.add(key)
+                    continue
+                if before is not None and before.status != CLAIMED:
                     # Publication order is cache.put → release_done, so
                     # a done marker normally means our peek above lost a
                     # race with the publisher — re-peek before trusting
                     # it.  A done marker with *still* no cache entry is
-                    # a genuine orphan (the entry was gc'ed); clear it
-                    # so the cell is claimable again.
-                    if cache.peek(key) is not None:
+                    # a genuine orphan (the entry was gc'ed), and another
+                    # run's quarantine is not this run's verdict; clear
+                    # either so the cell is claimable again.
+                    if before.status == DONE and cache.peek(key) is not None:
                         remaining.pop(key)
                         stats.skipped += 1
                         continue

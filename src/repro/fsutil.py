@@ -1,7 +1,7 @@
 """Crash-safe filesystem helpers.
 
 Every file this repository exports — cache entries, telemetry
-snapshots, progress feeds, grid checkpoints — is written through the
+snapshots, progress feeds, lease files — is written through the
 same pattern: serialise to a temporary file in the *same directory*,
 then :func:`os.replace` it over the destination.  ``os.replace`` is
 atomic on POSIX and Windows for same-filesystem moves, so a reader (or

@@ -40,17 +40,13 @@ def cell_provenance(cell) -> str:
     Reads the explicit ``provenance`` attribute when present
     (:class:`~repro.experiments.parallel.CellOutcome`,
     :class:`~repro.experiments.runner.ExperimentCell`), otherwise falls
-    back to the legacy ``from_cache`` / ``from_checkpoint`` booleans so
-    duck-typed callers keep working.
+    back to the ``from_cache`` boolean so duck-typed callers keep
+    working.
     """
     provenance = getattr(cell, "provenance", None)
     if provenance:
         return provenance
-    if getattr(cell, "from_cache", False):
-        return "cache_hit"
-    if getattr(cell, "from_checkpoint", False):
-        return "checkpoint"
-    return "computed"
+    return "cache_hit" if getattr(cell, "from_cache", False) else "computed"
 
 
 class ProgressReporter:
@@ -95,7 +91,7 @@ class ProgressReporter:
         """Record one finished cell and maybe print a heartbeat."""
         self.done += 1
         provenance = cell_provenance(outcome)
-        if provenance in ("cache_hit", "checkpoint"):
+        if provenance == "cache_hit":
             self.cached += 1
         elif provenance == "claimed_elsewhere":
             self.elsewhere += 1

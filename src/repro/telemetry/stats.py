@@ -227,7 +227,6 @@ def render_stats(stats: TelemetryStats) -> str:
 _PROVENANCE_LABELS = {
     "computed": "simulated",
     "cache_hit": "cache",
-    "checkpoint": "checkpoint",
     "claimed_elsewhere": "elsewhere",
 }
 

@@ -1,7 +1,7 @@
 """Atomic file writes: a reader (or a crash) never sees a torn file.
 
 Every on-disk artifact the library produces — cache entries, telemetry
-exports, grid checkpoints — goes through :mod:`repro.fsutil`, which
+exports, lease files — goes through :mod:`repro.fsutil`, which
 writes to a same-directory temp file and ``os.replace``s it into place.
 These tests pin the contract: full content or nothing, no temp litter,
 and graceful degradation when a crash *does* leave partial bytes (by
@@ -78,40 +78,6 @@ class TestSigkillMidWrite:
         assert fresh.get(key) is None  # torn entry reads as a miss
         fresh.put(key, {"summary": "rewritten"})
         assert fresh.get(key) == {"summary": "rewritten"}
-
-    def test_checkpoint_survives_torn_file(self, tmp_path):
-        from repro.experiments.checkpoint import GridCheckpoint
-
-        path = tmp_path / "grid.ckpt"
-        ckpt = GridCheckpoint(path)
-        ckpt.put("cell-a", "key-a", {"value": 1})
-        assert GridCheckpoint(path).get("cell-a", "key-a")["value"] == 1
-
-        self._partial(path, path.read_bytes())
-        recovered = GridCheckpoint(path)
-        assert len(recovered) == 0
-        assert recovered.get("cell-a", "key-a") is None
-        # and the file is fully usable again after the next put
-        recovered.put("cell-b", "key-b", {"value": 2})
-        assert GridCheckpoint(path).get("cell-b", "key-b")["value"] == 2
-
-    def test_checkpoint_rejects_garbage_and_wrong_magic(self, tmp_path):
-        from repro.experiments.checkpoint import GridCheckpoint
-
-        garbage = tmp_path / "garbage.ckpt"
-        garbage.write_bytes(b"\x80\x04not a checkpoint at all")
-        assert len(GridCheckpoint(garbage)) == 0
-
-        missing = GridCheckpoint(tmp_path / "never-written.ckpt")
-        assert len(missing) == 0
-        assert missing.get("x", "y") is None
-
-    def test_checkpoint_ignores_entry_with_stale_cache_key(self, tmp_path):
-        from repro.experiments.checkpoint import GridCheckpoint
-
-        path = tmp_path / "grid.ckpt"
-        GridCheckpoint(path).put("cell-a", "old-key", {"value": 1})
-        assert GridCheckpoint(path).get("cell-a", "new-key") is None
 
 
 class TestTelemetryExportsAreAtomic:

@@ -21,6 +21,7 @@ ALL_ERRORS = [
     errors.UnknownPoolError,
     errors.UnknownPolicyError,
     errors.ExperimentExecutionError,
+    errors.WorkerDied,
     errors.CacheError,
 ]
 
@@ -88,6 +89,15 @@ class TestStructuredAttributes:
         assert "busy_week" in message
         assert "ValueError" in message
         assert "boom" in message
+
+    def test_worker_died_names_the_cell_and_deaths(self):
+        exc = errors.WorkerDied("smoke#7|NoRes|CrashAlways", 3)
+        assert exc.cell_id == "smoke#7|NoRes|CrashAlways"
+        assert exc.deaths == 3
+        assert "CrashAlways" in str(exc) and "3" in str(exc)
+        # strict grids wrap it, naming the failing cell
+        wrapped = errors.ExperimentExecutionError("smoke", "NoRes", "CrashAlways", exc)
+        assert "WorkerDied" in str(wrapped)
 
     def test_experiment_execution_error_defaults_to_no_completed_cells(self):
         exc = errors.ExperimentExecutionError("s", "p", "sch", RuntimeError("x"))

@@ -7,7 +7,7 @@ The load-bearing guarantees:
 * two workers racing one grid compute each cell exactly once (lease
   contention), and a worker that dies mid-cell is taken over after the
   TTL (stale-lease takeover);
-* an interrupted run resumes through the grid checkpoint;
+* an interrupted run resumes through the shared result cache;
 * provenance is attributed correctly: cache_hit on pre-scan,
   computed for own-run work, claimed_elsewhere for cells another run
   published while we ran;
@@ -26,17 +26,14 @@ import pytest
 import repro
 from repro.errors import ConfigurationError, ReproError
 from repro.experiments.cache import ResultCache, stable_hash
-from repro.experiments.checkpoint import GridCheckpoint
 from repro.experiments.parallel import (
     PROVENANCE_CACHE_HIT,
-    PROVENANCE_CHECKPOINT,
     PROVENANCE_CLAIMED_ELSEWHERE,
     PROVENANCE_COMPUTED,
     make_cell_task,
     run_grid_parallel,
 )
 from repro.fabric import (
-    LocalPoolBackend,
     SubprocessWorkerBackend,
     backend_from_spec,
     build_grid,
@@ -108,8 +105,13 @@ class TestShardTasks:
 
 class TestBackendSpecs:
     def test_local_specs(self):
-        assert backend_from_spec("local").n_workers == 1
-        assert backend_from_spec("local:4").n_workers == 4
+        # plain local is no fleet at all: the grid runs serially in-process
+        assert backend_from_spec("local") is None
+        assert backend_from_spec("local:1") is None
+        local4 = backend_from_spec("local:4")
+        assert local4.n_workers == 4
+        assert (local4.min_workers, local4.max_workers) == (1, 4)
+        assert local4.name == "local:4"
         assert backend_from_spec("subprocess").n_workers == 2
         assert backend_from_spec("subprocess:8").n_workers == 8
 
@@ -134,6 +136,29 @@ class TestWorkerLoop:
         assert stats.published == len(tasks)
         assert stats.failed == 0
         assert all(cache.peek(t.cache_key) is not None for t in tasks)
+
+    def test_quarantined_cell_is_skipped_by_its_run_only(
+        self, smoke_scenario, tmp_path
+    ):
+        tasks = small_grid(smoke_scenario)
+        cache = ResultCache(tmp_path)
+        bad = tasks[0].cache_key
+        LeaseStore(tmp_path, run_id="r1", worker_id="sup").quarantine(bad)
+
+        # the run whose supervisor gave up leaves the cell unpublished
+        # and still returns (it does not wait for the cell forever)
+        stats = run_worker(
+            tasks, cache, LeaseStore(tmp_path, run_id="r1", worker_id="w0")
+        )
+        assert stats.computed == len(tasks) - 1
+        assert cache.peek(bad) is None
+
+        # a later run clears the verdict and tries the cell afresh
+        stats = run_worker(
+            tasks, cache, LeaseStore(tmp_path, run_id="r2", worker_id="w0")
+        )
+        assert stats.computed == 1
+        assert cache.peek(bad) is not None
 
     def test_two_workers_race_one_cell_exactly_one_computes(
         self, smoke_scenario, tmp_path
@@ -235,7 +260,7 @@ class TestRunGridFabric:
         tasks = small_grid(smoke_scenario, n_policies=3)
         serial = run_grid_parallel(tasks, n_workers=1)
         fab = run_grid_fabric(
-            tasks, LocalPoolBackend(1), ResultCache(tmp_path)
+            tasks, backend_from_spec("local"), ResultCache(tmp_path)
         )
         assert digests(fab) == digests(serial)
         assert [o.seed for o in fab.completed] == [
@@ -246,33 +271,23 @@ class TestRunGridFabric:
     def test_warm_cache_rerun_hits_everything(self, smoke_scenario, tmp_path):
         tasks = small_grid(smoke_scenario)
         cache = ResultCache(tmp_path)
-        run_grid_fabric(tasks, LocalPoolBackend(1), cache)
-        rerun = run_grid_fabric(tasks, LocalPoolBackend(1), cache)
+        run_grid_fabric(tasks, None, cache)
+        rerun = run_grid_fabric(tasks, None, cache)
         assert rerun.provenance_counts() == {PROVENANCE_CACHE_HIT: len(tasks)}
 
     def test_checkpoint_resume_interop_for_interrupted_sharded_run(
         self, smoke_scenario, tmp_path
     ):
+        # The result cache is the checkpoint: the "interrupted" run
+        # completed only shard 0 before dying, the resumed run reuses
+        # its cache directory.
         tasks = small_grid(smoke_scenario, n_policies=3)
-        checkpoint = GridCheckpoint(tmp_path / "grid.ckpt")
-        # the "interrupted" run completed only shard 0 before dying
-        run_grid_fabric(
-            shard_tasks(tasks, 0, 2),
-            LocalPoolBackend(1),
-            ResultCache(tmp_path / "cache-a"),
-            checkpoint=checkpoint,
-        )
-        # the resumed run has a fresh (empty) cache but the checkpoint
-        resumed = run_grid_fabric(
-            tasks,
-            LocalPoolBackend(1),
-            ResultCache(tmp_path / "cache-b"),
-            checkpoint=checkpoint,
-        )
+        run_grid_fabric(shard_tasks(tasks, 0, 2), None, ResultCache(tmp_path))
+        resumed = run_grid_fabric(tasks, None, ResultCache(tmp_path))
         counts = resumed.provenance_counts()
-        assert counts[PROVENANCE_CHECKPOINT] == len(shard_tasks(tasks, 0, 2))
+        assert counts[PROVENANCE_CACHE_HIT] == len(shard_tasks(tasks, 0, 2))
         assert counts[PROVENANCE_COMPUTED] == len(tasks) - counts[
-            PROVENANCE_CHECKPOINT
+            PROVENANCE_CACHE_HIT
         ]
         serial = run_grid_parallel(tasks, n_workers=1)
         assert digests(resumed) == digests(serial)
@@ -317,9 +332,9 @@ class TestRunGridFabric:
         # Poison both the worker path and the coordinator's serial
         # retry path so the cell fails everywhere.
         monkeypatch.setattr(worker_mod, "_simulate_task", sim)
-        import repro.experiments.parallel as parallel_mod
+        import repro.fabric.coordinator as coordinator_mod
 
-        monkeypatch.setattr(parallel_mod, "_simulate_task", sim)
+        monkeypatch.setattr(coordinator_mod, "_simulate_task", sim)
 
         @dataclass
         class InProcessWorkerBackend:
@@ -348,9 +363,8 @@ class TestRunGridFabric:
 
         tasks = small_grid(smoke_scenario)
         registry = MetricsRegistry()
-        run_grid_fabric(
-            tasks, LocalPoolBackend(1), ResultCache(tmp_path), registry=registry
-        )
+        # a serial run (no backend) reports under the local:1 label
+        run_grid_fabric(tasks, None, ResultCache(tmp_path), registry=registry)
         text = to_prometheus(registry)
         assert 'repro_fabric_cells{backend="local:1",state="computed"}' in text
 

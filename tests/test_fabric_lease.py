@@ -8,7 +8,9 @@ The contract under test (see ``repro/fabric/lease.py``):
   race discovers it);
 * done markers journal who computed a cell and survive as provenance
   until ``cache gc`` removes them;
-* torn/garbage lease files read as claimable, never crash.
+* torn/garbage lease files read as claimable, never crash;
+* a dead holder's claim can be expired (taken over at once, takeover
+  journalled) or quarantined (never claimed again by the same run).
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import json
 import threading
 import time
 
-from repro.fabric.lease import CLAIMED, DONE, Lease, LeaseStore
+from repro.fabric.lease import CLAIMED, DONE, QUARANTINED, Lease, LeaseStore
 from repro.fsutil import atomic_write_text
 
 
@@ -167,6 +169,37 @@ class TestRelease:
         lease = other.read(KEY)
         assert lease.run_id == "run-a"
         assert lease.status == DONE
+
+
+class TestSupervisorMoves:
+    def test_expired_claim_is_taken_over_at_once(self, tmp_path):
+        dead = make_store(tmp_path, worker="dead")
+        assert dead.claim("k")
+        peer = make_store(tmp_path, worker="peer")
+        assert not peer.claim("k")  # fresh: the TTL would protect it
+        supervisor = make_store(tmp_path, worker="supervisor")
+        supervisor.expire("k", holder="someone-else")
+        assert not peer.claim("k")  # not the named holder's claim
+        supervisor.expire("k", holder="dead")
+        assert peer.claim("k")
+        lease = peer.read("k")
+        assert lease.worker_id == "peer" and lease.takeovers == 1
+
+    def test_expire_leaves_done_markers_alone(self, tmp_path):
+        owner = make_store(tmp_path, worker="w0")
+        assert owner.claim("k")
+        owner.release_done("k")
+        make_store(tmp_path, worker="supervisor").expire("k", holder="w0")
+        assert owner.read("k").status == DONE
+
+    def test_quarantined_cell_is_never_claimable(self, tmp_path):
+        holder = make_store(tmp_path, worker="w0")
+        assert holder.claim("k")
+        make_store(tmp_path, worker="supervisor").quarantine("k")
+        clock = FakeClock(start=time.time() + 10_000.0)  # far past any TTL
+        assert not make_store(tmp_path, worker="w1", clock=clock).claim("k")
+        assert holder.read("k").status == QUARANTINED
+        assert not holder.heartbeat("k")
 
 
 class TestLeaseSerialization:

@@ -2,7 +2,9 @@
 
 Covers the contract the ROADMAP's sweep-style PRs build on:
 
-* serial and parallel grids produce bit-identical summaries;
+* serial and parallel grids produce bit-identical summaries (parallel
+  grids run on the supervised local worker fleet, over the caller's
+  cache or a temporary one);
 * per-cell seeds derive from cell identity, not call order, so
   reordering a grid (or running one cell alone) reproduces results;
 * pickling-hostile policies transparently fall back to serial
@@ -12,13 +14,20 @@ Covers the contract the ROADMAP's sweep-style PRs build on:
 
 from __future__ import annotations
 
+import pickle
+
 import pytest
 
 import repro
 from repro.core.policies import NoRescheduling
 from repro.errors import ConfigurationError, ExperimentExecutionError
-from repro.experiments.cache import derive_cell_seed
-from repro.experiments.parallel import execute_cells, make_cell_task
+from repro.experiments.cache import ResultCache, derive_cell_seed, stable_hash
+from repro.experiments.parallel import (
+    _is_portable,
+    execute_cells,
+    make_cell_task,
+    run_grid_parallel,
+)
 from repro.experiments.runner import ExperimentRunner
 from repro.simulator.config import SimulationConfig
 from repro.simulator.observer import EventLog
@@ -83,6 +92,54 @@ class TestSerialParallelEquivalence:
         assert serial.summaries == parallel.summaries
 
 
+    def test_keep_results_parallel_matches_serial(self, smoke_scenario):
+        policies = [repro.no_res, repro.res_sus_util]
+        serial = ExperimentRunner(config=FAST, keep_results=True).run(
+            [smoke_scenario], policies
+        )
+        parallel = ExperimentRunner(
+            config=FAST, n_workers=2, keep_results=True
+        ).run([smoke_scenario], policies)
+        assert all(c.result is not None for c in parallel)
+        assert [stable_hash(c.summary) for c in parallel] == [
+            stable_hash(c.summary) for c in serial
+        ]
+        assert [c.result.records for c in parallel] == [
+            c.result.records for c in serial
+        ]
+
+    def test_cache_less_fleet_cleans_up_its_temporary_cache(
+        self, smoke_scenario, tmp_path, monkeypatch
+    ):
+        import tempfile
+
+        monkeypatch.setattr(tempfile, "tempdir", str(tmp_path))
+        tasks = [
+            make_cell_task(i, smoke_scenario, factory(), None, FAST)
+            for i, factory in enumerate(ALL_POLICIES)
+        ]
+        report = run_grid_parallel(tasks, n_workers=2)
+        serial = run_grid_parallel(tasks, n_workers=1)
+        assert [o.summary for o in report.outcomes] == [
+            o.summary for o in serial.outcomes
+        ]
+        assert report.backend == "local:2"
+        assert list(tmp_path.iterdir()) == []
+
+    def test_identical_cells_are_all_reported(self, smoke_scenario, tmp_path):
+        # the same policy twice: one cache key, two grid cells
+        tasks = [
+            make_cell_task(i, smoke_scenario, repro.no_res(), None, FAST)
+            for i in range(2)
+        ] + [make_cell_task(2, smoke_scenario, repro.res_sus_util(), None, FAST)]
+        report = run_grid_parallel(
+            tasks, n_workers=2, cache=ResultCache(tmp_path)
+        )
+        assert report.ok
+        assert [o.index for o in report.outcomes] == [0, 1, 2]
+        assert report.outcomes[0].summary == report.outcomes[1].summary
+
+
 class TestCellSeeding:
     def test_cells_with_different_policies_get_different_seeds(self, smoke_scenario):
         cells = ExperimentRunner(config=FAST).run([smoke_scenario], ALL_POLICIES)
@@ -127,6 +184,26 @@ class TestPicklingFallback:
         )
         assert [c.summary for c in parallel] == [c.summary for c in serial]
         assert parallel[0].policy_name == "HostileNoRes"
+
+
+    def test_main_module_payload_is_not_portable(self, smoke_scenario):
+        task = make_cell_task(0, smoke_scenario, repro.no_res(), None, FAST)
+        assert _is_portable(task)
+
+        class MainPolicy(NoRescheduling):
+            name = "MainPolicy"
+
+        MainPolicy.__module__ = "__main__"
+        MainPolicy.__qualname__ = "MainPolicy"
+        import __main__
+
+        setattr(__main__, "MainPolicy", MainPolicy)
+        try:
+            task = make_cell_task(0, smoke_scenario, MainPolicy(), None, FAST)
+            pickle.dumps(task)  # it pickles, but a worker could not load it
+            assert not _is_portable(task)
+        finally:
+            delattr(__main__, "MainPolicy")
 
 
 class TestErrorPaths:

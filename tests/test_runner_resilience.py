@@ -1,11 +1,13 @@
 """Crash tolerance of the experiment grid runner.
 
-These tests inject real failures into real worker processes: schedulers
-that kill their process (``os._exit``) to provoke ``BrokenProcessPool``,
-schedulers that stall to trip the cell timeout, and deterministic
-exceptions — then assert the grid retries, isolates, reports, and
-resumes exactly as :func:`repro.experiments.parallel.run_grid_parallel`
-promises.
+These tests inject real failures into real worker processes of the
+supervised fleet that ``n_workers > 1`` runs on: schedulers that kill
+their process (``os._exit``) and deterministic exceptions — then assert
+the grid recovers, isolates, reports and resumes exactly as
+:func:`repro.experiments.parallel.run_grid_parallel` promises.
+
+A grid resumes by running again over the same result cache, so the
+cache is the grid's checkpoint: ``TestCheckpointResume`` pins that.
 """
 
 import os
@@ -14,12 +16,15 @@ import time
 import pytest
 
 from repro.errors import ConfigurationError, ExperimentExecutionError
-from repro.experiments.checkpoint import GridCheckpoint
+from repro.experiments.cache import ResultCache
 from repro.experiments.parallel import (
+    PROVENANCE_CACHE_HIT,
+    PROVENANCE_COMPUTED,
     execute_cells,
     make_cell_task,
     run_grid_parallel,
 )
+from repro.fabric import SupervisorConfig
 from repro.schedulers.initial import RoundRobinScheduler
 from repro.simulator.config import SimulationConfig
 from repro.workload.scenarios import Scenario
@@ -42,9 +47,9 @@ def tiny_scenario(name: str, job_count: int = 4) -> Scenario:
 class CrashUntilMarker(RoundRobinScheduler):
     """Kills the worker process until ``marker`` exists on disk.
 
-    The first execution attempt dies mid-simulation (provoking
-    ``BrokenProcessPool`` in the parent); every later attempt runs
-    normally, emulating a transient worker death (OOM kill, ...).
+    The first execution attempt dies mid-simulation; every later
+    attempt runs normally, emulating a transient worker death (OOM
+    kill, ...).
     """
 
     name = "CrashUntilMarker"
@@ -70,16 +75,6 @@ class CrashAlways(RoundRobinScheduler):
         os._exit(42)
 
 
-class StallForever(RoundRobinScheduler):
-    """Stalls long enough that any reasonable cell timeout trips."""
-
-    name = "StallForever"
-
-    def order(self, candidates, view):
-        time.sleep(5.0)
-        return super().order(candidates, view)
-
-
 class RaiseDeterministic(RoundRobinScheduler):
     """Raises the same exception on every attempt."""
 
@@ -95,14 +90,15 @@ def _no_res():
     return NoRescheduling()
 
 
-def build_tasks(schedulers):
-    config = SimulationConfig(strict=False)
+def build_tasks(schedulers, seed=2010):
+    config = SimulationConfig(strict=False, seed=seed)
     return [
         make_cell_task(i, tiny_scenario(f"s{i}"), _no_res(), scheduler, config)
         for i, scheduler in enumerate(schedulers)
     ]
 
 
+@pytest.mark.slow
 class TestWorkerCrashRetry:
     def test_transient_crash_is_retried_and_grid_completes(self, tmp_path):
         marker = str(tmp_path / "crashed-once")
@@ -112,53 +108,47 @@ class TestWorkerCrashRetry:
             RoundRobinScheduler(),
             RoundRobinScheduler(),
         ]
-        sleeps = []
-        report = run_grid_parallel(
-            build_tasks(schedulers),
-            n_workers=2,
-            max_attempts=3,
-            retry_backoff=0.01,
-            sleep=sleeps.append,
-        )
+        start = time.monotonic()
+        report = run_grid_parallel(build_tasks(schedulers), n_workers=2)
+        elapsed = time.monotonic() - start
         assert report.ok
         assert len(report.completed) == 4
         assert os.path.exists(marker)
-        assert sleeps  # backoff happened after the pool break
+        # The supervisor reaped the dead worker and released its cell at
+        # once; waiting out the 60 s lease TTL would blow this bound.
+        assert elapsed < 20.0
+        assert report.backend == "local:2"
 
-    def test_persistent_crasher_is_isolated_and_only_it_fails(self, tmp_path):
+    def test_persistent_crasher_is_isolated_and_only_it_fails(self):
         schedulers = [
             RoundRobinScheduler(),
             CrashAlways(),
             RoundRobinScheduler(),
         ]
+        start = time.monotonic()
         report = run_grid_parallel(
-            build_tasks(schedulers),
-            n_workers=2,
-            max_attempts=2,
-            retry_backoff=0.0,
-            keep_going=True,
+            build_tasks(schedulers), n_workers=2, keep_going=True
         )
+        assert time.monotonic() - start < 60.0
         assert not report.ok
         assert len(report.failures) == 1
         failure = report.failures[0]
         assert failure.index == 1
         assert failure.scheduler_name == "CrashAlways"
-        assert failure.attempts == 2
-        assert "Broken" in failure.error_type
-        # the healthy cells all completed despite sharing pools with it
+        assert failure.error_type == "WorkerDied"
+        assert failure.attempts == SupervisorConfig().restart_budget
+        # the healthy cells all completed despite sharing the fleet
         assert {o.index for o in report.completed} == {0, 2}
         assert report.outcomes[1] is None
 
     def test_strict_mode_raises_after_retries_exhausted(self):
-        schedulers = [RoundRobinScheduler(), CrashAlways()]
+        schedulers = [RoundRobinScheduler(), CrashAlways(), RoundRobinScheduler()]
         with pytest.raises(ExperimentExecutionError) as excinfo:
-            run_grid_parallel(
-                build_tasks(schedulers),
-                n_workers=2,
-                max_attempts=2,
-                retry_backoff=0.0,
-            )
+            run_grid_parallel(build_tasks(schedulers), n_workers=2)
         assert excinfo.value.scheduler_name == "CrashAlways"
+        assert "WorkerDied" in str(excinfo.value)
+        completed = excinfo.value.completed_cells
+        assert [c.index for c in completed] == [0, 2]
 
 
 class TestDeterministicFailures:
@@ -194,98 +184,64 @@ class TestDeterministicFailures:
         with pytest.raises(ConfigurationError):
             run_grid_parallel([], n_workers=0)
         with pytest.raises(ConfigurationError):
-            run_grid_parallel([], max_attempts=0)
-        with pytest.raises(ConfigurationError):
-            run_grid_parallel([], retry_backoff=-1.0)
-
-
-class TestCellTimeout:
-    def test_stuck_cell_times_out_and_rest_complete(self):
-        schedulers = [
-            RoundRobinScheduler(),
-            StallForever(),
-            RoundRobinScheduler(),
-        ]
-        report = run_grid_parallel(
-            build_tasks(schedulers),
-            n_workers=3,
-            cell_timeout=1.0,
-            keep_going=True,
-            retry_backoff=0.0,
-        )
-        assert len(report.failures) == 1
-        failure = report.failures[0]
-        assert failure.scheduler_name == "StallForever"
-        assert failure.error_type == "TimeoutError"
-        assert "did not finish within" in failure.message
-        assert {o.index for o in report.completed} == {0, 2}
+            execute_cells([], n_workers=-1)
 
 
 class TestCheckpointResume:
+    """The result cache is the grid's checkpoint."""
+
     def test_interrupted_grid_resumes_from_checkpoint(self, tmp_path):
-        path = tmp_path / "grid.ckpt"
         schedulers = [RoundRobinScheduler() for _ in range(4)]
         tasks = build_tasks(schedulers)
 
         # First launch is "killed" after two cells: simulate by running
-        # only a prefix of the grid against the checkpoint.
-        first = run_grid_parallel(
-            tasks[:2], n_workers=1, checkpoint=GridCheckpoint(path)
-        )
+        # only a prefix of the grid against the cache.
+        first = run_grid_parallel(tasks[:2], cache=ResultCache(tmp_path))
         assert first.ok
-        assert len(GridCheckpoint(path)) == 2
 
         # The relaunch sees the full grid; the finished prefix is served
-        # from the checkpoint, byte-identical summaries included.
-        resumed = run_grid_parallel(
-            tasks, n_workers=1, checkpoint=GridCheckpoint(path)
-        )
+        # from the cache, byte-identical summaries included.
+        resumed = run_grid_parallel(tasks, cache=ResultCache(tmp_path))
         assert resumed.ok
-        assert [o.from_checkpoint for o in resumed.outcomes] == [
-            True,
-            True,
-            False,
-            False,
+        assert [o.provenance for o in resumed.outcomes] == [
+            PROVENANCE_CACHE_HIT,
+            PROVENANCE_CACHE_HIT,
+            PROVENANCE_COMPUTED,
+            PROVENANCE_COMPUTED,
         ]
-        fresh = run_grid_parallel(tasks, n_workers=1)
+        fresh = run_grid_parallel(tasks)
         assert [o.summary for o in resumed.outcomes] == [
             o.summary for o in fresh.outcomes
         ]
 
     def test_checkpoint_entry_invalidated_by_config_change(self, tmp_path):
-        path = tmp_path / "grid.ckpt"
-        tasks = build_tasks([RoundRobinScheduler()])
-        run_grid_parallel(tasks, n_workers=1, checkpoint=GridCheckpoint(path))
-
-        changed = [
-            make_cell_task(
-                0,
-                tiny_scenario("s0"),
-                _no_res(),
-                RoundRobinScheduler(),
-                SimulationConfig(strict=False, seed=999),
-            )
-        ]
-        report = run_grid_parallel(
-            changed, n_workers=1, checkpoint=GridCheckpoint(path)
+        run_grid_parallel(
+            build_tasks([RoundRobinScheduler()]), cache=ResultCache(tmp_path)
         )
-        assert report.outcomes[0].from_checkpoint is False
+        changed = build_tasks([RoundRobinScheduler()], seed=999)
+        report = run_grid_parallel(changed, cache=ResultCache(tmp_path))
+        assert report.outcomes[0].provenance == PROVENANCE_COMPUTED
 
     def test_corrupt_checkpoint_degrades_to_recompute(self, tmp_path):
-        path = tmp_path / "grid.ckpt"
         tasks = build_tasks([RoundRobinScheduler(), RoundRobinScheduler()])
-        run_grid_parallel(tasks, n_workers=1, checkpoint=GridCheckpoint(path))
+        clean = run_grid_parallel(tasks, cache=ResultCache(tmp_path))
 
         # Simulate a writer SIGKILLed mid-write: only half the bytes.
+        path = ResultCache(tmp_path).path_for(tasks[0].cache_key)
         blob = path.read_bytes()
         path.write_bytes(blob[: len(blob) // 2])
-        assert len(GridCheckpoint(path)) == 0
 
-        report = run_grid_parallel(
-            tasks, n_workers=1, checkpoint=GridCheckpoint(path)
-        )
+        cache = ResultCache(tmp_path)
+        report = run_grid_parallel(tasks, cache=cache)
         assert report.ok
-        assert all(not o.from_checkpoint for o in report.outcomes)
+        assert [o.provenance for o in report.outcomes] == [
+            PROVENANCE_COMPUTED,
+            PROVENANCE_CACHE_HIT,
+        ]
+        assert cache.stats.evictions == 1
+        assert [o.summary for o in report.outcomes] == [
+            o.summary for o in clean.outcomes
+        ]
 
     def test_runner_threads_checkpoint_and_keep_going(self, tmp_path):
         from repro.experiments.runner import ExperimentRunner
@@ -293,18 +249,17 @@ class TestCheckpointResume:
         scenario = tiny_scenario("runner")
         runner = ExperimentRunner(
             config=SimulationConfig(strict=False),
-            checkpoint_path=tmp_path / "runner.ckpt",
+            cache_dir=tmp_path,
             keep_going=True,
         )
         cells = runner.run([scenario], [_no_res])
         assert len(cells) == 1
         assert runner.last_failures == ()
-        assert len(runner.checkpoint) == 1
+        assert runner.cache_stats.stores == 1
 
         resumed = ExperimentRunner(
-            config=SimulationConfig(strict=False),
-            checkpoint_path=tmp_path / "runner.ckpt",
+            config=SimulationConfig(strict=False), cache_dir=tmp_path
         )
         cells2 = resumed.run([scenario], [_no_res])
-        assert cells2[0].from_checkpoint is True
+        assert cells2[0].provenance == PROVENANCE_CACHE_HIT
         assert cells2[0].summary == cells[0].summary

@@ -9,7 +9,9 @@ The state machine under test (see ``repro/fabric/supervisor.py``):
 * the fleet grows toward the remaining work and shrinks by attrition,
   bounded by ``min_workers``/``max_workers`` and a hard spawn budget;
 * clean exits with work remaining trigger one re-scan, then retire;
-* a drain request terminates the fleet gracefully.
+* a drain request terminates the fleet gracefully;
+* a reaped worker's cells are released at once, and a cell whose
+  holders died ``restart_budget`` times is given up on.
 
 Everything here drives the supervisor with fake clocks and fake
 process handles; the chaos harness (``tests/test_chaos.py``) runs the
@@ -20,8 +22,11 @@ from __future__ import annotations
 
 import pytest
 
+from repro.experiments.cache import ResultCache
 from repro.fabric import build_grid, run_grid_fabric
+from repro.fabric.lease import CLAIMED, QUARANTINED, LeaseStore
 from repro.fabric.supervisor import (
+    FleetLeases,
     FleetSupervisor,
     SupervisedWorkerBackend,
     SupervisorConfig,
@@ -47,7 +52,10 @@ class FakeHandle:
     ``returncode`` (None = immortal until terminated).
     """
 
-    def __init__(self, clock, lifetime=None, returncode=-9, pid=4242):
+    def __init__(
+        self, clock, lifetime=None, returncode=-9, pid=4242, worker_id=None
+    ):
+        self.worker_id = worker_id
         self._clock = clock
         self._born = clock()
         self._lifetime = lifetime
@@ -351,6 +359,35 @@ class TestCleanExits:
         assert stats.quarantined == 0
 
 
+    def test_clean_retirements_are_not_replaced(self):
+        clock = FakeClock()
+        spawns = []
+
+        def spawn(slot, incarnation):
+            # Every worker fails the last cell deterministically and
+            # exits clean: more workers would only fail it again.
+            spawns.append((slot, incarnation))
+            return FakeHandle(clock, lifetime=0.5, returncode=0)
+
+        config = SupervisorConfig(
+            backoff_base_seconds=1.0, backoff_factor=2.0,
+            backoff_max_seconds=60.0, jitter_fraction=0.0,
+            restart_budget=3, healthy_uptime_seconds=100.0,
+            rescan_budget=1, spawn_budget_factor=6,
+        )
+        sup = make_supervisor(
+            clock, spawn, config=config, initial_workers=2,
+            min_workers=1, max_workers=2,
+        )
+        stats = sup.run(lambda: 5, poll_interval=0.3)
+
+        # Slot 0 re-scans once (slot 1, dying with that re-scan pending,
+        # retires at once); then nothing replaces the retired slots.
+        assert sorted(spawns) == [(0, 0), (0, 1), (1, 0)]
+        assert stats.grown == 0
+        assert stats.shrunk == 2
+
+
 class TestCompletionAndDrain:
     def test_completion_drains_fleet_and_stamps_recovery(self):
         clock = FakeClock()
@@ -415,6 +452,100 @@ class TestCompletionAndDrain:
         stats = sup.run(status, poll_interval=0.1)
         assert stats.drained
         assert handles[0].terminated
+
+
+class FakeLeases:
+    """A lease journal in memory: which worker holds which cell."""
+
+    def __init__(self):
+        self.holder = {}
+        self.expired = []
+        self.quarantined = []
+
+    def held_by(self, worker_id):
+        return sorted(k for k, w in self.holder.items() if w == worker_id)
+
+    def expire(self, key, holder):
+        assert self.holder[key] == holder
+        self.expired.append(key)
+        del self.holder[key]
+
+    def quarantine(self, key):
+        self.quarantined.append(key)
+        del self.holder[key]
+
+
+class TestDeadHolders:
+    def test_reaping_frees_exactly_the_dead_workers_leases(self, tmp_path):
+        clock = FakeClock()
+        cache = ResultCache(tmp_path)
+        keys = ["k-dead-1", "k-dead-2", "k-live", "k-dead-published"]
+
+        def store(worker):
+            return LeaseStore(tmp_path, run_id="run", worker_id=worker)
+
+        dead, live = store("run-w0r0"), store("run-w1r0")
+        assert dead.claim("k-dead-1") and dead.claim("k-dead-2")
+        assert live.claim("k-live")
+        # Died between publish and release: left for the settled sweep.
+        assert dead.claim("k-dead-published")
+        cache.put("k-dead-published", {"summary": "s"})
+
+        def spawn(slot, incarnation):
+            lifetime = 1.0 if slot == 0 and incarnation == 0 else None
+            return FakeHandle(
+                clock, lifetime=lifetime, worker_id=f"run-w{slot}r{incarnation}"
+            )
+
+        remaining = iter([4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 4, 0])
+        sup = make_supervisor(
+            clock, spawn, initial_workers=2, min_workers=1, max_workers=2,
+            leases=FleetLeases(cache, keys, "run"),
+        )
+        stats = sup.run(lambda: next(remaining), poll_interval=0.1)
+
+        assert stats.restarts == 1
+        assert stats.abandoned == {}
+        peer = store("run-w1r0")
+        for key in ("k-dead-1", "k-dead-2"):
+            # stale at once: the next claim takes it over, journalled
+            lease = peer.read(key)
+            assert lease.status == CLAIMED and lease.heartbeat_at == 0.0
+            assert peer.claim(key)
+            assert peer.read(key).takeovers == 1
+        live_lease = peer.read("k-live")
+        assert live_lease.worker_id == "run-w1r0"
+        assert live_lease.heartbeat_at > 0.0
+        published = peer.read("k-dead-published")
+        assert published.worker_id == "run-w0r0"
+        assert published.heartbeat_at > 0.0
+
+    def test_cell_quarantined_after_budget_of_healthy_holder_deaths(self):
+        clock = FakeClock()
+        leases = FakeLeases()
+        spawns = []
+
+        def spawn(slot, incarnation):
+            worker_id = f"w{slot}r{incarnation}"
+            spawns.append(worker_id)
+            # Every incarnation works far longer than
+            # healthy_uptime_seconds (so its slot's crash streak keeps
+            # resetting to 1), then dies holding the poisoned cell.
+            if not leases.quarantined:
+                leases.holder["poison"] = worker_id
+            return FakeHandle(clock, lifetime=200.0, worker_id=worker_id)
+
+        sup = make_supervisor(clock, spawn, leases=leases)
+        # The other cells are done; the poisoned one stops counting as
+        # remaining once it is given up on.
+        stats = sup.run(lambda: 0 if sup.stats.abandoned else 1, poll_interval=1.0)
+
+        budget = sup.config.restart_budget
+        assert stats.abandoned == {"poison": budget}
+        assert leases.quarantined == ["poison"]
+        assert leases.expired == ["poison"] * (budget - 1)
+        assert spawns[:budget] == [f"w0r{i}" for i in range(budget)]
+        assert stats.quarantined == 0  # the slot itself never crash-looped
 
 
 @pytest.mark.slow
