@@ -8,11 +8,11 @@ distributed, and returns one shape of report.  The division of labour:
   runs serially in-process;
 * the **coordinator** pre-scans the cache, streams results out of it
   *as workers publish them* (emitting progress), attributes provenance
-  from the lease journal, turns cells the fleet's supervisor gave up on
-  into :class:`~repro.experiments.parallel.CellFailure` records, and
-  computes the leftovers — unpicklable or uncacheable cells, cells no
-  worker could publish, or the whole grid when there is no backend —
-  serially in-process.
+  from the lease journal, turns unpublished cells that killed a fleet
+  worker into :class:`~repro.experiments.parallel.CellFailure` records,
+  and computes the leftovers — unpicklable or uncacheable cells, cells
+  no worker could publish, a lone pending cell, or the whole grid when
+  there is no backend — serially in-process.
 
 Streaming keeps the coordinator's memory at O(grid) summaries: fleet
 cells travel as summaries only (``result=None`` in the cache envelope
@@ -107,17 +107,6 @@ def _sum_worker_stats(cache_root: Path, run_id: str) -> Dict[str, int]:
     return totals
 
 
-def _record_gauges(registry, backend_name: str, states: Dict[str, int]) -> None:
-    """Publish per-backend fabric gauges into a metrics registry."""
-    gauge = registry.gauge(
-        "repro_fabric_cells",
-        "Grid cells by fabric state for the last coordinated run",
-        ("backend", "state"),
-    )
-    for state in sorted(states):
-        gauge.labels(backend=backend_name, state=state).set(states[state])
-
-
 def _stream_fleet(
     tasks: Sequence[CellTask],
     backend: Backend,
@@ -164,6 +153,9 @@ def _stream_fleet(
                 continue  # a summary-only entry; the serial pass recomputes
             del waiting[key]
             source = provenance(key)
+            if source == PROVENANCE_COMPUTED:
+                # A worker stored it on this run's behalf.
+                cache.stats.stores += 1
             for task in wanted:
                 record(
                     _outcome(
@@ -317,9 +309,10 @@ def run_grid_fabric(
     # --- partition: what the fleet can carry vs what must stay local.
     # Fleet cells travel by cache entry, so they need a cache key, and
     # a worker must be able to load them; a summary-only entry would
-    # read as published to every worker.
+    # read as published to every worker.  A lone pending cell gains
+    # nothing from a fleet but its boot and polling costs.
     fleet_tasks: List[CellTask] = []
-    if backend is not None:
+    if backend is not None and len(pending) > 1:
         fleet_tasks = [
             t
             for t in pending
@@ -341,11 +334,12 @@ def run_grid_fabric(
             )
             worker_totals = _sum_worker_stats(Path(fleet.root), run_id)
         stats = getattr(backend, "last_supervisor_stats", None)
-        abandoned = stats.abandoned if stats is not None else {}
+        cell_deaths = stats.cell_deaths if stats is not None else {}
         for task in left:
-            deaths = abandoned.get(task.cache_key)
+            deaths = cell_deaths.get(task.cache_key)
             if deaths:
-                # Never recomputed in-process: the cell kills its host.
+                # Never recomputed in-process: the cell killed a worker
+                # and would kill the coordinator the same way.
                 fail(task, WorkerDied(task.cell_id, deaths), deaths)
             else:
                 serial_tasks.append(task)
@@ -380,22 +374,26 @@ def run_grid_fabric(
         # (serial runs); plus the coordinator-only provenances either
         # way.
         provenance_counts = report.provenance_counts()
-        states: Dict[str, int] = {}
-        for key, state in (
-            ("claimed", "claimed"),
-            ("computed", "computed"),
-            ("stolen", "stolen"),
-            ("lease_lost", "lease_expired"),
-            ("skipped", "skipped"),
-            ("failed", "failed"),
-        ):
-            if key in worker_totals:
-                states[state] = worker_totals[key]
+        states = {
+            state: worker_totals[key]
+            for key, state in (
+                ("claimed", "claimed"), ("computed", "computed"),
+                ("stolen", "stolen"), ("lease_lost", "lease_expired"),
+                ("skipped", "skipped"), ("failed", "failed"),
+            )
+            if key in worker_totals
+        }
         states.setdefault("computed", provenance_counts.get("computed", 0))
         for provenance in ("cache_hit", "claimed_elsewhere"):
             if provenance in provenance_counts:
                 states[provenance] = provenance_counts[provenance]
-        _record_gauges(registry, backend_name, states)
+        cells = registry.gauge(
+            "repro_fabric_cells",
+            "Grid cells by fabric state for the last coordinated run",
+            ("backend", "state"),
+        )
+        for state in sorted(states):
+            cells.labels(backend=backend_name, state=state).set(states[state])
         supervisor_stats = getattr(backend, "last_supervisor_stats", None)
         if supervisor_stats is not None:
             registry.gauge(

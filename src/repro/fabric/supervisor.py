@@ -20,7 +20,9 @@ will; the scheduler's job is to keep the work moving anyway):
   benched instead of burning spawns forever, and a *cell* whose
   holders died ``restart_budget`` times is given up on, so a
   persistently crashing cell fails alone (recovery actions are priced
-  and bounded, not ad hoc);
+  and bounded, not ad hoc).  Each death is charged to the one cell
+  its worker was computing, and charged deaths do not use up the
+  spawn budget, so any number of crashing cells each reach a verdict;
 * **elastic grow/shrink** — the fleet tracks the remaining work:
   capacity lost to quarantine is replaced while the grid is deep, and
   slots whose capacity is no longer needed are retired by attrition
@@ -89,9 +91,9 @@ class SupervisorConfig:
         rescan_budget: clean worker exits with cells still unpublished
             (a corrupted entry discovered after the fleet moved on)
             trigger at most this many fresh re-scan workers.
-        spawn_budget_factor: hard ceiling on total spawns, as a
-            multiple of ``max_workers`` — the bound that makes every
-            recovery loop terminate.
+        spawn_budget_factor: ceiling on spawns, as a multiple of
+            ``max_workers``, not counting deaths charged to a cell
+            (``restart_budget`` bounds those per cell).
         drain_timeout_seconds: how long a terminated worker gets to
             exit before it is killed.
     """
@@ -117,6 +119,9 @@ class SupervisorStats:
     shrunk: int = 0
     spawned: int = 0
     drained: bool = False
+    #: Worker deaths charged to each cell: cache key -> how many of
+    #: its holders died computing it.
+    cell_deaths: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Cells given up on: cache key -> worker deaths while holding it.
     abandoned: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Monotonic instants bounding the recovery window (None = no
@@ -179,10 +184,11 @@ class FleetLeases(LeaseStore):
             ttl_seconds=ttl_seconds,
         )
         self._cache = cache
-        self._keys = list(keys)
+        self._keys = list(dict.fromkeys(keys))
 
     def held_by(self, worker_id: str) -> List[str]:
-        """Unpublished cells whose claim names ``worker_id``.
+        """Unpublished cells whose claim names ``worker_id``, in grid
+        order.
 
         A claim on a published cell (the holder died between publish
         and release) is left for :func:`sweep_settled_leases`.
@@ -248,9 +254,10 @@ class FleetSupervisor:
             ``[supervisor]``-prefixed stderr line per action.
         leases: optional :class:`FleetLeases` (or any object with its
             ``held_by`` / ``expire`` / ``quarantine`` methods).  With
-            it, each crashed worker's cells are released or, after
-            ``restart_budget`` holder deaths, quarantined into
-            :attr:`SupervisorStats.abandoned`; handles need a
+            it, each crashed worker's cells are released, its death is
+            charged in :attr:`SupervisorStats.cell_deaths` and, after
+            ``restart_budget`` holder deaths, a cell is quarantined
+            into :attr:`SupervisorStats.abandoned`; handles need a
             ``worker_id`` attribute.
     """
 
@@ -282,7 +289,6 @@ class FleetSupervisor:
         self._sleep = sleep
         self._on_event = on_event
         self._leases = leases
-        self._cell_deaths: Dict[str, int] = {}
         self._stalled = False
         self._slots: List[_Slot] = []
         self._drain_requested = False
@@ -307,7 +313,11 @@ class FleetSupervisor:
         self._drain_requested = True
 
     def _spawn_budget(self) -> int:
-        return self.config.spawn_budget_factor * self.max_workers
+        # Deaths charged to a cell are bounded per cell by
+        # restart_budget, so they earn their replacement back.
+        return self.config.spawn_budget_factor * self.max_workers + sum(
+            self.stats.cell_deaths.values()
+        )
 
     def _start_slot(self, slot: _Slot, now: float) -> bool:
         """Spawn the slot's next incarnation; False when out of budget."""
@@ -338,6 +348,11 @@ class FleetSupervisor:
         )
         return base * (1.0 + skew)
 
+    def _add_slot(self, now: float) -> bool:
+        """Open a new slot and start its first worker."""
+        self._slots.append(_Slot(len(self._slots)))
+        return self._start_slot(self._slots[-1], now)
+
     def _active_count(self) -> int:
         return sum(1 for s in self._slots if s.active)
 
@@ -359,23 +374,31 @@ class FleetSupervisor:
         Deaths are counted per cell, not per slot: a slot's crash
         streak resets once an incarnation outlives
         ``healthy_uptime_seconds``, but a cell that kills every holder
-        must still reach a verdict.
+        must still reach a verdict.  A worker computes its claimed
+        batch in grid order, so the death is charged to the first cell
+        it held — the one it was running; the rest of its batch is
+        released uncharged.
         """
         worker_id = getattr(handle, "worker_id", None)
         if self._leases is None or worker_id is None:
             return
-        for key in self._leases.held_by(worker_id):
-            deaths = self._cell_deaths.get(key, 0) + 1
-            self._cell_deaths[key] = deaths
-            if deaths >= self.config.restart_budget:
-                self._leases.quarantine(key)
-                self.stats.abandoned[key] = deaths
-                self._event(
-                    "abandon",
-                    f"cell {key[:12]} abandoned after {deaths} holder deaths",
-                )
-            else:
-                self._leases.expire(key, worker_id)
+        held = self._leases.held_by(worker_id)
+        if not held:
+            return
+        for key in held[1:]:
+            self._leases.expire(key, worker_id)
+        key = held[0]
+        deaths = self.stats.cell_deaths.get(key, 0) + 1
+        self.stats.cell_deaths[key] = deaths
+        if deaths >= self.config.restart_budget:
+            self._leases.quarantine(key)
+            self.stats.abandoned[key] = deaths
+            self._event(
+                "abandon",
+                f"cell {key[:12]} abandoned after {deaths} holder deaths",
+            )
+        else:
+            self._leases.expire(key, worker_id)
 
     def _reap(self, now: float, desired: int) -> None:
         """Process deaths: restart, quarantine, or retire each one.
@@ -480,16 +503,13 @@ class FleetSupervisor:
         """Grow toward the demand-clamped fleet size (shrink happens by
         attrition in :meth:`_reap`, never by killing a busy worker)."""
         while self._active_count() < desired and not self._stalled:
-            if self.stats.spawned >= self._spawn_budget():
-                return
-            slot = _Slot(len(self._slots))
-            self._slots.append(slot)
-            if not self._start_slot(slot, now):
+            if self.stats.spawned >= self._spawn_budget() or not self._add_slot(now):
                 return
             self.stats.grown += 1
             self._event(
                 "grow",
-                f"w{slot.index} added (fleet {self._active_count()}/{desired})",
+                f"w{self._slots[-1].index} added "
+                f"(fleet {self._active_count()}/{desired})",
             )
 
     def grow(self, count: int = 1) -> int:
@@ -498,11 +518,7 @@ class FleetSupervisor:
         now = self._clock()
         added = 0
         for _ in range(count):
-            if self._active_count() >= self.max_workers:
-                break
-            slot = _Slot(len(self._slots))
-            self._slots.append(slot)
-            if not self._start_slot(slot, now):
+            if self._active_count() >= self.max_workers or not self._add_slot(now):
                 break
             self.stats.grown += 1
             added += 1
@@ -596,9 +612,7 @@ class FleetSupervisor:
         """
         now = self._clock()
         for _ in range(self.initial_workers):
-            slot = _Slot(len(self._slots))
-            self._slots.append(slot)
-            self._start_slot(slot, now)
+            self._add_slot(now)
         while True:
             remaining = int(status())
             if remaining <= 0:
@@ -719,12 +733,10 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
     (``<run>-w2r1`` is slot 2's first restart) so every incarnation
     writes its own stats and stderr files.
 
-    Cells the fleet could not publish — every slot gave up, or a cell
-    was abandoned after killing its holders — are left to the
-    coordinator (:func:`~repro.fabric.coordinator.run_grid_fabric`),
-    which computes the former serially and reports the latter as
-    failures.  After the grid completes, settled orphan leases
-    (publisher killed pre-release) are swept so a chaos-audited run ends with a clean
+    Cells the fleet could not publish are left to the coordinator
+    (:func:`~repro.fabric.coordinator.run_grid_fabric`).  After the
+    grid completes, settled orphan leases (publisher killed
+    pre-release) are swept so a chaos-audited run ends with a clean
     journal; ``last_supervisor_stats`` / ``last_swept_leases`` expose
     what recovery cost, and the coordinator exports them as
     ``repro_fabric_restarts`` telemetry.
@@ -750,7 +762,6 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
         self.current_supervisor: Optional[FleetSupervisor] = None
         self.last_supervisor_stats: Optional[SupervisorStats] = None
         self.last_swept_leases = 0
-        self.last_swept_tmp = 0
 
     def request_drain(self) -> None:
         """Forward a drain request (SIGTERM) to the live supervisor."""
@@ -770,7 +781,7 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
             tasks, cache_dir / "manifests" / f"{run_id}.manifest"
         )
         cache = ResultCache(cache_dir)
-        keys = [t.cache_key for t in tasks if t.cache_key]
+        keys = list(dict.fromkeys(t.cache_key for t in tasks if t.cache_key))
 
         def status() -> int:
             abandoned = supervisor.stats.abandoned
@@ -812,11 +823,10 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
         if remaining:
             print(
                 f"[fabric] supervised fleet stopped with {remaining} "
-                "cell(s) unpublished; the coordinator computes them "
-                "in-process",
+                "cell(s) unpublished; the coordinator takes them over",
                 file=sys.stderr,
             )
         self.last_swept_leases = sweep_settled_leases(
             cache, keys, ttl=lease_ttl
         )
-        self.last_swept_tmp = sweep_tmp_droppings(cache)
+        sweep_tmp_droppings(cache)

@@ -214,6 +214,18 @@ class TestRunnerCaching:
         assert all(c.from_cache for c in cells_warm)
         assert [c.summary for c in cells_cold] == [c.summary for c in cells_warm]
 
+    @pytest.mark.slow
+    def test_fleet_run_reports_the_same_stats_as_serial(
+        self, smoke_scenario, tmp_path
+    ):
+        # Fleet workers store the entries in their own processes; the
+        # runner's stats still count them, as a serial run does.
+        fleet = ExperimentRunner(config=FAST, n_workers=2, cache_dir=tmp_path)
+        fleet.run([smoke_scenario], [repro.no_res, repro.res_sus_util])
+        assert fleet.cache_stats.as_line() == (
+            "cache: 0 hit(s), 2 miss(es), 2 store(s), 0 eviction(s)"
+        )
+
     def test_corrupt_grid_entry_recomputed(self, smoke_scenario, tmp_path):
         cold = ExperimentRunner(config=FAST, cache_dir=tmp_path)
         cells_cold = cold.run([smoke_scenario], [repro.no_res])

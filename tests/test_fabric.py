@@ -358,6 +358,89 @@ class TestRunGridFabric:
         assert report.failures[0].message == "deterministic boom"
         assert len(report.completed) == len(tasks) - 1
 
+    def test_cell_that_killed_a_worker_is_never_computed_in_process(
+        self, smoke_scenario, tmp_path, monkeypatch
+    ):
+        from repro.fabric.supervisor import SupervisorStats
+
+        tasks = small_grid(smoke_scenario, n_policies=3)
+        killer, stranded = tasks[0].cache_key, tasks[1].cache_key
+        import repro.fabric.coordinator as coordinator_mod
+
+        real = coordinator_mod._simulate_task
+        simulated = []
+
+        def sim(task):
+            simulated.append(task.cache_key)
+            return real(task)
+
+        monkeypatch.setattr(coordinator_mod, "_simulate_task", sim)
+
+        @dataclass
+        class ExhaustedFleet:
+            """Publishes the last cell, then stops as a fleet that ran
+            out of workers would: one cell killed a holder, one was
+            never reached."""
+
+            name: str = "exhausted"
+            last_supervisor_stats: object = None
+
+            def run(self, run_tasks, cache_dir, run_id, lease_ttl=60.0):
+                leases = LeaseStore(
+                    cache_dir, run_id=run_id, worker_id=f"{run_id}-w0"
+                )
+                run_worker(run_tasks[2:], ResultCache(cache_dir), leases)
+                self.last_supervisor_stats = SupervisorStats(
+                    cell_deaths={killer: 1}
+                )
+
+        report = run_grid_fabric(
+            tasks, ExhaustedFleet(), ResultCache(tmp_path), keep_going=True
+        )
+        assert [f.index for f in report.failures] == [0]
+        failure = report.failures[0]
+        assert failure.error_type == "WorkerDied" and failure.attempts == 1
+        assert simulated == [stranded]
+        assert {o.index for o in report.completed} == {1, 2}
+
+    def test_lone_pending_cell_skips_the_fleet(self, smoke_scenario, tmp_path):
+        tasks = small_grid(smoke_scenario, n_policies=2)
+        cache = ResultCache(tmp_path)
+        run_grid_fabric(tasks[:1], None, cache)
+
+        class UnusedBackend:
+            name = "unused"
+
+            def run(self, *args, **kwargs):
+                raise AssertionError("one pending cell started a fleet")
+
+        report = run_grid_fabric(tasks, UnusedBackend(), cache)
+        assert report.provenance_counts() == {
+            PROVENANCE_COMPUTED: 1, PROVENANCE_CACHE_HIT: 1,
+        }
+
+    def test_fleet_published_cells_count_as_stores(
+        self, smoke_scenario, tmp_path
+    ):
+        tasks = small_grid(smoke_scenario, n_policies=3)
+
+        @dataclass
+        class InProcessWorkerBackend:
+            name: str = "inproc"
+
+            def run(self, run_tasks, cache_dir, run_id, lease_ttl=60.0):
+                leases = LeaseStore(
+                    cache_dir, run_id=run_id, worker_id=f"{run_id}-w0"
+                )
+                run_worker(run_tasks, ResultCache(cache_dir), leases)
+
+        cache = ResultCache(tmp_path)
+        report = run_grid_fabric(tasks, InProcessWorkerBackend(), cache)
+        assert report.provenance_counts() == {PROVENANCE_COMPUTED: len(tasks)}
+        assert (cache.stats.misses, cache.stats.stores) == (
+            len(tasks), len(tasks),
+        )
+
     def test_registry_gauges_recorded(self, smoke_scenario, tmp_path):
         from repro.telemetry import MetricsRegistry, to_prometheus
 

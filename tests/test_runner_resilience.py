@@ -141,6 +141,19 @@ class TestWorkerCrashRetry:
         assert {o.index for o in report.completed} == {0, 2}
         assert report.outcomes[1] is None
 
+    def test_more_crashers_than_the_spawn_budget_covers_all_fail(self):
+        # Five crashers need 15 worker deaths, more than the 6 x 2
+        # spawn budget; none may fall through to the coordinator.
+        schedulers = [RoundRobinScheduler()] + [CrashAlways() for _ in range(5)]
+        start = time.monotonic()
+        report = run_grid_parallel(
+            build_tasks(schedulers), n_workers=2, keep_going=True
+        )
+        assert time.monotonic() - start < 60.0
+        assert [f.index for f in report.failures] == [1, 2, 3, 4, 5]
+        assert {f.error_type for f in report.failures} == {"WorkerDied"}
+        assert [o.index for o in report.completed] == [0]
+
     def test_strict_mode_raises_after_retries_exhausted(self):
         schedulers = [RoundRobinScheduler(), CrashAlways(), RoundRobinScheduler()]
         with pytest.raises(ExperimentExecutionError) as excinfo:

@@ -547,6 +547,68 @@ class TestDeadHolders:
         assert spawns[:budget] == [f"w0r{i}" for i in range(budget)]
         assert stats.quarantined == 0  # the slot itself never crash-looped
 
+    def test_death_is_charged_to_the_running_cell_not_its_batch(self):
+        clock = FakeClock()
+        leases = FakeLeases()
+
+        def spawn(slot, incarnation):
+            worker_id = f"w{slot}r{incarnation}"
+            if incarnation == 0:
+                # A batched claim: the worker runs "a" first and dies
+                # there; "b" and "c" were queued behind it.
+                for key in ("a", "b", "c"):
+                    leases.holder[key] = worker_id
+                return FakeHandle(clock, lifetime=1.0, worker_id=worker_id)
+            return FakeHandle(clock, worker_id=worker_id)
+
+        remaining = iter([3] * 8 + [0])
+        sup = make_supervisor(clock, spawn, leases=leases)
+        stats = sup.run(lambda: next(remaining), poll_interval=1.0)
+
+        assert stats.cell_deaths == {"a": 1}
+        assert stats.abandoned == {}
+        assert sorted(leases.expired) == ["a", "b", "c"]
+        assert leases.holder == {}
+
+    def test_fleet_leases_count_an_identical_cell_once(self, tmp_path):
+        cache = ResultCache(tmp_path)
+        holder = LeaseStore(tmp_path, run_id="run", worker_id="run-w0r0")
+        assert holder.claim("k-same")
+        leases = FleetLeases(cache, ["k-same", "k-other", "k-same"], "run")
+        assert leases.held_by("run-w0r0") == ["k-same"]
+
+    def test_spawn_budget_does_not_cut_off_crashing_cells(self):
+        # Five cells that kill every holder need 15 deaths; the spawn
+        # budget alone (4 x 2 workers) allows 8.  Deaths charged to a
+        # cell earn their replacement back, so every crasher still
+        # reaches its verdict and none is left for the coordinator to
+        # run in-process.
+        clock = FakeClock()
+        leases = FakeLeases()
+        cells = [f"crash-{i}" for i in range(5)]
+
+        def spawn(slot, incarnation):
+            worker_id = f"w{slot}r{incarnation}"
+            for key in cells:
+                if key not in leases.quarantined and key not in leases.holder:
+                    leases.holder[key] = worker_id
+                    break
+            return FakeHandle(clock, lifetime=1.0, worker_id=worker_id)
+
+        sup = make_supervisor(
+            clock, spawn, initial_workers=2, min_workers=1, max_workers=2,
+            leases=leases,
+        )
+        stats = sup.run(
+            lambda: len(cells) - len(sup.stats.abandoned), poll_interval=0.5
+        )
+
+        budget = sup.config.restart_budget
+        assert stats.abandoned == {key: budget for key in cells}
+        assert stats.cell_deaths == stats.abandoned
+        assert sorted(leases.quarantined) == cells
+        assert stats.spawned > sup.config.spawn_budget_factor * sup.max_workers
+
 
 @pytest.mark.slow
 class TestSupervisedBackendIntegration:
