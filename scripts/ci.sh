@@ -31,13 +31,16 @@
 #           JSON-output schema check; finally the BENCH_ingest.json
 #           regression gate (throughput drop > 20% normalised, or RSS
 #           growth past the recorded baseline, fails the leg)
-#   fabric  distributed-fabric gate: lease/worker/coordinator test
-#           files, then a real 2-worker subprocess fleet racing the
+#   fabric  distributed-fabric gate: lease/worker/coordinator/zygote
+#           test files, then a real 2-worker subprocess fleet racing the
 #           smoke grid (benchmarks/bench_fabric_smoke.py — sharded
 #           results must be bit-identical to serial), a CLI run-grid +
 #           cache stats/gc round trip, a cache-less `--backend local:2`
 #           fault-sweep whose digest must equal the serial run's (the
-#           temporary-cache path), and the BENCH_grid.json
+#           temporary-cache path), the same fleet launched from a
+#           script without a main guard (must run once, same digest:
+#           workers fork from a zygote and never re-run __main__),
+#           and the BENCH_grid.json
 #           regression gate (scripts/bench_record.py --grid --check
 #           --quick: digest flips, >20% cells/sec drops, or the padded
 #           grid's 4-worker overlap speedup falling under 3x fail the
@@ -205,7 +208,7 @@ EOF
 run_fabric() {
     echo "== fabric: lease protocol + worker + coordinator tests =="
     python -m pytest tests/test_fabric_lease.py tests/test_fabric.py \
-        tests/test_cache_gc.py -q
+        tests/test_cache_gc.py tests/test_zygote.py -q
 
     echo "== fabric: 2-worker subprocess fleet vs serial (bit-identical) =="
     python -m pytest benchmarks/bench_fabric_smoke.py -q -s
@@ -246,6 +249,26 @@ run_fabric() {
         exit 1
     fi
     echo "cache-less local:2 fleet OK ($(grep '^  digest ' "$fdir/local2.txt"))"
+
+    echo "== fabric: unguarded script on local:2 runs once, same digest =="
+    # Workers fork from a preloaded zygote; none may re-run the
+    # caller's __main__, even one without an `if __name__` guard.
+    cat > "$fdir/unguarded.py" <<EOF
+from repro.cli import main
+with open("$fdir/runs.txt", "a") as handle:
+    handle.write("ran\n")
+main(["run-grid", "--preset", "fault-sweep", "--scale", "0.06",
+      "--backend", "local:2", "--no-cache"])
+EOF
+    python "$fdir/unguarded.py" > "$fdir/unguarded.txt"
+    if [ "$(cat "$fdir/runs.txt")" != "ran" ] \
+            || ! diff <(grep '^  digest ' "$fdir/serial.txt") \
+                <(grep '^  digest ' "$fdir/unguarded.txt"); then
+        echo "error: unguarded script re-ran or its digest differs from serial" >&2
+        cat "$fdir/runs.txt" "$fdir/unguarded.txt" >&2
+        exit 1
+    fi
+    echo "unguarded script OK (ran once)"
 
     echo "== fabric: BENCH_grid.json regression gate =="
     python scripts/bench_record.py --grid --check --quick \

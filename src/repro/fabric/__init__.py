@@ -21,6 +21,12 @@ coordination medium:
   :class:`~repro.fabric.backends.Backend` protocol:
   :class:`~repro.fabric.backends.SubprocessWorkerBackend` (N
   independent worker processes) and the supervised fleet below.
+  Backends wait on worker exits, and each exit wakes the surviving
+  workers through their wake pipes.
+* :mod:`.zygote` — warm worker starts: one preloaded, single-threaded
+  ``python -m repro.fabric._zygote`` per coordinator process forks
+  every local worker (a cold ``Popen`` remains only where ``os.fork``
+  does not exist and in ``spawn_worker`` overrides).
 * :mod:`.coordinator` — :func:`~repro.fabric.coordinator.run_grid_fabric`,
   the one grid driver, serial or distributed: cache pre-scan, backend
   dispatch, streaming result aggregation (summaries only unless a cell
@@ -36,8 +42,9 @@ coordination medium:
   :class:`~repro.fabric.supervisor.SupervisedWorkerBackend` wraps it
   as a drop-in backend (``--backend supervised:1-4``).  It is also
   what ``local:N``, ``n_workers=N`` and ``--workers N`` run: the one
-  multi-worker stack.  A reaped worker's cells are released at once,
-  and a cell that kills ``restart_budget`` workers fails alone.
+  multi-worker stack.  A reaped worker's cells are released at once
+  (its claims on cells it had published are removed), and a cell that
+  kills ``restart_budget`` workers fails alone.
 * :mod:`.presets` — named grid builders for the CLI and benchmarks.
 
 Determinism contract: because every cell's seed derives from its

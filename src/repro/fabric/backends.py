@@ -4,19 +4,28 @@ A :class:`Backend` answers exactly one question: *given a grid
 manifest and the shared cache directory, make every cell's result
 appear in the cache*.  How — local worker processes, remote hosts — is
 the backend's business; the coordinator
-(:mod:`.coordinator`) only ever polls the cache for published results,
-so every backend gets streaming aggregation, provenance and telemetry
-for free.
+(:mod:`.coordinator`) only ever reads published results from the
+cache, so every backend gets streaming aggregation, provenance and
+telemetry for free.
 
-* :class:`SubprocessWorkerBackend` — spawn N independent
-  ``python -m repro.fabric.worker`` processes that coordinate purely
-  through the lease protocol.  This is the single-host version of the
+* :class:`SubprocessWorkerBackend` — start N independent workers
+  (:func:`repro.fabric.worker.main`) that coordinate purely through
+  the lease protocol.  This is the single-host version of the
   multi-host fabric: the workers share nothing but the cache
   directory, so the same binary scales to any transport that can
-  mount one.
+  mount one.  Workers are forked from this process's preloaded
+  zygote (:mod:`.zygote`) wherever ``os.fork`` exists, and cold
+  ``python -m repro.fabric._worker_main`` processes elsewhere.
 * :class:`~repro.fabric.supervisor.SupervisedWorkerBackend` — the same
   fleet kept healthy by a supervisor; ``local:N`` is this fleet with
   up to N workers.
+
+The backends wait on events, not poll ticks: a worker's exit is
+reported by the zygote (or, for a ``Popen`` handle, by a waiter
+thread; :func:`notify_on_exit`), and every exit wakes the surviving
+workers through their wake pipes (:func:`wake_workers`), so a worker
+waiting on the last cells moves on at once.  Workers without a wake
+pipe keep polling.
 
 Every spawned worker's stderr is captured to a per-worker log file
 under ``<cache>/manifests/``; when a worker dies, the last
@@ -33,18 +42,20 @@ the grid serially in-process.
 from __future__ import annotations
 
 import os
+import queue
 import subprocess
 import sys
-import time
+import threading
 import uuid
 from pathlib import Path
-from typing import List, Optional, Protocol, Sequence
+from typing import Callable, List, Optional, Protocol, Sequence
 
 from ..errors import ReproError
 from ..experiments.cache import ResultCache
 from ..experiments.parallel import CellTask
 from .lease import DEFAULT_TTL_SECONDS
 from .worker import write_manifest
+from .zygote import fork_worker
 
 __all__ = [
     "Backend",
@@ -53,7 +64,9 @@ __all__ = [
     "SubprocessWorkerBackend",
     "backend_from_spec",
     "new_run_id",
+    "notify_on_exit",
     "stderr_tail",
+    "wake_workers",
 ]
 
 #: How many trailing stderr lines of a dead worker are surfaced.
@@ -105,10 +118,10 @@ class Backend(Protocol):
 class SubprocessWorkerBackend:
     """N independent worker processes coordinating via the cache.
 
-    Workers are full OS processes started with the coordinator's
-    interpreter and an inherited-but-extended ``PYTHONPATH`` (so the
-    exact ``repro`` under test is imported, editable installs
-    included).  They receive the *whole* manifest and race for cells
+    Workers are full OS processes, forked from the zygote or started
+    cold, with the coordinator's environment and an extended
+    ``PYTHONPATH`` (so the exact ``repro`` under test is imported,
+    editable installs included).  They receive the *whole* manifest and race for cells
     through the lease protocol — there is no work assignment step, so
     a dead worker costs only its held cell after the TTL.
 
@@ -170,18 +183,20 @@ class SubprocessWorkerBackend:
         run_id: str,
         lease_ttl: float,
         worker_id: str,
-    ) -> subprocess.Popen:
-        """Spawn one worker process, stderr captured to its log file.
+    ):
+        """Start one worker process, stderr captured to its log file.
 
-        The returned ``Popen`` carries a ``stderr_path`` attribute so
-        whoever reaps the process (the backend's ``_await`` or the
-        fleet supervisor) can surface the tail of its last words.
+        Where ``os.fork`` exists the worker is forked from this
+        process's preloaded zygote (:mod:`.zygote`) and reads a wake
+        pipe (see :func:`wake_workers`); elsewhere it is a cold
+        ``Popen`` of ``python -m repro.fabric._worker_main`` that
+        polls.  The returned handle carries ``stderr_path`` and
+        ``worker_id`` attributes so whoever reaps the process (the
+        backend's ``_await`` or the fleet supervisor) can surface the
+        tail of its last words.
         """
         cache_dir = Path(cache_dir)
-        cmd = [
-            sys.executable,
-            "-m",
-            "repro.fabric._worker_main",
+        argv = [
             "--manifest",
             str(manifest),
             "--cache-dir",
@@ -199,10 +214,14 @@ class SubprocessWorkerBackend:
         ]
         stderr_path = self.worker_stderr_path(cache_dir, worker_id)
         stderr_path.parent.mkdir(parents=True, exist_ok=True)
-        with open(stderr_path, "wb") as stderr_log:
-            proc = subprocess.Popen(
-                cmd, env=self._worker_env(), stderr=stderr_log
-            )
+        if hasattr(os, "fork"):
+            proc = fork_worker(argv, self._worker_env(), stderr_path)
+        else:
+            cmd = [sys.executable, "-m", "repro.fabric._worker_main", *argv]
+            with open(stderr_path, "wb") as stderr_log:
+                proc = subprocess.Popen(
+                    cmd, env=self._worker_env(), stderr=stderr_log
+                )
         proc.stderr_path = stderr_path
         proc.worker_id = worker_id
         return proc
@@ -244,37 +263,78 @@ class SubprocessWorkerBackend:
         tasks: Sequence[CellTask],
         cache_dir: Path,
     ) -> None:
-        """Wait until the grid is published or every worker has exited."""
+        """Wait until every worker has exited, then report crashes.
+
+        Workers exit once the grid is published, so their exits are
+        the only events worth waiting for.  Each exit wakes the
+        survivors: the last cells are now either published or held by
+        a dead worker whose lease a survivor must take over.
+        """
+        exits: queue.SimpleQueue = queue.SimpleQueue()
+        for proc in procs:
+            notify_on_exit(proc, exits.put)
+        for _ in procs:
+            exits.get()
+            wake_workers(procs)
+        crashed = [p for p in procs if p.returncode != 0]
+        if not crashed:
+            return
         cache = ResultCache(cache_dir)
-        keys = [t.cache_key for t in tasks if t.cache_key]
-        while True:
-            alive = [p for p in procs if p.poll() is None]
-            unpublished = [k for k in keys if cache.peek(k) is None]
-            if not unpublished:
-                for proc in procs:
-                    proc.wait()
-                return
-            if not alive:
-                crashed = [p for p in procs if p.returncode != 0]
-                if crashed:
-                    print(
-                        f"[fabric] all {len(procs)} workers exited "
-                        f"({len(crashed)} nonzero) with "
-                        f"{len(unpublished)} cell(s) unpublished",
-                        file=sys.stderr,
-                    )
-                    for proc in crashed:
-                        tail = stderr_tail(getattr(proc, "stderr_path", None))
-                        print(
-                            f"[fabric] worker exit {proc.returncode} "
-                            f"(pid {proc.pid}), last stderr lines:\n"
-                            f"{tail or '(none captured)'}",
-                            file=sys.stderr,
-                        )
-                # The coordinator computes what is left serially: it
-                # reproduces deterministic errors with full context.
-                return
-            time.sleep(self.poll_interval)
+        unpublished = [
+            t.cache_key
+            for t in tasks
+            if t.cache_key and cache.peek(t.cache_key) is None
+        ]
+        if not unpublished:
+            return
+        print(
+            f"[fabric] all {len(procs)} workers exited "
+            f"({len(crashed)} nonzero) with "
+            f"{len(unpublished)} cell(s) unpublished",
+            file=sys.stderr,
+        )
+        for proc in crashed:
+            tail = stderr_tail(getattr(proc, "stderr_path", None))
+            print(
+                f"[fabric] worker exit {proc.returncode} "
+                f"(pid {proc.pid}), last stderr lines:\n"
+                f"{tail or '(none captured)'}",
+                file=sys.stderr,
+            )
+        # The coordinator computes what is left serially: it
+        # reproduces deterministic errors with full context.
+
+
+def notify_on_exit(handle, callback: Callable[[object], None]) -> None:
+    """Call ``callback(handle)`` once the worker process has exited.
+
+    A zygote-forked handle reports its own exit; any other handle with
+    a ``wait()`` (the ``Popen`` of a cold or overridden
+    ``spawn_worker``) gets a daemon waiter thread.  Handles with
+    neither are never reported.  ``callback`` must not block.
+    """
+    add = getattr(handle, "add_exit_callback", None)
+    if add is not None:
+        add(callback)
+    elif hasattr(handle, "wait"):
+
+        def waiter() -> None:
+            handle.wait()
+            callback(handle)
+
+        threading.Thread(target=waiter, name="fabric-waiter", daemon=True).start()
+
+
+def wake_workers(handles) -> None:
+    """Cut short the poll wait of every live worker with a wake pipe.
+
+    Zygote-forked workers wait on their wake pipe while peers hold the
+    last cells (``run_worker(wake_fd=...)``); other handles poll.
+    """
+    for handle in handles:
+        wake = getattr(handle, "wake", None)
+        if wake is not None and handle.poll() is None:
+            wake()
 
 
 def backend_from_spec(spec: str) -> Optional[Backend]:

@@ -33,7 +33,6 @@ import json
 import sys
 import tempfile
 import threading
-import time
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
@@ -170,7 +169,8 @@ def _stream_fleet(
     try:
         while thread.is_alive():
             sweep()
-            time.sleep(poll_interval)
+            # The backend's return ends the wait at once.
+            thread.join(poll_interval)
     except BaseException:
         # Interrupted (Ctrl-C): stop a supervised fleet before
         # unwinding, or it would keep restarting its workers.

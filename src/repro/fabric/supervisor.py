@@ -15,7 +15,8 @@ will; the scheduler's job is to keep the work moving anyway):
 * **release** — the supervisor spawned every worker on this host and
   reaps it itself, so a reaped worker is certainly dead: the cells it
   held are expired at once (:class:`FleetLeases`) instead of waiting
-  out the lease TTL;
+  out the lease TTL, its claims on cells it had already published are
+  removed, and the surviving workers are woken;
 * **quarantine** — a slot that crash-loops past its restart budget is
   benched instead of burning spawns forever, and a *cell* whose
   holders died ``restart_budget`` times is given up on, so a
@@ -46,6 +47,7 @@ import dataclasses
 import hashlib
 import os
 import sys
+import threading
 import time
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence
@@ -55,7 +57,9 @@ from ..experiments.parallel import CellTask
 from .backends import (
     BackendError,
     SubprocessWorkerBackend,
+    notify_on_exit,
     stderr_tail,
+    wake_workers,
     write_manifest,
 )
 from .lease import CLAIMED, DEFAULT_TTL_SECONDS, LeaseStore
@@ -124,6 +128,9 @@ class SupervisorStats:
     cell_deaths: Dict[str, int] = dataclasses.field(default_factory=dict)
     #: Cells given up on: cache key -> worker deaths while holding it.
     abandoned: Dict[str, int] = dataclasses.field(default_factory=dict)
+    #: Claims a dead worker left on cells it had already published
+    #: (killed between publish and release), removed when it was reaped.
+    settled_released: int = 0
     #: Monotonic instants bounding the recovery window (None = no
     #: failure observed / run never completed).
     first_failure_at: Optional[float] = None
@@ -165,9 +172,10 @@ def deterministic_jitter(token: str, fraction: float) -> float:
 class FleetLeases(LeaseStore):
     """One run's lease journal, as the supervisor of its fleet uses it.
 
-    :meth:`held_by` finds a reaped worker's cells; the supervisor then
-    calls :meth:`~repro.fabric.lease.LeaseStore.expire` or
-    :meth:`~repro.fabric.lease.LeaseStore.quarantine` on each.
+    :meth:`held_by` finds a reaped worker's unpublished cells; the
+    supervisor then calls :meth:`~repro.fabric.lease.LeaseStore.expire`
+    or :meth:`~repro.fabric.lease.LeaseStore.quarantine` on each.
+    :meth:`drop_settled` removes its claims on cells it had published.
     """
 
     def __init__(
@@ -186,24 +194,38 @@ class FleetLeases(LeaseStore):
         self._cache = cache
         self._keys = list(dict.fromkeys(keys))
 
+    def _claims_of(self, worker_id: str, published: bool) -> List[str]:
+        return [
+            key
+            for key in self._keys
+            if (lease := self.read(key)) is not None
+            and lease.status == CLAIMED
+            and lease.worker_id == worker_id
+            and (self._cache.peek(key) is not None) == published
+        ]
+
     def held_by(self, worker_id: str) -> List[str]:
         """Unpublished cells whose claim names ``worker_id``, in grid
-        order.
+        order."""
+        return self._claims_of(worker_id, published=False)
 
-        A claim on a published cell (the holder died between publish
-        and release) is left for :func:`sweep_settled_leases`.
+    def drop_settled(self, worker_id: str) -> int:
+        """Remove the claims of dead ``worker_id`` on published cells.
+
+        Such a claim is a settled orphan (its holder died between
+        publish and release).  Nobody else claims a published cell, so
+        once the supervisor has reaped the holder the claim can go at
+        once, instead of waiting out a TTL in
+        :func:`sweep_settled_leases`.  Returns how many were removed.
         """
-        held = []
-        for key in self._keys:
-            lease = self.read(key)
-            if (
-                lease is not None
-                and lease.status == CLAIMED
-                and lease.worker_id == worker_id
-                and self._cache.peek(key) is None
-            ):
-                held.append(key)
-        return held
+        removed = 0
+        for key in self._claims_of(worker_id, published=True):
+            try:
+                self.path_for(key).unlink()
+                removed += 1
+            except OSError:
+                pass
+        return removed
 
 
 class _Slot:
@@ -249,12 +271,17 @@ class FleetSupervisor:
         config: the recovery budget.
         name: token salting the deterministic jitter (the run id).
         clock: monotonic clock, injectable for tests.
-        sleep: sleep function, injectable for tests.
+        sleep: ``sleep(seconds)`` for the run loop's waits, injectable
+            for tests.  The default wait ends early when a worker
+            exits: handles with ``add_exit_callback`` (or ``wait``)
+            report their exits, see
+            :func:`~repro.fabric.backends.notify_on_exit`.
         on_event: ``on_event(kind, message)`` observer; defaults to a
             ``[supervisor]``-prefixed stderr line per action.
         leases: optional :class:`FleetLeases` (or any object with its
-            ``held_by`` / ``expire`` / ``quarantine`` methods).  With
-            it, each crashed worker's cells are released, its death is
+            ``held_by`` / ``drop_settled`` / ``expire`` / ``quarantine``
+            methods).  With it, each crashed worker's cells are
+            released (published ones at once), its death is
             charged in :attr:`SupervisorStats.cell_deaths` and, after
             ``restart_budget`` holder deaths, a cell is quarantined
             into :attr:`SupervisorStats.abandoned`; handles need a
@@ -270,7 +297,7 @@ class FleetSupervisor:
         config: Optional[SupervisorConfig] = None,
         name: str = "fleet",
         clock=time.monotonic,
-        sleep=time.sleep,
+        sleep: Optional[Callable[[float], object]] = None,
         on_event: Optional[Callable[[str, str], None]] = None,
         leases=None,
     ) -> None:
@@ -286,7 +313,8 @@ class FleetSupervisor:
         self.config = config or SupervisorConfig()
         self.name = name
         self._clock = clock
-        self._sleep = sleep
+        self._exited = threading.Event()
+        self._sleep = sleep or self._exited.wait
         self._on_event = on_event
         self._leases = leases
         self._stalled = False
@@ -312,6 +340,17 @@ class FleetSupervisor:
         SIGTERM hook).  Safe from any thread or signal handler."""
         self._drain_requested = True
 
+    def wake(self, handle=None) -> None:
+        """A worker exited: end the run loop's current wait early.
+        Safe from any thread."""
+        self._exited.set()
+
+    def _pause(self, seconds: float) -> None:
+        # Cleared after the wait: an exit reported before the clear has
+        # already set its returncode, so the reap that follows sees it.
+        self._sleep(seconds)
+        self._exited.clear()
+
     def _spawn_budget(self) -> int:
         # Deaths charged to a cell are bounded per cell by
         # restart_budget, so they earn their replacement back.
@@ -332,6 +371,7 @@ class FleetSupervisor:
             return False
         slot.incarnation += 1
         slot.handle = self._spawn_fn(slot.index, slot.incarnation)
+        notify_on_exit(slot.handle, self.wake)
         slot.started_at = now
         slot.restart_at = None
         self.stats.spawned += 1
@@ -382,6 +422,7 @@ class FleetSupervisor:
         worker_id = getattr(handle, "worker_id", None)
         if self._leases is None or worker_id is None:
             return
+        self.stats.settled_released += self._leases.drop_settled(worker_id)
         held = self._leases.held_by(worker_id)
         if not held:
             return
@@ -404,9 +445,11 @@ class FleetSupervisor:
         """Process deaths: restart, quarantine, or retire each one.
 
         ``desired`` is the demand-clamped fleet size, or 0 once the
-        grid is complete.
+        grid is complete.  Any reaped exit wakes the surviving workers:
+        the cells they wait on are now published or released.
         """
         cfg = self.config
+        reaped = False
         for slot in self._slots:
             if slot.handle is None or slot.quarantined or slot.retired:
                 continue
@@ -417,6 +460,7 @@ class FleetSupervisor:
             uptime = now - slot.started_at
             tail = self._tail_of(handle)
             slot.handle = None
+            reaped = True
             if returncode == 0:
                 if desired == 0:
                     # The grid is complete: a clean exit is the normal end.
@@ -484,6 +528,8 @@ class FleetSupervisor:
                     f"w{slot.index} died ({detail}); restart "
                     f"#{slot.streak} in {delay:.2f}s",
                 )
+        if reaped:
+            wake_workers(s.handle for s in self._slots if s.handle is not None)
 
     def _restart_due(self, now: float) -> None:
         for slot in self._slots:
@@ -557,7 +603,7 @@ class FleetSupervisor:
         while live and self._clock() < deadline:
             live = [s for s in live if s.handle.poll() is None]
             if live:
-                self._sleep(0.05)
+                self._pause(0.05)
         for slot in live:
             try:
                 slot.handle.kill()
@@ -595,7 +641,7 @@ class FleetSupervisor:
                 for slot in self._slots
             ):
                 return
-            self._sleep(0.05)
+            self._pause(0.05)
 
     def run(
         self,
@@ -637,7 +683,7 @@ class FleetSupervisor:
                     "unpublished); handing back to the coordinator",
                 )
                 return self.stats
-            self._sleep(poll_interval)
+            self._pause(poll_interval)
 
 
 def sweep_settled_leases(
@@ -734,10 +780,11 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
     writes its own stats and stderr files.
 
     Cells the fleet could not publish are left to the coordinator
-    (:func:`~repro.fabric.coordinator.run_grid_fabric`).  After the
-    grid completes, settled orphan leases (publisher killed
-    pre-release) are swept so a chaos-audited run ends with a clean
-    journal; ``last_supervisor_stats`` / ``last_swept_leases`` expose
+    (:func:`~repro.fabric.coordinator.run_grid_fabric`).  Settled
+    orphan leases (publisher killed pre-release) are removed when the
+    supervisor reaps their holder, and any left are swept after the
+    grid completes, so a chaos-audited run ends with a clean journal;
+    ``last_supervisor_stats`` / ``last_swept_leases`` expose
     what recovery cost, and the coordinator exports them as
     ``repro_fabric_restarts`` telemetry.
     """
@@ -826,7 +873,7 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
                 "cell(s) unpublished; the coordinator takes them over",
                 file=sys.stderr,
             )
-        self.last_swept_leases = sweep_settled_leases(
+        self.last_swept_leases = stats.settled_released + sweep_settled_leases(
             cache, keys, ttl=lease_ttl
         )
         sweep_tmp_droppings(cache)

@@ -21,8 +21,12 @@ under :data:`BATCH_TARGET_SECONDS` (and collapses back to 1 the moment
 cells get expensive — cheap cells amortize claim overhead, expensive
 cells keep takeover granularity fine).
 
-Runnable as ``python -m repro.fabric.worker`` — this is the process
-the :class:`~repro.fabric.backends.SubprocessWorkerBackend` spawns.
+Runnable as ``python -m repro.fabric.worker``.  The
+:class:`~repro.fabric.backends.SubprocessWorkerBackend` runs the same
+:func:`main`, in a process forked from its zygote
+(:mod:`repro.fabric.zygote`) where it can, which passes the internal
+``--wake-fd``: the read end of a pipe whose bytes end the worker's
+tail wait early.  Without one, the worker polls.
 
 ``REPRO_FABRIC_CELL_FLOOR`` (seconds, float) pads every computed cell
 to at least that wall time.  It exists for scheduling-bound fabric
@@ -43,6 +47,7 @@ import argparse
 import json
 import os
 import pickle
+import select
 import sys
 import threading
 import time
@@ -190,6 +195,7 @@ def run_worker(
     cell_floor: Optional[float] = None,
     sleep=time.sleep,
     chaos=None,
+    wake_fd: Optional[int] = None,
 ) -> WorkerStats:
     """Run the claim/compute/publish loop until the grid is published.
 
@@ -210,6 +216,11 @@ def run_worker(
             ``on_compute`` / ``on_publish`` / ``on_post_publish``
             hooks fire around each computed cell (fault injection for
             the chaos harness; ``None`` in real runs).
+        wake_fd: read end of the spawner's wake pipe.  While peers hold
+            the remaining cells, a byte on it (a peer exited) ends the
+            wait early; ``poll_interval`` still bounds each wait, so
+            stale leases are taken over as before.  At EOF the worker
+            falls back to plain sleeping.
     """
     stats = WorkerStats(worker_id=leases.worker_id)
     start = time.perf_counter()
@@ -326,10 +337,25 @@ def run_worker(
                 # Everything left is held by live peers: poll until
                 # they publish, or their leases go stale and the next
                 # pass takes them over.
-                sleep(poll_interval)
+                if wake_fd is not None and not _await_wake(wake_fd, poll_interval):
+                    wake_fd = None  # the spawner is gone
+                if wake_fd is None:
+                    sleep(poll_interval)
 
     stats.wall_seconds = time.perf_counter() - start
     return stats
+
+
+def _await_wake(fd: int, timeout: float) -> bool:
+    """Wait up to ``timeout`` for a wake byte on ``fd`` and drain it.
+
+    Returns False, at once, when ``fd`` is at EOF or unusable.
+    """
+    try:
+        ready, _, _ = select.select([fd], [], [], timeout)
+        return not ready or bool(os.read(fd, 4096))
+    except OSError:
+        return False
 
 
 def main(argv: Optional[Sequence[str]] = None) -> int:
@@ -347,6 +373,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
     parser.add_argument(
         "--stats-file", default=None, help="write the WorkerStats JSON here"
     )
+    parser.add_argument("--wake-fd", type=int, default=None, help=argparse.SUPPRESS)
     args = parser.parse_args(argv)
 
     tasks = load_manifest(args.manifest)
@@ -366,7 +393,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         chaos.on_start()
     stats = run_worker(
         tasks, cache, leases, poll_interval=args.poll, cell_floor=cell_floor,
-        chaos=chaos,
+        chaos=chaos, wake_fd=args.wake_fd,
     )
     if args.stats_file:
         atomic_write_text(

@@ -454,6 +454,69 @@ class TestCompletionAndDrain:
         assert handles[0].terminated
 
 
+class ReportingHandle(FakeHandle):
+    """A FakeHandle that reports its scripted death, like a forked worker."""
+
+    def __init__(self, clock, **kwargs):
+        super().__init__(clock, **kwargs)
+        self.exit_callbacks = []
+
+    def add_exit_callback(self, callback):
+        self.exit_callbacks.append(callback)
+
+    @property
+    def dies_at(self):
+        return None if self._lifetime is None else self._born + self._lifetime
+
+
+class ExitClock(FakeClock):
+    """Fake time whose sleep, like ``Event.wait``, ends at the first
+    exit reported to a registered callback."""
+
+    def __init__(self):
+        super().__init__()
+        self.handles = []
+
+    def sleep(self, seconds):
+        deadline = self.now + seconds
+        due = [
+            h for h in self.handles
+            if h.exit_callbacks and h.dies_at is not None
+            and self.now < h.dies_at <= deadline
+        ]
+        if not due:
+            self.now = deadline
+            return
+        handle = min(due, key=lambda h: h.dies_at)
+        self.now = handle.dies_at
+        callbacks, handle.exit_callbacks = handle.exit_callbacks, []
+        for callback in callbacks:
+            callback(handle)
+
+
+class TestExitWakeup:
+    def test_worker_exit_wakes_the_run_loop_before_its_poll_interval(self):
+        clock = ExitClock()
+        spawned_at = []
+
+        def spawn(slot, incarnation):
+            spawned_at.append(clock())
+            handle = ReportingHandle(
+                clock, lifetime=0.25 if incarnation == 0 else None
+            )
+            clock.handles.append(handle)
+            return handle
+
+        sup = make_supervisor(clock, spawn)
+        stats = sup.run(lambda: 0 if clock() >= 5.0 else 3, poll_interval=1.0)
+
+        # Reaped at the exit, not at the 1.0s poll tick; the restart
+        # then waits out its 1.0s backoff and no more.
+        assert stats.first_failure_at == pytest.approx(0.25)
+        assert spawned_at == [0.0, pytest.approx(1.25)]
+        assert stats.restarts == 1
+
+
 class FakeLeases:
     """A lease journal in memory: which worker holds which cell."""
 
@@ -464,6 +527,9 @@ class FakeLeases:
 
     def held_by(self, worker_id):
         return sorted(k for k, w in self.holder.items() if w == worker_id)
+
+    def drop_settled(self, worker_id):
+        return 0  # every cell held here is unpublished
 
     def expire(self, key, holder):
         assert self.holder[key] == holder
@@ -487,7 +553,8 @@ class TestDeadHolders:
         dead, live = store("run-w0r0"), store("run-w1r0")
         assert dead.claim("k-dead-1") and dead.claim("k-dead-2")
         assert live.claim("k-live")
-        # Died between publish and release: left for the settled sweep.
+        # Died between publish and release: a settled orphan, removed
+        # at reap instead of waiting out a TTL in the settled sweep.
         assert dead.claim("k-dead-published")
         cache.put("k-dead-published", {"summary": "s"})
 
@@ -506,6 +573,7 @@ class TestDeadHolders:
 
         assert stats.restarts == 1
         assert stats.abandoned == {}
+        assert stats.settled_released == 1
         peer = store("run-w1r0")
         for key in ("k-dead-1", "k-dead-2"):
             # stale at once: the next claim takes it over, journalled
@@ -516,9 +584,7 @@ class TestDeadHolders:
         live_lease = peer.read("k-live")
         assert live_lease.worker_id == "run-w1r0"
         assert live_lease.heartbeat_at > 0.0
-        published = peer.read("k-dead-published")
-        assert published.worker_id == "run-w0r0"
-        assert published.heartbeat_at > 0.0
+        assert peer.read("k-dead-published") is None
 
     def test_cell_quarantined_after_budget_of_healthy_holder_deaths(self):
         clock = FakeClock()
@@ -634,3 +700,39 @@ class TestSupervisedBackendIntegration:
         assert stats.quarantined == 0
         assert not stats.drained
         assert backend.last_swept_leases == 0
+
+    def test_post_publish_kill_releases_settled_claim_at_reap(
+        self, tmp_path, monkeypatch
+    ):
+        import time
+
+        from repro.chaos.invariants import audit_run, grid_digests
+        from repro.chaos.plan import CHAOS_PLAN_ENV, ChaosAction, ChaosPlan
+        from repro.experiments.parallel import run_grid_parallel
+
+        tasks = build_grid("smoke", seed=5)[:4]
+        plan = ChaosPlan.dump(
+            [
+                ChaosAction(worker=w, stage="post-publish", action="kill", nth=0)
+                for w in ("w0r0", "w1r0")
+            ],
+            tmp_path / "plan.json",
+        )
+        monkeypatch.setenv(CHAOS_PLAN_ENV, str(plan))
+        cache = ResultCache(tmp_path / "cache")
+        backend = SupervisedWorkerBackend(min_workers=1, max_workers=2)
+
+        start = time.monotonic()
+        report = run_grid_fabric(tasks, backend, cache)  # default lease TTL
+        elapsed = time.monotonic() - start
+
+        # The settled sweep used to wait out the 60s TTL for each orphan.
+        assert elapsed < 15.0
+        assert backend.last_supervisor_stats.settled_released >= 1
+        audit = audit_run(
+            report, tasks, cache,
+            serial_digests=grid_digests(run_grid_parallel(tasks, n_workers=1)),
+            swept_leases=backend.last_swept_leases,
+        )
+        assert audit.violations == ()
+        assert audit.counter("claimed_leases") == 0
