@@ -24,8 +24,10 @@
 #           (scripts/bench_record.py --check) and fails when
 #           calibration-normalised throughput regresses more than 20%
 #           against the last committed BENCH_engine.json record
-#   ingest  streaming-ingestion gate: trace-adapter test files, then a
-#           100k-job synthetic SWF fixture generated and replayed
+#   ingest  streaming-ingestion gate: trace-adapter test files (with
+#           the pinned replay-parity digests and the SWF tokenizer-vs-
+#           reference property test), then a 100k-job synthetic SWF
+#           fixture generated and replayed
 #           end-to-end with a hard peak-RSS ceiling
 #           (${INGEST_RSS_MB:-256} MB, measured via getrusage) and a
 #           JSON-output schema check; finally the BENCH_ingest.json
@@ -164,8 +166,9 @@ run_bench() {
 run_ingest() {
     echo "== ingest: trace adapter + streaming-results tests =="
     python -m pytest tests/test_traces_swf.py tests/test_traces_google.py \
-        tests/test_traces_replay.py tests/test_online_results.py \
-        tests/test_streaming_engine.py tests/test_ingest_bench.py -q
+        tests/test_traces_replay.py tests/test_traces_parity.py \
+        tests/test_online_results.py tests/test_streaming_engine.py \
+        tests/test_ingest_bench.py -q
 
     echo "== ingest: 100k-job SWF replay under a hard RSS ceiling =="
     local idir ceiling

@@ -29,6 +29,8 @@ PRIORITY_LOW = 0
 PRIORITY_MEDIUM = 50
 PRIORITY_HIGH = 100
 
+_INF = float("inf")
+
 
 @dataclass(frozen=True)
 class TraceJob:
@@ -69,16 +71,17 @@ class TraceJob:
     def __post_init__(self) -> None:
         if self.job_id < 0:
             raise TraceError(f"job_id must be >= 0, got {self.job_id}")
-        if self.submit_minute < 0:
-            raise TraceError(f"job {self.job_id}: submit_minute must be >= 0")
-        if self.runtime_minutes <= 0:
+        # Chained comparisons against infinity: NaN fails every one.
+        if not 0 <= self.submit_minute < _INF:
+            raise TraceError(f"job {self.job_id}: submit_minute must be finite and >= 0")
+        if not 0 < self.runtime_minutes < _INF:
             raise TraceError(
-                f"job {self.job_id}: runtime_minutes must be > 0, got {self.runtime_minutes}"
+                f"job {self.job_id}: runtime_minutes must be finite and > 0, got {self.runtime_minutes}"
             )
         if self.cores < 1:
             raise TraceError(f"job {self.job_id}: cores must be >= 1, got {self.cores}")
-        if self.memory_gb <= 0:
-            raise TraceError(f"job {self.job_id}: memory_gb must be > 0, got {self.memory_gb}")
+        if not 0 < self.memory_gb < _INF:
+            raise TraceError(f"job {self.job_id}: memory_gb must be finite and > 0, got {self.memory_gb}")
         if self.candidate_pools is not None and len(self.candidate_pools) == 0:
             raise TraceError(f"job {self.job_id}: candidate_pools may not be an empty tuple")
 

@@ -35,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import heapq
+import math
 from dataclasses import dataclass
 from pathlib import Path
 from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
@@ -225,6 +226,11 @@ def iter_google_tasks(
                             f"{name}:{line_number}: non-numeric task_events "
                             f"field ({exc})"
                         ) from None
+                    if not math.isfinite(entry.cpu_request) or not math.isfinite(entry.memory_request):
+                        raise TraceError(
+                            f"{name}:{line_number}: non-finite task_events cpu/memory "
+                            f"request ({row[9]}, {row[10]})"
+                        )
                     pending[key] = entry
                     heapq.heappush(pending_heap, (ts, key))
             elif event_type == EVENT_SCHEDULE:

@@ -7,12 +7,12 @@ ordered by submission time.  Reuther et al. (arXiv:1705.03102) motivate
 it as the standard carrier for HPC scheduler traces, which makes it the
 natural import path for replaying real logs through this reproduction.
 
-Everything here streams: :func:`iter_swf_jobs` parses one line at a
-time and never holds more than one job, so a multi-gigabyte archive
-trace replays in constant memory.  :func:`write_swf` emits the same
-canonical single-space formatting :mod:`repro.workload.traces.fixtures`
-uses, so generated fixtures round-trip **byte-for-byte** through
-parse + re-emit (pinned by ``tests/test_traces_swf.py``).
+Everything here streams: :func:`iter_swf_rows` (plain value rows, what
+replay reads) and :func:`iter_swf_jobs` (the same rows as
+:class:`SWFJob` records) parse one line at a time, so a multi-gigabyte
+archive trace replays in constant memory.  :func:`write_swf` emits the
+canonical single-space formatting the fixtures use, so they round-trip
+**byte-for-byte** through parse + re-emit (``tests/test_traces_swf.py``).
 
 Field reference (1-based, as in the SWF definition):
 
@@ -34,7 +34,10 @@ Unknown values are ``-1`` throughout, per the SWF convention.
 from __future__ import annotations
 
 import io
-from dataclasses import astuple, dataclass
+import math
+from dataclasses import dataclass, fields
+from itertools import starmap
+from operator import attrgetter
 from pathlib import Path
 from typing import IO, Iterable, Iterator, List, Tuple, Union
 
@@ -44,6 +47,7 @@ __all__ = [
     "SWF_FIELD_COUNT",
     "SWFJob",
     "iter_swf_jobs",
+    "iter_swf_rows",
     "read_swf",
     "write_swf",
     "format_swf_job",
@@ -53,13 +57,6 @@ __all__ = [
 SWF_FIELD_COUNT = 18
 
 Source = Union[str, Path, IO[str]]
-
-#: SWF status values (field 11).
-STATUS_FAILED = 0
-STATUS_COMPLETED = 1
-STATUS_PARTIAL = 2
-STATUS_PARTIAL_FAILED = 3
-STATUS_CANCELLED = 5
 
 
 @dataclass(frozen=True)
@@ -90,15 +87,26 @@ class SWFJob:
 _INT_FIELDS = frozenset((0, 4, 7, 10, 11, 12, 13, 14, 15, 16))
 
 
-def _parse_field(token: str, index: int) -> Union[int, float]:
-    if index in _INT_FIELDS:
-        return int(token)
-    value = float(token)
-    # Keep integral values as ints so canonical re-emission preserves
-    # the common all-integer SWF encoding byte-for-byte.
-    if "." not in token and "e" not in token and "E" not in token:
-        return int(token)
-    return value
+def _parse_fractional_row(tokens: List[str], where: str) -> List[Union[int, float]]:
+    """Per-column parse of a line with a non-integral token.  Columns
+    outside ``_INT_FIELDS`` keep integral tokens as ints (so canonical
+    re-emission is byte-for-byte) and read ``.``/exponent tokens as
+    finite floats."""
+    row: List[Union[int, float]] = []
+    for index, token in enumerate(tokens):
+        try:
+            if index in _INT_FIELDS:
+                value: Union[int, float] = int(token)
+            else:
+                value = float(token)
+                if "." not in token and "e" not in token and "E" not in token:
+                    value = int(token)
+                elif not math.isfinite(value):
+                    raise TraceError(f"{where}: non-finite SWF field {index + 1} ({token!r})")
+        except ValueError as exc:
+            raise TraceError(f"{where}: non-numeric SWF field ({exc})") from None
+        row.append(value)
+    return row
 
 
 def _format_field(value: Union[int, float]) -> str:
@@ -109,52 +117,57 @@ def _format_field(value: Union[int, float]) -> str:
     return repr(value)
 
 
+#: The 18 field values of an :class:`SWFJob`, read shallowly in column order.
+_job_values = attrgetter(*(f.name for f in fields(SWFJob)))
+
+
 def format_swf_job(job: SWFJob) -> str:
     """The canonical (single-space separated) SWF line for ``job``."""
-    return " ".join(_format_field(v) for v in astuple(job))
+    return " ".join(map(_format_field, _job_values(job)))
 
 
-def _open(source: Source):
+def _open(source: Source, mode: str = "r"):
     """``(file, should_close)`` for a path or an already-open stream."""
     if isinstance(source, (str, Path)):
-        return open(source, "r", encoding="utf-8"), True
+        return open(source, mode, encoding="utf-8"), True
     return source, False
 
 
-def iter_swf_jobs(source: Source) -> Iterator[SWFJob]:
-    """Yield :class:`SWFJob` records from ``source``, one line at a time.
+def iter_swf_rows(source: Source) -> Iterator[List[Union[int, float]]]:
+    """Yield each SWF record of ``source`` (a path or text stream) as its
+    18 values in column order, skipping ``;`` comments and blank lines.
 
-    ``source`` is a path or a text stream.  Comment lines (leading
-    ``;``) and blank lines are skipped.  A line with the wrong field
-    count or a non-numeric field raises :class:`~repro.errors.TraceError`
-    naming the offending line, so a corrupt download fails loudly at
-    the bad byte instead of poisoning the replay.
+    An all-integer line (the common encoding) parses in one ``int`` pass;
+    any other falls back to the per-column rules, so values and types do
+    not depend on the path taken.  A wrong field count or a non-numeric
+    or non-finite field raises :class:`~repro.errors.TraceError` naming
+    ``file:line``: a corrupt download fails at the bad byte.
     """
     handle, should_close = _open(source)
     name = getattr(handle, "name", "<swf>")
     try:
         for line_number, line in enumerate(handle, start=1):
-            stripped = line.strip()
-            if not stripped or stripped.startswith(";"):
+            tokens = line.split()
+            if not tokens or tokens[0][0] == ";":
                 continue
-            fields = stripped.split()
-            if len(fields) != SWF_FIELD_COUNT:
+            if len(tokens) != SWF_FIELD_COUNT:
                 raise TraceError(
-                    f"{name}:{line_number}: SWF line has {len(fields)} "
+                    f"{name}:{line_number}: SWF line has {len(tokens)} "
                     f"fields, expected {SWF_FIELD_COUNT}"
                 )
             try:
-                values = [
-                    _parse_field(token, index) for index, token in enumerate(fields)
-                ]
-            except ValueError as exc:
-                raise TraceError(
-                    f"{name}:{line_number}: non-numeric SWF field ({exc})"
-                ) from None
-            yield SWFJob(*values)
+                row = list(map(int, tokens))
+            except ValueError:
+                row = _parse_fractional_row(tokens, f"{name}:{line_number}")
+            yield row
     finally:
         if should_close:
             handle.close()
+
+
+def iter_swf_jobs(source: Source) -> Iterator[SWFJob]:
+    """:func:`iter_swf_rows` as :class:`SWFJob` records (same rules and errors)."""
+    return starmap(SWFJob, iter_swf_rows(source))
 
 
 def read_swf(source: Source) -> Tuple[List[str], List[SWFJob]]:
@@ -165,21 +178,14 @@ def read_swf(source: Source) -> Tuple[List[str], List[SWFJob]]:
     byte-for-byte.  Convenience for tests and small fixtures — replay
     paths should use the streaming :func:`iter_swf_jobs` instead.
     """
-    comments: List[str] = []
-    jobs: List[SWFJob] = []
     handle, should_close = _open(source)
     try:
         text = handle.read()
     finally:
         if should_close:
             handle.close()
-    buffer = io.StringIO(text)
-    for line in buffer:
-        stripped = line.rstrip("\n")
-        if stripped.lstrip().startswith(";"):
-            comments.append(stripped)
-    jobs.extend(iter_swf_jobs(io.StringIO(text)))
-    return comments, jobs
+    comments = [line for line in text.split("\n") if line.lstrip().startswith(";")]
+    return comments, list(iter_swf_jobs(io.StringIO(text)))
 
 
 def write_swf(
@@ -192,11 +198,7 @@ def write_swf(
     *read_swf(path)[::-1])`` is byte-identical to a canonical input —
     the round-trip property the fixture tests pin.
     """
-    if isinstance(dest, (str, Path)):
-        handle: IO[str] = open(dest, "w", encoding="utf-8")
-        should_close = True
-    else:
-        handle, should_close = dest, False
+    handle, should_close = _open(dest, "w")
     count = 0
     try:
         for comment in comments:

@@ -31,6 +31,23 @@ class TestTraceJob:
                 job_id=1, submit_minute=0.0, runtime_minutes=1.0, candidate_pools=()
             )
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [
+            ("submit_minute", float("nan")),
+            ("submit_minute", float("inf")),
+            ("runtime_minutes", float("nan")),
+            ("runtime_minutes", float("inf")),
+            ("memory_gb", float("nan")),
+            ("memory_gb", float("inf")),
+        ],
+    )
+    def test_non_finite_values_rejected(self, field, value):
+        fields = {"submit_minute": 0.0, "runtime_minutes": 1.0, "memory_gb": 1.0}
+        fields[field] = value
+        with pytest.raises(TraceError, match=f"{field} must be finite"):
+            TraceJob(job_id=1, **fields)
+
     def test_is_allowed_in(self):
         unrestricted = make_job(1)
         assert unrestricted.is_allowed_in("anything")

@@ -7,7 +7,11 @@ import io
 import pytest
 
 from repro.errors import TraceError
-from repro.workload.traces import generate_google_fixture, iter_google_tasks
+from repro.workload.traces import (
+    TraceReplaySpec,
+    generate_google_fixture,
+    iter_google_tasks,
+)
 from repro.workload.traces.googlecluster import (
     EVENT_EVICT,
     EVENT_FAIL,
@@ -102,6 +106,25 @@ class TestErrors:
     def test_short_row_raises(self):
         with pytest.raises(TraceError, match="13"):
             list(iter_google_tasks(io.StringIO("1,2,3\n")))
+
+    @pytest.mark.parametrize(
+        "cpu, mem", [(0.05, "inf"), (0.05, "nan"), ("inf", 0.01), (0.05, "-1e999")]
+    )
+    def test_non_finite_request_names_file_and_line(self, tmp_path, cpu, mem):
+        path = tmp_path / "bad.csv"
+        rows = [_row(100, 1, 0, 0), _row(150, 2, 0, 0, cpu=cpu, mem=mem)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=r"bad\.csv:2: non-finite"):
+            list(iter_google_tasks(path))
+
+    def test_infinite_memory_is_a_trace_error_in_replay(self, tmp_path):
+        # Replay used to crash with a bare OverflowError while quantising
+        # an infinite memory request (and turned NaN into the default).
+        path = tmp_path / "bad.csv"
+        rows = [_row(100, 1, 0, 0, mem="inf"), _row(200, 1, 0, 1), _row(900, 1, 0, 4)]
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=r"bad\.csv:1: non-finite"):
+            list(TraceReplaySpec().replay_google(path))
 
 
 class TestFixture:

@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from repro.errors import TraceError
 from repro.workload.traces import (
     SWFJob,
+    TraceReplaySpec,
     format_swf_job,
     generate_swf_fixture,
     iter_swf_jobs,
@@ -103,6 +104,26 @@ class TestErrors:
         fields[3] = "banana"
         with pytest.raises(TraceError, match="banana"):
             list(iter_swf_jobs(io.StringIO(" ".join(fields) + "\n")))
+
+    @pytest.mark.parametrize("column, token", [(3, "1e999"), (1, "-1e999"), (6, "2.5E400")])
+    def test_non_finite_value_names_file_and_line(self, tmp_path, column, token):
+        fields = ["1"] * 18
+        fields[column] = token
+        path = tmp_path / "bad.swf"
+        path.write_text("; header\n" + " ".join(fields) + "\n", encoding="utf-8")
+        with pytest.raises(
+            TraceError, match=rf"bad\.swf:2: non-finite SWF field {column + 1} "
+        ):
+            list(iter_swf_jobs(path))
+
+    def test_infinite_run_time_is_not_replayed(self, tmp_path):
+        # It used to replay as a job with runtime_minutes=inf.
+        fields = ["1"] * 18
+        fields[3] = "1e999"
+        path = tmp_path / "bad.swf"
+        path.write_text(" ".join(fields) + "\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=r"bad\.swf:1: non-finite"):
+            list(TraceReplaySpec().replay_swf(path))
 
     def test_blank_lines_and_comments_skipped(self):
         text = ";c\n\n   \n" + " ".join(["7"] * 18) + "\n"
