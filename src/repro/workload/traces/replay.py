@@ -40,7 +40,7 @@ import json
 import math
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
-from typing import Dict, Iterator, List, Optional, Tuple, Union
+from typing import Iterator, List, Optional, Tuple, Union
 from zlib import crc32
 
 from ...errors import TraceError
@@ -230,9 +230,7 @@ class TraceReplaySpec:
         stride, max_jobs, rebase = self.stride, self.max_jobs, self.rebase
         os_family, default_priority = self.os_family, self.default_priority
         priorities = dict(self.queue_priorities)
-        # ``pools_for`` is a pure function of (user, priority) and real
-        # logs have few distinct users: hash each pair once per replay.
-        pools: Dict[Tuple[str, int], Optional[Tuple[str, ...]]] = {}
+        pools_for = self.pools_for
         emitted = 0
         eligible = 0
         offset: Optional[float] = None
@@ -253,14 +251,10 @@ class TraceReplaySpec:
             if offset is None:
                 offset = submit if rebase else 0.0
             priority = priorities.get(source_key, default_priority)
-            try:
-                candidate_pools = pools[user, priority]
-            except KeyError:
-                candidate_pools = pools[user, priority] = self.pools_for(user, priority)
             # TraceJob's field order; keyword arguments cost ~10% of this loop.
             yield TraceJob(
                 emitted, submit - offset, runtime, priority, cores, memory_gb,
-                os_family, candidate_pools, None, user,
+                os_family, pools_for(user, priority), None, user,
             )
             emitted += 1
             if max_jobs is not None and emitted >= max_jobs:
@@ -268,7 +262,7 @@ class TraceReplaySpec:
 
     def replay_swf(self, source) -> Iterator[TraceJob]:
         """Stream an SWF log as simulator-ready jobs (constant memory)."""
-        return self._replay(map(self._map_swf, iter_swf_rows(source)))
+        return self._replay(iter_swf_rows(source, self._map_swf))
 
     def replay_google(self, source) -> Iterator[TraceJob]:
         """Stream a Google task_events CSV as simulator-ready jobs."""

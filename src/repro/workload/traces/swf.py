@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Iterable, Iterator, List, Tuple, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from ...errors import TraceError
 
@@ -57,6 +57,7 @@ __all__ = [
 SWF_FIELD_COUNT = 18
 
 Source = Union[str, Path, IO[str]]
+T = TypeVar("T")
 
 
 @dataclass(frozen=True)
@@ -126,14 +127,16 @@ def format_swf_job(job: SWFJob) -> str:
     return " ".join(map(_format_field, _job_values(job)))
 
 
-def _open(source: Source, mode: str = "r"):
+def _open(source: Source):
     """``(file, should_close)`` for a path or an already-open stream."""
     if isinstance(source, (str, Path)):
-        return open(source, mode, encoding="utf-8"), True
+        return open(source, "r", encoding="utf-8"), True
     return source, False
 
 
-def iter_swf_rows(source: Source) -> Iterator[List[Union[int, float]]]:
+def iter_swf_rows(
+    source: Source, project: Optional[Callable[[List[Union[int, float]]], T]] = None
+) -> Iterator[Union[List[Union[int, float]], T]]:
     """Yield each SWF record of ``source`` (a path or text stream) as its
     18 values in column order, skipping ``;`` comments and blank lines.
 
@@ -142,6 +145,10 @@ def iter_swf_rows(source: Source) -> Iterator[List[Union[int, float]]]:
     not depend on the path taken.  A wrong field count or a non-numeric
     or non-finite field raises :class:`~repro.errors.TraceError` naming
     ``file:line``: a corrupt download fails at the bad byte.
+
+    ``project``, when given, maps each row before it is yielded; an
+    ``OverflowError`` it raises (an integer too large for a float) also
+    becomes a ``TraceError`` naming ``file:line``.
     """
     handle, should_close = _open(source)
     name = getattr(handle, "name", "<swf>")
@@ -159,6 +166,13 @@ def iter_swf_rows(source: Source) -> Iterator[List[Union[int, float]]]:
                 row = list(map(int, tokens))
             except ValueError:
                 row = _parse_fractional_row(tokens, f"{name}:{line_number}")
+            if project is not None:
+                try:
+                    row = project(row)
+                except OverflowError as exc:
+                    raise TraceError(
+                        f"{name}:{line_number}: SWF value out of float range ({exc})"
+                    ) from None
             yield row
     finally:
         if should_close:
@@ -178,14 +192,21 @@ def read_swf(source: Source) -> Tuple[List[str], List[SWFJob]]:
     byte-for-byte.  Convenience for tests and small fixtures — replay
     paths should use the streaming :func:`iter_swf_jobs` instead.
     """
+    comments: List[str] = []
+    jobs: List[SWFJob] = []
     handle, should_close = _open(source)
     try:
         text = handle.read()
     finally:
         if should_close:
             handle.close()
-    comments = [line for line in text.split("\n") if line.lstrip().startswith(";")]
-    return comments, list(iter_swf_jobs(io.StringIO(text)))
+    buffer = io.StringIO(text)
+    for line in buffer:
+        stripped = line.rstrip("\n")
+        if stripped.lstrip().startswith(";"):
+            comments.append(stripped)
+    jobs.extend(iter_swf_jobs(io.StringIO(text)))
+    return comments, jobs
 
 
 def write_swf(
@@ -198,7 +219,11 @@ def write_swf(
     *read_swf(path)[::-1])`` is byte-identical to a canonical input —
     the round-trip property the fixture tests pin.
     """
-    handle, should_close = _open(dest, "w")
+    if isinstance(dest, (str, Path)):
+        handle: IO[str] = open(dest, "w", encoding="utf-8")
+        should_close = True
+    else:
+        handle, should_close = dest, False
     count = 0
     try:
         for comment in comments:

@@ -116,13 +116,26 @@ class TestErrors:
         ):
             list(iter_swf_jobs(path))
 
-    def test_infinite_run_time_is_not_replayed(self, tmp_path):
-        # It used to replay as a job with runtime_minutes=inf.
+    @pytest.mark.parametrize(
+        "column, token, message",
+        [
+            # An infinite run time used to replay as runtime_minutes=inf.
+            (3, "1e999", "non-finite SWF field 4"),
+            # Integers too large for a float pass the parse; submit time,
+            # run time, processors and memory then used to raise a bare
+            # OverflowError when the replay turned them into minutes or GB.
+            (1, "1" + "0" * 400, "SWF value out of float range"),
+            (3, "1" + "0" * 400, "SWF value out of float range"),
+            (4, "1" + "0" * 400, "SWF value out of float range"),
+            (6, "1" + "0" * 400, "SWF value out of float range"),
+        ],
+    )
+    def test_unrepresentable_value_is_not_replayed(self, tmp_path, column, token, message):
         fields = ["1"] * 18
-        fields[3] = "1e999"
+        fields[column] = token
         path = tmp_path / "bad.swf"
-        path.write_text(" ".join(fields) + "\n", encoding="utf-8")
-        with pytest.raises(TraceError, match=r"bad\.swf:1: non-finite"):
+        path.write_text("; header\n" + " ".join(fields) + "\n", encoding="utf-8")
+        with pytest.raises(TraceError, match=rf"bad\.swf:2: {message}"):
             list(TraceReplaySpec().replay_swf(path))
 
     def test_blank_lines_and_comments_skipped(self):
