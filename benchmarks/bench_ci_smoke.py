@@ -9,6 +9,10 @@
 3. **Telemetry is read-only.** The same simulation with a metrics
    registry and profiler attached must return a bit-identical result,
    while the registry actually fills with event counts.
+4. **Skipping samples never changes a summary.** Table 1's cells keep
+   only their summaries, so they run without state samples; the same
+   grid run with ``keep_results=True`` (samples on) must produce the
+   same per-cell summary digests.
 
 CI runs this file at ``REPRO_SCALE=0.08`` (see ``scripts/ci.sh smoke``)
 so the whole gate finishes in seconds; it holds at any scale.
@@ -19,7 +23,10 @@ from __future__ import annotations
 import time
 
 import repro
+from repro.analysis.comparison import compare_strategies
 from repro.experiments import presets, tables
+from repro.experiments.cache import stable_hash
+from repro.schedulers.initial import RoundRobinScheduler
 from repro.telemetry import Instrumentation, MetricsRegistry, to_prometheus
 from repro.workload.scenarios import busy_week
 
@@ -86,3 +93,29 @@ def test_telemetry_is_read_only(benchmark):
     print(f"records: {len(plain.records)}, events counted: {total:.0f}")
     assert total > 0, "metrics registry stayed empty"
     assert "repro_sim_events_total" in to_prometheus(registry)
+
+
+def test_kept_results_match_summary_only(benchmark):
+    summary_only = tables.table1(workers=1, use_cache=False)
+    scenario = busy_week(presets.table_scale(), presets.seed())
+    kept = run_once(
+        benchmark,
+        compare_strategies,
+        scenario,
+        [repro.no_res(), repro.res_sus_util(), repro.res_sus_rand()],
+        scheduler_factory=RoundRobinScheduler,
+        keep_results=True,
+    )
+    print(banner("CI smoke: Table 1, summary-only vs kept results"))
+    for cell in kept.cells:
+        print(
+            f"{cell.policy_name:12s} {stable_hash(cell.summary)[:12]} "
+            f"samples: {len(cell.result.samples)}"
+        )
+    assert all(cell.result.samples for cell in kept.cells), (
+        "a keep_results cell came back without samples"
+    )
+    assert [stable_hash(c.summary) for c in kept.cells] == [
+        stable_hash(c.summary) for c in summary_only.cells
+    ], "skipping state samples changed a Table 1 summary"
+    assert [c.seed for c in kept.cells] == [c.seed for c in summary_only.cells]

@@ -9,6 +9,10 @@
 3. **Worker death is survived.** A grid containing a cell whose worker
    process is forcibly killed mid-simulation must retry that cell and
    still complete every cell.
+4. **Skipping samples never changes a summary under faults.** The
+   fault-enabled grid's cells keep only their summaries and run without
+   state samples; with ``keep_result=True`` (samples on) every cell's
+   summary digest must be the same.
 
 CI runs this file from ``scripts/ci.sh smoke``; it holds at any scale.
 """
@@ -18,6 +22,7 @@ from __future__ import annotations
 import os
 
 import repro
+from repro.experiments.cache import stable_hash
 from repro.experiments.parallel import make_cell_task, run_grid_parallel
 from repro.faults import FaultConfig
 from repro.schedulers.initial import RoundRobinScheduler
@@ -69,12 +74,15 @@ def test_fault_run_deterministic(benchmark):
     assert second.fault_stats == first.fault_stats
 
 
-def _fault_grid_tasks():
+def _fault_grid_tasks(keep_result: bool = False):
     scenario = repro.smoke(seed=7)
     config = _fault_config()
     policies = [repro.no_res(), repro.res_sus_util()]
     return [
-        make_cell_task(i, scenario, policy, RoundRobinScheduler(), config)
+        make_cell_task(
+            i, scenario, policy, RoundRobinScheduler(), config,
+            keep_result=keep_result,
+        )
         for i, policy in enumerate(policies)
     ]
 
@@ -90,6 +98,27 @@ def test_fault_grid_parallel_matches_serial(benchmark):
     assert [o.summary for o in parallel.outcomes] == [
         o.summary for o in serial.outcomes
     ], "fault-enabled grid diverged between serial and parallel execution"
+
+
+def test_fault_grid_kept_results_match_summary_only(benchmark):
+    summary_only = run_grid_parallel(_fault_grid_tasks(), n_workers=1)
+    kept = run_once(
+        benchmark, run_grid_parallel, _fault_grid_tasks(keep_result=True),
+        n_workers=1,
+    )
+    print(banner("fault smoke: fault-enabled grid, summary-only vs kept results"))
+    for outcome in kept.outcomes:
+        stats = outcome.result.fault_stats
+        print(
+            f"{outcome.policy_name:12s} {stable_hash(outcome.summary)[:12]} "
+            f"samples: {len(outcome.result.samples)}, crashes: {stats.machine_crashes}"
+        )
+    assert all(o.result.samples for o in kept.outcomes), (
+        "a keep_result cell came back without samples"
+    )
+    assert [stable_hash(o.summary) for o in kept.outcomes] == [
+        stable_hash(o.summary) for o in summary_only.outcomes
+    ], "skipping state samples changed a fault-enabled summary"
 
 
 class CrashOnceScheduler(RoundRobinScheduler):

@@ -41,6 +41,12 @@ invariant violation and gates recovery-time regressions:
 The overlap floor and the invariant check apply even when the
 trajectory file holds no baseline yet.
 
+A written point is the median of five measurements of the matrix:
+each cell keeps its median run by calibration-normalised rate, and the
+point stores the rate's min/max spread across the runs.  ``--check``
+measures once and compares against the last committed point.  The
+chaos suite has no rate and records one run.
+
 The file format and comparison rules live in :mod:`repro.benchtrack`;
 this script only adds argument parsing, git labelling and reporting.
 """
@@ -56,6 +62,10 @@ import sys
 sys.path.insert(0, os.path.join(os.path.dirname(__file__), "..", "src"))
 
 from repro import benchtrack  # noqa: E402
+
+
+#: Matrix measurements behind one written point (the median is kept).
+RECORD_RUNS = 5
 
 
 def git_label() -> str:
@@ -118,25 +128,44 @@ REPORTERS = {
 }
 
 
-def run(suite: benchtrack.Suite, args) -> int:
-    """Calibrate, measure, report, then gate against or append to the file."""
-    output = args.output or suite.path
-    threshold = suite.threshold if args.threshold is None else args.threshold
-
+def measure_once(suite: benchtrack.Suite, args):
+    """Calibrate, then measure the matrix once: ``(calibration, results)``."""
     print("calibrating interpreter ...", flush=True)
     calibration = benchtrack.calibrate()
-    cores = os.cpu_count() or 1
     print(
         f"calibration score: {calibration:,.0f} iterations/sec "
-        f"({cores} core(s) available)"
+        f"({os.cpu_count() or 1} core(s) available)"
     )
-
     results = []
     for spec in suite.quick if args.quick else suite.matrix:
         print(f"measuring {suite.name} {spec}", flush=True)
         results.append(suite.measure(spec, args.rounds, lambda msg: print(msg, flush=True)))
+    return calibration, results
+
+
+def run(suite: benchtrack.Suite, args) -> int:
+    """Calibrate, measure, report, then gate against or append to the file."""
+    output = args.output or suite.path
+    threshold = suite.threshold if args.threshold is None else args.threshold
+    cores = os.cpu_count() or 1
+
+    runs = 1 if args.check or suite.rate is None else RECORD_RUNS
+    measured = []
+    for index in range(runs):
+        if runs > 1:
+            print(f"== run {index + 1}/{runs} ==", flush=True)
+        measured.append(measure_once(suite, args))
+    spread = None
+    if runs > 1:
+        calibration, results, spread = benchtrack.median_of_runs(suite, measured)
+        print(f"median of {runs} runs (calibration score {calibration:,.0f}):")
+    else:
+        calibration, results = measured[0]
     for result in results:
         REPORTERS[suite.name](result, args)
+        if spread is not None:
+            cell = spread[result.spec.name]
+            print(f"    ranking rate over {runs} runs: {cell['min']:.4g} .. {cell['max']:.4g}")
 
     header = {}
     if "available_cores" in suite.header:
@@ -156,6 +185,7 @@ def run(suite: benchtrack.Suite, args) -> int:
         calibration_score=calibration,
         results=tuple(results),
         notes=args.notes,
+        spread=spread,
         **header,
     )
 

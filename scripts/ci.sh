@@ -9,13 +9,16 @@
 #   lint    ruff over src/ tests/ benchmarks/ (skipped with a notice
 #           when ruff is not installed, unless $CI is set)
 #   smoke   benchmarks/bench_ci_smoke.py at reduced scale: asserts
-#           parallel == serial bit-for-bit, warm cache >= 5x cold, and
-#           telemetry-on == telemetry-off; then drives the CLI with
+#           parallel == serial bit-for-bit, warm cache >= 5x cold,
+#           telemetry-on == telemetry-off, and Table 1 with
+#           keep_results (state samples on) == the summary-only run's
+#           per-cell summary digests; then drives the CLI with
 #           --telemetry-dir and checks the exported snapshot parses
 #           with nonzero event counters
 #   faults  benchmarks/bench_faults_smoke.py: same-seed fault run is
 #           byte-identical across runs, fault-enabled grids match
-#           serial vs parallel, and a grid survives a forced worker
+#           serial vs parallel and keep_result (samples on) vs
+#           summary-only, and a grid survives a forced worker
 #           kill; then checks `repro run` with churn flags is
 #           byte-identical across two invocations
 #   bench   engine-throughput gate: perfbench's own tests (its probes

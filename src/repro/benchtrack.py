@@ -33,7 +33,12 @@ Shared by all four:
 
 Timings use the best (minimum) wall-clock of N rounds: the minimum is
 the least noisy location statistic for "how fast can this code go"
-on a machine with background load.
+on a machine with background load.  A recorded point goes one step
+further: ``scripts/bench_record.py`` measures the matrix several
+times, keeps each cell's median run by its suite's
+calibration-normalised rate (:func:`median_of_runs`) and stores the
+rate's min/max spread next to it, so one outlier run cannot become the
+baseline the next gate compares against.
 """
 
 from __future__ import annotations
@@ -43,7 +48,7 @@ import json
 import os
 import time
 from dataclasses import asdict, dataclass, fields
-from typing import Any, Callable, Dict, List, Optional, Tuple
+from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
 
 from .errors import ReproError
 from .simulator.config import SimulationConfig
@@ -61,6 +66,7 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "check_regression",
+    "median_of_runs",
     "WorkloadSpec",
     "WorkloadResult",
     "WORKLOADS",
@@ -116,6 +122,10 @@ class Record:
             campaign with a cold cache (``None`` when skipped).
         table1_warm_seconds: engine suite — the cache-warm rerun
             (``None`` when skipped).
+        spread: for a point recorded as the median of several runs
+            (:func:`median_of_runs`), cell name -> ``{"runs", "min",
+            "max"}`` of the suite's :attr:`Suite.rate` across the runs;
+            ``None`` for a single-run point.
     """
 
     suite: str
@@ -127,6 +137,7 @@ class Record:
     available_cores: Optional[int] = None
     table1_cold_seconds: Optional[float] = None
     table1_warm_seconds: Optional[float] = None
+    spread: Optional[Dict[str, Dict[str, float]]] = None
 
 
 @dataclass(frozen=True)
@@ -157,6 +168,10 @@ class Suite:
             already uses.
         nested: result fields holding a tuple of dataclasses, and their
             type.
+        rate: ``(result, calibration_score) -> float``, the
+            higher-is-faster figure a recorded point takes each cell's
+            median run by — normalised by calibration wherever the gate
+            normalises; ``None`` records a single run.
     """
 
     name: str
@@ -173,6 +188,7 @@ class Suite:
     header: Tuple[str, ...] = ()
     renames: Tuple[Tuple[str, str], ...] = ()
     nested: Tuple[Tuple[str, type], ...] = ()
+    rate: Optional[Callable[[Any, float], float]] = None
 
 
 def calibrate(iterations: int = 2_000_000, rounds: int = 3) -> float:
@@ -852,6 +868,13 @@ def _grid_gate(prev, cur, calibration, threshold) -> List[str]:
     return failures
 
 
+def _grid_rate(result, calibration: float) -> float:
+    """Cells/sec over every backend's wall, normalised as the gate does."""
+    wall = sum(t.wall_seconds for t in result.timings)
+    rate = result.cells * len(result.timings) / wall if wall > 0 else 0.0
+    return rate / calibration if result.spec.cell_floor == 0 else rate
+
+
 def _grid_floor(cur) -> List[str]:
     """Padded grids must keep their 4-vs-1-worker overlap speedup.
 
@@ -990,6 +1013,7 @@ SUITES: Dict[str, Suite] = {
             measure=lambda spec, rounds, progress: measure_workload(spec, rounds),
             gate=_engine_gate,
             header=("table1_cold_seconds", "table1_warm_seconds"),
+            rate=lambda result, calibration: result.jobs_per_second / calibration,
         ),
         Suite(
             name="ingest", path="BENCH_ingest.json", cells_key="ingests",
@@ -998,6 +1022,7 @@ SUITES: Dict[str, Suite] = {
             measure=lambda spec, rounds, progress: measure_ingest(spec, rounds),
             gate=_ingest_gate,
             renames=(("jobs", "fixture_jobs"),),
+            rate=lambda result, calibration: result.jobs_per_second / calibration,
         ),
         Suite(
             name="grid", path="BENCH_grid.json", cells_key="grids",
@@ -1007,6 +1032,7 @@ SUITES: Dict[str, Suite] = {
             gate=_grid_gate, floor=_grid_floor,
             header=("available_cores",),
             nested=(("timings", GridBackendTiming),),
+            rate=_grid_rate,
         ),
         Suite(
             name="chaos", path="BENCH_chaos.json", cells_key="scenarios",
@@ -1046,6 +1072,8 @@ def record_to_dict(record: Record) -> Dict:
         suite.cells_key: cells,
     }
     data.update((name, getattr(record, name)) for name in suite.header)
+    if record.spread is not None:
+        data["spread"] = record.spread
     return data
 
 
@@ -1092,6 +1120,7 @@ def record_from_dict(data: Dict) -> Record:
             calibration_score=data["calibration_score"],
             results=tuple(results),
             notes=data.get("notes", ""),
+            spread=data.get("spread"),
             **{name: data[name] for name in suite.header},
         )
     except KeyError as exc:
@@ -1131,6 +1160,44 @@ def write_record(path: str, record: Record, append: bool = True) -> int:
         handle.write("\n")
     os.replace(tmp, path)
     return len(history)
+
+
+# -- recorded points -----------------------------------------------------------------
+
+
+def median_of_runs(
+    suite: Suite, runs: Sequence[Tuple[float, Sequence[Any]]]
+) -> Tuple[float, Tuple[Any, ...], Dict[str, Dict[str, float]]]:
+    """Each cell's median run across repeated measurements of a matrix.
+
+    ``runs`` holds one ``(calibration_score, results)`` pair per run,
+    results in matrix order.  Each cell keeps the result of its median
+    run by ``suite.rate`` (the lower median for an even count), so the
+    recorded numbers all come from one real run of that cell.  Returns
+    the median calibration score, the chosen results, and each cell's
+    spread: ``{"runs", "min", "max"}`` of the rate.
+
+    Raises:
+        BenchFormatError: no runs, a suite without a rate, or runs that
+            measured different cells.
+    """
+    if not runs or suite.rate is None:
+        raise BenchFormatError(f"{suite.name}: nothing to take a median of")
+    middle = (len(runs) - 1) // 2
+    names = [result.spec.name for result in runs[0][1]]
+    chosen: List[Any] = []
+    spread: Dict[str, Dict[str, float]] = {}
+    for index, name in enumerate(names):
+        ranked = []
+        for calibration, results in runs:
+            if len(results) != len(names) or results[index].spec.name != name:
+                raise BenchFormatError(f"{suite.name}: runs measured different cells")
+            ranked.append((suite.rate(results[index], calibration), results[index]))
+        ranked.sort(key=lambda pair: pair[0])
+        chosen.append(ranked[middle][1])
+        spread[name] = {"runs": len(runs), "min": ranked[0][0], "max": ranked[-1][0]}
+    calibration = sorted(score for score, _ in runs)[middle]
+    return calibration, tuple(chosen), spread
 
 
 # -- regression gate -----------------------------------------------------------------

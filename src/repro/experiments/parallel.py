@@ -247,14 +247,30 @@ def make_cell_task(
 
 
 def _simulate_task(task: CellTask) -> Tuple[int, PerformanceSummary, Optional[SimulationResult], float]:
-    """Run one cell and time it (in-process, or inside a fleet worker)."""
+    """Run one cell and time it (in-process, or inside a fleet worker).
+
+    A cell that keeps only its summary runs without state samples:
+    :func:`summarize` reads job records alone, and the sampler only
+    reads engine state, so the summary is the same either way.  Samples
+    stay on when the result is kept, when invariant checks (which run at
+    sample ticks) are on, and when instrumentation is attached (its
+    gauges are fed per tick).  ``task.config`` itself — and with it the
+    cache key — is left as built.
+    """
+    config = task.config
+    if not (
+        task.keep_result
+        or config.check_invariants
+        or config.instrumentation.enabled
+    ):
+        config = replace(config, record_samples=False)
     start = time.perf_counter()
     result = run_simulation(
         task.scenario.trace,
         task.scenario.cluster,
         policy=task.policy,
         initial_scheduler=task.scheduler,
-        config=task.config,
+        config=config,
     )
     wall = time.perf_counter() - start
     summary = summarize(result)

@@ -49,6 +49,10 @@ class SimulationConfig:
             against pathological workloads, not a normal stop.
         record_samples: disable to skip state sampling entirely (saves
             memory in policy-search sweeps that only need job records).
+            Grid cells that keep only their summary (no ``keep_result``,
+            no ``check_invariants``, no instrumentation) run with it off
+            whatever the config says; see ``_simulate_task`` in
+            :mod:`repro.experiments.parallel`.
         check_invariants: run deep state validation at every sample
             tick.  Very slow; meant for tests.
         faults: the :class:`~repro.faults.FaultConfig` fault model

@@ -245,6 +245,16 @@ def iter_google_tasks(
                     # Killed while queued: it never ran, nothing to replay.
                     dropped_unscheduled += 1
                     continue
+                try:
+                    # Replay turns the submit time and the runtime into
+                    # float minutes; an integer past float range is corrupt.
+                    float(entry.submit_us)
+                    float(ts - entry.schedule_us)
+                except OverflowError:
+                    raise TraceError(
+                        f"{name}:{line_number}: task_events timestamp out of "
+                        f"float range (task {job_id}/{task_index})"
+                    ) from None
                 task = GoogleTask(
                     job_id=job_id,
                     task_index=task_index,

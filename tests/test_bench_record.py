@@ -1,6 +1,7 @@
 """Tests for the engine-throughput trajectory harness (repro.benchtrack)."""
 
 import json
+from dataclasses import replace
 
 import pytest
 
@@ -154,6 +155,46 @@ class TestRegressionGate:
             check_regression(prev, record(workloads=[workload()]))
 
 
+class TestMedianOfRuns:
+    ENGINE = benchtrack.SUITES["engine"]
+
+    def test_each_cell_keeps_its_median_run_by_normalised_rate(self):
+        # Normalised rates for "a": 10, 30, 20 -> the 20 run (the third);
+        # for "b": 5, 1, 3 -> the 3 run.  The raw rates would pick the
+        # second run for "a" instead.
+        runs = [
+            (10.0, [workload("a", jps=100.0), workload("b", jps=50.0)]),
+            (5.0, [workload("a", jps=150.0), workload("b", jps=5.0)]),
+            (8.0, [workload("a", jps=160.0), workload("b", jps=24.0)]),
+        ]
+        calibration, results, spread = benchtrack.median_of_runs(self.ENGINE, runs)
+        assert calibration == 8.0
+        assert [r.jobs_per_second for r in results] == [160.0, 24.0]
+        assert spread == {
+            "a": {"runs": 3, "min": 10.0, "max": 30.0},
+            "b": {"runs": 3, "min": 1.0, "max": 5.0},
+        }
+
+    def test_even_count_takes_the_lower_median(self):
+        runs = [(1.0, [workload(jps=float(jps))]) for jps in (4, 1, 3, 2)]
+        _, results, _ = benchtrack.median_of_runs(self.ENGINE, runs)
+        assert results[0].jobs_per_second == 2.0
+
+    def test_mismatched_runs_rejected(self):
+        runs = [(1.0, [workload("a")]), (1.0, [workload("b")])]
+        with pytest.raises(BenchFormatError):
+            benchtrack.median_of_runs(self.ENGINE, runs)
+
+    def test_spread_round_trips_and_old_points_load_without_it(self):
+        spread = {"cell": {"runs": 5, "min": 9.5, "max": 10.5}}
+        original = record(workloads=[workload()], spread=spread)
+        payload = json.loads(json.dumps(record_to_dict(original)))
+        assert record_from_dict(payload) == original
+        old = record_to_dict(record(workloads=[workload()]))
+        assert "spread" not in old
+        assert record_from_dict(old).spread is None
+
+
 class TestMeasurement:
     TINY = WorkloadSpec(name="tiny", scale=0.02)
 
@@ -198,8 +239,6 @@ class TestDriverDefaults:
 
     @pytest.fixture
     def driver(self, monkeypatch, tmp_path):
-        from dataclasses import replace
-
         from repro.benchtrack import (
             ChaosScenarioResult, ChaosSpec, GridResult, GridSpec,
         )
@@ -226,6 +265,30 @@ class TestDriverDefaults:
         monkeypatch.setattr(benchtrack, "calibrate", lambda: 10.0)
         monkeypatch.chdir(tmp_path)
         return _load_driver()
+
+    def test_written_point_is_the_median_of_five_runs(self, driver, tmp_path, monkeypatch):
+        calls = []
+        grid = benchtrack.SUITES["grid"]
+        measure = grid.measure
+
+        def counted(spec, rounds, progress):
+            calls.append(spec.name)
+            return measure(spec, rounds, progress)
+
+        monkeypatch.setitem(benchtrack.SUITES, "grid", replace(grid, measure=counted))
+        assert driver.main(["--grid", "--label", "x"]) == 0
+        assert calls == ["g"] * 5
+        (point,) = load_history(str(tmp_path / "BENCH_grid.json"))
+        assert point.spread == {"g": {"runs": 5, "min": 0.0, "max": 0.0}}
+
+        calls.clear()
+        assert driver.main(["--grid", "--check"]) == 0
+        assert calls == ["g"]
+
+    def test_chaos_point_is_one_run(self, driver, tmp_path):
+        assert driver.main(["--chaos", "--label", "x"]) == 0
+        (point,) = load_history(str(tmp_path / "BENCH_chaos.json"))
+        assert point.spread is None
 
     def test_explicit_output_is_not_redirected(self, driver, tmp_path):
         assert driver.main(["--grid", "--label", "x", "--output", "BENCH_engine.json"]) == 0

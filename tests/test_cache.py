@@ -263,6 +263,25 @@ class TestRunnerCaching:
         assert again.cache_stats.hits == 1
         assert cells_again[0].result is not None
 
+        # With a config that records samples: the summary-only run skips
+        # them, so its entry must be recomputed for keep_results and come
+        # back with the samples a fresh sampled run produces.
+        sampled = SimulationConfig(strict=False)
+        sampled_dir = tmp_path / "sampled"
+        ExperimentRunner(config=sampled, cache_dir=sampled_dir).run(
+            [smoke_scenario], [repro.no_res]
+        )
+        upgraded = ExperimentRunner(
+            config=sampled, cache_dir=sampled_dir, keep_results=True
+        )
+        result = upgraded.run([smoke_scenario], [repro.no_res])[0].result
+        assert upgraded.cache_stats.misses == 1
+        fresh = ExperimentRunner(config=sampled, keep_results=True).run(
+            [smoke_scenario], [repro.no_res]
+        )[0].result
+        assert result.samples and result.samples == fresh.samples
+        assert result.records == fresh.records
+
     def test_parallel_run_populates_and_uses_cache(self, smoke_scenario, tmp_path):
         cold = ExperimentRunner(config=FAST, n_workers=2, cache_dir=tmp_path)
         cells_cold = cold.run(

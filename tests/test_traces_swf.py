@@ -138,6 +138,29 @@ class TestErrors:
         with pytest.raises(TraceError, match=rf"bad\.swf:2: {message}"):
             list(TraceReplaySpec().replay_swf(path))
 
+    @pytest.mark.parametrize(
+        "times",
+        [
+            # Submit, schedule and finish all past float range: the
+            # submit minute used to raise a bare OverflowError.
+            ("1" + "0" * 400,) * 3,
+            # Only the finish is: the runtime minutes used to.
+            ("0", "0", "1" + "0" * 400),
+        ],
+    )
+    def test_unrepresentable_google_timestamp_is_not_replayed(self, tmp_path, times):
+        # task_events rows: submit (0), schedule (1), finish (4).
+        rows = [
+            f"{ts},,7,0,,{event},u0,0,0,0.1,0.1,,"
+            for ts, event in zip(times, (0, 1, 4))
+        ]
+        path = tmp_path / "bad.csv"
+        path.write_text("\n".join(rows) + "\n", encoding="utf-8")
+        with pytest.raises(
+            TraceError, match=r"bad\.csv:3: task_events timestamp out of float range"
+        ):
+            list(TraceReplaySpec().replay_google(path))
+
     def test_blank_lines_and_comments_skipped(self):
         text = ";c\n\n   \n" + " ".join(["7"] * 18) + "\n"
         jobs = list(iter_swf_jobs(io.StringIO(text)))

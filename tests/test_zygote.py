@@ -168,6 +168,10 @@ class TestZygoteSafety:
             tmp_path / "plan.json",
         )
         monkeypatch.setenv(CHAOS_PLAN_ENV, str(plan))
+        # Padded cells keep the grid open past w0's restart backoff;
+        # unpadded smoke cells can all finish on w1 first, and w0 is
+        # then retired rather than restarted.
+        monkeypatch.setenv(CELL_FLOOR_ENV, "0.5")
         backend = SupervisedWorkerBackend(
             min_workers=1, max_workers=2, poll_interval=0.05,
             config=SupervisorConfig(backoff_base_seconds=0.05),
