@@ -42,8 +42,9 @@ The overlap floor and the invariant check apply even when the
 trajectory file holds no baseline yet.
 
 A written point is the median of five measurements of the matrix:
-each cell keeps its median run by calibration-normalised rate, and the
-point stores the rate's min/max spread across the runs.  ``--check``
+the run whose cells' calibration-normalised rates have the median
+geometric mean is kept whole, calibration score included, and the
+point stores each cell's min/max rate across the runs.  ``--check``
 measures once and compares against the last committed point.  The
 chaos suite has no rate and records one run.
 
@@ -165,7 +166,7 @@ def run(suite: benchtrack.Suite, args) -> int:
         REPORTERS[suite.name](result, args)
         if spread is not None:
             cell = spread[result.spec.name]
-            print(f"    ranking rate over {runs} runs: {cell['min']:.4g} .. {cell['max']:.4g}")
+            print(f"    rate over {runs} runs: {cell['min']:.4g} .. {cell['max']:.4g}")
 
     header = {}
     if "available_cores" in suite.header:

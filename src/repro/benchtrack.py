@@ -35,9 +35,9 @@ Timings use the best (minimum) wall-clock of N rounds: the minimum is
 the least noisy location statistic for "how fast can this code go"
 on a machine with background load.  A recorded point goes one step
 further: ``scripts/bench_record.py`` measures the matrix several
-times, keeps each cell's median run by its suite's
-calibration-normalised rate (:func:`median_of_runs`) and stores the
-rate's min/max spread next to it, so one outlier run cannot become the
+times, keeps the median run whole by its suite's
+calibration-normalised rate (:func:`median_of_runs`) and stores each
+cell's min/max spread next to it, so one outlier run cannot become the
 baseline the next gate compares against.
 """
 
@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import math
 import os
 import time
 from dataclasses import asdict, dataclass, fields
@@ -169,9 +170,9 @@ class Suite:
         nested: result fields holding a tuple of dataclasses, and their
             type.
         rate: ``(result, calibration_score) -> float``, the
-            higher-is-faster figure a recorded point takes each cell's
-            median run by — normalised by calibration wherever the gate
-            normalises; ``None`` records a single run.
+            higher-is-faster per-cell figure a recorded point ranks its
+            runs by (:func:`median_of_runs`), normalised exactly as the
+            gate compares it; ``None`` records a single run.
     """
 
     name: str
@@ -426,6 +427,11 @@ def measure_table1(scale: float = 0.08) -> Tuple[float, float]:
     finally:
         shutil.rmtree(cache_dir, ignore_errors=True)
     return cold, warm
+
+
+def _jobs_rate(result, calibration: float) -> float:
+    """Jobs/sec per calibration unit, as the engine and ingest gates compare."""
+    return result.jobs_per_second / calibration
 
 
 def _engine_gate(prev, cur, calibration, threshold) -> List[str]:
@@ -842,20 +848,27 @@ def measure_grid(
     )
 
 
+def _grid_normalises(spec: GridSpec) -> bool:
+    """Whether a grid's cells/sec is compared per calibration unit.
+
+    CPU-bound grids are; padded grids are wall-clock-bound, so their
+    raw rate is already machine-comparable.
+    """
+    return spec.cell_floor == 0
+
+
 def _grid_gate(prev, cur, calibration, threshold) -> List[str]:
     """Digest must reproduce; per-backend cells/sec may not drop.
 
-    Backends are joined by name.  CPU-bound grids (``cell_floor == 0``)
-    are calibration-normalised like the engine matrix; padded grids
-    compare raw cells/sec, which is already machine-comparable because
-    the cells are wall-clock-bound.
+    Backends are joined by name; cells/sec is calibration-normalised
+    like the engine matrix where :func:`_grid_normalises` says so.
     """
     name = cur.spec.name
     failures = _digest_change(
         name, "per-cell", prev.digest, cur.digest,
         "sharded results no longer reproduce the committed grid",
     )
-    normalise = calibration if cur.spec.cell_floor == 0 else None
+    normalise = calibration if _grid_normalises(cur.spec) else None
     unit = "normalised " if normalise else ""
     before = {t.backend: t for t in prev.timings}
     for timing in cur.timings:
@@ -872,7 +885,7 @@ def _grid_rate(result, calibration: float) -> float:
     """Cells/sec over every backend's wall, normalised as the gate does."""
     wall = sum(t.wall_seconds for t in result.timings)
     rate = result.cells * len(result.timings) / wall if wall > 0 else 0.0
-    return rate / calibration if result.spec.cell_floor == 0 else rate
+    return rate / calibration if _grid_normalises(result.spec) else rate
 
 
 def _grid_floor(cur) -> List[str]:
@@ -1013,7 +1026,7 @@ SUITES: Dict[str, Suite] = {
             measure=lambda spec, rounds, progress: measure_workload(spec, rounds),
             gate=_engine_gate,
             header=("table1_cold_seconds", "table1_warm_seconds"),
-            rate=lambda result, calibration: result.jobs_per_second / calibration,
+            rate=_jobs_rate,
         ),
         Suite(
             name="ingest", path="BENCH_ingest.json", cells_key="ingests",
@@ -1022,7 +1035,7 @@ SUITES: Dict[str, Suite] = {
             measure=lambda spec, rounds, progress: measure_ingest(spec, rounds),
             gate=_ingest_gate,
             renames=(("jobs", "fixture_jobs"),),
-            rate=lambda result, calibration: result.jobs_per_second / calibration,
+            rate=_jobs_rate,
         ),
         Suite(
             name="grid", path="BENCH_grid.json", cells_key="grids",
@@ -1168,14 +1181,16 @@ def write_record(path: str, record: Record, append: bool = True) -> int:
 def median_of_runs(
     suite: Suite, runs: Sequence[Tuple[float, Sequence[Any]]]
 ) -> Tuple[float, Tuple[Any, ...], Dict[str, Dict[str, float]]]:
-    """Each cell's median run across repeated measurements of a matrix.
+    """The median of repeated measurements of a matrix, as one whole run.
 
     ``runs`` holds one ``(calibration_score, results)`` pair per run,
-    results in matrix order.  Each cell keeps the result of its median
-    run by ``suite.rate`` (the lower median for an even count), so the
-    recorded numbers all come from one real run of that cell.  Returns
-    the median calibration score, the chosen results, and each cell's
-    spread: ``{"runs", "min", "max"}`` of the rate.
+    results in matrix order.  Each run is scored by the geometric mean
+    of its cells' ``suite.rate``, and the median run by that score (the
+    lower median for an even count) is kept whole: its calibration
+    score and every one of its results, so each recorded rate is
+    normalised by the score of the run it was measured in.  Returns
+    that run's calibration score and results, and each cell's spread:
+    ``{"runs", "min", "max"}`` of the rate across all runs.
 
     Raises:
         BenchFormatError: no runs, a suite without a rate, or runs that
@@ -1183,21 +1198,31 @@ def median_of_runs(
     """
     if not runs or suite.rate is None:
         raise BenchFormatError(f"{suite.name}: nothing to take a median of")
-    middle = (len(runs) - 1) // 2
     names = [result.spec.name for result in runs[0][1]]
-    chosen: List[Any] = []
-    spread: Dict[str, Dict[str, float]] = {}
-    for index, name in enumerate(names):
-        ranked = []
-        for calibration, results in runs:
-            if len(results) != len(names) or results[index].spec.name != name:
-                raise BenchFormatError(f"{suite.name}: runs measured different cells")
-            ranked.append((suite.rate(results[index], calibration), results[index]))
-        ranked.sort(key=lambda pair: pair[0])
-        chosen.append(ranked[middle][1])
-        spread[name] = {"runs": len(runs), "min": ranked[0][0], "max": ranked[-1][0]}
-    calibration = sorted(score for score, _ in runs)[middle]
-    return calibration, tuple(chosen), spread
+    if any([r.spec.name for r in results] != names for _, results in runs):
+        raise BenchFormatError(f"{suite.name}: runs measured different cells")
+    rates = [
+        [suite.rate(result, calibration) for result in results]
+        for calibration, results in runs
+    ]
+
+    def score(index: int) -> float:
+        cells = rates[index]
+        if not cells or min(cells) <= 0:
+            return 0.0
+        return math.exp(math.fsum(math.log(rate) for rate in cells) / len(cells))
+
+    ranked = sorted(range(len(runs)), key=score)
+    calibration, results = runs[ranked[(len(runs) - 1) // 2]]
+    spread = {
+        name: {
+            "runs": len(runs),
+            "min": min(run[cell] for run in rates),
+            "max": max(run[cell] for run in rates),
+        }
+        for cell, name in enumerate(names)
+    }
+    return calibration, tuple(results), spread
 
 
 # -- regression gate -----------------------------------------------------------------

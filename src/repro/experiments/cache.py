@@ -48,7 +48,7 @@ from typing import Any, Dict, Optional
 
 from .._version import __version__
 from ..errors import CacheError
-from ..fsutil import atomic_write_bytes
+from ..fsutil import atomic_write_bytes, tmp_writer_alive
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -649,8 +649,14 @@ class ResultCache:
         )
 
     def _sweep_tmp_files(self) -> None:
-        """Remove orphaned atomic-write temp files (crashed writers)."""
+        """Remove orphaned atomic-write temp files (crashed writers).
+
+        A tmp file whose writer still runs is an in-flight write (a
+        lease heartbeat or a publish) and is left for it to rename.
+        """
         for path in self.root.glob("*/*.tmp.*"):
+            if tmp_writer_alive(path):
+                continue
             try:
                 path.unlink(missing_ok=True)
             except OSError:

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
-import os
 import sys
 import threading
 import time
@@ -54,6 +53,7 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..experiments.cache import ResultCache
 from ..experiments.parallel import CellTask
+from ..fsutil import tmp_writer_alive
 from .backends import (
     BackendError,
     SubprocessWorkerBackend,
@@ -737,16 +737,6 @@ def sweep_settled_leases(
     return removed
 
 
-def _pid_alive(pid: int) -> bool:
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return False
-    except (OSError, PermissionError):
-        return True
-    return True
-
-
 def sweep_tmp_droppings(cache: ResultCache) -> int:
     """Remove tmp files abandoned by killed writers.
 
@@ -759,8 +749,7 @@ def sweep_tmp_droppings(cache: ResultCache) -> int:
     """
     removed = 0
     for path in cache.root.rglob("*.tmp.*"):
-        suffix = path.name.rsplit(".", 1)[-1]
-        if not suffix.isdigit() or _pid_alive(int(suffix)):
+        if tmp_writer_alive(path):
             continue
         try:
             path.unlink(missing_ok=True)

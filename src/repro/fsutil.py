@@ -17,7 +17,7 @@ import threading
 from pathlib import Path
 from typing import Union
 
-__all__ = ["atomic_write_bytes", "atomic_write_text"]
+__all__ = ["atomic_write_bytes", "atomic_write_text", "tmp_writer_alive"]
 
 
 def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
@@ -46,3 +46,23 @@ def atomic_write_bytes(path: Union[str, Path], data: bytes) -> None:
 def atomic_write_text(path: Union[str, Path], text: str, encoding: str = "utf-8") -> None:
     """Write ``text`` to ``path`` atomically (tmp file + ``os.replace``)."""
     atomic_write_bytes(path, text.encode(encoding))
+
+
+def tmp_writer_alive(path: Union[str, Path]) -> bool:
+    """Whether the writer of an atomic-write tmp file may still rename it.
+
+    Tmp names end in the writer's pid.  While that process runs, the
+    file is an in-flight write and must not be removed; once it is gone,
+    nothing will ever rename the file.  A name without a pid suffix is
+    treated as live, so it is never swept.
+    """
+    suffix = Path(path).name.rsplit(".", 1)[-1]
+    if not suffix.isdigit():
+        return True
+    try:
+        os.kill(int(suffix), 0)
+    except ProcessLookupError:
+        return False
+    except OSError:
+        return True
+    return True

@@ -38,7 +38,7 @@ import heapq
 import math
 from dataclasses import dataclass
 from pathlib import Path
-from typing import IO, Dict, Iterator, List, Optional, Tuple, Union
+from typing import IO, Callable, Dict, Iterator, List, Optional, Tuple, TypeVar, Union
 
 from ...errors import TraceError
 
@@ -140,9 +140,14 @@ def _float_or(value: str, default: float) -> float:
     return float(value) if value else default
 
 
+T = TypeVar("T")
+
+
 def iter_google_tasks(
-    source: Source, stats: Optional[Dict[str, int]] = None
-) -> Iterator[GoogleTask]:
+    source: Source,
+    stats: Optional[Dict[str, int]] = None,
+    project: Optional[Callable[[GoogleTask], T]] = None,
+) -> Iterator[Union[GoogleTask, T]]:
     """Yield completed :class:`GoogleTask` spans sorted by submit time.
 
     ``source`` is a path or text stream of a ``task_events`` CSV (no
@@ -155,12 +160,18 @@ def iter_google_tasks(
     terminated inside the captured window) are dropped; pass ``stats``
     to receive ``{"emitted", "dropped_open", "dropped_unscheduled"}``
     counts for reporting.
+
+    ``project``, when given, maps each task as its terminal row is read,
+    and the mapped values are yielded in the same order; an
+    ``OverflowError`` it raises (a timestamp too large for a float)
+    becomes a :class:`~repro.errors.TraceError` naming ``file:line`` of
+    that row.
     """
     pending: Dict[Tuple[int, int], _Pending] = {}
     # Lazy-deletion heap over pending submit times: the top entry is
     # valid only while its key is still pending with the same submit.
     pending_heap: List[Tuple[int, Tuple[int, int]]] = []
-    ready: List[Tuple[int, int, GoogleTask]] = []
+    ready: List[Tuple[int, int, Union[GoogleTask, T]]] = []
     seq = 0
     emitted = 0
     dropped_unscheduled = 0
@@ -245,16 +256,6 @@ def iter_google_tasks(
                     # Killed while queued: it never ran, nothing to replay.
                     dropped_unscheduled += 1
                     continue
-                try:
-                    # Replay turns the submit time and the runtime into
-                    # float minutes; an integer past float range is corrupt.
-                    float(entry.submit_us)
-                    float(ts - entry.schedule_us)
-                except OverflowError:
-                    raise TraceError(
-                        f"{name}:{line_number}: task_events timestamp out of "
-                        f"float range (task {job_id}/{task_index})"
-                    ) from None
                 task = GoogleTask(
                     job_id=job_id,
                     task_index=task_index,
@@ -268,7 +269,16 @@ def iter_google_tasks(
                     cpu_request=entry.cpu_request,
                     memory_request=entry.memory_request,
                 )
-                heapq.heappush(ready, (task.submit_us, seq, task))
+                item = task
+                if project is not None:
+                    try:
+                        item = project(task)
+                    except OverflowError as exc:
+                        raise TraceError(
+                            f"{name}:{line_number}: task_events value out of "
+                            f"float range ({exc})"
+                        ) from None
+                heapq.heappush(ready, (task.submit_us, seq, item))
                 seq += 1
             # EVICT and UPDATE_* rows carry no replay information here.
 

@@ -266,7 +266,7 @@ class TraceReplaySpec:
 
     def replay_google(self, source) -> Iterator[TraceJob]:
         """Stream a Google task_events CSV as simulator-ready jobs."""
-        return self._replay(map(self._map_google, iter_google_tasks(source)))
+        return self._replay(iter_google_tasks(source, project=self._map_google))
 
     def replay(self, source, fmt: str) -> Iterator[TraceJob]:
         """Dispatch on ``fmt`` (``"swf"`` or ``"google"``)."""

@@ -158,18 +158,33 @@ class TestRegressionGate:
 class TestMedianOfRuns:
     ENGINE = benchtrack.SUITES["engine"]
 
-    def test_each_cell_keeps_its_median_run_by_normalised_rate(self):
-        # Normalised rates for "a": 10, 30, 20 -> the 20 run (the third);
-        # for "b": 5, 1, 3 -> the 3 run.  The raw rates would pick the
-        # second run for "a" instead.
+    def test_median_run_is_kept_whole_with_its_own_calibration(self):
+        # Normalised rates 1.0/9 = 0.111, 1.2/12.6 = 0.095, 1.5/14.9 =
+        # 0.101: the median run is the third, not the median-calibration
+        # run (12.6).  Its rate must be read against its own score.
+        runs = [
+            (9.0, [workload(jps=1.0)]),
+            (12.6, [workload(jps=1.2)]),
+            (14.9, [workload(jps=1.5)]),
+        ]
+        calibration, results, spread = benchtrack.median_of_runs(self.ENGINE, runs)
+        assert (calibration, results[0].jobs_per_second) == (14.9, 1.5)
+        kept = results[0].jobs_per_second / calibration
+        assert spread["cell"]["min"] < kept < spread["cell"]["max"]
+        assert spread["cell"] == {"runs": 3, "min": 1.2 / 12.6, "max": 1.0 / 9.0}
+
+    def test_runs_rank_by_the_geometric_mean_of_their_cells(self):
+        # Normalised (a, b) per run: (10, 5) -> 7.07, (30, 1) -> 5.48,
+        # (20, 3) -> 7.75.  The median run is the first, although each
+        # cell's own median rate comes from the third.
         runs = [
             (10.0, [workload("a", jps=100.0), workload("b", jps=50.0)]),
             (5.0, [workload("a", jps=150.0), workload("b", jps=5.0)]),
             (8.0, [workload("a", jps=160.0), workload("b", jps=24.0)]),
         ]
         calibration, results, spread = benchtrack.median_of_runs(self.ENGINE, runs)
-        assert calibration == 8.0
-        assert [r.jobs_per_second for r in results] == [160.0, 24.0]
+        assert calibration == 10.0
+        assert [r.jobs_per_second for r in results] == [100.0, 50.0]
         assert spread == {
             "a": {"runs": 3, "min": 10.0, "max": 30.0},
             "b": {"runs": 3, "min": 1.0, "max": 5.0},

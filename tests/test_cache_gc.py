@@ -175,6 +175,17 @@ class TestGc:
         cache.gc(max_age_seconds=10**9)
         assert not orphan.exists()
 
+    def test_gc_keeps_tmp_files_of_live_writers(self, tmp_path):
+        # A live process's tmp file is an in-flight write (a lease
+        # heartbeat mid-replace); sweeping it made the writer's rename
+        # fail with FileNotFoundError.
+        cache = ResultCache(tmp_path)
+        fill(cache, 1)
+        in_flight = tmp_path / "00" / f"{key(0)}.bin.tmp.{os.getpid()}"
+        in_flight.write_bytes(b"half-written")
+        cache.gc(max_age_seconds=10**9)
+        assert in_flight.exists()
+
     def test_dry_run_keeps_tmp_files(self, tmp_path):
         cache = ResultCache(tmp_path)
         fill(cache, 1)

@@ -10,6 +10,9 @@ job records alone.  These tests pin the three halves of that contract:
 * a cell that keeps its result, checks invariants or carries
   instrumentation still samples every tick;
 * the cell's config and cache key stay exactly as built.
+
+It also pins the one known case where the two runs differ: a run that
+ends just inside ``max_minutes`` fails only when it samples.
 """
 
 from __future__ import annotations
@@ -19,6 +22,7 @@ import dataclasses
 import pytest
 
 import repro
+from repro.errors import SimulationError
 from repro.experiments import parallel
 from repro.experiments.cache import cell_cache_key, stable_hash
 from repro.experiments.parallel import _simulate_task, make_cell_task
@@ -28,6 +32,9 @@ from repro.policies import policy_from_spec
 from repro.schedulers.initial import RoundRobinScheduler
 from repro.simulator.config import SimulationConfig
 from repro.telemetry import Instrumentation, MetricsRegistry
+from repro.workload.scenarios import Scenario
+
+from conftest import make_cluster, make_job, make_trace
 
 CHURN = FaultConfig.with_exponential_churn(3000.0, 60.0)
 
@@ -155,3 +162,27 @@ def test_config_and_cache_key_stay_as_built(engine_results):
         dataclasses.replace(task.config, record_samples=False),
     )
     assert lean_key != key, "record_samples is part of the config fingerprint"
+
+
+def test_max_minutes_bound_diverges_with_sampling():
+    # Known engine fault, pinned on both sides: the sampler queues its
+    # next tick past ``max_minutes`` (here at minute 105) and draining it
+    # raises, although the one job finishes at minute 99.  So the
+    # summary-only cell completes while the same cell with its result
+    # kept fails.  When the engine stops scheduling ticks past the
+    # bound, both sides complete and this test changes with it.
+    scenario = Scenario(
+        name="one-job",
+        description="one 99-minute job",
+        cluster=make_cluster(),
+        trace=make_trace([make_job(0, runtime=99.0)]),
+        seed=1,
+    )
+    config = SimulationConfig(strict=False, sample_interval=7.0, max_minutes=100.0)
+    task = make_cell_task(
+        0, scenario, repro.res_sus_util(), RoundRobinScheduler(), config
+    )
+    _, summary, kept, _ = _simulate_task(task)
+    assert kept is None and summary.completed_count == 1
+    with pytest.raises(SimulationError, match="exceeded max_minutes=100.0"):
+        _simulate_task(dataclasses.replace(task, keep_result=True))

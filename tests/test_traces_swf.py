@@ -141,11 +141,12 @@ class TestErrors:
     @pytest.mark.parametrize(
         "times",
         [
-            # Submit, schedule and finish all past float range: the
-            # submit minute used to raise a bare OverflowError.
-            ("1" + "0" * 400,) * 3,
+            # Submit, schedule and finish all past float range, one
+            # minute of runtime: the submit minute used to raise a bare
+            # OverflowError.
+            (str(10**400), str(10**400), str(10**400 + 60_000_000)),
             # Only the finish is: the runtime minutes used to.
-            ("0", "0", "1" + "0" * 400),
+            ("0", "0", str(10**400)),
         ],
     )
     def test_unrepresentable_google_timestamp_is_not_replayed(self, tmp_path, times):
@@ -157,7 +158,7 @@ class TestErrors:
         path = tmp_path / "bad.csv"
         path.write_text("\n".join(rows) + "\n", encoding="utf-8")
         with pytest.raises(
-            TraceError, match=r"bad\.csv:3: task_events timestamp out of float range"
+            TraceError, match=r"bad\.csv:3: task_events value out of float range"
         ):
             list(TraceReplaySpec().replay_google(path))
 
