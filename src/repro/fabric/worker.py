@@ -19,7 +19,9 @@ more time on lease I/O than simulation, so the worker claims cells in
 batches whose size doubles while the observed mean cell cost stays
 under :data:`BATCH_TARGET_SECONDS` (and collapses back to 1 the moment
 cells get expensive — cheap cells amortize claim overhead, expensive
-cells keep takeover granularity fine).
+cells keep takeover granularity fine).  A batch never exceeds
+1/:data:`TAIL_SHARE` of the cells still unpublished, so the last cells
+of a grid go out one at a time and peers finish together.
 
 Runnable as ``python -m repro.fabric.worker``.  The
 :class:`~repro.fabric.backends.SubprocessWorkerBackend` runs the same
@@ -75,6 +77,11 @@ BATCH_TARGET_SECONDS = 0.1
 
 #: Claim batch size ceiling (bounds work lost to a worker death).
 MAX_BATCH = 32
+
+#: A claim batch is at most this fraction (1/N) of the cells the worker
+#: still sees unpublished, so the grid's tail is claimed cell by cell
+#: and no worker idles while a peer works through a large last batch.
+TAIL_SHARE = 8
 
 #: Environment variable padding each computed cell's wall time (benchmarks).
 CELL_FLOOR_ENV = "REPRO_FABRIC_CELL_FLOOR"
@@ -234,8 +241,9 @@ def run_worker(
     with _Heartbeat(leases, stats) as heartbeat:
         while len(remaining) > len(failed):
             claimed: List[CellTask] = []
+            limit = min(batch_size, max(1, (len(remaining) - len(failed)) // TAIL_SHARE))
             for key in list(remaining):
-                if len(claimed) >= batch_size:
+                if len(claimed) >= limit:
                     break
                 if key in failed:
                     continue

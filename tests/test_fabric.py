@@ -254,6 +254,46 @@ class TestWorkerLoop:
         )
         assert len(slept) == 3 and all(s > 0.4 for s in slept)
 
+    def test_claim_batches_shrink_to_single_cells_at_the_tail(
+        self, tmp_path, monkeypatch
+    ):
+        events = []
+        monkeypatch.setattr(
+            worker_mod,
+            "_simulate_task",
+            lambda task: events.append("compute")
+            or (task.index, {"stub": task.index}, None, 0.001),
+        )
+        tasks = [
+            SimpleNamespace(index=i, cache_key=f"{i:02d}" + "0" * 62, keep_result=False)
+            for i in range(40)
+        ]
+        leases = LeaseStore(tmp_path, run_id="r", worker_id="w")
+        claim = leases.claim
+
+        def counted_claim(key):
+            events.append("claim")
+            return claim(key)
+
+        monkeypatch.setattr(leases, "claim", counted_claim)
+        stats = run_worker(tasks, ResultCache(tmp_path), leases)
+        assert stats.computed == 40
+        # A batch is a run of claims between computes.
+        batches = []
+        for previous, event in zip(["compute"] + events, events):
+            if event == "claim":
+                if previous == "claim":
+                    batches[-1] += 1
+                else:
+                    batches.append(1)
+        assert sum(batches) == 40
+        left = 40
+        for size in batches:
+            assert size <= max(1, left // worker_mod.TAIL_SHARE)
+            left -= size
+        assert max(batches) > 1  # cheap cells are still batched
+        assert batches[-worker_mod.TAIL_SHARE:] == [1] * worker_mod.TAIL_SHARE
+
 
 class TestRunGridFabric:
     def test_local_backend_matches_serial(self, smoke_scenario, tmp_path):
