@@ -191,7 +191,8 @@ def fault_sweep(
         faults = FaultConfig.with_exponential_churn(
             mtbf, mttr, job_failure_probability=job_failure_probability
         )
-        config = SimulationConfig(strict=False, faults=faults)
+        # The cells read records, fault stats and CDFs, never samples.
+        config = SimulationConfig(strict=False, faults=faults, record_samples=False)
         for policy in FAULT_POLICY_FAMILY():
             cells.append(_cell(scenario, policy, mtbf, mttr, config))
     return FaultSweep(mtbf_minutes=mtbfs, mttr_minutes=mttr, cells=tuple(cells))

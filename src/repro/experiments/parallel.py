@@ -299,19 +299,33 @@ def _outcome(
     )
 
 
-def _is_portable(task: CellTask) -> bool:
-    """Whether a fresh worker interpreter can load ``task``.
+def _is_portable(payload: object) -> bool:
+    """Whether a fresh worker interpreter can load ``payload``.
 
-    The task must pickle, and must not reference anything defined in
-    ``__main__``: a worker's ``__main__`` is the worker itself, so such
-    a class or function could not be found there.  The byte check is
-    conservative; a false positive only costs a serial run.
+    The payload (a task, or a list of them) must pickle, and must not
+    reference anything defined in ``__main__``: a worker's ``__main__``
+    is the worker itself, so such a class or function could not be
+    found there.  The byte check is conservative; a false positive only
+    costs a serial run.
     """
     try:
-        blob = pickle.dumps(task, protocol=pickle.HIGHEST_PROTOCOL)
+        blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
         return False
     return b"__main__" not in blob
+
+
+def _portable_tasks(tasks: Sequence[CellTask]) -> List[CellTask]:
+    """The cells of ``tasks`` a worker can load, in order.
+
+    One pickle of the whole list answers for every cell, and writes
+    each scenario the cells share once; only a list that fails is
+    checked cell by cell.
+    """
+    tasks = list(tasks)
+    if _is_portable(tasks):
+        return tasks
+    return [t for t in tasks if _is_portable(t)]
 
 
 def run_grid_parallel(

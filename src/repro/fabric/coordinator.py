@@ -47,8 +47,8 @@ from ..experiments.parallel import (
     CellOutcome,
     CellTask,
     GridReport,
-    _is_portable,
     _outcome,
+    _portable_tasks,
     _simulate_task,
 )
 from .backends import Backend, BackendError, new_run_id
@@ -313,11 +313,9 @@ def run_grid_fabric(
     # nothing from a fleet but its boot and polling costs.
     fleet_tasks: List[CellTask] = []
     if backend is not None and len(pending) > 1:
-        fleet_tasks = [
-            t
-            for t in pending
-            if t.cache_key and t.index not in summary_only and _is_portable(t)
-        ]
+        fleet_tasks = _portable_tasks(
+            [t for t in pending if t.cache_key and t.index not in summary_only]
+        )
     in_fleet = {t.index for t in fleet_tasks}
     serial_tasks = [t for t in pending if t.index not in in_fleet]
 

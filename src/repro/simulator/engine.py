@@ -593,7 +593,10 @@ class SimulationEngine:
         pushed before the tick would have been, so it fires first too.
         Tick minutes come from the same repeated ``+ sample_interval``
         additions as one event per tick would produce, and the sink,
-        telemetry and invariant checks still see every tick.
+        telemetry and invariant checks still see every tick.  No tick
+        past ``max_minutes`` is taken or queued: the bound walls the
+        workload's events, so sampling never fails a run that completes
+        without it.
         """
         pools = self._pool_list
         per_pool_busy = tuple(map(_busy_cores, pools))
@@ -638,9 +641,9 @@ class SimulationEngine:
             if self._outstanding == 0 and next_submit is None:
                 return
             tick = tick + interval
-            if (horizon is not None and tick >= horizon) or (
-                max_minutes is not None and tick > max_minutes
-            ):
+            if max_minutes is not None and tick > max_minutes:
+                return
+            if horizon is not None and tick >= horizon:
                 break
         self._events.push(tick, EVENT_SAMPLE, None)
 

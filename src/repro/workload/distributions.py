@@ -12,8 +12,12 @@ The sampler classes implement a tiny common protocol::
     value = sampler.sample(rng)
 
 where ``rng`` is a :class:`random.Random`.  Samplers are immutable value
-objects: they carry parameters, never state, which makes them safe to
-share between generators and trivial to compare in tests.
+objects: they carry their parameters and, for the weighted
+:class:`Mixture` and :class:`Categorical`, a lookup table derived from
+them once at construction.  They carry no state that a draw changes,
+which makes them safe to share between generators and trivial to
+compare in tests; the derived table is not a dataclass field, so
+``repr``, ``==`` and field-based hashing see the parameters alone.
 """
 
 from __future__ import annotations
@@ -21,7 +25,9 @@ from __future__ import annotations
 import hashlib
 import math
 import random
+from bisect import bisect
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -217,6 +223,31 @@ class BoundedPareto(Sampler):
         return num * a / (a - 1.0) * (1.0 / lo ** (a - 1.0) - 1.0 / hi ** (a - 1.0))
 
 
+def _weighted_table(kind: str, noun: str, items: Tuple, weights: Tuple) -> tuple:
+    """Validate ``weights``; return the weighted-pick table for ``items``.
+
+    The table is ``(items, cumulative weights, total, hi)``: what
+    :meth:`random.Random.choices` rebuilds on every call, so the draw
+    ``items[bisect(cum, rng.random() * total, 0, hi)]`` consumes one
+    ``random()`` and returns the item ``rng.choices(items, weights)``
+    would.  Totals ``choices`` rejects at draw time (not finite, or not
+    positive) are rejected here instead.  Owners store the table as a
+    plain attribute, not a field, so ``repr``, ``==``,
+    ``dataclasses.fields`` and cache keys never see it.
+    """
+    if len(items) != len(weights):
+        raise ConfigurationError(f"{kind}: {noun}s and weights must have equal length")
+    if not items:
+        raise ConfigurationError(f"{kind}: at least one {noun} required")
+    cum = tuple(accumulate(weights))
+    total = cum[-1] + 0.0
+    if any(w < 0 for w in weights) or total <= 0:
+        raise ConfigurationError(f"{kind}: weights must be non-negative and sum > 0")
+    if not math.isfinite(total):
+        raise ConfigurationError(f"{kind}: weights must have a finite sum")
+    return tuple(items), cum, total, len(items) - 1
+
+
 @dataclass(frozen=True)
 class Mixture(Sampler):
     """Finite mixture of component samplers with given weights."""
@@ -225,16 +256,12 @@ class Mixture(Sampler):
     weights: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.components) != len(self.weights):
-            raise ConfigurationError("Mixture: components and weights must have equal length")
-        if not self.components:
-            raise ConfigurationError("Mixture: at least one component required")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ConfigurationError("Mixture: weights must be non-negative and sum > 0")
+        table = _weighted_table("Mixture", "component", self.components, self.weights)
+        object.__setattr__(self, "_table", table)
 
     def sample(self, rng: random.Random) -> float:
-        (component,) = rng.choices(self.components, weights=self.weights, k=1)
-        return component.sample(rng)
+        components, cum, total, hi = self._table
+        return components[bisect(cum, rng.random() * total, 0, hi)].sample(rng)
 
     def mean(self) -> float:
         total = sum(self.weights)
@@ -254,16 +281,12 @@ class Categorical:
     weights: Tuple[float, ...]
 
     def __post_init__(self) -> None:
-        if len(self.values) != len(self.weights):
-            raise ConfigurationError("Categorical: values and weights must have equal length")
-        if not self.values:
-            raise ConfigurationError("Categorical: at least one value required")
-        if any(w < 0 for w in self.weights) or sum(self.weights) <= 0:
-            raise ConfigurationError("Categorical: weights must be non-negative and sum > 0")
+        table = _weighted_table("Categorical", "value", self.values, self.weights)
+        object.__setattr__(self, "_table", table)
 
     def sample(self, rng: random.Random):
-        (value,) = rng.choices(self.values, weights=self.weights, k=1)
-        return value
+        values, cum, total, hi = self._table
+        return values[bisect(cum, rng.random() * total, 0, hi)]
 
     def mean(self) -> float:
         """Weighted mean of the values (requires numeric values)."""

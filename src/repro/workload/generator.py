@@ -222,37 +222,51 @@ class WorkloadGenerator:
         task_id: Optional[int] = None
         task_remaining = 0
         next_task_id = 0
-        group_count = len(model.group_pool_sets) if model.group_pool_sets else 0
+        group_pool_sets = model.group_pool_sets
+        group_count = len(group_pool_sets) if group_pool_sets else 0
+        # Bound once: this loop runs once per base-stream job.
+        append = jobs.append
+        attr_random = attr_rng.random
+        sample_os = model.os_families.sample
+        sample_cores = model.cores.sample
+        sample_memory = model.memory_gb.sample
+        sample_runtime = model.runtime.sample
+        medium_fraction = model.medium_priority_fraction
+        medium_priority = model.medium_priority
+        low_priority = model.low_priority
+        task_size = model.task_size
+        users = model.users
+        user_count = len(users)
         for submit in process.iter_arrivals(model.horizon_minutes, arrival_rng):
-            if attr_rng.random() < model.medium_priority_fraction:
-                priority = model.medium_priority
+            if attr_random() < medium_fraction:
+                priority = medium_priority
             else:
-                priority = model.low_priority
-            if model.task_size > 0 and priority == model.low_priority:
+                priority = low_priority
+            if task_size > 0 and priority == low_priority:
                 if task_remaining == 0:
                     task_id = next_task_id
                     next_task_id += 1
-                    task_remaining = model.task_size
+                    task_remaining = task_size
                 task_remaining -= 1
                 this_task: Optional[int] = task_id
             else:
                 this_task = None
-            os_family = str(model.os_families.sample(attr_rng))
+            os_family = str(sample_os(attr_rng))
             candidate_pools: Optional[Tuple[str, ...]] = None
             if group_count and os_family == "linux":
                 group = next_id % group_count
-                candidate_pools = model.group_pool_sets[group]
+                candidate_pools = group_pool_sets[group]
                 user = f"group-{group:02d}"
             else:
-                user = model.users[next_id % len(model.users)]
-            jobs.append(
+                user = users[next_id % user_count]
+            append(
                 TraceJob(
                     job_id=next_id,
                     submit_minute=submit,
-                    runtime_minutes=max(0.5, model.runtime.sample(runtime_rng)),
+                    runtime_minutes=max(0.5, sample_runtime(runtime_rng)),
                     priority=priority,
-                    cores=int(model.cores.sample(attr_rng)),
-                    memory_gb=float(model.memory_gb.sample(attr_rng)),
+                    cores=int(sample_cores(attr_rng)),
+                    memory_gb=float(sample_memory(attr_rng)),
                     os_family=os_family,
                     candidate_pools=candidate_pools,
                     task_id=this_task,
@@ -268,19 +282,25 @@ class WorkloadGenerator:
         attr_rng = self._streams.stream("burst-attributes")
         runtime_rng = self._streams.stream("burst-runtimes")
 
+        # Bound once: the inner loop runs once per burst job.
+        append = jobs.append
+        sample_cores = model.cores.sample
+        sample_memory = model.memory_gb.sample
+        sample_runtime = model.burst_runtime.sample
+        high_priority = model.high_priority
         windows = model.burst.windows(model.horizon_minutes, burst_rng)
         for window in windows:
             target_pools = self._pick_burst_pools(window, attr_rng)
             owner = f"owner-{int(window.start) % 7}"
             for submit in window.arrivals:
-                jobs.append(
+                append(
                     TraceJob(
                         job_id=next_id,
                         submit_minute=submit,
-                        runtime_minutes=max(0.5, model.burst_runtime.sample(runtime_rng)),
-                        priority=model.high_priority,
-                        cores=int(model.cores.sample(attr_rng)),
-                        memory_gb=float(model.memory_gb.sample(attr_rng)),
+                        runtime_minutes=max(0.5, sample_runtime(runtime_rng)),
+                        priority=high_priority,
+                        cores=int(sample_cores(attr_rng)),
+                        memory_gb=float(sample_memory(attr_rng)),
                         # Burst jobs stay on the dominant OS so the pool
                         # pressure concentrates, as in the paper.
                         os_family="linux",

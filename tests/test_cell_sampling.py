@@ -11,8 +11,8 @@ job records alone.  These tests pin the three halves of that contract:
   instrumentation still samples every tick;
 * the cell's config and cache key stay exactly as built.
 
-It also pins the one known case where the two runs differ: a run that
-ends just inside ``max_minutes`` fails only when it samples.
+It also pins the ``max_minutes`` corner where the two runs once
+differed: a run that ends just inside the bound completes either way.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ import dataclasses
 import pytest
 
 import repro
-from repro.errors import SimulationError
 from repro.experiments import parallel
 from repro.experiments.cache import cell_cache_key, stable_hash
 from repro.experiments.parallel import _simulate_task, make_cell_task
@@ -164,13 +163,11 @@ def test_config_and_cache_key_stay_as_built(engine_results):
     assert lean_key != key, "record_samples is part of the config fingerprint"
 
 
-def test_max_minutes_bound_diverges_with_sampling():
-    # Known engine fault, pinned on both sides: the sampler queues its
-    # next tick past ``max_minutes`` (here at minute 105) and draining it
-    # raises, although the one job finishes at minute 99.  So the
-    # summary-only cell completes while the same cell with its result
-    # kept fails.  When the engine stops scheduling ticks past the
-    # bound, both sides complete and this test changes with it.
+def test_max_minutes_bound_agrees_with_and_without_sampling():
+    # The one job finishes at minute 99, inside max_minutes=100; the
+    # sampler's next tick (minute 105) lies past the bound and is never
+    # queued, so the summary-only cell and the same cell with its result
+    # kept both complete, with equal summaries.
     scenario = Scenario(
         name="one-job",
         description="one 99-minute job",
@@ -184,5 +181,6 @@ def test_max_minutes_bound_diverges_with_sampling():
     )
     _, summary, kept, _ = _simulate_task(task)
     assert kept is None and summary.completed_count == 1
-    with pytest.raises(SimulationError, match="exceeded max_minutes=100.0"):
-        _simulate_task(dataclasses.replace(task, keep_result=True))
+    _, full_summary, result, _ = _simulate_task(dataclasses.replace(task, keep_result=True))
+    assert result.samples[-1].minute == 98.0
+    assert stable_hash(full_summary) == stable_hash(summary)

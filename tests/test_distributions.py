@@ -1,11 +1,16 @@
 """Unit tests for repro.workload.distributions."""
 
+import dataclasses
 import math
+import pickle
 import random
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from repro.errors import ConfigurationError
+from repro.experiments.cache import stable_hash
 from repro.workload.distributions import (
     BoundedPareto,
     Categorical,
@@ -19,6 +24,7 @@ from repro.workload.distributions import (
     lognormal_from_median,
     quantile,
 )
+from repro.workload.generator import default_runtime_model
 
 
 class TestRandomStreams:
@@ -179,6 +185,77 @@ class TestCategorical:
             Categorical(values=(), weights=())
         with pytest.raises(ConfigurationError):
             Categorical(values=(1,), weights=(-1.0,))
+
+
+@st.composite
+def weight_vectors(draw):
+    """1-8 non-negative weights, ints or floats, often with zeros."""
+    weight = st.one_of(
+        st.just(0.0),
+        st.integers(0, 50),
+        st.floats(0.0, 1e6, allow_nan=False, allow_infinity=False),
+    )
+    weights = draw(st.lists(weight, min_size=1, max_size=8))
+    if draw(st.booleans()):
+        weights[-1] = 0.0
+    assume(any(w > 0 for w in weights))
+    return tuple(weights)
+
+
+class TestWeightedPick:
+    """``Categorical``/``Mixture`` draw exactly as ``random.choices`` would."""
+
+    @given(weights=weight_vectors(), seed=st.integers(0, 2**32))
+    @settings(max_examples=200, deadline=None)
+    def test_draws_match_random_choices(self, weights, seed):
+        values = tuple(f"v{i}" for i in range(len(weights)))
+        categorical = Categorical(values, weights)
+        mixture = Mixture(tuple(Constant(float(i)) for i in range(len(weights))), weights)
+        reference, ours, mixed = (random.Random(seed) for _ in range(3))
+        for _ in range(100):
+            expected = reference.choices(values, weights)[0]
+            assert categorical.sample(ours) == expected
+            assert mixture.sample(mixed) == float(values.index(expected))
+        assert ours.getstate() == reference.getstate()
+        assert mixed.getstate() == reference.getstate()
+
+    @pytest.mark.parametrize(
+        "weights",
+        [(math.inf, 1.0), (math.nan, 1.0), (1e308, 1e308), (0.0, 0.0), (0, 0)],
+        ids=["inf", "nan", "overflowing-sum", "zero-float", "zero-int"],
+    )
+    def test_totals_random_choices_rejects_are_rejected(self, weights):
+        with pytest.raises(ConfigurationError):
+            Categorical(("a", "b"), weights)
+        with pytest.raises(ConfigurationError):
+            Mixture((Constant(1.0), Constant(2.0)), weights)
+
+    def test_table_is_not_part_of_the_value(self):
+        cores = Categorical((1, 2, 4), (0.85, 0.12, 0.03))
+        assert repr(cores) == "Categorical(values=(1, 2, 4), weights=(0.85, 0.12, 0.03))"
+        assert [f.name for f in dataclasses.fields(cores)] == ["values", "weights"]
+        assert stable_hash(cores) == (
+            "49a6570d7831c84b1edf42b75223daf978d089cf2397a88cfcd9939bfa5f43ba"
+        )
+        twin = Categorical((1, 2, 4), (0.85, 0.12, 0.03))
+        assert cores == twin and hash(cores) == hash(twin)
+        assert cores != Categorical((1, 2, 4), (0.85, 0.13, 0.02))
+        runtime = default_runtime_model()
+        assert repr(runtime) == (
+            "Mixture(components=(LogNormal(mu=5.19295685089021, sigma=1.1), "
+            "BoundedPareto(alpha=1.35, low=400.0, high=9000.0)), weights=(0.75, 0.25))"
+        )
+        assert stable_hash(runtime) == (
+            "fb7031f1192c9bec84a500789301c571269e5ec1b19f2965872434b95615c667"
+        )
+        assert runtime == default_runtime_model()
+
+    def test_copies_keep_or_rebuild_the_table(self):
+        coin = Categorical(("heads", "tails"), (1.0, 0.0))
+        clone = pickle.loads(pickle.dumps(coin))
+        assert clone == coin and clone.sample(random.Random(1)) == "heads"
+        flipped = dataclasses.replace(coin, weights=(0.0, 1.0))
+        assert flipped.sample(random.Random(1)) == "tails"
 
 
 class TestQuantile:

@@ -8,7 +8,8 @@ must repeat the state unchanged across minutes where nothing happens.
 These digests hash every record and every sample of runs chosen to
 exercise those paths, so any change to tick minutes, tick order or the
 sampled state flips one.  Companion checks pin the ``max_minutes`` wall
-inside an idle gap and the sampler's metrics against the samples.
+inside an idle gap, the sampler stopping at that wall, and the
+sampler's metrics against the samples.
 """
 
 from __future__ import annotations
@@ -176,6 +177,23 @@ def test_max_minutes_inside_idle_gap_raises(jobs, interval):
             hand_built_cluster(),
             config=SimulationConfig(max_minutes=500.0, sample_interval=interval),
         )
+
+
+@pytest.mark.parametrize("record_samples", [True, False])
+def test_run_finishing_inside_max_minutes_completes(record_samples):
+    # The tick after the last sample inside the bound (minute 105) lies
+    # past max_minutes=100; it is never queued, so the run ends with its
+    # one job at minute 99 whether or not it samples.
+    result = repro.run_simulation(
+        Trace([make_job(0, runtime=99.0)]),
+        ClusterSpec([make_pool("p0", 1)]),
+        config=SimulationConfig(
+            sample_interval=7.0, max_minutes=100.0, record_samples=record_samples
+        ),
+    )
+    assert [r.finish_minute for r in result.records] == [99.0]
+    minutes = [sample.minute for sample in result.samples]
+    assert minutes == ([7.0 * k for k in range(15)] if record_samples else [])
 
 
 @pytest.mark.parametrize("interval", [1.0, 0.7])

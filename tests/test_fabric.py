@@ -443,6 +443,42 @@ class TestRunGridFabric:
         assert simulated == [stranded]
         assert {o.index for o in report.completed} == {1, 2}
 
+    def test_unportable_cell_leaves_the_rest_on_the_fleet(
+        self, smoke_scenario, tmp_path, monkeypatch
+    ):
+        import __main__
+
+        from repro.core.policies import NoRescheduling
+
+        class MainPolicy(NoRescheduling):
+            name = "MainPolicy"
+
+        # A worker's __main__ is the worker, so it could not load this.
+        MainPolicy.__module__ = "__main__"
+        MainPolicy.__qualname__ = "MainPolicy"
+        monkeypatch.setattr(__main__, "MainPolicy", MainPolicy, raising=False)
+        tasks = small_grid(smoke_scenario, n_policies=3)
+        tasks[1] = make_cell_task(1, smoke_scenario, MainPolicy(), None, FAST)
+        shipped = []
+
+        @dataclass
+        class InProcessWorkerBackend:
+            name: str = "inproc"
+
+            def run(self, run_tasks, cache_dir, run_id, lease_ttl=60.0):
+                shipped.extend(t.index for t in run_tasks)
+                leases = LeaseStore(
+                    cache_dir, run_id=run_id, worker_id=f"{run_id}-w0"
+                )
+                run_worker(run_tasks, ResultCache(cache_dir), leases)
+
+        report = run_grid_fabric(tasks, InProcessWorkerBackend(), ResultCache(tmp_path))
+        assert shipped == [0, 2]
+        serial = run_grid_parallel(tasks, n_workers=1)
+        assert [stable_hash(o.summary) for o in report.completed] == [
+            stable_hash(o.summary) for o in serial.completed
+        ]
+
     def test_lone_pending_cell_skips_the_fleet(self, smoke_scenario, tmp_path):
         tasks = small_grid(smoke_scenario, n_policies=2)
         cache = ResultCache(tmp_path)

@@ -301,6 +301,29 @@ class TestFaultSweep:
         assert "MTBF 4000" in text
         assert "ResSusUtil" in text
 
+    def test_sweep_without_samples_matches_sampled_runs(self):
+        from repro.experiments.cache import stable_hash
+        from repro.experiments.fault_sweep import FAULT_POLICY_FAMILY, _cell, fault_sweep
+        from repro.workload.scenarios import high_load
+
+        sweep = fault_sweep(mtbf_minutes=(4000.0,), scale=0.03, seed=11)
+        scenario = high_load(0.03, 11)
+        faults = FaultConfig.with_exponential_churn(4000.0, sweep.mttr_minutes)
+        sampled = SimulationConfig(strict=False, faults=faults, record_samples=True)
+        for cell, policy in zip(sweep.cells, FAULT_POLICY_FAMILY()):
+            reference = _cell(scenario, policy, 4000.0, sweep.mttr_minutes, sampled)
+            assert cell.policy_name == reference.policy_name
+            assert stable_hash(cell.summary) == stable_hash(reference.summary)
+            assert cell.fault_stats == reference.fault_stats
+            assert cell.failed_count == reference.failed_count
+            for lean, full in (
+                (cell.suspension_cdf, reference.suspension_cdf),
+                (cell.turnaround_cdf, reference.turnaround_cdf),
+            ):
+                assert (lean is None) == (full is None)
+                if lean is not None:
+                    assert list(lean.values) == list(full.values)
+
     def test_sweep_deterministic(self):
         from repro.experiments.fault_sweep import fault_sweep
 

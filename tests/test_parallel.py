@@ -21,9 +21,11 @@ import pytest
 import repro
 from repro.core.policies import NoRescheduling
 from repro.errors import ConfigurationError, ExperimentExecutionError
+from repro.experiments import parallel as parallel_mod
 from repro.experiments.cache import ResultCache, derive_cell_seed, stable_hash
 from repro.experiments.parallel import (
     _is_portable,
+    _portable_tasks,
     execute_cells,
     make_cell_task,
     run_grid_parallel,
@@ -204,6 +206,29 @@ class TestPicklingFallback:
             assert not _is_portable(task)
         finally:
             delattr(__main__, "MainPolicy")
+
+
+    def test_portable_grid_is_checked_with_one_pickle(
+        self, smoke_scenario, monkeypatch
+    ):
+        tasks = [
+            make_cell_task(i, smoke_scenario, factory(), None, FAST)
+            for i, factory in enumerate([repro.no_res, repro.res_sus_util])
+        ]
+        checked = []
+
+        def counting(payload):
+            checked.append(payload)
+            return real(payload)
+
+        real = parallel_mod._is_portable
+        monkeypatch.setattr(parallel_mod, "_is_portable", counting)
+        assert _portable_tasks(tasks) == tasks
+        assert checked == [tasks]
+        checked.clear()
+        tasks.append(make_cell_task(2, smoke_scenario, hostile_policy(), None, FAST))
+        assert _portable_tasks(tasks) == tasks[:2]
+        assert checked == [tasks, *tasks]
 
 
 class TestErrorPaths:
