@@ -13,8 +13,11 @@
 #           telemetry-on == telemetry-off, and Table 1 with
 #           keep_results (state samples on) == the summary-only run's
 #           per-cell summary digests; then drives the CLI with
-#           --telemetry-dir and checks the exported snapshot parses
-#           with nonzero event counters
+#           --telemetry-dir --profile --events, checks the summary
+#           matches the plain run, the layer table lists
+#           pool.fill_machine and events.pop, the exported snapshot
+#           parses with nonzero event counters, and `repro stats`
+#           renders the layer table
 #   faults  benchmarks/bench_faults_smoke.py: same-seed fault run is
 #           byte-identical across runs, fault-enabled grids match
 #           serial vs parallel and keep_result (samples on) vs
@@ -102,16 +105,27 @@ run_smoke() {
     local teldir
     teldir="$(mktemp -d)"
     trap 'rm -rf "$teldir"' RETURN
-    # same reduced-scale run with and without --telemetry-dir; the
-    # printed summary (everything but the final "wrote ..." line) must
-    # be identical, proving telemetry never touches the simulation.
+    # same reduced-scale run with every tap on (metrics, event log,
+    # layer profile) and with none; the printed summary (everything but
+    # the "wrote ..." lines, the layer table and the blank lines they
+    # leave at the end) must be identical, proving telemetry never
+    # touches the simulation.
     python -m repro run --scenario smoke --policy ResSusUtil \
-        --telemetry-dir "$teldir/metrics" | grep -v '^wrote ' > "$teldir/on.txt"
+        --telemetry-dir "$teldir/metrics" --profile \
+        --events "$teldir/events.jsonl" > "$teldir/on-full.txt"
+    grep -v '^wrote ' "$teldir/on-full.txt" | sed '/^layer /,/^total: /d' \
+        | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}' > "$teldir/on.txt"
     python -m repro run --scenario smoke --policy ResSusUtil > "$teldir/off.txt"
     if ! diff -u "$teldir/off.txt" "$teldir/on.txt"; then
         echo "error: simulation output changed when telemetry was enabled" >&2
         exit 1
     fi
+    for layer in pool.fill_machine events.pop; do
+        if ! grep -q "^$layer " "$teldir/on-full.txt"; then
+            echo "error: the --profile layer table does not list $layer" >&2
+            exit 1
+        fi
+    done
     TELDIR="$teldir/metrics" python - <<'EOF'
 import os
 from repro.telemetry import load_telemetry_dir, parse_prometheus
@@ -127,7 +141,11 @@ with open(os.path.join(teldir, "metrics.prom"), encoding="utf-8") as handle:
 assert samples, "prometheus export did not parse"
 print(f"telemetry snapshot OK: {total:.0f} events across {len(events)} counters")
 EOF
-    python -m repro stats "$teldir/metrics" > /dev/null
+    python -m repro stats "$teldir/metrics" > "$teldir/stats.txt"
+    if ! grep -q '^  pool.fill_machine ' "$teldir/stats.txt"; then
+        echo "error: repro stats did not render the engine layer table" >&2
+        exit 1
+    fi
     echo "CLI telemetry export OK"
 }
 

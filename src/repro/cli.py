@@ -9,7 +9,7 @@ Usage (installed as ``repro``, or ``python -m repro``)::
     repro run --policy ResSusUtil --scenario high-load --scale 0.1
     repro run --policy dfrs:share=0.5,floor=0.1 --scenario high-suspension
     repro run --policy "migration_cost:transfer_minutes=5" --scenario high-load
-    repro run --scenario smoke --telemetry-dir out/telemetry --profile
+    repro run --scenario smoke --telemetry-dir out/telemetry --profile   # + layer table
     repro run --policy ResSusUtil --machine-mtbf 4000 --machine-mttr 120
     repro table 2 --policy NoRes --policy dfrs:share=0.5   # custom strategy set
     repro faults --mtbf 2000 --mtbf 8000    # churn sweep per policy
@@ -158,7 +158,8 @@ def build_parser() -> argparse.ArgumentParser:
     )
     run.add_argument(
         "--profile", action="store_true",
-        help="time each engine event handler and print the profile",
+        help="time each engine layer (event queue, pools, wait queues, policy, ...) "
+        "and print the layer table",
     )
     run.add_argument(
         "--trace", default=None, metavar="PATH",

@@ -21,9 +21,9 @@ from __future__ import annotations
 import itertools
 import random
 from collections import deque
+from contextlib import ExitStack
 from dataclasses import replace
 from operator import attrgetter
-from time import perf_counter
 from typing import Deque, Dict, Iterable, List, Optional, Tuple
 
 from ..core.context import PoolSnapshot, SystemView
@@ -40,7 +40,7 @@ from ..faults.injector import FaultInjector
 from ..schedulers.eligibility import machine_eligible
 from ..schedulers.initial import InitialScheduler, RoundRobinScheduler
 from ..telemetry.hooks import EngineTelemetry
-from ..telemetry.profiler import EngineProfiler
+from ..telemetry.layers import LayerProfiler
 from ..workload.cluster import ClusterSpec
 from ..workload.distributions import RandomStreams
 from ..workload.trace import TraceJob
@@ -152,16 +152,17 @@ class SimulationEngine:
         # simulation is a pure function of its inputs.
         self.scheduler.reset()
         instrumentation = self.config.instrumentation
-        self._observers = instrumentation.observers
         self._telemetry: Optional[EngineTelemetry] = (
             EngineTelemetry(instrumentation.metrics, cluster.pool_ids)
             if instrumentation.metrics is not None
             else None
         )
-        self._profiler: Optional[EngineProfiler] = (
-            EngineProfiler() if instrumentation.profile else None
+        # Every event tap: the observers, then the metrics.
+        self._taps = instrumentation.observers + (
+            () if self._telemetry is None else (self._telemetry,)
         )
-        self._emit_enabled = bool(self._observers) or self._telemetry is not None
+        self._emit_enabled = bool(self._taps)
+        self._profiler = LayerProfiler() if instrumentation.profile else None
         self.pools: Dict[str, PhysicalPool] = {
             pool.pool_id: PhysicalPool(pool, telemetry=self._telemetry)
             for pool in cluster
@@ -229,30 +230,7 @@ class SimulationEngine:
             EVENT_JOB_FAILURE: self._on_job_failure,
             EVENT_JOB_RETRY: self._on_job_retry,
         }
-        if self._telemetry is not None or self._profiler is not None:
-            # Instrumentation lives in the table, not in the loop.
-            handlers = {
-                kind: self._instrumented(EVENT_NAMES[kind], handler)
-                for kind, handler in handlers.items()
-            }
         self._dispatch = tuple(handlers[kind] for kind in range(len(handlers)))
-
-    def _instrumented(self, name: str, handler):
-        """``handler`` wrapped to count its event and time it when enabled."""
-        telemetry = self._telemetry
-        profiler = self._profiler
-
-        def instrumented(payload, now: float) -> None:
-            if telemetry is not None:
-                telemetry.count_queue_event(name)
-            if profiler is None:
-                handler(payload, now)
-                return
-            started_at = perf_counter()
-            handler(payload, now)
-            profiler.record(name, perf_counter() - started_at)
-
-        return instrumented
 
     # -- public API -----------------------------------------------------------------
 
@@ -280,18 +258,25 @@ class SimulationEngine:
         """
         if self._finished:
             raise SimulationError("engine instances are single-use; build a new one")
+        self._finished = True
         telemetry = self._telemetry
         profiler = self._profiler
-        if profiler is not None:
-            profiler.start()
-        self._drain()
-        if profiler is not None:
-            profiler.stop()
+        # Unwound also when the run raises: every swapped method is
+        # restored, then the taps are closed in order.
+        with ExitStack() as teardown:
+            for tap in reversed(self._taps):
+                close = getattr(tap, "close", None)
+                if close is not None:
+                    teardown.callback(close)
+            if telemetry is not None:
+                telemetry.count_dispatch(self, EVENT_NAMES, teardown)
+            if profiler is not None:
+                profiler.attach(self, teardown)
+            self._drain()
         if self._outstanding != 0:
             raise SimulationError(
                 f"event queue drained with {self._outstanding} jobs unfinished"
             )
-        self._finished = True
         if telemetry is not None:
             telemetry.finalize(
                 self.now,
@@ -301,12 +286,9 @@ class SimulationEngine:
                     pool_id: self.pools[pool_id].wait_queue.stats()
                     for pool_id in self.pool_order
                 },
-                profiler=profiler,
             )
-        for observer in self._observers:
-            close = getattr(observer, "close", None)
-            if close is not None:
-                close()
+            if profiler is not None:
+                telemetry.record_profile(profiler.report())
         faults = self._faults
         return self._sink.finalize(
             pool_ids=self.pool_order,
@@ -450,27 +432,24 @@ class SimulationEngine:
         pool_id: Optional[str] = None,
         detail: Optional[str] = None,
     ) -> None:
-        """Fan one simulation event out to telemetry and all observers.
+        """Fan one simulation event out to every tap, in order.
 
         The enabled-check lives here so emission can never be
-        accidentally skipped for one consumer; hot call sites *also*
+        accidentally skipped for one tap; hot call sites *also*
         pre-check ``_emit_enabled`` before building detail strings, so
         the telemetry-off path pays neither string formatting nor this
         call.
         """
         if not self._emit_enabled:
             return
-        if self._telemetry is not None:
-            self._telemetry.count_event(event)
-        if self._observers:
-            if job.is_shadow and detail is None:
-                detail = "shadow"
-            sim_event = SimEvent(
-                minute=now, event=event, job_id=job.job_id,
-                pool_id=pool_id, detail=detail,
-            )
-            for observer in self._observers:
-                observer.on_event(sim_event)
+        if job.is_shadow and detail is None:
+            detail = "shadow"
+        sim_event = SimEvent(
+            minute=now, event=event, job_id=job.job_id,
+            pool_id=pool_id, detail=detail,
+        )
+        for tap in self._taps:
+            tap.on_event(sim_event)
 
     def _on_submit(self, job: Job, now: float) -> None:
         if self._emit_enabled:

@@ -15,8 +15,9 @@ Layers, bottom to top:
   simulator accepts (event observers + optional registry + profiler
   switch).
 * :mod:`.hooks` — :class:`EngineTelemetry`, the single owner of the
-  metric schema the engine/pools/queues record into.
-* :mod:`.profiler` — opt-in wall-clock timing of engine handlers.
+  metric schema; the engine subscribes it as its last event observer.
+* :mod:`.layers` — opt-in wall-clock timing of the engine's layers,
+  swapped in on their classes for one run and restored after it.
 * :mod:`.exporters` — Prometheus text and JSONL snapshot writers and
   their readers.
 * :mod:`.progress` — per-cell heartbeats and ``cells.jsonl`` for
@@ -41,7 +42,7 @@ from .exporters import (
 )
 from .hooks import EngineTelemetry
 from .instrumentation import NO_INSTRUMENTATION, Instrumentation
-from .profiler import EngineProfiler, HandlerStats, ProfileReport
+from .layers import LayerProfiler, LayerStats, ProfileReport
 from .progress import (
     CELLS_FILENAME,
     ProgressReporter,
@@ -70,8 +71,8 @@ __all__ = [
     "NO_INSTRUMENTATION",
     # engine-facing hooks + profiler
     "EngineTelemetry",
-    "EngineProfiler",
-    "HandlerStats",
+    "LayerProfiler",
+    "LayerStats",
     "ProfileReport",
     # exporters
     "to_prometheus",

@@ -8,8 +8,8 @@ place (rather than scattered through the engine) means exporters and
 only ever see tiny hook calls.
 
 All hooks are strictly read-only with respect to the simulation: they
-take already-computed values (never live mutable simulator objects
-they could perturb), consult no clock and no RNG.
+take already-computed values (``count_dispatch`` wraps the engine's
+dispatch table for one run), consult no clock and no RNG.
 
 Metric schema (all names prefixed ``repro_``):
 
@@ -32,14 +32,17 @@ Metric schema (all names prefixed ``repro_``):
 ``repro_wait_queue_compactions_total{pool=}``   counter    lazy-removal heap rebuilds
 ==============================================  =========  ==========================
 
-plus the profiler families documented in
-:meth:`repro.telemetry.profiler.EngineProfiler.export_to`.
+plus, with profiling on, ``repro_engine_layer_calls_total{layer=}``,
+``repro_engine_layer_self_seconds_total{layer=}`` and
+``repro_engine_wall_seconds`` (see :meth:`EngineTelemetry.record_profile`).
+The engine subscribes this object as its last event observer.
 """
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Mapping, Sequence
 
+from .layers import swap
 from .registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
 
 __all__ = ["EngineTelemetry"]
@@ -134,13 +137,23 @@ class EngineTelemetry:
 
     # -- engine hooks -------------------------------------------------------------
 
-    def count_event(self, event: str) -> None:
-        """One emitted simulation event (same vocabulary as SimEvent)."""
-        self._events.labels(event).inc()
+    def on_event(self, event) -> None:
+        """One emitted :class:`~repro.simulator.observer.SimEvent`."""
+        self._events.labels(event.event).inc()
 
-    def count_queue_event(self, kind_name: str) -> None:
-        """One engine event-queue pop."""
-        self._queue_events.labels(kind_name).inc()
+    def count_dispatch(self, engine, kind_names: Mapping[int, str], stack) -> None:
+        """Count ``engine``'s handler calls by event kind until ``stack`` unwinds."""
+        count = self._queue_events.labels
+
+        def counted(name: str, handler):
+            def dispatch(payload, now: float) -> None:
+                count(name).inc()
+                handler(payload, now)
+
+            return dispatch
+
+        table = tuple(counted(kind_names[kind], h) for kind, h in enumerate(engine._dispatch))
+        swap(stack, engine, "_dispatch", table)
 
     def count_policy_decision(self, policy_name: str, action: str) -> None:
         """One rescheduling decision (on_suspend / on_wait_timeout)."""
@@ -192,9 +205,8 @@ class EngineTelemetry:
         outstanding: int,
         pool_ids: Sequence[str],
         queue_stats,
-        profiler=None,
     ) -> None:
-        """Record end-of-run facts: final clock, queue statistics, profile.
+        """Record end-of-run facts: final clock and queue statistics.
 
         Args:
             now: final simulated minute.
@@ -202,9 +214,6 @@ class EngineTelemetry:
             pool_ids: cluster pool order.
             queue_stats: mapping pool id -> that pool's
                 :class:`~repro.simulator.queues.QueueStats`.
-            profiler: the run's
-                :class:`~repro.telemetry.profiler.EngineProfiler`, if
-                profiling was enabled.
         """
         self._sim_minutes.set(now)
         self._outstanding.set(outstanding)
@@ -228,5 +237,20 @@ class EngineTelemetry:
             pushes.labels(pool_id).inc(stats.pushes)
             peak.labels(pool_id).set(stats.peak_depth)
             compactions.labels(pool_id).inc(stats.compactions)
-        if profiler is not None:
-            profiler.export_to(self.registry)
+
+    def record_profile(self, report) -> None:
+        """Publish a :class:`~repro.telemetry.layers.ProfileReport`."""
+        calls = self.registry.counter(
+            "repro_engine_layer_calls_total", "Calls into each engine layer", labelnames=("layer",)
+        )
+        seconds = self.registry.counter(
+            "repro_engine_layer_self_seconds_total",
+            "Wall-clock seconds in each engine layer outside its sub-layers",
+            labelnames=("layer",),
+        )
+        for layer, layer_calls, self_seconds in report.layers:
+            calls.labels(layer).inc(layer_calls)
+            seconds.labels(layer).inc(self_seconds)
+        self.registry.gauge(
+            "repro_engine_wall_seconds", "Wall-clock seconds the engine run took"
+        ).set(report.wall_seconds)

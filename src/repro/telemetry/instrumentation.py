@@ -1,26 +1,11 @@
 """The typed instrumentation aggregate attached to a simulation.
 
-Historically the engine accepted a single untyped
-``SimulationConfig.observer: Optional[object]`` and every engine call
-site guarded emission with ``if self._observer is not None``.
-:class:`Instrumentation` replaces that: one immutable aggregate naming
-*everything* that watches a run —
-
-* ``observers`` — any number of event observers (objects with
-  ``on_event(SimEvent)`` / ``close()``, e.g.
-  :class:`~repro.simulator.observer.EventLog`), all receiving every
-  event in subscription order;
-* ``metrics`` — an optional
-  :class:`~repro.telemetry.registry.MetricsRegistry` the engine
-  records counters, gauges and histograms into;
-* ``profile`` — opt-in wall-clock profiling of the engine's event
-  handlers (see :mod:`repro.telemetry.profiler`).
-
-Instrumentation is strictly read-only: it never touches the simulation
-RNG and cannot change any :class:`~repro.simulator.results.SimulationResult`
-field.  The old ``SimulationConfig(observer=...)`` keyword has been
-removed after its deprecation cycle; passing it raises
-:class:`~repro.errors.ConfigurationError` with the migration hint.
+:class:`Instrumentation` names everything that watches a run:
+``observers`` (event taps with ``on_event(SimEvent)`` and an optional
+``close()``, fanned out in order), an optional ``metrics`` registry
+(:mod:`repro.telemetry.hooks` records into it, subscribed as the last
+tap) and the ``profile`` switch (:mod:`repro.telemetry.layers`).  It is
+strictly read-only: no simulation RNG, no change to any result field.
 """
 
 from __future__ import annotations
@@ -48,9 +33,9 @@ class Instrumentation:
         metrics: registry receiving the engine's quantitative telemetry
             (per-event-type counters, per-pool gauges, duration
             histograms); ``None`` disables metrics collection.
-        profile: when True, the engine wall-clock-profiles each event
-            handler branch and (if ``metrics`` is set) exports the
-            timings and events/sec into the registry.
+        profile: when True, the run times each engine layer through
+            methods swapped for the run and (if ``metrics`` is set)
+            exports the layer table into the registry.
     """
 
     observers: Tuple["EventObserver", ...] = ()
@@ -74,14 +59,6 @@ class Instrumentation:
     def enabled(self) -> bool:
         """Whether attaching this instrumentation does anything at all."""
         return bool(self.observers) or self.metrics is not None or self.profile
-
-    def with_observer(self, observer: "EventObserver") -> "Instrumentation":
-        """A copy with ``observer`` appended to the fan-out tuple."""
-        return Instrumentation(
-            observers=self.observers + (observer,),
-            metrics=self.metrics,
-            profile=self.profile,
-        )
 
 
 #: The inert default: no observers, no metrics, no profiling.

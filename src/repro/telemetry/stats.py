@@ -4,7 +4,7 @@ Loads whatever a telemetry directory contains — the JSONL metrics
 snapshot (preferred), the Prometheus text file (fallback), and the
 per-cell experiment telemetry — and renders the tables an operator
 asks for first: event counters, per-pool gauges, duration histograms,
-profiler throughput, and the sweep's cache economics.
+the engine's layer profile, and the sweep's cache economics.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .exporters import (
     parse_prometheus,
     read_jsonl_snapshot,
 )
+from .layers import LayerStats, ProfileReport
 from .progress import CELLS_FILENAME, read_cells_jsonl
 
 __all__ = ["load_telemetry_dir", "render_stats", "TelemetryStats"]
@@ -173,23 +174,21 @@ def render_stats(stats: TelemetryStats) -> str:
                     f"  {s['labels'].get('pool', ''):<10} {s['count']:>9} {mean:>8.1f}"
                 )
 
-    eps = stats.value("repro_engine_events_per_second")
-    if eps is not None:
-        lines += ["", "engine profile"]
-        wall = stats.value("repro_engine_wall_seconds")
-        handler_seconds = stats.by_name("repro_engine_handler_seconds_total")
-        handler_events = {
-            tuple(sorted(s["labels"].items())): s["value"]
-            for s in stats.by_name("repro_engine_handler_events_total")
+    wall = stats.value("repro_engine_wall_seconds")
+    if wall is not None:
+        calls = {
+            s["labels"]["layer"]: s["value"]
+            for s in stats.by_name("repro_engine_layer_calls_total")
         }
-        for s in sorted(handler_seconds, key=lambda s: -s["value"]):
-            count = handler_events.get(tuple(sorted(s["labels"].items())), 0)
-            lines.append(
-                f"  {s['labels'].get('handler', ''):<14} {_fmt(count):>10} events "
-                f"{s['value']:>9.3f}s"
-            )
-        wall_text = f" in {wall:.3f}s wall" if wall is not None else ""
-        lines.append(f"  throughput {eps:,.0f} events/sec{wall_text}")
+        report = ProfileReport(
+            tuple(
+                LayerStats(s["labels"]["layer"], calls.get(s["labels"]["layer"], 0), s["value"])
+                for s in stats.by_name("repro_engine_layer_self_seconds_total")
+            ),
+            wall,
+        )
+        lines += ["", "engine profile"]
+        lines += ["  " + line for line in report.render().splitlines()]
 
     if stats.cells:
         provenances = [_cell_provenance(c) for c in stats.cells]

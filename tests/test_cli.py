@@ -103,7 +103,8 @@ class TestCliTelemetry:
         )
         assert code == 0
         out = capsys.readouterr().out
-        assert "events/sec" in out  # the profile table printed
+        assert "pool.fill_machine" in out  # the layer table printed
+        assert "engine.self" in out
         assert (teldir / "metrics.prom").exists()
         assert (teldir / "metrics.jsonl").exists()
 
@@ -113,6 +114,8 @@ class TestCliTelemetry:
         assert "event counters" in rendered
         assert "per-pool gauges" in rendered
         assert "submit" in rendered
+        assert "engine profile" in rendered
+        assert "events.pop" in rendered
 
     def test_stats_missing_dir_fails_cleanly(self, tmp_path, capsys):
         code = main(["stats", str(tmp_path / "nope")])

@@ -10,6 +10,8 @@ or sampling order flips one.
 
 Both input shapes must reproduce the same digest: a materialised
 :class:`~repro.workload.trace.Trace` and a plain iterator over its jobs.
+So must a run with every tap on (an event log, a metrics registry and
+the layer profiler): instrumentation is read-only.
 """
 
 from __future__ import annotations
@@ -22,6 +24,8 @@ import repro
 from repro.faults import FaultConfig, MachineChurn
 from repro.policies import policy_from_spec
 from repro.simulator.config import SimulationConfig
+from repro.simulator.observer import EventLog
+from repro.telemetry import Instrumentation, MetricsRegistry
 from repro.workload.distributions import Exponential
 from repro.workload.trace import Trace
 
@@ -63,9 +67,17 @@ def scenario():
     return Trace(built.trace.jobs[:JOBS]), built.cluster, built.wait_threshold
 
 
-def _config(faults: bool) -> SimulationConfig:
+def all_taps() -> Instrumentation:
+    """Every instrumentation tap on: events, metrics and the profiler."""
+    return Instrumentation(
+        observers=(EventLog(),), metrics=MetricsRegistry(), profile=True
+    )
+
+
+def _config(faults: bool, taps: bool) -> SimulationConfig:
+    extra = {"instrumentation": all_taps()} if taps else {}
     if not faults:
-        return SimulationConfig(strict=False, seed=3)
+        return SimulationConfig(strict=False, seed=3, **extra)
     return SimulationConfig(
         strict=False,
         seed=3,
@@ -75,13 +87,16 @@ def _config(faults: bool) -> SimulationConfig:
             ),
             job_failure_probability=0.1,
         ),
+        **extra,
     )
 
 
-def run_digest(trace_input, cluster, wait_threshold, spec: str, faults: bool) -> str:
+def run_digest(
+    trace_input, cluster, wait_threshold, spec: str, faults: bool, taps: bool
+) -> str:
     policy = policy_from_spec(spec, defaults={"wait_threshold": wait_threshold})
     result = repro.run_simulation(
-        trace_input, cluster, policy=policy, config=_config(faults)
+        trace_input, cluster, policy=policy, config=_config(faults, taps)
     )
     return result_digest(result)
 
@@ -99,11 +114,22 @@ def result_digest(result) -> str:
     return hasher.hexdigest()
 
 
+def check_golden(scenario, spec, faults, shape, taps):
+    trace, cluster, wait_threshold = scenario
+    trace_input = trace if shape == "trace" else iter(trace)
+    digest = run_digest(trace_input, cluster, wait_threshold, spec, faults, taps)
+    assert digest == GOLDEN[(spec, faults)]
+
+
 @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
 @pytest.mark.parametrize("spec", POLICIES)
 @pytest.mark.parametrize("shape", ["trace", "iterator"])
 def test_golden_digest(scenario, spec, faults, shape):
-    trace, cluster, wait_threshold = scenario
-    trace_input = trace if shape == "trace" else iter(trace)
-    digest = run_digest(trace_input, cluster, wait_threshold, spec, faults)
-    assert digest == GOLDEN[(spec, faults)]
+    check_golden(scenario, spec, faults, shape, taps=False)
+
+
+@pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
+@pytest.mark.parametrize("spec", POLICIES)
+@pytest.mark.parametrize("shape", ["trace", "iterator"])
+def test_golden_digest_all_taps(scenario, spec, faults, shape):
+    check_golden(scenario, spec, faults, shape, taps=True)

@@ -9,7 +9,8 @@ These digests hash every record and every sample of runs chosen to
 exercise those paths, so any change to tick minutes, tick order or the
 sampled state flips one.  Companion checks pin the ``max_minutes`` wall
 inside an idle gap, the sampler stopping at that wall, and the
-sampler's metrics against the samples.
+sampler's metrics against the samples.  Every digest must also hold
+with all instrumentation taps on.
 """
 
 from __future__ import annotations
@@ -27,7 +28,7 @@ from repro.workload.distributions import Exponential
 from repro.workload.trace import Trace
 
 from conftest import make_job, make_pool
-from test_engine_golden import result_digest
+from test_engine_golden import all_taps, result_digest
 
 #: Jobs kept from the ``high_suspension`` scenario: a busy burst
 #: followed by a long drain tail of mostly idle minutes.
@@ -121,16 +122,30 @@ def _policy(spec: str, wait_threshold: float):
     return policy_from_spec(spec, defaults={"wait_threshold": wait_threshold})
 
 
+def _taps(on: bool) -> dict:
+    return {"instrumentation": all_taps()} if on else {}
+
+
 @pytest.mark.parametrize("shape", ["trace", "iterator"])
 @pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
 def test_scenario_sampling_digest(scenario, case, shape):
+    check_scenario(scenario, case, shape, taps=False)
+
+
+@pytest.mark.parametrize("shape", ["trace", "iterator"])
+@pytest.mark.parametrize("case", sorted(SCENARIO_CASES))
+def test_scenario_sampling_digest_all_taps(scenario, case, shape):
+    check_scenario(scenario, case, shape, taps=True)
+
+
+def check_scenario(scenario, case, shape, taps):
     trace, cluster, wait_threshold = scenario
     spec, overrides = SCENARIO_CASES[case]
     result = repro.run_simulation(
         trace if shape == "trace" else iter(trace),
         cluster,
         policy=_policy(spec, wait_threshold),
-        config=SimulationConfig(strict=False, seed=3, **overrides),
+        config=SimulationConfig(strict=False, seed=3, **overrides, **_taps(taps)),
     )
     assert result_digest(result) == SCENARIO_GOLDEN[case]
 
@@ -138,12 +153,24 @@ def test_scenario_sampling_digest(scenario, case, shape):
 @pytest.mark.parametrize("shape", ["trace", "iterator"])
 @pytest.mark.parametrize("spec,interval", sorted(HAND_CASES))
 def test_hand_built_sampling_digest(spec, interval, shape):
+    check_hand_built(spec, interval, shape, taps=False)
+
+
+@pytest.mark.parametrize("shape", ["trace", "iterator"])
+@pytest.mark.parametrize("spec,interval", sorted(HAND_CASES))
+def test_hand_built_sampling_digest_all_taps(spec, interval, shape):
+    check_hand_built(spec, interval, shape, taps=True)
+
+
+def check_hand_built(spec, interval, shape, taps):
     jobs = hand_built_jobs()
     result = repro.run_simulation(
         Trace(jobs) if shape == "trace" else iter(jobs),
         hand_built_cluster(),
         policy=_policy(spec, 30.0),
-        config=SimulationConfig(sample_interval=interval, check_invariants=True),
+        config=SimulationConfig(
+            sample_interval=interval, check_invariants=True, **_taps(taps)
+        ),
     )
     assert result_digest(result) == HAND_CASES[(spec, interval)]
 

@@ -104,7 +104,7 @@ class TestFeedValidation:
 
 
 class TestInstrumentedFeed:
-    """Metrics and the profiler wrap the handlers, whatever the input shape."""
+    """Metrics count handlers and the profiler times layers, whatever the input shape."""
 
     @staticmethod
     def _run(trace_input, scenario, faults):
@@ -134,7 +134,7 @@ class TestInstrumentedFeed:
             for line in to_prometheus(registry).splitlines()
             if "second" not in line.split("{")[0].split(" ")[0]
         ]
-        counts = {h.handler: h.events for h in engine.profile_report().handlers}
+        counts = {s.layer: s.calls for s in engine.profile_report().layers}
         return result, lines, counts
 
     @pytest.mark.parametrize("faults", [False, True], ids=["clean", "faults"])
@@ -150,6 +150,11 @@ class TestInstrumentedFeed:
         assert feed_lines == trace_lines
         assert any(line.startswith("repro_engine_queue_events_total") for line in feed_lines)
         assert feed_counts == trace_counts
-        assert feed_counts["submit"] == len(trace)
+        assert feed_counts["vpm.submit"] >= len(trace)  # retries resubmit
+        assert feed_counts["sink.add_record"] == len(trace)
+        assert feed_counts["pool.fill_machine"] > 0
         if faults:
-            assert feed_counts["machine-crash"] > 0
+            assert any(
+                line.startswith('repro_engine_queue_events_total{kind="machine-crash"}')
+                for line in feed_lines
+            )

@@ -2,11 +2,12 @@
 
 import io
 import json
+import time
 
 import pytest
 
 import repro
-from repro.errors import ConfigurationError, ReproError
+from repro.errors import ConfigurationError, ReproError, SimulationError
 from repro.simulator.config import SimulationConfig
 from repro.simulator.observer import EventLog
 from repro.telemetry import (
@@ -147,13 +148,81 @@ class TestEngineMetrics:
                 strict=False, instrumentation=Instrumentation(profile=True)
             ),
         )
+        started = time.perf_counter()
         engine.run()
+        wall = time.perf_counter() - started
         report = engine.profile_report()
         assert report is not None
-        assert report.total_events > 0
-        handlers = {stats.handler for stats in report.handlers}
-        assert "submit" in handlers and "finish" in handlers
-        assert "events/sec" in report.render()
+        layers = {stats.layer: stats for stats in report.layers}
+        assert layers["vpm.submit"].calls == len(smoke_scenario.trace)
+        assert layers["sink.add_record"].calls == len(smoke_scenario.trace)
+        for name in ("events.pop", "pool.fill_machine", "waitq.best_schedulable"):
+            assert layers[name].calls > 0
+        assert layers["engine.self"].calls == 1
+        total = sum(stats.self_seconds for stats in report.layers)
+        assert total == pytest.approx(report.wall_seconds)
+        assert total == pytest.approx(wall, rel=0.05)
+        assert "pool.fill_machine" in report.render()
+
+    def test_failed_profiled_run_tears_down(self, smoke_scenario):
+        from repro.simulator.engine import SimulationEngine
+        from repro.simulator.pool import PhysicalPool
+
+        fill_machine = PhysicalPool.__dict__["fill_machine"]
+
+        class Closable(EventLog):
+            closed = False
+
+            def close(self):
+                self.closed = True
+
+        log = Closable()
+        engine = SimulationEngine(
+            smoke_scenario.trace,
+            smoke_scenario.cluster,
+            config=SimulationConfig(
+                strict=False,
+                max_minutes=50.0,
+                instrumentation=Instrumentation(
+                    observers=(log,), metrics=MetricsRegistry(), profile=True
+                ),
+            ),
+        )
+        with pytest.raises(SimulationError):
+            engine.run()
+        assert PhysicalPool.__dict__["fill_machine"] is fill_machine
+        assert log.closed
+        assert engine.profile_report().wall_seconds > 0.0
+        with pytest.raises(SimulationError, match="single-use"):
+            engine.run()
+
+    def test_profiler_times_only_its_own_engine(self, smoke_scenario):
+        from contextlib import ExitStack
+
+        from repro.simulator.engine import SimulationEngine
+        from repro.telemetry import LayerProfiler
+
+        def build():
+            return SimulationEngine(
+                smoke_scenario.trace,
+                smoke_scenario.cluster,
+                policy=repro.res_sus_util(),
+                config=SimulationConfig(strict=False),
+            )
+
+        plain = build().run()
+        profiler = LayerProfiler()
+        with ExitStack() as stack:
+            profiler.attach(build(), stack)
+            # an unprofiled engine runs while the class wrappers are in
+            other = build().run()
+        assert other.records == plain.records
+        assert other.samples == plain.samples
+        assert all(
+            stats.calls == 0
+            for stats in profiler.report().layers
+            if stats.layer != "engine.self"
+        )
 
 
 class TestExporters:
