@@ -299,33 +299,42 @@ def _outcome(
     )
 
 
-def _is_portable(payload: object) -> bool:
-    """Whether a fresh worker interpreter can load ``payload``.
+def _is_portable(payload: object) -> Optional[bytes]:
+    """``payload`` pickled, if a fresh worker interpreter can load it.
 
     The payload (a task, or a list of them) must pickle, and must not
     reference anything defined in ``__main__``: a worker's ``__main__``
     is the worker itself, so such a class or function could not be
     found there.  The byte check is conservative; a false positive only
-    costs a serial run.
+    costs a serial run.  Returns ``None`` for a payload that fails.
     """
     try:
         blob = pickle.dumps(payload, protocol=pickle.HIGHEST_PROTOCOL)
     except Exception:
-        return False
-    return b"__main__" not in blob
+        return None
+    return None if b"__main__" in blob else blob
+
+
+class PickledTasks(list):
+    """A task list carrying its pickle, ``blob``, until ``write_manifest`` takes it."""
+
+    def __init__(self, tasks: Sequence[CellTask], blob: bytes) -> None:
+        super().__init__(tasks)
+        self.blob: Optional[bytes] = blob
 
 
 def _portable_tasks(tasks: Sequence[CellTask]) -> List[CellTask]:
     """The cells of ``tasks`` a worker can load, in order.
 
     One pickle of the whole list answers for every cell, and writes
-    each scenario the cells share once; only a list that fails is
-    checked cell by cell.
+    each scenario the cells share once (a list that passes carries that
+    pickle); only a list that fails is checked cell by cell.
     """
     tasks = list(tasks)
-    if _is_portable(tasks):
-        return tasks
-    return [t for t in tasks if _is_portable(t)]
+    blob = _is_portable(tasks)
+    if blob is not None:
+        return PickledTasks(tasks, blob)
+    return [t for t in tasks if _is_portable(t) is not None]
 
 
 def run_grid_parallel(

@@ -59,7 +59,7 @@ from typing import Dict, List, Optional, Sequence
 
 from ..errors import ReproError
 from ..experiments.cache import ResultCache
-from ..experiments.parallel import CellTask, _simulate_task
+from ..experiments.parallel import CellTask, PickledTasks, _simulate_task
 from ..fsutil import atomic_write_text
 from .lease import CLAIMED, DEFAULT_TTL_SECONDS, DONE, QUARANTINED, LeaseStore
 
@@ -116,10 +116,15 @@ class WorkerStats:
 
 
 def write_manifest(tasks: Sequence[CellTask], path) -> Path:
-    """Pickle a task list for ``python -m repro.fabric.worker``."""
+    """Pickle a task list for ``python -m repro.fabric.worker`` (a
+    :class:`~repro.experiments.parallel.PickledTasks` writes its own)."""
     path = Path(path)
     path.parent.mkdir(parents=True, exist_ok=True)
-    blob = pickle.dumps(list(tasks), protocol=pickle.HIGHEST_PROTOCOL)
+    blob = None
+    if isinstance(tasks, PickledTasks):  # written once, then freed
+        blob, tasks.blob = tasks.blob, None
+    if blob is None:
+        blob = pickle.dumps(list(tasks), protocol=pickle.HIGHEST_PROTOCOL)
     tmp = path.with_name(f"{path.name}.tmp.{os.getpid()}")
     tmp.write_bytes(blob)
     os.replace(tmp, path)

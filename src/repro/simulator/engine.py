@@ -37,7 +37,6 @@ from ..errors import (
     UnschedulableJobError,
 )
 from ..faults.injector import FaultInjector
-from ..schedulers.eligibility import machine_eligible
 from ..schedulers.initial import InitialScheduler, RoundRobinScheduler
 from ..telemetry.hooks import EngineTelemetry
 from ..telemetry.layers import LayerProfiler
@@ -73,11 +72,6 @@ __all__ = ["SimulationEngine", "LiveSystemView", "SHADOW_ID_BASE"]
 #: feed is exhausted, so shadow attempts are numbered upwards from a
 #: base no sane trace reaches.
 SHADOW_ID_BASE = 1 << 62
-
-#: Upper bound on entries in the engine-level eligibility memos.  Keeps
-#: replay RSS bounded even for traces whose requirement signatures never
-#: repeat; overflow degrades to recomputation, never to wrong answers.
-_SIGNATURE_CACHE_CAP = 8192
 
 _busy_cores = attrgetter("busy_cores")
 _running_jobs = attrgetter("running_jobs")
@@ -163,8 +157,13 @@ class SimulationEngine:
         )
         self._emit_enabled = bool(self._taps)
         self._profiler = LayerProfiler() if instrumentation.profile else None
+        # Static eligibility is shared by every run on ``cluster``;
+        # ``eligible_candidates(spec)`` is the pools where ``spec`` is
+        # whitelisted and statically eligible.
+        eligibility = cluster.eligibility
+        self.eligible_candidates = eligibility.candidates
         self.pools: Dict[str, PhysicalPool] = {
-            pool.pool_id: PhysicalPool(pool, telemetry=self._telemetry)
+            pool.pool_id: PhysicalPool(pool, self._telemetry, eligibility)
             for pool in cluster
         }
         self.pool_order: Tuple[str, ...] = cluster.pool_ids
@@ -194,11 +193,6 @@ class SimulationEngine:
         #: feed has yielded its last job.
         self._next_submit: Optional[float] = None
         self._outstanding = 0
-        # Eligible-pool tuples cached at two levels: per requirement
-        # signature, and per (signature, whitelist) pair so whitelisted
-        # jobs skip the per-call filter too.
-        self._signature_pools: Dict[Tuple[str, int, float], Tuple[str, ...]] = {}
-        self._eligibility_cache: Dict[tuple, Tuple[str, ...]] = {}
         self._dup_partner: Dict[int, Job] = {}
         # Permanently failed members of duplicate pairs, keyed by the
         # surviving attempt's job id so the survivor's record (or
@@ -367,54 +361,11 @@ class SimulationEngine:
                 )
             dispatch[kind](payload, time)
 
-    def eligible_candidates(self, spec: TraceJob) -> Tuple[str, ...]:
-        """Pools where ``spec`` is whitelisted and statically eligible.
-
-        Cached by requirement signature (OS, cores, memory) and, one
-        level up, by (signature, whitelist): traces contain few distinct
-        signatures and whitelists, so both the per-pool machine scans
-        and the whitelist filtering amortise to nothing.  Equal keys
-        normally return the same tuple object; after a cache-cap clear
-        they return a new-but-equal tuple, which schedulers keying
-        round-robin state on the candidate tuple handle by value.
-        """
-        key = (spec.os_family, spec.cores, spec.memory_gb, spec.candidate_pools)
-        cached = self._eligibility_cache.get(key)
-        if cached is not None:
-            return cached
-        signature = key[:3]
-        eligible = self._signature_pools.get(signature)
-        if eligible is None:
-            eligible = tuple(
-                pool_id
-                for pool_id in self.pool_order
-                if any(
-                    machine_eligible(m.spec, spec)
-                    for m in self.pools[pool_id].machines
-                )
-            )
-            if len(self._signature_pools) >= _SIGNATURE_CACHE_CAP:
-                self._signature_pools.clear()
-            self._signature_pools[signature] = eligible
-        if spec.candidate_pools is None:
-            result = eligible
-        else:
-            allowed = set(spec.candidate_pools)
-            result = tuple(pool_id for pool_id in eligible if pool_id in allowed)
-        if len(self._eligibility_cache) >= _SIGNATURE_CACHE_CAP:
-            # Bounded so traces with unbounded signature diversity cost
-            # recomputes, not RSS.  Equal keys after a clear produce a
-            # new-but-equal tuple; schedulers key state by value, so
-            # round-robin positions survive.
-            self._eligibility_cache.clear()
-        self._eligibility_cache[key] = result
-        return result
-
     def available_candidates(self, spec: TraceJob) -> Tuple[str, ...]:
         """Eligible pools that are also currently up.
 
         Without fault injection every pool is always up and this *is*
-        :meth:`eligible_candidates` (same tuple object, so scheduler
+        ``eligible_candidates`` (same tuple object, so scheduler
         state keyed on the candidate tuple is unaffected).
         """
         candidates = self.eligible_candidates(spec)
@@ -608,7 +559,6 @@ class SimulationEngine:
                     tick,
                     self._outstanding,
                     self.total_cores,
-                    self.pool_order,
                     per_pool_busy,
                     self._pool_core_totals,
                     per_pool_waiting,

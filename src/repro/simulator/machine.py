@@ -10,6 +10,9 @@ Models NetBatch's host-level semantics:
 * consequently, preemption can free cores but never memory, so a
   high-priority job whose memory demand exceeds the host's *free*
   memory cannot be placed there by preemption.
+
+Static eligibility is the plain predicate here; dispatch scans read the
+cluster's shared :class:`~repro.workload.cluster.EligibilityIndex`.
 """
 
 from __future__ import annotations
@@ -20,12 +23,6 @@ from ..errors import SchedulingError
 from ..schedulers.eligibility import machine_eligible
 from ..workload.cluster import MachineSpec
 from .job import Job, JobState
-
-#: Upper bound on per-machine eligibility-memo entries.  Synthetic and
-#: quantised-replay workloads stay far below this; it exists so a trace
-#: with pathological signature diversity degrades to recomputation
-#: instead of unbounded RSS.
-_ELIGIBILITY_CACHE_CAP = 4096
 
 __all__ = ["Machine"]
 
@@ -40,7 +37,6 @@ class Machine:
         "running",
         "suspended",
         "up",
-        "_eligibility",
         "_running_priorities",
         "_min_running_priority",
     )
@@ -55,9 +51,6 @@ class Machine:
         # eligible (jobs queue for it) but never passes the dynamic
         # checks, mirroring a NetBatch host that dropped out of the pool.
         self.up = True
-        # Static eligibility verdict per requirement signature; specs
-        # are immutable so entries never invalidate.
-        self._eligibility: Dict[tuple, bool] = {}
         # Exact minimum priority among running jobs (inf when idle),
         # backed by a histogram of occupied priority levels.  Traces use
         # a handful of levels, so when the minimum level empties the new
@@ -80,25 +73,6 @@ class Machine:
         """Cores currently held by running jobs."""
         return self.spec.cores - self.free_cores
 
-    def eligible(self, job_spec) -> bool:
-        """Static eligibility (OS, total cores, total memory).
-
-        Memoized per requirement signature — both specs are immutable,
-        and this check sits inside every dispatch and refill scan.
-        """
-        sig = (job_spec.os_family, job_spec.cores, job_spec.memory_gb)
-        verdict = self._eligibility.get(sig)
-        if verdict is None:
-            verdict = machine_eligible(self.spec, job_spec)
-            if len(self._eligibility) >= _ELIGIBILITY_CACHE_CAP:
-                # A trace with unbounded distinct requirement signatures
-                # (e.g. unquantised per-job byte counts) must not grow
-                # this memo without bound; dropping it only costs a
-                # recompute of a cheap static check.
-                self._eligibility.clear()
-            self._eligibility[sig] = verdict
-        return verdict
-
     def fits_now(self, job_spec) -> bool:
         """Whether the job could start immediately (dynamic check)."""
         return (
@@ -109,13 +83,13 @@ class Machine:
 
     def can_start(self, job_spec) -> bool:
         """Whether the job could start here right now: :meth:`fits_now`
-        and :meth:`eligible` together, capacity first because it rejects
-        more often than the memoized eligibility check."""
+        and static eligibility together, capacity first because it
+        rejects more often than the eligibility check."""
         return (
             self.free_cores >= job_spec.cores
             and self.free_memory_gb >= job_spec.memory_gb
             and self.up
-            and self.eligible(job_spec)
+            and machine_eligible(self.spec, job_spec)
         )
 
     def preemptible_cores(self, priority: int) -> int:

@@ -18,6 +18,9 @@ pool:
 The pool mutates machines and jobs but never talks to the event queue
 or to policies; the engine orchestrates those.  All capacity-releasing
 paths report which machines freed up so the engine can re-fill them.
+Static eligibility comes from the cluster's shared
+:class:`~repro.workload.cluster.EligibilityIndex`; per signature, a pool
+keeps only its run's eligible machines and negative first-fit cache.
 """
 
 from __future__ import annotations
@@ -28,14 +31,10 @@ from typing import Dict, List, Optional, Tuple
 
 from ..core.context import PoolSnapshot
 from ..errors import JobStateError, SchedulingError
-from ..workload.cluster import PoolSpec
+from ..workload.cluster import EligibilityIndex, PoolSpec
 from .job import Job, JobState
 from .machine import Machine
 from .queues import PriorityWaitQueue
-
-#: Upper bound on per-pool eligibility-cache entries (the negative
-#: first-fit cache shares its keys, so bounding one bounds both).
-_SIGNATURE_CACHE_CAP = 4096
 
 _INF = float("inf")
 
@@ -80,10 +79,12 @@ class PhysicalPool:
     :class:`~repro.telemetry.hooks.EngineTelemetry`; when present the
     pool reports completed wait and suspension episodes to it.  The
     hooks receive already-computed durations and cannot perturb the
-    simulation.
+    simulation.  ``eligibility`` is the cluster's
+    :class:`~repro.workload.cluster.EligibilityIndex` (a one-pool index
+    of ``spec`` when omitted).
     """
 
-    def __init__(self, spec: PoolSpec, telemetry=None) -> None:
+    def __init__(self, spec: PoolSpec, telemetry=None, eligibility=None) -> None:
         self.spec = spec
         #: The pool's identifier (a copy of ``spec.pool_id``).
         self.pool_id: str = spec.pool_id
@@ -101,10 +102,8 @@ class PhysicalPool:
         self._suspend_order: Dict[int, int] = {}
         self._suspend_counter = 0
         self._telemetry = telemetry
-        # Statically eligible machines (in dispatch order) per job
-        # requirement signature.  Eligibility depends only on immutable
-        # specs, so entries never invalidate; traces have few distinct
-        # signatures, so the one-off scans amortise to nothing.
+        self._index = eligibility if eligibility is not None else EligibilityIndex((spec,))
+        # This run's statically eligible machines per signature.
         self._eligible_machines: Dict[tuple, Tuple[Machine, ...]] = {}
         # Negative first-fit cache: requirement signatures whose
         # first-fit scan came up empty, tagged with the capacity
@@ -160,25 +159,20 @@ class PhysicalPool:
     def eligible_machines(self, job_spec) -> Tuple[Machine, ...]:
         """Statically eligible machines for ``job_spec``, in dispatch order.
 
-        Cached per requirement signature; eligibility depends only on
-        immutable machine and job specs, so the cache never invalidates.
+        This run's machines at the index's positions, kept per
+        signature.  Both per-signature maps clear at the index's cap, so
+        signature-diverse traces cost rebuilds, not unbounded RSS.
         """
         sig = (job_spec.os_family, job_spec.cores, job_spec.memory_gb)
         machines = self._eligible_machines.get(sig)
         if machines is None:
-            machines = tuple(m for m in self.machines if m.eligible(job_spec))
-            self._remember_eligible(sig, machines)
+            if len(self._eligible_machines) >= self._index.cap:
+                self._eligible_machines.clear()
+                self._no_first_fit.clear()
+            positions = self._index.positions(job_spec).get(self.pool_id, ())
+            machines = tuple(map(self.machines.__getitem__, positions))
+            self._eligible_machines[sig] = machines
         return machines
-
-    def _remember_eligible(self, sig: tuple, machines: Tuple[Machine, ...]) -> None:
-        """Insert into the eligibility cache, clearing it at the cap so
-        signature-diverse traces degrade to rescans, not unbounded RSS.
-        The negative first-fit cache is keyed by the same signatures and
-        is dropped alongside (it is purely an optimisation)."""
-        if len(self._eligible_machines) >= _SIGNATURE_CACHE_CAP:
-            self._eligible_machines.clear()
-            self._no_first_fit.clear()
-        self._eligible_machines[sig] = machines
 
     def submit(self, job: Job, now: float) -> SubmitResult:
         """Dispatch an arriving job per the NetBatch pool-manager rules."""
@@ -186,8 +180,7 @@ class PhysicalPool:
         sig = (spec.os_family, spec.cores, spec.memory_gb)
         eligible = self._eligible_machines.get(sig)
         if eligible is None:
-            eligible = tuple(m for m in self.machines if m.eligible(spec))
-            self._remember_eligible(sig, eligible)
+            eligible = self.eligible_machines(spec)
         if not eligible:
             return _INELIGIBLE
         cores = spec.cores

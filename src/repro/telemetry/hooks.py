@@ -60,10 +60,8 @@ class EngineTelemetry:
         "_sim_minutes",
         "_outstanding",
         "_cluster_util",
-        "_pool_busy",
-        "_pool_util",
-        "_pool_waiting",
-        "_pool_suspended",
+        "_tick_series",
+        "_pool_gauges",
         "_wait_hist",
         "_suspend_hist",
     )
@@ -97,24 +95,19 @@ class EngineTelemetry:
         self._cluster_util = registry.gauge(
             "repro_cluster_utilization", "Cluster-wide busy-core fraction at last sample"
         )
-        self._pool_busy = registry.gauge(
-            "repro_pool_busy_cores", "Busy cores at last sample", labelnames=("pool",)
-        )
-        self._pool_util = registry.gauge(
-            "repro_pool_utilization",
-            "Busy-core fraction at last sample",
-            labelnames=("pool",),
-        )
-        self._pool_waiting = registry.gauge(
-            "repro_pool_waiting_jobs",
-            "Wait-queue depth at last sample",
-            labelnames=("pool",),
-        )
-        self._pool_suspended = registry.gauge(
-            "repro_pool_suspended_jobs",
-            "Suspended jobs at last sample",
-            labelnames=("pool",),
-        )
+        # Sampled series are resolved once, not per tick: unlabelled ones
+        # at the first tick (no samples, no series); per-pool ones here,
+        # so exports list every pool in cluster order even if idle.
+        self._tick_series = None
+        pool_gauges = [
+            registry.gauge(name, help_text, labelnames=("pool",))
+            for name, help_text in (
+                ("repro_pool_busy_cores", "Busy cores at last sample"),
+                ("repro_pool_utilization", "Busy-core fraction at last sample"),
+                ("repro_pool_waiting_jobs", "Wait-queue depth at last sample"),
+                ("repro_pool_suspended_jobs", "Suspended jobs at last sample"),
+            )
+        ]
         self._wait_hist = registry.histogram(
             "repro_wait_duration_minutes",
             "Completed wait-queue episodes (minutes)",
@@ -127,13 +120,9 @@ class EngineTelemetry:
             labelnames=("pool",),
             buckets=DEFAULT_DURATION_BUCKETS,
         )
-        # Touch every per-pool series up front so exports list all pools
-        # in cluster order even when a pool saw no activity.
-        for pool_id in pool_ids:
-            self._pool_busy.labels(pool_id)
-            self._pool_util.labels(pool_id)
-            self._pool_waiting.labels(pool_id)
-            self._pool_suspended.labels(pool_id)
+        self._pool_gauges = tuple(
+            tuple(gauge.labels(pool_id) for gauge in pool_gauges) for pool_id in pool_ids
+        )
 
     # -- engine hooks -------------------------------------------------------------
 
@@ -146,8 +135,12 @@ class EngineTelemetry:
         count = self._queue_events.labels
 
         def counted(name: str, handler):
+            series = []  # resolved on the first call, so unseen kinds export nothing
+
             def dispatch(payload, now: float) -> None:
-                count(name).inc()
+                if not series:
+                    series.append(count(name))
+                series[0].inc()
                 handler(payload, now)
 
             return dispatch
@@ -164,28 +157,31 @@ class EngineTelemetry:
         now: float,
         outstanding: int,
         total_cores: int,
-        pool_ids: Sequence[str],
         per_pool_busy: Sequence[int],
         per_pool_total: Sequence[int],
         per_pool_waiting: Sequence[int],
         per_pool_suspended: Sequence[int],
     ) -> None:
-        """Refresh the sampled gauges on an ``EVENT_SAMPLE`` tick."""
-        self._samples.inc()
-        self._sim_minutes.set(now)
-        self._outstanding.set(outstanding)
+        """Refresh the sampled gauges on an ``EVENT_SAMPLE`` tick (pools in
+        the order given to ``__init__``)."""
+        if self._tick_series is None:
+            unlabelled = (self._samples, self._sim_minutes, self._outstanding, self._cluster_util)
+            self._tick_series = tuple(metric.labels() for metric in unlabelled)
+        samples, sim_minutes, jobs_outstanding, cluster_util = self._tick_series
+        samples.inc()
+        sim_minutes.set(now)
+        jobs_outstanding.set(outstanding)
         busy = 0
-        for pool_id, pool_busy, pool_total, waiting, suspended in zip(
-            pool_ids, per_pool_busy, per_pool_total, per_pool_waiting, per_pool_suspended
+        for gauges, pool_busy, pool_total, waiting, suspended in zip(
+            self._pool_gauges, per_pool_busy, per_pool_total, per_pool_waiting, per_pool_suspended
         ):
+            busy_g, util_g, waiting_g, suspended_g = gauges
             busy += pool_busy
-            self._pool_busy.labels(pool_id).set(pool_busy)
-            self._pool_util.labels(pool_id).set(
-                pool_busy / pool_total if pool_total else 0.0
-            )
-            self._pool_waiting.labels(pool_id).set(waiting)
-            self._pool_suspended.labels(pool_id).set(suspended)
-        self._cluster_util.set(busy / total_cores if total_cores else 0.0)
+            busy_g.set(pool_busy)
+            util_g.set(pool_busy / pool_total if pool_total else 0.0)
+            waiting_g.set(waiting)
+            suspended_g.set(suspended)
+        cluster_util.set(busy / total_cores if total_cores else 0.0)
 
     # -- pool hooks ---------------------------------------------------------------
 

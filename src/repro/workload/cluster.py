@@ -12,18 +12,22 @@ built *from* a spec at simulation start.  The one behavioural method
 specs provide is the high-load transform the paper uses: "we reduce the
 number of compute cores available to each pool by half while keeping
 the submitted job trace unchanged" (:meth:`ClusterSpec.with_cores_halved`).
+Static eligibility is a pure function of the spec, so every simulation
+of one spec shares its :attr:`ClusterSpec.eligibility` index.
 """
 
 from __future__ import annotations
 
 import random
 from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Dict, Iterator, List, Sequence, Tuple
 
 from ..errors import ClusterError
+from ..schedulers.eligibility import machine_eligible
 from .distributions import Categorical, RandomStreams, Uniform
 
-__all__ = ["MachineSpec", "PoolSpec", "ClusterSpec", "ClusterTemplate"]
+__all__ = ["MachineSpec", "PoolSpec", "ClusterSpec", "ClusterTemplate", "EligibilityIndex"]
 
 
 @dataclass(frozen=True)
@@ -90,6 +94,61 @@ class PoolSpec:
         return len(self.machines)
 
 
+class EligibilityIndex:
+    """Static eligibility per job requirement signature, for every run on some pools.
+
+    :func:`~repro.schedulers.eligibility.machine_eligible` depends only
+    on the immutable machines and the job's ``(os_family, cores,
+    memory_gb)``.  Entries are built on first lookup; at :attr:`cap`
+    entries the index clears, so signatures that never repeat cost
+    rescans, not memory, and a rebuilt entry equals the dropped one.
+    """
+
+    #: Entry bound; runtime pools bound their per-run machine tuples by it.
+    cap = 4096
+
+    def __init__(self, pools: Sequence[PoolSpec]) -> None:
+        self._pools = pools
+        # A signature maps to its positions per pool id; the signature
+        # plus a whitelist maps to its candidate pool ids.
+        self._entries: Dict[tuple, object] = {}
+
+    def positions(self, job_spec) -> Dict[str, Tuple[int, ...]]:
+        """Eligible machine positions (dispatch order) per pool id, in pool
+        order, for the pools that have any."""
+        sig = (job_spec.os_family, job_spec.cores, job_spec.memory_gb)
+        found = self._entries.get(sig)
+        if found is None:
+            found = self._remember(sig, {
+                pool.pool_id: hits
+                for pool in self._pools
+                if (hits := tuple(i for i, m in enumerate(pool.machines) if machine_eligible(m, job_spec)))
+            })
+        return found
+
+    def candidates(self, job_spec) -> Tuple[str, ...]:
+        """Pools, in pool order, that whitelist ``job_spec`` and hold an
+        eligible machine.  Equal keys return the same tuple object until
+        a cap clear, and an equal tuple after it."""
+        whitelist = job_spec.candidate_pools
+        key = (job_spec.os_family, job_spec.cores, job_spec.memory_gb, whitelist)
+        found = self._entries.get(key)
+        if found is None:
+            found = self._remember(key, tuple(
+                p for p in self.positions(job_spec) if whitelist is None or p in whitelist
+            ))
+        return found
+
+    def __len__(self) -> int:
+        return len(self._entries)
+
+    def _remember(self, key: tuple, entry):
+        if len(self._entries) >= self.cap:
+            self._entries.clear()
+        self._entries[key] = entry
+        return entry
+
+
 class ClusterSpec:
     """Immutable description of a whole site (a set of physical pools)."""
 
@@ -108,7 +167,19 @@ class ClusterSpec:
         self._pools: Tuple[PoolSpec, ...] = tuple(pools)
         self._by_id: Dict[str, PoolSpec] = {p.pool_id: p for p in self._pools}
 
+    def __getstate__(self) -> dict:
+        """Pickle the spec without its :attr:`eligibility` index."""
+        return {"_pools": self._pools, "_by_id": self._by_id}
+
     # -- accessors ---------------------------------------------------------
+
+    @cached_property
+    def eligibility(self) -> EligibilityIndex:
+        """The static-eligibility index every run on this object shares.
+
+        Built on first use; never pickled, compared or hashed.
+        """
+        return EligibilityIndex(self._pools)
 
     @property
     def pools(self) -> Tuple[PoolSpec, ...]:

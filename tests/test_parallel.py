@@ -24,6 +24,7 @@ from repro.errors import ConfigurationError, ExperimentExecutionError
 from repro.experiments import parallel as parallel_mod
 from repro.experiments.cache import ResultCache, derive_cell_seed, stable_hash
 from repro.experiments.parallel import (
+    CellTask,
     _is_portable,
     _portable_tasks,
     execute_cells,
@@ -229,6 +230,46 @@ class TestPicklingFallback:
         tasks.append(make_cell_task(2, smoke_scenario, hostile_policy(), None, FAST))
         assert _portable_tasks(tasks) == tasks[:2]
         assert checked == [tasks, *tasks]
+
+    def test_fleet_grid_pickles_its_task_list_once(
+        self, smoke_scenario, tmp_path, monkeypatch
+    ):
+        from repro.fabric import run_grid_fabric
+        from repro.fabric.lease import LeaseStore
+        from repro.fabric.worker import load_manifest, run_worker, write_manifest
+
+        tasks = [
+            make_cell_task(i, smoke_scenario, factory(), None, FAST)
+            for i, factory in enumerate(ALL_POLICIES)
+        ]
+        real = pickle.dumps
+        expected = real(list(tasks), protocol=pickle.HIGHEST_PROTOCOL)
+        dumped = []
+
+        def counting(obj, *args, **kwargs):
+            if isinstance(obj, list) and obj and all(isinstance(t, CellTask) for t in obj):
+                dumped.append(len(obj))
+            return real(obj, *args, **kwargs)
+
+        monkeypatch.setattr(pickle, "dumps", counting)
+        manifests = []
+
+        class InProcessFleet:
+            name = "inproc"
+
+            def run(self, run_tasks, cache_dir, run_id, lease_ttl=60.0):
+                path = write_manifest(
+                    run_tasks, cache_dir / "manifests" / f"{run_id}.manifest"
+                )
+                manifests.append(path.read_bytes())
+                leases = LeaseStore(cache_dir, run_id=run_id, worker_id=f"{run_id}-w0")
+                run_worker(load_manifest(path), ResultCache(cache_dir), leases, poll_interval=0.01)
+
+        report = run_grid_fabric(tasks, InProcessFleet(), ResultCache(tmp_path))
+        assert report.ok and len(report.completed) == len(tasks)
+        # The portability check's pickle is the manifest, byte for byte.
+        assert dumped == [len(tasks)]
+        assert manifests == [expected]
 
 
 class TestErrorPaths:

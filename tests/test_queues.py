@@ -5,6 +5,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
+from repro.schedulers.eligibility import machine_eligible
 from repro.simulator.job import Job
 from repro.simulator.machine import Machine
 from repro.simulator.queues import PriorityWaitQueue
@@ -292,7 +293,7 @@ class TestShardAccountingProperty:
             return (
                 machine.free_cores >= spec.cores
                 and machine.free_memory_gb >= spec.memory_gb
-                and machine.eligible(spec)
+                and machine_eligible(machine.spec, spec)
             )
 
         q = PriorityWaitQueue()

@@ -77,7 +77,7 @@ class TestFeedValidation:
     def test_quantized_replay_bounds_engine_caches(self):
         # The constant-memory contract end to end: feed many jobs with
         # near-unique raw memory through a quantizing spec and check the
-        # engine's signature caches stay small.
+        # cluster's eligibility index stays small.
         import io
 
         from repro.workload.traces.swf import SWFJob, write_swf
@@ -99,8 +99,11 @@ class TestFeedValidation:
         cluster = make_cluster()
         engine = SimulationEngine(iter(feed), cluster)
         engine.run()
-        assert len(engine._signature_pools) <= 4
-        assert len(engine._eligibility_cache) <= 4
+        # Signature keys are (os, cores, memory); whitelisted lookups
+        # add the whitelist.
+        keys = list(cluster.eligibility._entries)
+        assert sum(len(key) == 3 for key in keys) <= 4
+        assert sum(len(key) == 4 for key in keys) <= 4
 
 
 class TestInstrumentedFeed:

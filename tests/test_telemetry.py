@@ -138,6 +138,47 @@ class TestEngineMetrics:
         assert wait.count == 1
         assert wait.sum == pytest.approx(9.0)  # queued at 1.0, started at 10.0
 
+    def test_series_lookups_scale_with_pools_not_ticks(self, monkeypatch):
+        from repro.telemetry import registry as registry_mod
+
+        real = registry_mod._Metric.labels
+        calls = [0]
+
+        def counting(metric, *values, **kwargs):
+            calls[0] += 1
+            return real(metric, *values, **kwargs)
+
+        monkeypatch.setattr(registry_mod._Metric, "labels", counting)
+        # Every job is pinned to p0 and queues there, so extra pools
+        # change no event, only the number of per-pool series.
+        jobs = [
+            make_job(i, submit=float(3 * i), runtime=40.0, cores=4, candidate_pools=("p0",))
+            for i in range(8)
+        ]
+
+        def lookups(n_pools, interval):
+            cluster = make_cluster(tuple((f"p{i}", 1) for i in range(n_pools)))
+            reg = MetricsRegistry()
+            calls[0] = 0
+            repro.run_simulation(
+                make_trace(jobs),
+                cluster,
+                config=SimulationConfig(
+                    strict=False,
+                    sample_interval=interval,
+                    instrumentation=Instrumentation(metrics=reg),
+                ),
+            )
+            return calls[0], reg.get("repro_sim_samples_total").value
+
+        base, ticks = lookups(2, 1.0)
+        finer, finer_ticks = lookups(2, 0.25)
+        assert finer_ticks >= 4 * ticks - 3
+        assert finer == base
+        per_pool = lookups(4, 1.0)[0] - base
+        assert per_pool > 0
+        assert lookups(6, 1.0)[0] - base == 2 * per_pool
+
     def test_profile_report_available(self, smoke_scenario):
         from repro.simulator.engine import SimulationEngine
 
