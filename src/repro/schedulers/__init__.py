@@ -1,6 +1,6 @@
 """Initial (first-placement) schedulers and eligibility rules."""
 
-from .eligibility import machine_eligible, pool_has_eligible_machine
+from .eligibility import machine_eligible
 from .initial import (
     INITIAL_SCHEDULER_NAMES,
     InitialScheduler,
@@ -13,7 +13,6 @@ from .initial import (
 
 __all__ = [
     "machine_eligible",
-    "pool_has_eligible_machine",
     "INITIAL_SCHEDULER_NAMES",
     "InitialScheduler",
     "LeastWaitingScheduler",

@@ -11,14 +11,13 @@ a separate, dynamic question answered by the runtime
 
 Eligibility drives the virtual pool manager's give-back rule: a pool
 with no eligible machine at all returns the job so the VPM tries the
-next pool.
+next pool.  Which pools hold an eligible machine is answered per
+cluster by :attr:`~repro.workload.cluster.ClusterSpec.eligibility`.
 """
 
 from __future__ import annotations
 
-from typing import Iterable
-
-__all__ = ["machine_eligible", "pool_has_eligible_machine"]
+__all__ = ["machine_eligible"]
 
 
 def machine_eligible(machine_spec, job_spec) -> bool:
@@ -33,8 +32,3 @@ def machine_eligible(machine_spec, job_spec) -> bool:
         and machine_spec.cores >= job_spec.cores
         and machine_spec.memory_gb >= job_spec.memory_gb
     )
-
-
-def pool_has_eligible_machine(machine_specs: Iterable, job_spec) -> bool:
-    """Whether any machine in ``machine_specs`` is eligible for the job."""
-    return any(machine_eligible(m, job_spec) for m in machine_specs)

@@ -18,6 +18,7 @@ job crosses the policy's threshold.
 
 from __future__ import annotations
 
+import gc
 import itertools
 import random
 from collections import deque
@@ -75,6 +76,12 @@ SHADOW_ID_BASE = 1 << 62
 
 _busy_cores = attrgetter("busy_cores")
 _running_jobs = attrgetter("running_jobs")
+
+
+def _resume_collector() -> None:
+    """Re-enable the cyclic collector and take its young-generation pass."""
+    gc.enable()
+    gc.collect(0)
 
 
 class LiveSystemView(SystemView):
@@ -249,15 +256,27 @@ class SimulationEngine:
         With the default sink that is a :class:`SimulationResult`; with
         an :class:`~repro.simulator.online.OnlineResults` sink it is the
         sink itself.
+
+        The event loop runs with Python's cyclic garbage collector
+        paused: a run makes no cyclic garbage, so the collector would
+        only re-scan the heap.  The pause is process-wide and lasts only
+        as long as the loop.  The collector resumes before ``finalize``,
+        on return and on raise alike, and only if it was enabled when the
+        run began; it then takes its one young-generation pass over the
+        run's surviving objects.  Once the loop ends, the engine drops
+        its handler table and ``view``, the only references back to
+        itself, so a finished engine is freed by reference counting.
         """
         if self._finished:
             raise SimulationError("engine instances are single-use; build a new one")
         self._finished = True
         telemetry = self._telemetry
         profiler = self._profiler
-        # Unwound also when the run raises: every swapped method is
-        # restored, then the taps are closed in order.
+        # Unwound also when the run raises: the collector resumes inside
+        # the profiled span, every swapped method is restored, the taps
+        # are closed in order, and the engine's self-references go.
         with ExitStack() as teardown:
+            teardown.callback(self._drop_self_references)
             for tap in reversed(self._taps):
                 close = getattr(tap, "close", None)
                 if close is not None:
@@ -266,6 +285,9 @@ class SimulationEngine:
                 telemetry.count_dispatch(self, EVENT_NAMES, teardown)
             if profiler is not None:
                 profiler.attach(self, teardown)
+            if gc.isenabled():
+                gc.disable()
+                teardown.callback(_resume_collector)
             self._drain()
         if self._outstanding != 0:
             raise SimulationError(
@@ -293,6 +315,11 @@ class SimulationEngine:
                 None if faults is None else faults.finalize(self._sink.goodput_minutes)
             ),
         )
+
+    def _drop_self_references(self) -> None:
+        """Break the engine's reference cycles once its run is over."""
+        self._dispatch = ()
+        self.view = None
 
     def _drain(self) -> None:
         """The event loop: merge the trace feed with the event queue.
@@ -522,8 +549,9 @@ class SimulationEngine:
         fires before the tick, and a queued event at that minute was
         pushed before the tick would have been, so it fires first too.
         Tick minutes come from the same repeated ``+ sample_interval``
-        additions as one event per tick would produce, and the sink,
-        telemetry and invariant checks still see every tick.  No tick
+        additions as one event per tick would produce, and the sink and
+        invariant checks still see every tick; telemetry sees the
+        stretch once, as its last tick plus its tick count.  No tick
         past ``max_minutes`` is taken or queued: the bound walls the
         workload's events, so sampling never fails a run that completes
         without it.
@@ -552,29 +580,31 @@ class SimulationEngine:
         telemetry = self._telemetry
         check_invariants = self.config.check_invariants
         tick = now
-        while True:
+        for ticks in itertools.count(1):
             add_sample(StateSample(tick, *state))
-            if telemetry is not None:
-                telemetry.on_sample(
-                    tick,
-                    self._outstanding,
-                    self.total_cores,
-                    per_pool_busy,
-                    self._pool_core_totals,
-                    per_pool_waiting,
-                    per_pool_suspended,
-                )
             if check_invariants:
                 for pool in pools:
                     pool.check_invariants()
             if self._outstanding == 0 and next_submit is None:
-                return
-            tick = tick + interval
-            if max_minutes is not None and tick > max_minutes:
-                return
-            if horizon is not None and tick >= horizon:
                 break
-        self._events.push(tick, EVENT_SAMPLE, None)
+            next_tick = tick + interval
+            if max_minutes is not None and next_tick > max_minutes:
+                break
+            if horizon is not None and next_tick >= horizon:
+                self._events.push(next_tick, EVENT_SAMPLE, None)
+                break
+            tick = next_tick
+        if telemetry is not None:
+            telemetry.on_sample(
+                tick,
+                ticks,
+                self._outstanding,
+                self.total_cores,
+                per_pool_busy,
+                self._pool_core_totals,
+                per_pool_waiting,
+                per_pool_suspended,
+            )
 
     # -- fault handlers -----------------------------------------------------------------
 

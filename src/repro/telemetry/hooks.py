@@ -155,6 +155,7 @@ class EngineTelemetry:
     def on_sample(
         self,
         now: float,
+        ticks: int,
         outstanding: int,
         total_cores: int,
         per_pool_busy: Sequence[int],
@@ -162,13 +163,14 @@ class EngineTelemetry:
         per_pool_waiting: Sequence[int],
         per_pool_suspended: Sequence[int],
     ) -> None:
-        """Refresh the sampled gauges on an ``EVENT_SAMPLE`` tick (pools in
-        the order given to ``__init__``)."""
+        """Count ``ticks`` sampler ticks that all carried this state, the
+        last at ``now``, and refresh the sampled gauges (pools in the
+        order given to ``__init__``)."""
         if self._tick_series is None:
             unlabelled = (self._samples, self._sim_minutes, self._outstanding, self._cluster_util)
             self._tick_series = tuple(metric.labels() for metric in unlabelled)
         samples, sim_minutes, jobs_outstanding, cluster_util = self._tick_series
-        samples.inc()
+        samples.inc(ticks)
         sim_minutes.set(now)
         jobs_outstanding.set(outstanding)
         busy = 0

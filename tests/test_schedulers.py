@@ -3,7 +3,7 @@
 import pytest
 
 from repro.core.context import PoolSnapshot, StaticSystemView
-from repro.schedulers.eligibility import machine_eligible, pool_has_eligible_machine
+from repro.schedulers.eligibility import machine_eligible
 from repro.schedulers.initial import (
     INITIAL_SCHEDULER_NAMES,
     LeastWaitingScheduler,
@@ -35,11 +35,6 @@ class TestEligibility:
         assert machine_eligible(machine, make_job(1, cores=4, memory_gb=8.0))
         assert not machine_eligible(machine, make_job(1, cores=5))
         assert not machine_eligible(machine, make_job(1, memory_gb=9.0))
-
-    def test_pool_has_eligible_machine(self):
-        machines = [make_machine(cores=2), make_machine("p0/m1", cores=8)]
-        assert pool_has_eligible_machine(machines, make_job(1, cores=8))
-        assert not pool_has_eligible_machine(machines, make_job(1, cores=16))
 
 
 class TestRoundRobin:

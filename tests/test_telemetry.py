@@ -179,6 +179,27 @@ class TestEngineMetrics:
         assert per_pool > 0
         assert lookups(6, 1.0)[0] - base == 2 * per_pool
 
+    def test_sampled_metrics_update_once_per_sample_event(self, monkeypatch, smoke_scenario):
+        from repro.telemetry.hooks import EngineTelemetry
+
+        real = EngineTelemetry.on_sample
+        calls = [0]
+
+        def counting(*args, **kwargs):
+            calls[0] += 1
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(EngineTelemetry, "on_sample", counting)
+        reg = MetricsRegistry()
+        result = run_smoke(smoke_scenario, Instrumentation(metrics=reg))
+        events = reg.get("repro_engine_queue_events_total").labels("sample").value
+        ticks = reg.get("repro_sim_samples_total").value
+        # Idle ticks are coalesced, so a stretch of ticks shares one
+        # sample event and one telemetry update; the counter still
+        # advances by every tick.
+        assert calls[0] == events
+        assert ticks == len(result.samples) > events
+
     def test_profile_report_available(self, smoke_scenario):
         from repro.simulator.engine import SimulationEngine
 
