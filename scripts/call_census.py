@@ -6,7 +6,12 @@ under ResSusUtil with ``cProfile`` on and prints the total call count
 divided by the number of job records, followed by the functions with
 the most calls per job.  Call counts are deterministic for a given
 source tree and seed list, unlike wall times, so two trees compare
-exactly.
+exactly.  They are not a work count: cProfile never sees slot-wrapper
+calls such as a frozen dataclass's per-field ``object.__setattr__`` but
+counts the ``tuple.__new__`` inside a named tuple's ``__new__``, and
+functions compiled from strings (dataclass ``__init__``, namedtuple
+``__new__``) share one ``<string>`` label, under which ``pstats`` keeps
+a single function's count.
 
 Usage (from the repository root)::
 

@@ -71,7 +71,9 @@ __all__ = [
 #: 2: ``JobRecord``/``StateSample`` became slotted; a schema-1 pickle
 #: of either unpickles *without error* into a corrupt record (its dict
 #: state zipped onto the slots), so those entries must never load.
-CACHE_SCHEMA_VERSION = 2
+#: 3: the records became named tuples; a schema-2 record pickle now
+#: fails to load (``TypeError``) instead of loading corrupt.
+CACHE_SCHEMA_VERSION = 3
 
 #: File magic identifying a repro cache entry.
 _MAGIC = b"repro-cache\x00"

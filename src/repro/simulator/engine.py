@@ -994,28 +994,28 @@ class SimulationEngine:
         if partner is None:
             # Overwhelmingly common case: a single attempt, no merging.
             spec = winner.spec
+            # Positional, in field order: cheaper than keywords.
             record = JobRecord(
-                job_id=winner.job_id,
-                priority=winner.priority,
-                submit_minute=spec.submit_minute,
-                finish_minute=now,
-                runtime_minutes=spec.runtime_minutes,
-                cores=spec.cores,
-                memory_gb=spec.memory_gb,
-                wait_time=winner.total_wait,
-                suspend_time=winner.total_suspend,
-                wasted_restart_time=winner.wasted_restart,
-                suspension_count=winner.suspension_count,
-                restart_count=winner.restart_count,
-                migration_count=winner.migration_count,
-                waiting_move_count=winner.waiting_move_count,
-                pools_visited=tuple(winner.pools_visited),
-                rejected=False,
-                task_id=spec.task_id,
-                user=spec.user,
-                machine_failures=winner.machine_failures,
-                transient_failures=winner.transient_failures,
-                failed=False,
+                winner.job_id,
+                winner.priority,
+                spec.submit_minute,
+                now,
+                spec.runtime_minutes,
+                spec.cores,
+                spec.memory_gb,
+                winner.total_wait,
+                winner.total_suspend,
+                winner.wasted_restart,
+                winner.suspension_count,
+                winner.restart_count,
+                winner.migration_count,
+                winner.waiting_move_count,
+                tuple(winner.pools_visited),
+                False,
+                spec.task_id,
+                spec.user,
+                winner.machine_failures,
+                winner.transient_failures,
             )
             self._add_record(record)
             self._outstanding -= 1

@@ -26,8 +26,7 @@ keeps only its run's eligible machines and negative first-fit cache.
 from __future__ import annotations
 
 import enum
-from dataclasses import dataclass
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.context import PoolSnapshot
 from ..errors import JobStateError, SchedulingError
@@ -50,8 +49,7 @@ class SubmitOutcome(enum.Enum):
     INELIGIBLE = "ineligible"  # no machine can ever run this job
 
 
-@dataclass(frozen=True)
-class SubmitResult:
+class SubmitResult(NamedTuple):
     """Outcome of :meth:`PhysicalPool.submit`.
 
     Attributes:
@@ -202,7 +200,7 @@ class PhysicalPool:
                     and machine.free_memory_gb >= memory
                 ):
                     self._start_on(job, machine, now)
-                    return SubmitResult(SubmitOutcome.STARTED, machine=machine)
+                    return SubmitResult(SubmitOutcome.STARTED, machine)
             self._no_first_fit[sig] = self._capacity_version
         # 2. Preemption: first eligible machine where suspending
         #    lower-priority work makes room.  The priority histogram
@@ -241,9 +239,7 @@ class PhysicalPool:
                     f"did not make room for job {job.job_id}"
                 )
             self._start_on(job, machine, now)
-            return SubmitResult(
-                SubmitOutcome.PREEMPTED, machine=machine, victims=tuple(victims)
-            )
+            return SubmitResult(SubmitOutcome.PREEMPTED, machine, tuple(victims))
         # 3. Queue.
         job.enqueue(self.pool_id, now)
         self.wait_queue.push(job)

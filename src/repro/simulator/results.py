@@ -10,19 +10,18 @@ lives in :mod:`repro.metrics` and :mod:`repro.analysis`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Dict, Iterator, List, Optional, Sequence, Tuple
+from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["JobRecord", "StateSample", "SimulationResult", "RecordingSink"]
 
 
-@dataclass(frozen=True, slots=True)
-class JobRecord:
+class JobRecord(NamedTuple):
     """Everything the metrics need to know about one completed job.
 
-    Time quantities are minutes.  For jobs executed under a duplication
-    policy the record merges the primary and shadow attempts (waits and
-    waste add up; the finish time is the winner's).
+    A named tuple (the engine builds one per job).  Time quantities are
+    minutes.  For jobs executed under a duplication policy the record
+    merges the primary and shadow attempts (waits and waste add up; the
+    finish time is the winner's).
 
     Attributes:
         job_id: trace job id.
@@ -95,8 +94,7 @@ class JobRecord:
         return self.wait_time + self.suspend_time + self.wasted_restart_time
 
 
-@dataclass(frozen=True, slots=True)
-class StateSample:
+class StateSample(NamedTuple):
     """One tick of the per-minute state sampler.
 
     Attributes:
@@ -133,10 +131,6 @@ class StateSample:
 
 class SimulationResult:
     """The complete output of one simulation run."""
-
-    # Class-level fallback so results unpickled from cache entries that
-    # predate fault injection still expose the attribute.
-    fault_stats = None
 
     def __init__(
         self,
@@ -191,7 +185,7 @@ class SimulationResult:
 
     def failed_records(self) -> Iterator[JobRecord]:
         """Records of jobs that permanently failed (fault injection)."""
-        return (r for r in self._records if getattr(r, "failed", False))
+        return (r for r in self._records if r.failed)
 
     def failed_count(self) -> int:
         """Number of permanently failed jobs."""

@@ -8,6 +8,7 @@ returns garbage.
 
 from __future__ import annotations
 
+import copyreg
 import hashlib
 import pickle
 
@@ -165,6 +166,30 @@ class _DictStateRecord:
         return object.__new__, (JobRecord,), self.state
 
 
+class _SlottedRecord:
+    """Pickles as a slotted-dataclass ``JobRecord`` did (cache schema 2):
+    ``JobRecord.__new__(JobRecord)`` with no arguments, then the field
+    values as state.  ``__class__`` answers ``JobRecord`` so the pickler
+    writes exactly those opcodes."""
+
+    def __init__(self, values):
+        self.values = values
+
+    @property
+    def __class__(self):
+        return JobRecord
+
+    def __reduce_ex__(self, protocol):
+        return copyreg.__newobj__, (JobRecord,), self.values
+
+
+def _write_entry(cache, key, payload):
+    path = cache.path_for(key)
+    path.parent.mkdir(parents=True, exist_ok=True)
+    path.write_bytes(b"repro-cache\x00" + hashlib.sha256(payload).digest() + payload)
+    return path
+
+
 class TestSchemaBump:
     def test_schema1_dict_state_record_is_a_miss(self, tmp_path):
         state = {
@@ -183,21 +208,43 @@ class TestSchemaBump:
                 "value": [_DictStateRecord(state)],
             }
         )
-        # Why the bump matters: the old pickle loads without an error,
-        # into a record whose fields hold the state's *keys*.
-        corrupt = pickle.loads(payload)["value"][0]
-        assert isinstance(corrupt, JobRecord)
-        assert corrupt.job_id == "job_id"
+        # A schema-1 record pickle no longer loads at all: a named
+        # tuple refuses ``object.__new__``.
+        with pytest.raises(TypeError):
+            pickle.loads(payload)
 
-        assert CACHE_SCHEMA_VERSION == 2
+        assert CACHE_SCHEMA_VERSION == 3
         cache = ResultCache(tmp_path)
         key = "cc" + "0" * 62
-        path = cache.path_for(key)
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(b"repro-cache\x00" + hashlib.sha256(payload).digest() + payload)
+        path = _write_entry(cache, key, payload)
         assert cache.peek(key) is None
         assert cache.get(key) is None
         assert not path.exists(), "schema-1 entry must be evicted"
+        assert cache.stats.evictions == 1 and cache.stats.misses == 1
+        assert cache.stats.hits == 0
+
+    def test_schema2_slotted_record_is_a_miss(self, tmp_path):
+        values = [
+            7, 0, 0.0, 5.0, 5.0, 1, 1.0, 0.0, 0.0, 0.0, 0, 0, 0, 0, ("p0",),
+            False, None, "u", 0, 0, False,
+        ]
+        payload = pickle.dumps(
+            {
+                "schema": 2,
+                "salt": f"repro/{repro.__version__}/schema2",
+                "value": [_SlottedRecord(values)],
+            },
+            protocol=pickle.HIGHEST_PROTOCOL,
+        )
+        with pytest.raises(TypeError):
+            pickle.loads(payload)
+
+        cache = ResultCache(tmp_path)
+        key = "cd" + "0" * 62
+        path = _write_entry(cache, key, payload)
+        assert cache.peek(key) is None
+        assert cache.get(key) is None
+        assert not path.exists(), "schema-2 entry must be evicted"
         assert cache.stats.evictions == 1 and cache.stats.misses == 1
         assert cache.stats.hits == 0
 
