@@ -8,10 +8,13 @@ the most calls per job.  Call counts are deterministic for a given
 source tree and seed list, unlike wall times, so two trees compare
 exactly.  They are not a work count: cProfile never sees slot-wrapper
 calls such as a frozen dataclass's per-field ``object.__setattr__`` but
-counts the ``tuple.__new__`` inside a named tuple's ``__new__``, and
-functions compiled from strings (dataclass ``__init__``, namedtuple
-``__new__``) share one ``<string>`` label, under which ``pstats`` keeps
-a single function's count.
+counts the ``tuple.__new__`` inside a named tuple's ``__new__``.
+
+Counts are summed per code object from ``Profile.getstats()``, not
+taken from ``pstats``: functions compiled from strings (every dataclass
+``__init__``, every namedtuple ``__new__``) share one ``<string>``
+label, under which ``pstats`` keeps a single code object's count.  The
+listing shows each label once, with the calls of all its code objects.
 
 Usage (from the repository root)::
 
@@ -22,7 +25,7 @@ from __future__ import annotations
 
 import argparse
 import cProfile
-import pstats
+from collections import Counter
 
 from repro import high_suspension, run_simulation
 from repro.policies import policy_from_spec
@@ -31,8 +34,19 @@ from repro.simulator.config import SimulationConfig
 from repro.workload.trace import Trace
 
 
+def _label(code):
+    """``(file, line, name)`` of a profiled code object or built-in."""
+    if isinstance(code, str):
+        return "~", 0, code
+    return code.co_filename, code.co_firstlineno, code.co_name
+
+
 def census(seeds, jobs: int):
-    """Profile one run per seed; return ``(stats, jobs_simulated)``."""
+    """Profile one run per seed; return ``(calls, jobs_simulated)``.
+
+    ``calls`` maps each function label to the calls made to every code
+    object carrying it.
+    """
     profiler = cProfile.Profile()
     simulated = 0
     for seed in seeds:
@@ -49,7 +63,10 @@ def census(seeds, jobs: int):
         )
         profiler.disable()
         simulated += len(result.records)
-    return pstats.Stats(profiler), simulated
+    calls = Counter()
+    for entry in profiler.getstats():
+        calls[_label(entry.code)] += entry.callcount
+    return calls, simulated
 
 
 def main(argv=None) -> int:
@@ -58,11 +75,10 @@ def main(argv=None) -> int:
     parser.add_argument("--jobs", type=int, default=16_000)
     parser.add_argument("--top", type=int, default=25)
     args = parser.parse_args(argv)
-    stats, simulated = census(args.seeds, args.jobs)
-    print(f"jobs={simulated} calls={stats.total_calls} "
-          f"calls_per_job={stats.total_calls / simulated:.1f}")
-    rows = sorted(stats.stats.items(), key=lambda item: -item[1][1])
-    for (filename, line, name), (_, ncalls, *_rest) in rows[: args.top]:
+    calls, simulated = census(args.seeds, args.jobs)
+    total = sum(calls.values())
+    print(f"jobs={simulated} calls={total} calls_per_job={total / simulated:.1f}")
+    for (filename, line, name), ncalls in calls.most_common(args.top):
         where = f"{filename.rsplit('/', 1)[-1]}:{line}" if line else "~"
         print(f"{ncalls / simulated:8.2f}  {ncalls:9d}  {name} ({where})")
     return 0

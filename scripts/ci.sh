@@ -17,7 +17,9 @@
 #           matches the plain run, the layer table lists
 #           pool.fill_machine and events.pop, the exported snapshot
 #           parses with nonzero event counters, and `repro stats`
-#           renders the layer table
+#           renders the layer table; then repeats the on/off diff
+#           under machine churn with migration_cost and checks the
+#           export carries the repro_fault_* families
 #   faults  benchmarks/bench_faults_smoke.py: same-seed fault run is
 #           byte-identical across runs, fault-enabled grids match
 #           serial vs parallel and keep_result (samples on) vs
@@ -96,6 +98,27 @@ run_lint() {
     fi
 }
 
+# cli_telemetry_diff DIR ARGS...: `repro run --scenario smoke ARGS` with
+# every tap on (metrics in DIR/metrics, event log, layer profile) and
+# with none; the printed summary (everything but the "wrote ..." lines,
+# the layer table and the blank lines they leave at the end) must be
+# identical, proving telemetry never touches the simulation.
+cli_telemetry_diff() {
+    local dir="$1"
+    shift
+    mkdir -p "$dir"
+    python -m repro run --scenario smoke "$@" \
+        --telemetry-dir "$dir/metrics" --profile \
+        --events "$dir/events.jsonl" > "$dir/on-full.txt"
+    grep -v '^wrote ' "$dir/on-full.txt" | sed '/^layer /,/^total: /d' \
+        | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}' > "$dir/on.txt"
+    python -m repro run --scenario smoke "$@" > "$dir/off.txt"
+    if ! diff -u "$dir/off.txt" "$dir/on.txt"; then
+        echo "error: simulation output changed when telemetry was enabled ($*)" >&2
+        exit 1
+    fi
+}
+
 run_smoke() {
     echo "== CI smoke: serial-vs-parallel equivalence + cache speedup =="
     REPRO_SCALE="${REPRO_SCALE:-0.08}" \
@@ -105,21 +128,7 @@ run_smoke() {
     local teldir
     teldir="$(mktemp -d)"
     trap 'rm -rf "$teldir"' RETURN
-    # same reduced-scale run with every tap on (metrics, event log,
-    # layer profile) and with none; the printed summary (everything but
-    # the "wrote ..." lines, the layer table and the blank lines they
-    # leave at the end) must be identical, proving telemetry never
-    # touches the simulation.
-    python -m repro run --scenario smoke --policy ResSusUtil \
-        --telemetry-dir "$teldir/metrics" --profile \
-        --events "$teldir/events.jsonl" > "$teldir/on-full.txt"
-    grep -v '^wrote ' "$teldir/on-full.txt" | sed '/^layer /,/^total: /d' \
-        | sed -e :a -e '/^\n*$/{$d;N;ba' -e '}' > "$teldir/on.txt"
-    python -m repro run --scenario smoke --policy ResSusUtil > "$teldir/off.txt"
-    if ! diff -u "$teldir/off.txt" "$teldir/on.txt"; then
-        echo "error: simulation output changed when telemetry was enabled" >&2
-        exit 1
-    fi
+    cli_telemetry_diff "$teldir" --policy ResSusUtil
     for layer in pool.fill_machine events.pop; do
         if ! grep -q "^$layer " "$teldir/on-full.txt"; then
             echo "error: the --profile layer table does not list $layer" >&2
@@ -144,6 +153,14 @@ EOF
     python -m repro stats "$teldir/metrics" > "$teldir/stats.txt"
     if ! grep -q '^  pool.fill_machine ' "$teldir/stats.txt"; then
         echo "error: repro stats did not render the engine layer table" >&2
+        exit 1
+    fi
+    # The repro_fault_* families are written from the fault injector's
+    # counters when the run ends; check them on the CLI path too.
+    cli_telemetry_diff "$teldir/faults" --policy migration_cost \
+        --machine-mtbf 3000 --machine-mttr 60
+    if ! grep -q '^repro_fault_machine_crashes_total ' "$teldir/faults/metrics/metrics.prom"; then
+        echo "error: the churn run's export lacks the repro_fault_* families" >&2
         exit 1
     fi
     echo "CLI telemetry export OK"

@@ -9,9 +9,9 @@
   jitter — so fault randomness never perturbs the decision stream the
   policies use, and a zero-fault run draws exactly what it drew before
   this subsystem existed;
-* the fault counters (crashes, kills, retries, lost work) that become
-  the run's :class:`FaultStats` and, when telemetry is enabled, the
-  ``repro_fault_*`` metric families.
+* the fault counters (crashes, outages per pool, kills, retries, lost
+  work) that become the run's :class:`FaultStats`; the engine also
+  publishes them when the run is over.
 
 The injector never mutates simulator state itself; the engine calls it
 for draws and accounting and performs the state transitions, keeping
@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Dict, Optional, Sequence
 
 from ..errors import UnknownPoolError
 from ..workload.distributions import RandomStreams
@@ -96,19 +96,15 @@ class FaultStats:
 class FaultInjector:
     """Seeded fault draws and counters for one engine run."""
 
-    def __init__(
-        self,
-        config: FaultConfig,
-        streams: RandomStreams,
-        telemetry=None,
-    ) -> None:
+    def __init__(self, config: FaultConfig, streams: RandomStreams) -> None:
         self.config = config
         self._streams = streams
         self._jobs_rng: random.Random = streams.stream("faults/jobs")
         self._retry_rng: random.Random = streams.stream("faults/retry")
         self.machine_crashes = 0
         self.machine_recoveries = 0
-        self.pool_outages = 0
+        #: Outage windows started per pool, in first-outage order.
+        self.outages: Dict[str, int] = {}
         self.attempts_killed = 0
         self.waiting_drained = 0
         self.requeues_deferred = 0
@@ -116,42 +112,6 @@ class FaultInjector:
         self.retries_scheduled = 0
         self.permanent_failures = 0
         self.lost_work_minutes = 0.0
-        self._metrics = None
-        if telemetry is not None:
-            registry = telemetry.registry
-            self._metrics = {
-                "crashes": registry.counter(
-                    "repro_fault_machine_crashes_total", "Machine-down events"
-                ),
-                "recoveries": registry.counter(
-                    "repro_fault_machine_recoveries_total", "Machine-up events"
-                ),
-                "outages": registry.counter(
-                    "repro_fault_pool_outages_total",
-                    "Pool blackout windows started",
-                    labelnames=("pool",),
-                ),
-                "kills": registry.counter(
-                    "repro_fault_attempt_kills_total",
-                    "Job attempts killed by faults",
-                    labelnames=("cause",),
-                ),
-                "transient": registry.counter(
-                    "repro_fault_transient_failures_total",
-                    "Execution segments killed by transient failures",
-                ),
-                "retries": registry.counter(
-                    "repro_fault_retries_total", "Retries scheduled"
-                ),
-                "permanent": registry.counter(
-                    "repro_fault_permanent_failures_total",
-                    "Jobs that exhausted their retry budget",
-                ),
-                "lost": registry.counter(
-                    "repro_fault_lost_work_minutes_total",
-                    "Reference-speed minutes of progress lost to faults",
-                ),
-            }
 
     # -- scheduling -----------------------------------------------------------------
 
@@ -217,26 +177,17 @@ class FaultInjector:
 
     def note_machine_crash(self) -> None:
         self.machine_crashes += 1
-        if self._metrics is not None:
-            self._metrics["crashes"].inc()
 
     def note_machine_recovery(self) -> None:
         self.machine_recoveries += 1
-        if self._metrics is not None:
-            self._metrics["recoveries"].inc()
 
     def note_pool_down(self, pool_id: str) -> None:
-        self.pool_outages += 1
-        if self._metrics is not None:
-            self._metrics["outages"].labels(pool_id).inc()
+        self.outages[pool_id] = self.outages.get(pool_id, 0) + 1
 
-    def note_kill(self, cause: str, lost_minutes: float) -> None:
-        """One running/suspended attempt killed by ``cause`` (machine|outage)."""
+    def note_kill(self, lost_minutes: float) -> None:
+        """One running/suspended attempt killed by a crash or an outage."""
         self.attempts_killed += 1
         self.lost_work_minutes += lost_minutes
-        if self._metrics is not None:
-            self._metrics["kills"].labels(cause).inc()
-            self._metrics["lost"].inc(lost_minutes)
 
     def note_drained(self) -> None:
         """One waiting job drained out of a blacked-out pool."""
@@ -249,19 +200,12 @@ class FaultInjector:
     def note_transient_failure(self, lost_minutes: float) -> None:
         self.transient_failures += 1
         self.lost_work_minutes += lost_minutes
-        if self._metrics is not None:
-            self._metrics["transient"].inc()
-            self._metrics["lost"].inc(lost_minutes)
 
     def note_retry(self) -> None:
         self.retries_scheduled += 1
-        if self._metrics is not None:
-            self._metrics["retries"].inc()
 
     def note_permanent_failure(self) -> None:
         self.permanent_failures += 1
-        if self._metrics is not None:
-            self._metrics["permanent"].inc()
 
     # -- end of run ------------------------------------------------------------------
 
@@ -274,7 +218,7 @@ class FaultInjector:
         return FaultStats(
             machine_crashes=self.machine_crashes,
             machine_recoveries=self.machine_recoveries,
-            pool_outages=self.pool_outages,
+            pool_outages=sum(self.outages.values()),
             attempts_killed=self.attempts_killed,
             waiting_drained=self.waiting_drained,
             requeues_deferred=self.requeues_deferred,

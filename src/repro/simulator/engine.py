@@ -170,7 +170,7 @@ class SimulationEngine:
         eligibility = cluster.eligibility
         self.eligible_candidates = eligibility.candidates
         self.pools: Dict[str, PhysicalPool] = {
-            pool.pool_id: PhysicalPool(pool, self._telemetry, eligibility)
+            pool.pool_id: PhysicalPool(pool, eligibility)
             for pool in cluster
         }
         self.pool_order: Tuple[str, ...] = cluster.pool_ids
@@ -212,9 +212,7 @@ class SimulationEngine:
         self._finished = False
         self._faults: Optional[FaultInjector] = None
         if self.config.faults.enabled:
-            self._faults = FaultInjector(
-                self.config.faults, self._streams, telemetry=self._telemetry
-            )
+            self._faults = FaultInjector(self.config.faults, self._streams)
             self._faults.schedule_initial(self._events, self.pool_order, self.pools)
         # Handler table indexed by event kind (the kinds are dense small
         # ints); every handler takes (payload, now).
@@ -302,6 +300,7 @@ class SimulationEngine:
                     pool_id: self.pools[pool_id].wait_queue.stats()
                     for pool_id in self.pool_order
                 },
+                self._faults,
             )
             if profiler is not None:
                 telemetry.record_profile(profiler.report())
@@ -457,7 +456,9 @@ class SimulationEngine:
             candidates = available
         vpm = self._vpms[job.job_id % len(self._vpms)]
         result, _ = vpm.submit(job, candidates, self.view, now)
-        self._after_placement(job, result, now)
+        victims = self._after_placement(job, result, now)
+        if victims:
+            self._process_victims(victims, now)
 
     def _on_finish(self, payload: Tuple[Job, int], now: float) -> None:
         job, epoch = payload
@@ -530,13 +531,9 @@ class SimulationEngine:
             self._emit(now, "fault-reroute", job, pool_id=pool_id)
             self._place_via_vpm(job, now)
             return
-        result = self.pools[pool_id].submit(job, now)
-        if result.outcome is SubmitOutcome.INELIGIBLE:
-            raise SchedulingError(
-                f"job {job.job_id} was rescheduled to pool {pool_id} "
-                f"where it is statically ineligible"
-            )
-        self._after_placement(job, result, now)
+        victims = self._submit_to(job, pool_id, now)
+        if victims:
+            self._process_victims(victims, now)
 
     def _on_sample(self, _payload: None, now: float) -> None:
         """Sample the state at ``now`` and at every idle tick after it.
@@ -619,7 +616,7 @@ class SimulationEngine:
             (pool_id, machine),
         )
         pool = self.pools[pool_id]
-        orphans = pool.evict_machine(machine, now)
+        orphans = pool.evict_machine(machine)
         self._requeue_orphans(orphans, (), now, cause="machine")
 
     def _on_machine_recover(self, payload: Tuple[str, Machine], now: float) -> None:
@@ -646,7 +643,7 @@ class SimulationEngine:
         pool = self.pools[pool_id]
         pool.up = False
         self._faults.note_pool_down(pool_id)
-        killed, drained = pool.drain(now)
+        killed, drained = pool.drain()
         self._requeue_orphans(killed, drained, now, cause="outage")
 
     def _on_pool_up(self, pool_id: str, now: float) -> None:
@@ -678,7 +675,7 @@ class SimulationEngine:
         for job in killed:
             origin = job.pool_id
             lost = job.fail_attempt(now, kind="machine")
-            faults.note_kill(cause, lost)
+            faults.note_kill(lost)
             self._emit(now, "fault-kill", job, pool_id=origin, detail=cause)
         for job in drained:
             origin = job.pool_id
@@ -736,35 +733,50 @@ class SimulationEngine:
 
     # -- placement and rescheduling machinery ---------------------------------------------
 
-    def _after_placement(self, job: Job, result: SubmitResult, now: float) -> None:
+    def _after_placement(self, job: Job, result: SubmitResult, now: float) -> Tuple[Job, ...]:
+        """Emit and schedule what a submission implies; returns its victims.
+
+        A started job gets its completion (or failure) scheduled, a
+        queued one its wait timer, and an ineligible one is rejected.
+        The caller runs the victims of a preempting start through the
+        policy.
+        """
         outcome = result.outcome
-        emit = self._emit_enabled
-        if outcome is SubmitOutcome.STARTED:
-            if emit:
-                self._emit(now, "start", job, pool_id=job.pool_id)
-            self._schedule_finish(job, now)
-        elif outcome is SubmitOutcome.PREEMPTED:
-            if emit:
-                self._emit(now, "start", job, pool_id=job.pool_id)
-                for victim in result.victims:
-                    self._emit(
-                        now, "suspend", victim, pool_id=victim.pool_id,
-                        detail=f"preempted-by={job.job_id}",
-                    )
-            self._schedule_finish(job, now)
-            self._process_victims(result.victims, now)
-        elif outcome is SubmitOutcome.QUEUED:
-            if emit:
+        if outcome is SubmitOutcome.QUEUED:
+            if self._emit_enabled:
                 self._emit(now, "queue", job, pool_id=job.pool_id)
             self._arm_wait_timer(job, now)
-        elif outcome is SubmitOutcome.INELIGIBLE:
+            return ()
+        if outcome is SubmitOutcome.INELIGIBLE:
             if self.config.strict:
                 raise UnschedulableJobError(job.job_id)
             job.reject(now)
             self._emit(now, "reject", job)
             self._record_rejection(job)
-        else:  # pragma: no cover - outcomes are closed
-            raise SimulationError(f"unknown submit outcome {outcome}")
+            return ()
+        if self._emit_enabled:
+            self._emit(now, "start", job, pool_id=job.pool_id)
+            for victim in result.victims:
+                self._emit(
+                    now, "suspend", victim, pool_id=victim.pool_id,
+                    detail=f"preempted-by={job.job_id}",
+                )
+        self._schedule_finish(job, now)
+        return result.victims
+
+    def _submit_to(self, job: Job, pool_id: str, now: float) -> Tuple[Job, ...]:
+        """Submit a rescheduled job to ``pool_id``; returns its victims.
+
+        Policies only get targets the job is statically eligible in, so
+        an ineligible outcome here is an engine fault, not a rejection.
+        """
+        result = self.pools[pool_id].submit(job, now)
+        if result.outcome is SubmitOutcome.INELIGIBLE:
+            raise SchedulingError(
+                f"job {job.job_id} was rescheduled to pool {pool_id} "
+                f"where it is statically ineligible"
+            )
+        return self._after_placement(job, result, now)
 
     def _schedule_finish(self, job: Job, now: float) -> None:
         speed = job.machine.spec.speed_factor
@@ -905,29 +917,7 @@ class SimulationEngine:
         if delay > 0:
             self._events.push(now + delay, EVENT_POOL_ARRIVAL, (job, target))
             return ()
-        result = self.pools[target].submit(job, now)
-        if result.outcome is SubmitOutcome.INELIGIBLE:
-            raise SchedulingError(
-                f"job {job.job_id} was rescheduled to pool {target} "
-                f"where it is statically ineligible"
-            )
-        emit = self._emit_enabled
-        if result.outcome is SubmitOutcome.QUEUED:
-            if emit:
-                self._emit(now, "queue", job, pool_id=target)
-            self._arm_wait_timer(job, now)
-        else:
-            if emit:
-                self._emit(now, "start", job, pool_id=target)
-                if result.outcome is SubmitOutcome.PREEMPTED:
-                    for new_victim in result.victims:
-                        self._emit(
-                            now, "suspend", new_victim,
-                            pool_id=new_victim.pool_id,
-                            detail=f"preempted-by={job.job_id}",
-                        )
-            self._schedule_finish(job, now)
-        return result.victims
+        return self._submit_to(job, target, now)
 
     def _validated_target(self, job: Job, decision: Decision) -> Optional[str]:
         """The decision's target pool, or ``None`` if the job should stay.

@@ -73,16 +73,13 @@ _INELIGIBLE = SubmitResult(SubmitOutcome.INELIGIBLE)
 class PhysicalPool:
     """Runtime state and dispatch logic of one physical pool.
 
-    ``telemetry`` is an optional
-    :class:`~repro.telemetry.hooks.EngineTelemetry`; when present the
-    pool reports completed wait and suspension episodes to it.  The
-    hooks receive already-computed durations and cannot perturb the
-    simulation.  ``eligibility`` is the cluster's
+    ``eligibility`` is the cluster's
     :class:`~repro.workload.cluster.EligibilityIndex` (a one-pool index
-    of ``spec`` when omitted).
+    of ``spec`` when omitted).  Nothing here times wait or suspension
+    episodes: observers derive them from the engine's event stream.
     """
 
-    def __init__(self, spec: PoolSpec, telemetry=None, eligibility=None) -> None:
+    def __init__(self, spec: PoolSpec, eligibility=None) -> None:
         self.spec = spec
         #: The pool's identifier (a copy of ``spec.pool_id``).
         self.pool_id: str = spec.pool_id
@@ -99,7 +96,6 @@ class PhysicalPool:
         self._running_priorities: Dict[int, int] = {}
         self._suspend_order: Dict[int, int] = {}
         self._suspend_counter = 0
-        self._telemetry = telemetry
         self._index = eligibility if eligibility is not None else EligibilityIndex((spec,))
         # This run's statically eligible machines per signature.
         self._eligible_machines: Dict[tuple, Tuple[Machine, ...]] = {}
@@ -276,10 +272,6 @@ class PhysicalPool:
             job = self._best_resumable(machine) if machine.suspended else None
             if job is not None:
                 machine.resume(job)
-                if self._telemetry is not None:
-                    self._telemetry.observe_suspension(
-                        self.pool_id, now - job.segment_start
-                    )
                 job.resume(now)
                 del self.suspended[job.job_id]
                 self._suspend_order.pop(job.job_id, None)
@@ -369,8 +361,6 @@ class PhysicalPool:
         del self.suspended[job.job_id]
         self._suspend_order.pop(job.job_id, None)
         self._capacity_version += 1
-        if self._telemetry is not None:
-            self._telemetry.observe_suspension(self.pool_id, now - job.segment_start)
         job.finish(now)
         return machine
 
@@ -394,8 +384,6 @@ class PhysicalPool:
         del self.suspended[job.job_id]
         self._suspend_order.pop(job.job_id, None)
         self._capacity_version += 1
-        if self._telemetry is not None:
-            self._telemetry.observe_suspension(self.pool_id, now - job.segment_start)
         if preserve_progress:
             job.checkpoint_detach(now)
         else:
@@ -419,8 +407,6 @@ class PhysicalPool:
     def remove_waiting(self, job: Job, now: float) -> None:
         """Take a job out of the wait queue (waiting-job rescheduling)."""
         self.wait_queue.remove(job)
-        if self._telemetry is not None:
-            self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
         job.dequeue(now)
 
     def cancel_job(self, job: Job, now: float) -> Optional[Machine]:
@@ -443,16 +429,10 @@ class PhysicalPool:
             del self.suspended[job.job_id]
             self._suspend_order.pop(job.job_id, None)
             self._capacity_version += 1
-            if self._telemetry is not None:
-                self._telemetry.observe_suspension(
-                    self.pool_id, now - job.segment_start
-                )
             job.cancel(now)
             return machine
         if job.state is JobState.WAITING:
             self.wait_queue.remove(job)
-            if self._telemetry is not None:
-                self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
             job.cancel(now)
             return None
         raise SchedulingError(
@@ -462,7 +442,7 @@ class PhysicalPool:
 
     # -- fault injection (called by the engine) ----------------------------------------
 
-    def evict_machine(self, machine: Machine, now: float) -> List[Job]:
+    def evict_machine(self, machine: Machine) -> List[Job]:
         """Empty one machine after a host death; returns the orphans.
 
         Running jobs come first, then suspended ones, each in occupancy
@@ -482,14 +462,10 @@ class PhysicalPool:
             machine.remove(job)
             del self.suspended[job.job_id]
             self._suspend_order.pop(job.job_id, None)
-            if self._telemetry is not None:
-                self._telemetry.observe_suspension(
-                    self.pool_id, now - job.segment_start
-                )
             orphans.append(job)
         return orphans
 
-    def drain(self, now: float) -> Tuple[List[Job], List[Job]]:
+    def drain(self) -> Tuple[List[Job], List[Job]]:
         """Pool blackout: empty every machine and the wait queue.
 
         Returns ``(killed, drained)``: attempts that were running or
@@ -499,12 +475,10 @@ class PhysicalPool:
         """
         killed: List[Job] = []
         for machine in self.machines:
-            killed.extend(self.evict_machine(machine, now))
+            killed.extend(self.evict_machine(machine))
         drained: List[Job] = []
         for job in list(self.wait_queue.iter_jobs()):
             self.wait_queue.remove(job)
-            if self._telemetry is not None:
-                self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
             drained.append(job)
         return killed, drained
 
@@ -534,8 +508,6 @@ class PhysicalPool:
             )
         state = job.state
         if state is JobState.WAITING:
-            if self._telemetry is not None:
-                self._telemetry.observe_wait(self.pool_id, now - job.segment_start)
             job.total_wait += now - job.segment_start
             job.wait_episode += 1
         elif state is not JobState.PENDING:

@@ -1,11 +1,14 @@
 """The engine-facing telemetry surface.
 
-:class:`EngineTelemetry` owns every metric the simulator records and
-exposes the narrow set of hook methods the engine, pools and queues
-call.  Keeping the metric names, label sets and bucket edges in one
-place (rather than scattered through the engine) means exporters and
-``repro stats`` can rely on a stable schema, and the simulator files
-only ever see tiny hook calls.
+:class:`EngineTelemetry` owns every metric the simulator records.  Its
+main input is the event stream: the engine subscribes it as its last
+event observer, and :meth:`EngineTelemetry.on_event` counts events and
+derives the wait and suspension histograms from them.  Beyond that the
+engine calls it for policy decisions, sampler ticks and, once at the
+end of a run, queue and fault counters; pools, queues and the fault
+injector never see it.  Keeping the metric names, label sets and
+bucket edges in one place means exporters and ``repro stats`` can rely
+on a stable schema.
 
 All hooks are strictly read-only with respect to the simulation: they
 take already-computed values (``count_dispatch`` wraps the engine's
@@ -32,20 +35,39 @@ Metric schema (all names prefixed ``repro_``):
 ``repro_wait_queue_compactions_total{pool=}``   counter    lazy-removal heap rebuilds
 ==============================================  =========  ==========================
 
-plus, with profiling on, ``repro_engine_layer_calls_total{layer=}``,
+plus, with faults on, the ``repro_fault_*`` families (see
+:meth:`EngineTelemetry.finalize`) and, with profiling on,
+``repro_engine_layer_calls_total{layer=}``,
 ``repro_engine_layer_self_seconds_total{layer=}`` and
 ``repro_engine_wall_seconds`` (see :meth:`EngineTelemetry.record_profile`).
-The engine subscribes this object as its last event observer.
 """
 
 from __future__ import annotations
 
-from typing import Mapping, Sequence
+from typing import Dict, Mapping, Sequence, Tuple
 
 from .layers import swap
-from .registry import DEFAULT_DURATION_BUCKETS, MetricsRegistry
+from .registry import DEFAULT_DURATION_BUCKETS, Histogram, MetricsRegistry
 
 __all__ = ["EngineTelemetry"]
+
+#: Events that end a job's open wait or suspension episode, if it has
+#: one (``finish`` ends a fractionally shared suspension).
+_EPISODE_ENDS = frozenset(
+    ("start", "dequeue", "fault-requeue", "resume", "restart", "migrate", "fault-kill", "finish")
+)
+
+#: The ``repro_fault_*`` families, in export order: (name, help, labels).
+_FAULT_FAMILIES = (
+    ("repro_fault_machine_crashes_total", "Machine-down events", ()),
+    ("repro_fault_machine_recoveries_total", "Machine-up events", ()),
+    ("repro_fault_pool_outages_total", "Pool blackout windows started", ("pool",)),
+    ("repro_fault_attempt_kills_total", "Job attempts killed by faults", ("cause",)),
+    ("repro_fault_transient_failures_total", "Execution segments killed by transient failures", ()),
+    ("repro_fault_retries_total", "Retries scheduled", ()),
+    ("repro_fault_permanent_failures_total", "Jobs that exhausted their retry budget", ()),
+    ("repro_fault_lost_work_minutes_total", "Reference-speed minutes of progress lost to faults", ()),
+)
 
 
 class EngineTelemetry:
@@ -64,6 +86,9 @@ class EngineTelemetry:
         "_pool_gauges",
         "_wait_hist",
         "_suspend_hist",
+        "_episodes",
+        "_partners",
+        "_kills",
     )
 
     def __init__(self, registry: MetricsRegistry, pool_ids: Sequence[str]) -> None:
@@ -123,12 +148,55 @@ class EngineTelemetry:
         self._pool_gauges = tuple(
             tuple(gauge.labels(pool_id) for gauge in pool_gauges) for pool_id in pool_ids
         )
+        # A job waits or is suspended, never both: its one open episode
+        # by job id, as (histogram, pool, start minute).
+        self._episodes: Dict[int, Tuple[Histogram, str, float]] = {}
+        # Live duplicate pairs, linked both ways by job id.
+        self._partners: Dict[int, int] = {}
+        # Fault kills by cause, in first-kill order.
+        self._kills: Dict[str, int] = {}
 
     # -- engine hooks -------------------------------------------------------------
 
     def on_event(self, event) -> None:
-        """One emitted :class:`~repro.simulator.observer.SimEvent`."""
-        self._events.labels(event.event).inc()
+        """One emitted :class:`~repro.simulator.observer.SimEvent`.
+
+        Counts it, and keeps the episode histograms: ``queue`` and
+        ``suspend`` open an episode in the event's pool, and the event
+        that ends it observes its length.  A ``finish`` also ends the
+        episode of its duplicate partner, which the engine cancels.
+        """
+        kind = event.event
+        self._events.labels(kind).inc()
+        job_id = event.job_id
+        if kind == "queue":
+            self._episodes[job_id] = (self._wait_hist, event.pool_id, event.minute)
+        elif kind == "suspend":
+            self._episodes[job_id] = (self._suspend_hist, event.pool_id, event.minute)
+        elif kind in _EPISODE_ENDS:
+            self._end_episode(job_id, event.minute)
+            if kind == "finish":
+                partner = self._partners.pop(job_id, None)
+                if partner is not None:
+                    del self._partners[partner]
+                    self._end_episode(partner, event.minute)
+            elif kind == "fault-kill":
+                self._kills[event.detail] = self._kills.get(event.detail, 0) + 1
+        elif kind == "duplicate":
+            shadow = int(event.detail[len("shadow="):])
+            self._partners[job_id] = shadow
+            self._partners[shadow] = job_id
+        elif kind == "fault-give-up":
+            partner = self._partners.pop(job_id, None)
+            if partner is not None:
+                del self._partners[partner]
+
+    def _end_episode(self, job_id: int, minute: float) -> None:
+        """Observe ``job_id``'s open episode, if it has one, as ending at ``minute``."""
+        episode = self._episodes.pop(job_id, None)
+        if episode is not None:
+            histogram, pool_id, start = episode
+            histogram.labels(pool_id).observe(minute - start)
 
     def count_dispatch(self, engine, kind_names: Mapping[int, str], stack) -> None:
         """Count ``engine``'s handler calls by event kind until ``stack`` unwinds."""
@@ -185,16 +253,6 @@ class EngineTelemetry:
             suspended_g.set(suspended)
         cluster_util.set(busy / total_cores if total_cores else 0.0)
 
-    # -- pool hooks ---------------------------------------------------------------
-
-    def observe_wait(self, pool_id: str, minutes: float) -> None:
-        """One completed wait episode (queue entry to start/dequeue/cancel)."""
-        self._wait_hist.labels(pool_id).observe(minutes)
-
-    def observe_suspension(self, pool_id: str, minutes: float) -> None:
-        """One completed suspension episode (suspend to resume/detach/cancel)."""
-        self._suspend_hist.labels(pool_id).observe(minutes)
-
     # -- end-of-run ---------------------------------------------------------------
 
     def finalize(
@@ -203,8 +261,9 @@ class EngineTelemetry:
         outstanding: int,
         pool_ids: Sequence[str],
         queue_stats,
+        faults=None,
     ) -> None:
-        """Record end-of-run facts: final clock and queue statistics.
+        """Record end-of-run facts: final clock, fault and queue counters.
 
         Args:
             now: final simulated minute.
@@ -212,9 +271,14 @@ class EngineTelemetry:
             pool_ids: cluster pool order.
             queue_stats: mapping pool id -> that pool's
                 :class:`~repro.simulator.queues.QueueStats`.
+            faults: the run's :class:`~repro.faults.FaultInjector`, or
+                ``None`` when faults are off (no ``repro_fault_*``
+                families are registered then).
         """
         self._sim_minutes.set(now)
         self._outstanding.set(outstanding)
+        if faults is not None:
+            self._record_faults(faults)
         pushes = self.registry.counter(
             "repro_wait_queue_pushes_total",
             "Lifetime wait-queue insertions",
@@ -235,6 +299,33 @@ class EngineTelemetry:
             pushes.labels(pool_id).inc(stats.pushes)
             peak.labels(pool_id).set(stats.peak_depth)
             compactions.labels(pool_id).inc(stats.compactions)
+
+    def _record_faults(self, faults) -> None:
+        """Publish the injector's counters as the ``repro_fault_*`` families.
+
+        A series exists only once its counter has moved, as if it had
+        been incremented fault by fault.
+        """
+
+        def total(count):
+            return {(): count} if count else {}
+
+        values = (
+            total(faults.machine_crashes),
+            total(faults.machine_recoveries),
+            {(pool_id,): count for pool_id, count in faults.outages.items()},
+            {(cause,): count for cause, count in self._kills.items()},
+            total(faults.transient_failures),
+            total(faults.retries_scheduled),
+            total(faults.permanent_failures),
+            {(): faults.lost_work_minutes}
+            if faults.attempts_killed or faults.transient_failures
+            else {},
+        )
+        for (name, help_text, labelnames), series in zip(_FAULT_FAMILIES, values):
+            family = self.registry.counter(name, help_text, labelnames=labelnames)
+            for labels, value in series.items():
+                family.labels(*labels).inc(value)
 
     def record_profile(self, report) -> None:
         """Publish a :class:`~repro.telemetry.layers.ProfileReport`."""

@@ -34,6 +34,60 @@ def run_smoke(scenario, instrumentation=None):
     return repro.simulate(scenario, "ResSusUtil", instrumentation=instrumentation)
 
 
+def _churn(job_failure_probability=0.05, **extra):
+    from repro.faults import FaultConfig, MachineChurn
+    from repro.workload.distributions import Exponential
+
+    return FaultConfig(
+        machine_churn=MachineChurn(mtbf=Exponential(3000.0), mttr=Exponential(60.0)),
+        job_failure_probability=job_failure_probability,
+        **extra,
+    )
+
+
+def _outage(scenario):
+    from repro.faults import FaultConfig, PoolOutage
+
+    first = scenario.cluster.pool_ids[0]
+    return FaultConfig(
+        pool_outages=(PoolOutage(first, 600.0, 500.0), PoolOutage(first, 2580.0, 300.0))
+    )
+
+
+def _cell(name, scenario):
+    """(policy, fault config) of one named smoke cell."""
+    from repro.core.policies import DuplicateSuspended, MigrateSuspended
+    from repro.core.selectors import LowestUtilizationSelector
+    from repro.faults import NO_FAULTS, RetryPolicy
+
+    if name == "plain":
+        return "ResSusUtil", NO_FAULTS
+    if name == "rswu+outage":
+        return "ResSusWaitUtil", _outage(scenario)
+    if name == "dup+outage":
+        return DuplicateSuspended(LowestUtilizationSelector()), _outage(scenario)
+    if name == "dup+give-up":
+        # Every failure is final, so members of live pairs give up.
+        return DuplicateSuspended(LowestUtilizationSelector()), _churn(
+            job_failure_probability=0.3, retry=RetryPolicy(max_attempts=1)
+        )
+    if name == "migrate+churn":
+        return MigrateSuspended(LowestUtilizationSelector()), _churn()
+    if name == "dfrs+outage":
+        return repro.FractionalSharePolicy(), _outage(scenario)
+    raise KeyError(name)
+
+
+def run_cell(scenario, name, instrumentation=None):
+    policy, faults = _cell(name, scenario)
+    return repro.simulate(
+        scenario,
+        policy,
+        config=SimulationConfig(strict=False, faults=faults),
+        instrumentation=instrumentation,
+    )
+
+
 class TestRegistry:
     def test_counter_gauge_histogram(self):
         reg = MetricsRegistry()
@@ -84,11 +138,15 @@ class TestInstrumentation:
 
 
 class TestDeterminism:
-    def test_result_identical_with_and_without_telemetry(self, smoke_scenario):
-        plain = run_smoke(smoke_scenario)
+    @pytest.mark.parametrize(
+        "cell", ["plain", "rswu+outage", "dup+outage", "migrate+churn"]
+    )
+    def test_result_identical_with_and_without_telemetry(self, smoke_scenario, cell):
+        plain = run_cell(smoke_scenario, cell)
         reg = MetricsRegistry()
-        observed = run_smoke(
+        observed = run_cell(
             smoke_scenario,
+            cell,
             Instrumentation(
                 observers=(EventLog(),), metrics=reg, profile=True
             ),
@@ -137,6 +195,34 @@ class TestEngineMetrics:
         wait = reg.get("repro_wait_duration_minutes").labels(pool="p0")
         assert wait.count == 1
         assert wait.sum == pytest.approx(9.0)  # queued at 1.0, started at 10.0
+
+    @pytest.mark.parametrize(
+        "cell", ["dup+outage", "migrate+churn", "dfrs+outage", "rswu+outage", "dup+give-up"]
+    )
+    def test_every_episode_closes(self, smoke_scenario, cell):
+        log = EventLog()
+        reg = MetricsRegistry()
+        run_cell(smoke_scenario, cell, Instrumentation(observers=(log,), metrics=reg))
+        counts = log.counts()
+        for family, opening in (
+            ("repro_wait_duration_minutes", "queue"),
+            ("repro_suspension_duration_minutes", "suspend"),
+        ):
+            observed = sum(series.count for _, series in reg.get(family).series())
+            assert observed == counts[opening] > 0
+        if cell == "dup+give-up":
+            # The cell must reach a give-up by a member of a live pair.
+            partners, pair_give_ups = {}, 0
+            for event in log.events:
+                if event.event == "duplicate":
+                    shadow = int(event.detail.split("=")[1])
+                    partners[event.job_id], partners[shadow] = shadow, event.job_id
+                elif event.event in ("finish", "fault-give-up"):
+                    partner = partners.pop(event.job_id, None)
+                    if partner is not None:
+                        del partners[partner]
+                        pair_give_ups += event.event == "fault-give-up"
+            assert pair_give_ups > 0
 
     def test_series_lookups_scale_with_pools_not_ticks(self, monkeypatch):
         from repro.telemetry import registry as registry_mod
