@@ -1,14 +1,17 @@
 """Shared helpers for the benchmark suite.
 
-Every ``bench_*`` module regenerates one of the paper's tables or
-figures and prints the same rows/series the paper reports, so a
+``bench_paper.py`` regenerates each of the paper's tables and figures,
+prints the same rows/series the paper reports and asserts the claims of
+``repro.validation.CLAIMS`` it completes; the other ``bench_*`` modules
+cover ablations, extensions and the CI smoke checks.  A
 ``pytest benchmarks/ --benchmark-only`` run doubles as the full
 reproduction log.  Scales are controlled by the ``REPRO_SCALE`` /
 ``REPRO_YEAR_SCALE`` / ``REPRO_YEAR_HORIZON`` / ``REPRO_SEED``
 environment variables (see :mod:`repro.experiments.presets`).
 
-Execution is controlled the same way: ``REPRO_WORKERS`` selects the
-process-pool width for every table/figure entry point, and
+Execution is controlled the same way: ``REPRO_WORKERS`` sets how many
+supervised local worker processes run the cells of every table/figure
+entry point (unset or 1: serial, in-process), and
 ``REPRO_CACHE_DIR`` points at an on-disk result cache so repeated
 benchmark runs (CI re-runs, bisects) skip identical simulation cells;
 ``REPRO_NO_CACHE=1`` force-disables the cache even when a directory is

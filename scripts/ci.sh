@@ -2,7 +2,7 @@
 # CI entry point — the same commands run locally (`make ci`) and in
 # .github/workflows/ci.yml, so a green local run means a green pipeline.
 #
-# Usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|all]
+# Usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|paper|all]
 #
 # Subcommands:
 #   tests   tier-1 test suite (the gate every PR must keep green)
@@ -71,10 +71,14 @@
 #           --chaos --check: any invariant violation, or a scenario's
 #           recovery time regressing more than 25% past the committed
 #           baseline, fails the leg)
+#   paper   the paper's claims: `repro validate` at its defaults
+#           (scale 0.25, seed 2010) runs every table and figure once
+#           and fails the leg on any claim in repro.validation.CLAIMS
+#           that does not hold
 #   all     tests + lint + smoke + faults (default; bench, ingest,
 #           fabric and chaos are their own CI jobs because they are
-#           timing-sensitive, and policies is its own job so a
-#           registry regression is named in the check list)
+#           timing-sensitive, and policies and paper are their own jobs
+#           so a registry or claim regression is named in the check list)
 
 set -euo pipefail
 cd "$(dirname "$0")/.."
@@ -392,6 +396,11 @@ EOF
         --threshold "${CHAOS_THRESHOLD:-0.25}" --output BENCH_chaos.json
 }
 
+run_paper() {
+    echo "== paper: every claim of repro.validation holds at the defaults =="
+    python -m repro validate
+}
+
 case "${1:-all}" in
     tests)  run_tests ;;
     lint)   run_lint ;;
@@ -402,9 +411,10 @@ case "${1:-all}" in
     fabric) run_fabric ;;
     policies) run_policies ;;
     chaos)  run_chaos ;;
+    paper)  run_paper ;;
     all)    run_tests; run_lint; run_smoke; run_faults ;;
     *)
-        echo "usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|all]" >&2
+        echo "usage: scripts/ci.sh [tests|lint|smoke|faults|bench|ingest|fabric|policies|chaos|paper|all]" >&2
         exit 2
         ;;
 esac

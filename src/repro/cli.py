@@ -57,13 +57,13 @@ import sys
 from typing import Callable, Dict, List, Optional
 
 from .errors import ReproError
-from .experiments import figures, tables
 from .metrics.report import render_table, render_waste_components
 from .metrics.summary import summarize
 from .policies import policy_from_spec
 from .schedulers.initial import INITIAL_SCHEDULER_NAMES, initial_scheduler_from_name
 from .simulator.config import SimulationConfig
 from .simulator.simulation import run_simulation
+from .validation import EXPERIMENTS, validate_paper_claims
 from .workload import io as workload_io
 from .workload.scenarios import busy_week, high_load, high_suspension, smoke, year
 
@@ -77,17 +77,7 @@ _SCENARIOS: Dict[str, Callable] = {
     "smoke": lambda scale=None, seed=7: smoke(seed),
 }
 
-_TABLES = {
-    "1": (tables.table1, "Table 1: suspended-job rescheduling, normal load, RR initial"),
-    "2": (tables.table2, "Table 2: suspended-job rescheduling, high load, RR initial"),
-    "3": (tables.table3, "Table 3: suspended-job rescheduling, high load, util initial"),
-    "4": (tables.table4, "Table 4: +waiting-job rescheduling, high load, RR initial"),
-    "5": (tables.table5, "Table 5: +waiting-job rescheduling, high load, util initial"),
-    "high-suspension": (
-        tables.high_suspension_experiment,
-        "High-suspension scenario (Section 3.2.1, in text)",
-    ),
-}
+_TABLE_KEYS = [key for key, experiment in EXPERIMENTS.items() if experiment.is_table]
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -102,7 +92,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     table = sub.add_parser("table", help="reproduce one of the paper's tables")
-    table.add_argument("which", choices=list(_TABLES) + ["all"])
+    table.add_argument("which", choices=_TABLE_KEYS + ["all"])
     _add_scale_seed(table)
     _add_execution_opts(table)
     _add_policy_override(table)
@@ -565,15 +555,13 @@ def _print_cell_stats(cells) -> None:
 
 
 def _cmd_table(args: argparse.Namespace) -> int:
-    names = list(_TABLES) if args.which == "all" else [args.which]
     feed = _make_cell_feed(args)
-    for name in names:
-        build, title = _TABLES[name]
-        comparison = build(
-            scale=args.scale, seed=args.seed, policies=args.policy,
-            **_execution_kwargs(args, feed)
+    for key in _TABLE_KEYS if args.which == "all" else [args.which]:
+        experiment = EXPERIMENTS[key]
+        comparison = experiment.run(
+            args.scale, args.seed, policies=args.policy, **_execution_kwargs(args, feed)
         )
-        print(render_table(list(comparison.summaries), title))
+        print(experiment.render(comparison))
         _print_cell_stats(comparison.cells)
         print()
     _write_cell_telemetry(feed, args)
@@ -581,38 +569,22 @@ def _cmd_table(args: argparse.Namespace) -> int:
 
 
 def _cmd_figure(args: argparse.Namespace) -> int:
-    svg_document = None
     feed = _make_cell_feed(args)
-    execution = _execution_kwargs(args, feed)
-    if args.which == "2":
-        figure = figures.figure2(
-            scale=args.scale, seed=args.seed, horizon=args.horizon, **execution
-        )
-        print(figure.render())
-        if args.svg:
-            from .analysis.svg import cdf_svg
+    experiment = EXPERIMENTS[f"figure{args.which}"]
+    figure = experiment.run(
+        args.scale, args.seed, args.horizon, **_execution_kwargs(args, feed)
+    )
+    print(experiment.render(figure))
+    if args.svg:
+        from .analysis import svg
 
-            svg_document = cdf_svg(list(figure.cdf_points))
-    elif args.which == "3":
-        figure = figures.figure3(scale=args.scale, seed=args.seed, **execution)
-        print(figures.render_figure3(figure))
-        if args.svg:
-            from .analysis.svg import stacked_bars_svg
-
-            svg_document = stacked_bars_svg(figure.summaries)
-    else:
-        figure = figures.figure4(
-            scale=args.scale, seed=args.seed, horizon=args.horizon, **execution
-        )
-        print(figure.render())
-        if args.svg:
-            from .analysis.svg import timeseries_svg
-
-            svg_document = timeseries_svg(figure.analysis.points)
-    if svg_document is not None:
-        from .analysis.svg import write_svg
-
-        write_svg(svg_document, args.svg)
+        if args.which == "2":
+            svg_document = svg.cdf_svg(list(figure.cdf_points))
+        elif args.which == "3":
+            svg_document = svg.stacked_bars_svg(figure.summaries)
+        else:
+            svg_document = svg.timeseries_svg(figure.analysis.points)
+        svg.write_svg(svg_document, args.svg)
         print(f"wrote {args.svg}")
     _write_cell_telemetry(feed, args)
     return 0
@@ -964,8 +936,6 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    from .validation import validate_paper_claims
-
     report = validate_paper_claims(
         scale=args.scale, seed=args.seed, year_horizon=args.year_horizon
     )

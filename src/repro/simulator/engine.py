@@ -207,7 +207,10 @@ class SimulationEngine:
         self._dup_fallen: Dict[int, Job] = {}
         self._outage_depth: Dict[str, int] = {}
         self._shadow_ids = itertools.count(SHADOW_ID_BASE)
-        if self.config.record_samples:
+        # A run whose jobs are all rejected at minute 0 records the
+        # minute-0 sample with faults on as with them off.
+        self._first_tick_due = self.config.record_samples
+        if self._first_tick_due:
             self._events.push(0.0, EVENT_SAMPLE, None)
         self._finished = False
         self._faults: Optional[FaultInjector] = None
@@ -332,9 +335,10 @@ class SimulationEngine:
         submission time first, as a popped event would have done).
 
         Fault renewal processes (machine crash/recover) outlive the
-        workload; once the feed is drained and every job is accounted
-        for, the remaining events are pure fault noise and the run is
-        over.  Without faults the queue drains naturally.
+        workload; once the feed is drained, every job is accounted for
+        and the minute-0 tick (if sampling) is taken, the remaining
+        events are pure fault noise and the run is over.  Without faults
+        the queue drains naturally.
         """
         events = self._events
         max_minutes = self.config.max_minutes
@@ -377,7 +381,7 @@ class SimulationEngine:
                 # Otherwise a queued event comes first: pop it below.
             elif not len(events):
                 break
-            elif faults is not None and self._outstanding == 0:
+            elif faults is not None and self._outstanding == 0 and not self._first_tick_due:
                 break
             time, _, kind, payload = pop()
             if max_minutes is not None and time > max_minutes:
@@ -553,6 +557,7 @@ class SimulationEngine:
         workload's events, so sampling never fails a run that completes
         without it.
         """
+        self._first_tick_due = False
         pools = self._pool_list
         per_pool_busy = tuple(map(_busy_cores, pools))
         per_pool_waiting = tuple(map(len, self._pool_waiting))
@@ -692,7 +697,7 @@ class SimulationEngine:
         faults = self._faults
         pool = self.pools[job.pool_id]
         origin = job.pool_id
-        machine = pool.detach_running(job, now)
+        machine = pool.detach_running(job)
         lost = job.fail_attempt(now, kind="transient")
         faults.note_transient_failure(lost)
         failures = job.transient_failures

@@ -352,15 +352,7 @@ class PhysicalPool:
         finish time (see :meth:`Job.finish`).  Returns the machine so
         the engine can refill the freed memory.
         """
-        machine = job.machine
-        if machine is None or job.job_id not in machine.suspended:
-            raise SchedulingError(
-                f"pool {self.pool_id}: job {job.job_id} is not suspended on any machine here"
-            )
-        machine.remove(job)
-        del self.suspended[job.job_id]
-        self._suspend_order.pop(job.job_id, None)
-        self._capacity_version += 1
+        machine = self._release_suspended(job)
         job.finish(now)
         return machine
 
@@ -375,22 +367,32 @@ class PhysicalPool:
         (checkpoint/VM migration); otherwise the progress becomes
         wasted-restart time (the paper's restart semantics).
         """
-        machine = job.machine
-        if machine is None or job.job_id not in machine.suspended:
-            raise SchedulingError(
-                f"pool {self.pool_id}: job {job.job_id} is not suspended on any machine here"
-            )
-        machine.remove(job)
-        del self.suspended[job.job_id]
-        self._suspend_order.pop(job.job_id, None)
-        self._capacity_version += 1
+        machine = self._release_suspended(job)
         if preserve_progress:
             job.checkpoint_detach(now)
         else:
             job.abandon(now)
         return machine
 
-    def detach_running(self, job: Job, now: float) -> Machine:
+    def _release_suspended(self, job: Job) -> Machine:
+        """Take a suspended job off its machine and out of this pool's books.
+
+        The shared first half of every suspended-job exit (finish,
+        reschedule, cancel); the caller applies the job's transition.
+        """
+        machine = job.machine
+        job_id = job.job_id
+        if machine is None or job_id not in machine.suspended:
+            raise SchedulingError(
+                f"pool {self.pool_id}: job {job_id} is not suspended on any machine here"
+            )
+        machine.remove(job)
+        del self.suspended[job_id]
+        self._suspend_order.pop(job_id, None)
+        self._capacity_version += 1
+        return machine
+
+    def detach_running(self, job: Job) -> Machine:
         """Remove a running job without completing it (duplicate-loser cleanup)."""
         machine = job.machine
         if machine is None or job.job_id not in machine.running:
@@ -416,19 +418,11 @@ class PhysicalPool:
         the job was only waiting in the queue.
         """
         if job.state is JobState.RUNNING:
-            machine = self.detach_running(job, now)
+            machine = self.detach_running(job)
             job.cancel(now)
             return machine
         if job.state is JobState.SUSPENDED:
-            machine = job.machine
-            if machine is None or job.job_id not in machine.suspended:
-                raise SchedulingError(
-                    f"pool {self.pool_id}: job {job.job_id} is not suspended here"
-                )
-            machine.remove(job)
-            del self.suspended[job.job_id]
-            self._suspend_order.pop(job.job_id, None)
-            self._capacity_version += 1
+            machine = self._release_suspended(job)
             job.cancel(now)
             return machine
         if job.state is JobState.WAITING:

@@ -1,43 +1,42 @@
-"""Programmatic validation of the paper's headline claims.
+"""The paper's claims, defined once, and the experiments they are checked on.
 
-Runs the reproduction experiments and checks each qualitative claim the
-paper makes, producing a structured report (also available from the CLI
-as ``repro validate``).  This is the repository's "does the
-reproduction still reproduce?" switchboard: every claim is a named,
-evaluable predicate over experiment outputs, so a regression in the
-simulator or a recalibration of the workload shows up as a failed claim
-rather than a silently drifting number.
+Two pieces of data drive ``repro validate``, ``repro table`` and the
+paper benchmarks (``benchmarks/bench_paper.py``):
 
-The claims checked (see EXPERIMENTS.md for the full paper-vs-measured
-discussion, including the known gaps that are deliberately *not*
-asserted here):
+* :data:`EXPERIMENTS` — experiment key -> :class:`Experiment` (title,
+  run function, rendering) for Tables 1-5, the in-text high-suspension
+  run and Figures 2-4;
+* :data:`CLAIMS` — every qualitative claim the reproduction checks:
+  its name, the experiments it needs, the paper's value (computed from
+  :mod:`repro.paper` wherever the paper gives a number) and one
+  predicate over the needed experiments' results.
 
-1.  Baseline utilization sits in the paper's 20-60% band (Figure 4).
-2.  Suspension times are long and right-skewed (Figure 2).
-3.  ResSusUtil cuts the average completion time of suspended jobs
-    (Table 1, "50% reduction").
-4.  ResSusUtil cuts the average wasted completion time (Table 1,
-    "reduce the system waste time by more than 33%").
-5.  ResSusUtil all but eliminates time spent suspended (Tables 1-2).
-6.  Random alternate-pool selection is clearly worse than
-    utilization-based selection without second chances (Tables 1-3).
-7.  High load amplifies completion times (Table 2 vs Table 1).
-8.  Rescheduling keeps working under the utilization-based initial
-    scheduler (Table 3).
-9.  Adding waiting-job rescheduling improves on suspended-only
-    rescheduling (Table 4 vs Table 2).
-10. With second chances, random selection performs comparably to
-    utilization-based selection (Tables 4-5).
+A regression in the simulator or a recalibration of the workload shows
+up as a failed claim rather than a silently drifting number.  See
+EXPERIMENTS.md for the full paper-vs-measured discussion, including the
+known gaps that are deliberately *not* claimed here.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List, Optional
+from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
+from .analysis.comparison import reduction_pct
 from .experiments import figures, tables
+from .paper import PAPER_EVALUATION_SETUP, PAPER_FIGURE2, PAPER_HIGH_SUSPENSION, PAPER_TABLES
 
-__all__ = ["ClaimResult", "ValidationReport", "validate_paper_claims"]
+__all__ = [
+    "CLAIMS",
+    "Claim",
+    "ClaimResult",
+    "EXPERIMENTS",
+    "Experiment",
+    "ValidationReport",
+    "evaluate_claims",
+    "run_experiments",
+    "validate_paper_claims",
+]
 
 
 @dataclass(frozen=True)
@@ -74,18 +73,345 @@ class ValidationReport:
         return [r for r in self.results if not r.passed]
 
     def render(self) -> str:
-        """Human-readable report table."""
-        lines = [f"{'':2} {'claim':<44} {'paper':<26} measured"]
-        lines.append("-" * 100)
+        """Human-readable report table, columns sized to their contents."""
+        claim_width = max([len("claim")] + [len(r.claim) for r in self.results])
+        paper_width = max([len("paper")] + [len(r.paper) for r in self.results])
+        rule = "-" * max(100, claim_width + paper_width + 30)
+        lines = [f"{'':2} {'claim':<{claim_width}} {'paper':<{paper_width}} measured", rule]
         for r in self.results:
             mark = "OK" if r.passed else "!!"
-            lines.append(f"{mark:2} {r.claim:<44} {r.paper:<26} {r.measured}")
-        verdict = "ALL CLAIMS HOLD" if self.passed else (
-            f"{len(self.failures)} CLAIM(S) FAILED"
-        )
-        lines.append("-" * 100)
-        lines.append(verdict)
+            lines.append(f"{mark:2} {r.claim:<{claim_width}} {r.paper:<{paper_width}} {r.measured}")
+        lines.append(rule)
+        lines.append("ALL CLAIMS HOLD" if self.passed else f"{len(self.failures)} CLAIM(S) FAILED")
         return "\n".join(lines)
+
+
+# -- the experiments ---------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Experiment:
+    """One of the paper's tables or figures.
+
+    Attributes:
+        build: the ``repro.experiments`` entry point that produces it.
+        title: its heading.
+        render_figure: a figure's own text rendering (which carries its
+            heading); ``None`` for a table, rendered in the paper's
+            table layout under ``title``.
+        long_horizon: a year-trace figure whose ``build`` takes ``horizon``.
+    """
+
+    build: Callable[..., Any]
+    title: str
+    render_figure: Optional[Callable[[Any], str]] = None
+    long_horizon: bool = False
+
+    @property
+    def is_table(self) -> bool:
+        """Listed by ``repro table``; its ``build`` takes ``policies=``."""
+        return self.render_figure is None
+
+    def run(self, scale=None, seed=None, horizon=None, **execution: Any) -> Any:
+        """Run the experiment; ``execution`` is passed to ``build`` as is."""
+        if self.long_horizon:
+            execution["horizon"] = horizon
+        return self.build(scale=scale, seed=seed, **execution)
+
+    def render(self, result: Any) -> str:
+        """The experiment's text rendering of ``result``."""
+        return tables.render(result, self.title) if self.is_table else self.render_figure(result)
+
+
+#: experiment key -> experiment, in the paper's order.
+EXPERIMENTS: Dict[str, Experiment] = {
+    "1": Experiment(tables.table1, "Table 1: suspended-job rescheduling, normal load, RR initial"),
+    "2": Experiment(tables.table2, "Table 2: suspended-job rescheduling, high load, RR initial"),
+    "3": Experiment(tables.table3, "Table 3: suspended-job rescheduling, high load, util initial"),
+    "4": Experiment(tables.table4, "Table 4: +waiting-job rescheduling, high load, RR initial"),
+    "5": Experiment(tables.table5, "Table 5: +waiting-job rescheduling, high load, util initial"),
+    "high-suspension": Experiment(
+        tables.high_suspension_experiment, "High-suspension scenario (Section 3.2.1, in text)"
+    ),
+    "figure2": Experiment(
+        figures.figure2, "Figure 2: CDF of job suspension time", figures.Figure2.render, True
+    ),
+    "figure3": Experiment(
+        figures.figure3, "Figure 3: average wasted completion time components", figures.render_figure3
+    ),
+    "figure4": Experiment(
+        figures.figure4, "Figure 4: suspension and utilization over the horizon", figures.Figure4.render, True
+    ),
+}
+
+
+# -- the claims --------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Claim:
+    """One qualitative paper claim.
+
+    Attributes:
+        name: the claim as the report prints it.
+        needs: the :data:`EXPERIMENTS` keys whose results ``check`` takes,
+            in this order.
+        paper: what the paper reports.
+        check: ``(*results) -> (measured, holds)``.
+    """
+
+    name: str
+    needs: Tuple[str, ...]
+    paper: str
+    check: Callable[..., Tuple[str, bool]]
+
+    @property
+    def owner(self) -> str:
+        """The experiment that completes ``needs``: its last in :data:`EXPERIMENTS` order."""
+        return max(self.needs, key=list(EXPERIMENTS).index)
+
+
+_REGISTERED: List[Claim] = []
+
+
+def _claim(name: str, needs: Sequence[str], paper: str):
+    """Register the decorated ``check`` as the next claim of :data:`CLAIMS`."""
+
+    def register(check: Callable[..., Tuple[str, bool]]):
+        _REGISTERED.append(Claim(name, tuple(needs), paper, check))
+        return check
+
+    return register
+
+
+def _pct(reduction: Optional[float]) -> str:
+    """A reduction as the signed change the report prints (-49%)."""
+    return f"{-reduction:.0f}%" if reduction is not None else "n/a"
+
+
+def _paper_cut(key: str, policy: str, metric: str) -> str:
+    """The paper's change of ``metric`` under ``policy`` vs NoRes, as :func:`_pct` prints it."""
+    if key == "high-suspension":
+        return _pct(PAPER_HIGH_SUSPENSION[f"{metric}_reduction"] * 100.0)
+    rows = PAPER_TABLES[int(key)]
+    return _pct(reduction_pct(getattr(rows["NoRes"], metric), getattr(rows[policy], metric)))
+
+
+def _cut(name, key, policy, metric, holds=lambda reduction: reduction > 0.0, paper_suffix=""):
+    """Claim that ``policy`` reduces ``metric`` vs NoRes in experiment ``key``."""
+
+    @_claim(name, [key], _paper_cut(key, policy, metric) + paper_suffix)
+    def check(comparison):
+        reduction = getattr(comparison, f"{metric}_reduction")(policy)
+        return _pct(reduction), reduction is not None and holds(reduction)
+
+
+_T1, _T2 = PAPER_TABLES[1], PAPER_TABLES[2]
+_CT = "avg_ct_suspended"
+_UTIL_PAPER = PAPER_EVALUATION_SETUP["mean_utilization_fraction"] * 100
+
+
+@_claim("utilization in the 20-60% band (Fig 4)", ["figure4"], f"~{_UTIL_PAPER:.0f}% average")
+def _utilization_band(fig4):
+    util = fig4.analysis.mean_utilization_pct
+    return f"{util:.0f}% average", 20.0 < util < 60.0
+
+
+_MEDIAN_MEAN = "median {:.0f}, mean {:.0f}"
+
+
+@_claim(
+    "suspensions long and right-skewed (Fig 2)",
+    ["figure2"],
+    _MEDIAN_MEAN.format(PAPER_FIGURE2["median_minutes"], PAPER_FIGURE2["mean_minutes"]),
+)
+def _suspensions_skewed(fig2):
+    median, mean = fig2.analysis.median_minutes, fig2.analysis.mean_minutes
+    return _MEDIAN_MEAN.format(median, mean), median > 30.0 and mean > median
+
+
+_cut("ResSusUtil cuts suspended jobs' AvgCT (T1)", "1", "ResSusUtil", _CT, lambda r: r > 10.0)
+_cut("ResSusUtil cuts AvgWCT by >=33% (T1)", "1", "ResSusUtil", "avg_wct", lambda r: r >= 33.0)
+_ARROW = "{:.0f} -> {:.0f} min"
+
+
+@_claim(
+    "ResSusUtil eliminates suspend time (T1)",
+    ["1"],
+    _ARROW.format(_T1["NoRes"].avg_st, _T1["ResSusUtil"].avg_st),
+)
+def _suspend_time_eliminated(t1):
+    baseline, resched = t1.baseline().avg_st or 0.0, t1.by_name("ResSusUtil").avg_st or 0.0
+    return _ARROW.format(baseline, resched), bool(baseline) and resched < 0.25 * baseline
+
+
+@_claim("random selection clearly worse than util (T1-T3)", ["1", "2", "3"], "Rand backfires")
+def _random_backfires(*comparisons):
+    worse = all(c.by_name("ResSusRand").avg_wct > c.by_name("ResSusUtil").avg_wct for c in comparisons)
+    return ("Rand > Util AvgWCT in T1, T2, T3" if worse else "ordering violated"), worse
+
+
+@_claim(
+    "high load inflates AvgCT(all) (T2 vs T1)",
+    ["1", "2"],
+    f"{_T2['NoRes'].avg_ct_all / _T1['NoRes'].avg_ct_all:.2f}x",
+)
+def _high_load_inflates(t1, t2):
+    ratio = t2.baseline().avg_ct_all / t1.baseline().avg_ct_all
+    return f"{ratio:.2f}x", ratio > 1.2
+
+
+_cut("rescheduling works under util-based initial (T3)", "3", "ResSusUtil", _CT, paper_suffix=" CT(susp)")
+
+
+@_claim(
+    "waiting-job rescheduling improves further (T4 vs T2)",
+    ["2", "4"],
+    f"{_paper_cut('4', 'ResSusWaitUtil', _CT)} vs {_paper_cut('2', 'ResSusUtil', _CT)} CT(susp)",
+)
+def _waiting_improves(t2, t4):
+    better = t4.by_name("ResSusWaitUtil").avg_wct < t2.by_name("ResSusUtil").avg_wct
+    return ("WaitUtil < Util on AvgWCT" if better else "no improvement"), better
+
+
+@_claim("random ~ util with second chances (T4-T5)", ["4", "5"], "within ~1-13%")
+def _random_competitive(*comparisons):
+    close = all(
+        c.by_name("ResSusWaitRand").avg_wct < 2.0 * c.by_name("ResSusWaitUtil").avg_wct for c in comparisons
+    )
+    return ("within 2x in T4 and T5" if close else "not competitive"), close
+
+
+_cut("ResSusUtil cuts suspended jobs' AvgCT (T2)", "2", "ResSusUtil", _CT)
+_VERSUS = "{:.0f} vs {:.0f} min"
+
+
+@_claim(
+    "random worse than util on AvgCT(susp) (T2)",
+    ["2"],
+    _VERSUS.format(_T2["ResSusRand"].avg_ct_suspended, _T2["ResSusUtil"].avg_ct_suspended),
+)
+def _random_worse_t2(t2):
+    rand, util = (t2.by_name(name).avg_ct_suspended for name in ("ResSusRand", "ResSusUtil"))
+    if rand is None or util is None:
+        return "n/a", False
+    return _VERSUS.format(rand, util), rand > util
+
+
+@_claim(
+    "random's CT(susp) cut stays below util's (T3)",
+    ["3"],
+    f"Rand {_paper_cut('3', 'ResSusRand', _CT)} vs Util {_paper_cut('3', 'ResSusUtil', _CT)}",
+)
+def _random_below_util_t3(t3):
+    rand, util = (t3.avg_ct_suspended_reduction(name) for name in ("ResSusRand", "ResSusUtil"))
+    return f"Rand {_pct(rand)} vs Util {_pct(util)}", rand is None or (util is not None and rand < util)
+
+
+_cut("ResSusWaitUtil cuts suspended jobs' AvgCT (T4)", "4", "ResSusWaitUtil", _CT)
+_cut("ResSusWaitUtil cuts AvgWCT (T4)", "4", "ResSusWaitUtil", "avg_wct")
+_WAIT_ROWS = ("NoRes", "ResSusWaitUtil", "ResSusWaitRand")
+_TRIPLE = "{:.0f} -> {:.0f} / {:.0f} min"
+
+
+@_claim(
+    "both ResSusWait* beat NoRes on AvgWCT (T5)",
+    ["5"],
+    _TRIPLE.format(*(PAPER_TABLES[5][name].avg_wct for name in _WAIT_ROWS)),
+)
+def _waiting_beats_nores_t5(t5):
+    base, util, rand = (t5.by_name(name).avg_wct for name in _WAIT_ROWS)
+    return _TRIPLE.format(base, util, rand), util < base and rand < base
+
+
+_cut("ResSusUtil cuts AvgCT(all) (high-suspension)", "high-suspension", "ResSusUtil", "avg_ct_all")
+_RATES = "{:.1%} vs {:.1%}"
+
+
+@_claim(
+    "NoRes suspends more than in T1 (high-suspension)",
+    ["1", "high-suspension"],
+    _RATES.format(PAPER_EVALUATION_SETUP["high_suspension_rate"], _T1["NoRes"].suspend_rate),
+)
+def _high_suspension_rate(t1, comparison):
+    rate, t1_rate = comparison.baseline().suspend_rate, t1.baseline().suspend_rate
+    return _RATES.format(rate, t1_rate), rate > t1_rate
+
+
+@_claim("more than 20 suspended jobs sampled (Fig 2)", ["figure2"], "-")
+def _suspension_sample(fig2):
+    return f"{fig2.analysis.suspended_jobs} jobs", fig2.analysis.suspended_jobs > 20
+
+
+@_claim("long suspension tail (Fig 2)", ["figure2"], f"p80 {PAPER_FIGURE2['p80_minutes']:.0f} min")
+def _suspension_tail(fig2):
+    longest, mean = fig2.analysis.max_minutes, fig2.analysis.mean_minutes
+    return f"max {longest:.0f}, mean {mean:.0f}", longest > 2.0 * mean
+
+
+_TOTALS = "total {:.1f} -> {:.1f} min"
+
+
+@_claim(
+    "ResSusUtil trades suspend for resched waste (Fig 3)",
+    ["figure3"],
+    _TOTALS.format(_T1["NoRes"].avg_wct, _T1["ResSusUtil"].avg_wct),
+)
+def _util_trade(fig3):
+    no_res, util = fig3.bars()["NoRes"], fig3.bars()["ResSusUtil"]
+    return _TOTALS.format(no_res.total, util.total), (
+        no_res.resched_time == 0.0
+        and util.resched_time > 0.0
+        and util.suspend_time < no_res.suspend_time
+        and util.total < no_res.total
+    )
+
+
+@_claim(
+    "random adds wait and total waste over util (Fig 3)",
+    ["figure3"],
+    f"total {_T1['ResSusRand'].avg_wct:.1f} vs {_T1['ResSusUtil'].avg_wct:.1f} min",
+)
+def _random_waste(fig3):
+    rand, util = fig3.bars()["ResSusRand"], fig3.bars()["ResSusUtil"]
+    return (
+        f"total {rand.total:.1f} vs {util.total:.1f}, wait {rand.wait_time:.1f} vs {util.wait_time:.1f}",
+        rand.total > util.total and rand.wait_time > util.wait_time,
+    )
+
+
+@_claim("suspension comes in bursts (Fig 4)", ["figure4"], "spikes")
+def _suspension_bursts(fig4):
+    series = sorted(fig4.analysis.suspension_series())
+    median, peak = series[len(series) // 2], fig4.analysis.peak_suspended_jobs
+    return f"peak {peak:.0f}, median {median:.1f}", peak > max(4.0 * median, 5.0)
+
+
+@_claim("suspension while underutilized (Fig 4)", ["figure4"], "mostly <60% util")
+def _suspension_underutilized(fig4):
+    share = fig4.analysis.suspension_while_underutilized
+    return f"{share:.0%} of windows", share > 0.5
+
+
+#: Every claim, in report order: the paper's headline claims, then the
+#: finer shape checks each table and figure adds.
+CLAIMS: Tuple[Claim, ...] = tuple(_REGISTERED)
+
+
+def run_experiments(
+    keys: Iterable[str], scale=None, seed=None, year_horizon=None, **execution: Any
+) -> Dict[str, Any]:
+    """Run each experiment in ``keys`` once; key -> result."""
+    return {key: EXPERIMENTS[key].run(scale, seed, year_horizon, **execution) for key in keys}
+
+
+def evaluate_claims(results: Mapping[str, Any], claims: Iterable[Claim] = CLAIMS) -> List[ClaimResult]:
+    """Check ``claims`` against already-computed experiment ``results``."""
+    evaluated = []
+    for claim in claims:
+        measured, passed = claim.check(*(results[key] for key in claim.needs))
+        evaluated.append(ClaimResult(claim.name, claim.paper, measured, bool(passed)))
+    return evaluated
 
 
 def validate_paper_claims(
@@ -93,111 +419,7 @@ def validate_paper_claims(
     seed: Optional[int] = None,
     year_horizon: Optional[float] = None,
 ) -> ValidationReport:
-    """Run the experiment suite and check the paper's headline claims."""
-    t1 = tables.table1(scale=scale, seed=seed)
-    t2 = tables.table2(scale=scale, seed=seed)
-    t3 = tables.table3(scale=scale, seed=seed)
-    t4 = tables.table4(scale=scale, seed=seed)
-    t5 = tables.table5(scale=scale, seed=seed)
-    fig2 = figures.figure2(scale=scale, seed=seed, horizon=year_horizon)
-    fig4 = figures.figure4(scale=scale, seed=seed, horizon=year_horizon)
-
-    results: List[ClaimResult] = []
-
-    def check(claim: str, paper: str, measured: str, passed: bool) -> None:
-        results.append(
-            ClaimResult(claim=claim, paper=paper, measured=measured, passed=passed)
-        )
-
-    mean_util = fig4.analysis.mean_utilization_pct
-    check(
-        "utilization in the 20-60% band (Fig 4)",
-        "~40% average",
-        f"{mean_util:.0f}% average",
-        20.0 <= mean_util <= 60.0,
-    )
-
-    susp = fig2.analysis
-    check(
-        "suspensions long and right-skewed (Fig 2)",
-        "median 437, mean 905",
-        f"median {susp.median_minutes:.0f}, mean {susp.mean_minutes:.0f}",
-        susp.median_minutes > 30.0 and susp.mean_minutes > susp.median_minutes,
-    )
-
-    util_ct_gain = t1.avg_ct_suspended_reduction("ResSusUtil")
-    check(
-        "ResSusUtil cuts suspended jobs' AvgCT (T1)",
-        "-49%",
-        f"{-util_ct_gain:.0f}%" if util_ct_gain is not None else "n/a",
-        util_ct_gain is not None and util_ct_gain > 10.0,
-    )
-
-    util_wct_gain = t1.avg_wct_reduction("ResSusUtil")
-    check(
-        "ResSusUtil cuts AvgWCT by >=33% (T1)",
-        "-33%",
-        f"{-util_wct_gain:.0f}%" if util_wct_gain is not None else "n/a",
-        util_wct_gain is not None and util_wct_gain >= 33.0,
-    )
-
-    st_baseline = t1.baseline().avg_st or 0.0
-    st_resched = t1.by_name("ResSusUtil").avg_st or 0.0
-    check(
-        "ResSusUtil eliminates suspend time (T1)",
-        "1189 -> 82 min",
-        f"{st_baseline:.0f} -> {st_resched:.0f} min",
-        st_resched < 0.25 * st_baseline if st_baseline else False,
-    )
-
-    rand_worse = all(
-        comparison.by_name("ResSusRand").avg_wct
-        > comparison.by_name("ResSusUtil").avg_wct
-        for comparison in (t1, t2, t3)
-    )
-    check(
-        "random selection clearly worse than util (T1-T3)",
-        "Rand backfires",
-        "Rand > Util AvgWCT in T1, T2, T3" if rand_worse else "ordering violated",
-        rand_worse,
-    )
-
-    load_ratio = t2.baseline().avg_ct_all / t1.baseline().avg_ct_all
-    check(
-        "high load inflates AvgCT(all) (T2 vs T1)",
-        "1.74x",
-        f"{load_ratio:.2f}x",
-        load_ratio > 1.2,
-    )
-
-    t3_gain = t3.avg_ct_suspended_reduction("ResSusUtil")
-    check(
-        "rescheduling works under util-based initial (T3)",
-        "-75% CT(susp)",
-        f"{-t3_gain:.0f}%" if t3_gain is not None else "n/a",
-        t3_gain is not None and t3_gain > 0.0,
-    )
-
-    combined_better = (
-        t4.by_name("ResSusWaitUtil").avg_wct < t2.by_name("ResSusUtil").avg_wct
-    )
-    check(
-        "waiting-job rescheduling improves further (T4 vs T2)",
-        "-79% vs -75% CT(susp)",
-        "WaitUtil < Util on AvgWCT" if combined_better else "no improvement",
-        combined_better,
-    )
-
-    rand_competitive = all(
-        comparison.by_name("ResSusWaitRand").avg_wct
-        < 2.0 * comparison.by_name("ResSusWaitUtil").avg_wct
-        for comparison in (t4, t5)
-    )
-    check(
-        "random ~ util with second chances (T4-T5)",
-        "within ~1-13%",
-        "within 2x in T4 and T5" if rand_competitive else "not competitive",
-        rand_competitive,
-    )
-
-    return ValidationReport(results=results)
+    """Run every experiment a claim needs once and check :data:`CLAIMS`."""
+    needed = {key for claim in CLAIMS for key in claim.needs}
+    results = run_experiments([key for key in EXPERIMENTS if key in needed], scale, seed, year_horizon)
+    return ValidationReport(results=evaluate_claims(results))

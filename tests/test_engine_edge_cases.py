@@ -9,6 +9,7 @@ from repro.core.overheads import RestartOverhead
 from repro.core.policies import RescheduleSuspendedAndWaiting
 from repro.core.selectors import LowestUtilizationSelector
 from repro.errors import SimulationError
+from repro.faults import FaultConfig, PoolOutage
 from repro.simulator.engine import SimulationEngine
 from repro.workload.cluster import ClusterSpec
 
@@ -145,6 +146,19 @@ class TestPathologicalInputs:
     def test_job_larger_than_any_machine_rejected(self):
         result = run_tiny([make_job(0, cores=64)], strict=False)
         assert result.records[0].rejected
+
+    def test_all_rejected_fault_run_still_samples_minute_zero(self):
+        # Fault runs stop once every job is settled; a run whose only job
+        # is rejected at minute 0 must still take its minute-0 tick.
+        outage = FaultConfig(pool_outages=(PoolOutage("p0", 0.0, 1.0),))
+        cluster = ClusterSpec([make_pool("p0", 1, cores=2)])
+        for faults in (FaultConfig(), outage):
+            result = run_tiny(
+                [make_job(0, cores=4)], cluster=cluster, strict=False,
+                sample_interval=0.5, faults=faults,
+            )
+            assert result.records[0].rejected
+            assert [s.minute for s in result.samples] == [0.0]
 
     def test_tiny_runtime(self):
         result = run_tiny([make_job(0, runtime=0.5)])

@@ -12,7 +12,15 @@ from repro.analysis.export import (
     write_utilization_csv,
 )
 from repro.analysis.utilization import analyze_utilization
-from repro.validation import ClaimResult, ValidationReport
+from repro.core.selectors import LowestUtilizationSelector
+from repro.validation import (
+    CLAIMS,
+    EXPERIMENTS,
+    ClaimResult,
+    ValidationReport,
+    evaluate_claims,
+    run_experiments,
+)
 
 
 class TestValidationReport:
@@ -41,6 +49,21 @@ class TestValidationReport:
         assert "1 CLAIM(S) FAILED" in bad
         assert "!!" in bad
 
+    def test_render_columns_align_past_long_names(self):
+        report = ValidationReport(
+            results=[
+                ClaimResult(claim=claim.name, paper=claim.paper, measured="m", passed=True)
+                for claim in CLAIMS
+            ]
+        )
+        rows = report.render().splitlines()
+        header, body = rows[0], rows[2 : 2 + len(CLAIMS)]
+        paper_at = header.index("paper")
+        measured_at = header.index("measured")
+        for row, claim in zip(body, CLAIMS):
+            assert row.index(claim.paper, len(claim.name) + 3) == paper_at, row
+            assert row[measured_at:] == "m", row
+
 
 class TestValidatePaperClaims:
     @pytest.fixture(scope="class")
@@ -52,7 +75,9 @@ class TestValidatePaperClaims:
         return validate_paper_claims(scale=0.06, year_horizon=15000.0)
 
     def test_all_claims_evaluated(self, report):
-        assert len(report.results) == 10
+        names = [r.claim for r in report.results]
+        assert names == [claim.name for claim in CLAIMS]
+        assert len(set(names)) == len(CLAIMS)
         assert all(isinstance(r, ClaimResult) for r in report.results)
 
     def test_core_claims_hold_even_at_tiny_scale(self, report):
@@ -64,6 +89,43 @@ class TestValidatePaperClaims:
         text = report.render()
         assert "claim" in text
         assert "paper" in text
+
+
+class TestClaimsTable:
+    def test_claims_need_registered_experiments(self):
+        for claim in CLAIMS:
+            assert claim.needs and set(claim.needs) <= set(EXPERIMENTS), claim.name
+            assert claim.owner in claim.needs
+
+    def test_paper_columns_come_from_the_paper_data(self):
+        by_name = {claim.name: claim.paper for claim in CLAIMS}
+        assert by_name["ResSusUtil cuts suspended jobs' AvgCT (T1)"] == "-49%"
+        assert by_name["high load inflates AvgCT(all) (T2 vs T1)"] == "1.74x"
+        assert by_name["waiting-job rescheduling improves further (T4 vs T2)"] == (
+            "-79% vs -75% CT(susp)"
+        )
+
+    def test_claims_catch_a_selector_that_picks_the_busiest_pool(self, monkeypatch):
+        """ResSusUtil's Table 1 gains vanish when "Util" sends jobs to the
+        most-utilized pool; serial and uncached so no mutated cell is stored."""
+        watched = (
+            "ResSusUtil cuts suspended jobs' AvgCT (T1)",
+            "ResSusUtil cuts AvgWCT by >=33% (T1)",
+        )
+        table1_claims = [claim for claim in CLAIMS if claim.needs == ("1",)]
+
+        def verdicts():
+            results = run_experiments(["1"], scale=0.06, workers=1, use_cache=False)
+            by_name = {r.claim: r.passed for r in evaluate_claims(results, table1_claims)}
+            return [by_name[name] for name in watched]
+
+        def most_utilized(self, candidates, current_pool, view):
+            others = self._others(candidates, current_pool)
+            return max(others, key=lambda pid: (view.pool(pid).utilization, pid), default=None)
+
+        assert verdicts() == [True, True]
+        monkeypatch.setattr(LowestUtilizationSelector, "select", most_utilized)
+        assert verdicts() == [False, False]
 
 
 class TestExport:
