@@ -274,12 +274,24 @@ def _waiting_improves(t2, t4):
     return ("WaitUtil < Util on AvgWCT" if better else "no improvement"), better
 
 
-@_claim("random ~ util with second chances (T4-T5)", ["4", "5"], "within ~1-13%")
+_GAPS = "Rand vs Util AvgWCT {} (T4), {} (T5)"
+_SECOND_CHANCE_ROWS = ("ResSusWaitRand", "ResSusWaitUtil")
+
+
+def _gap(rand: float, util: float) -> str:
+    """Rand's AvgWCT relative to Util's, as a signed change (+0.8%)."""
+    return f"{(rand / util - 1.0) * 100.0:+.1f}%" if util else "n/a"
+
+
+@_claim(
+    "random ~ util with second chances (T4-T5)",
+    ["4", "5"],
+    _GAPS.format(*(_gap(*(PAPER_TABLES[t][name].avg_wct for name in _SECOND_CHANCE_ROWS)) for t in (4, 5))),
+)
 def _random_competitive(*comparisons):
-    close = all(
-        c.by_name("ResSusWaitRand").avg_wct < 2.0 * c.by_name("ResSusWaitUtil").avg_wct for c in comparisons
-    )
-    return ("within 2x in T4 and T5" if close else "not competitive"), close
+    pairs = [tuple(c.by_name(name).avg_wct for name in _SECOND_CHANCE_ROWS) for c in comparisons]
+    close = all(rand < 2.0 * util for rand, util in pairs)
+    return _GAPS.format(*(_gap(rand, util) for rand, util in pairs)), close
 
 
 _cut("ResSusUtil cuts suspended jobs' AvgCT (T2)", "2", "ResSusUtil", _CT)

@@ -224,6 +224,8 @@ class WorkloadGenerator:
         next_task_id = 0
         group_pool_sets = model.group_pool_sets
         group_count = len(group_pool_sets) if group_pool_sets else 0
+        # One name object per group, shared by all of that group's jobs.
+        group_users = [f"group-{group:02d}" for group in range(group_count)]
         # Bound once: this loop runs once per base-stream job.
         append = jobs.append
         attr_random = attr_rng.random
@@ -256,7 +258,7 @@ class WorkloadGenerator:
             if group_count and os_family == "linux":
                 group = next_id % group_count
                 candidate_pools = group_pool_sets[group]
-                user = f"group-{group:02d}"
+                user = group_users[group]
             else:
                 user = users[next_id % user_count]
             append(

@@ -3,6 +3,8 @@
 import pytest
 
 from repro.errors import ConfigurationError
+from repro.experiments.cache import _trace_fingerprint, stable_hash
+from repro.workload import scenarios
 from repro.workload.arrivals import BurstProcess
 from repro.workload.distributions import RandomStreams
 from repro.workload.generator import (
@@ -143,6 +145,20 @@ class TestWorkloadGenerator:
     def test_runtime_floor(self):
         trace = generate_trace(small_model(), seed=1)
         assert all(j.runtime_minutes >= 0.5 for j in trace)
+
+    def test_business_group_jobs_share_one_user_string(self):
+        """Each group's name is built once per trace, not once per job, and
+        sharing it leaves both of the trace's content hashes unchanged."""
+        trace = scenarios.busy_week(scale=0.05, seed=1).trace
+        group_jobs = [j for j in trace if j.user == "group-00"]
+        assert len(group_jobs) > 1
+        assert all(j.user is group_jobs[0].user for j in group_jobs)
+        assert _trace_fingerprint(trace) == (
+            "012f8368a5d2fd3bbd5f1e81657c36a2527bf96400332f709cc183b761ca971f"
+        )
+        assert stable_hash(trace.jobs) == (
+            "d73886511edd292826116f10975f0740d8631859427de2a329e40490811dbb2f"
+        )
 
     def test_model_property(self):
         model = small_model()

@@ -1,5 +1,10 @@
 """Unit tests for repro.workload.trace."""
 
+import copy
+import dataclasses
+import pickle
+import weakref
+
 import pytest
 
 from repro.errors import TraceError
@@ -58,6 +63,95 @@ class TestTraceJob:
     def test_restricted_to(self):
         job = make_job(1).restricted_to(["x", "y"])
         assert job.candidate_pools == ("x", "y")
+
+
+class _Reduced:
+    """Pickles as the given reduce tuple, to forge a ``TraceJob`` pickle."""
+
+    def __init__(self, reduced):
+        self.reduced = reduced
+
+    def __reduce__(self):
+        return self.reduced
+
+
+class TestTraceJobContract:
+    """The record's value semantics, which slots and a custom reduce must keep."""
+
+    @staticmethod
+    def job() -> TraceJob:
+        return TraceJob(
+            job_id=7,
+            submit_minute=1.5,
+            runtime_minutes=30.0,
+            priority=50,
+            cores=2,
+            memory_gb=4.0,
+            os_family="windows",
+            candidate_pools=("p1", "p2"),
+            task_id=3,
+            user="alice",
+        )
+
+    VALUES = (7, 1.5, 30.0, 50, 2, 4.0, "windows", ("p1", "p2"), 3, "alice")
+
+    def test_repr_eq_hash(self):
+        job = self.job()
+        assert repr(job) == (
+            "TraceJob(job_id=7, submit_minute=1.5, runtime_minutes=30.0, priority=50, "
+            "cores=2, memory_gb=4.0, os_family='windows', candidate_pools=('p1', 'p2'), "
+            "task_id=3, user='alice')"
+        )
+        assert job == self.job()
+        assert job != dataclasses.replace(job, user="bob")
+        assert job != self.VALUES
+        assert hash(job) == hash(self.VALUES)
+
+    @pytest.mark.parametrize("protocol", [2, 5])
+    def test_pickle_round_trip(self, protocol):
+        job = self.job()
+        back = pickle.loads(pickle.dumps(job, protocol=protocol))
+        assert type(back) is TraceJob
+        assert back == job
+        assert hash(back) == hash(job)
+
+    def test_unpickling_validates_again(self):
+        cls, values = self.job().__reduce__()
+        assert (cls, values) == (TraceJob, self.VALUES)
+        forged = values[:2] + (0,) + values[3:]
+        blob = pickle.dumps(_Reduced((cls, forged)))
+        with pytest.raises(TraceError, match="runtime_minutes must be finite and > 0"):
+            pickle.loads(blob)
+
+    def test_copies_replace_asdict_fields(self):
+        job = self.job()
+        for duplicate in (copy.copy(job), copy.deepcopy(job)):
+            assert type(duplicate) is TraceJob
+            assert duplicate == job
+        moved = dataclasses.replace(job, cores=4)
+        assert moved.cores == 4
+        assert dataclasses.replace(moved, cores=2) == job
+        with pytest.raises(TraceError):
+            dataclasses.replace(job, runtime_minutes=0.0)
+        names = [f.name for f in dataclasses.fields(TraceJob)]
+        assert names == [
+            "job_id", "submit_minute", "runtime_minutes", "priority", "cores",
+            "memory_gb", "os_family", "candidate_pools", "task_id", "user",
+        ]
+        assert dataclasses.asdict(job) == dict(zip(names, self.VALUES))
+
+    def test_frozen(self):
+        job = self.job()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            job.cores = 3
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            del job.user
+
+    def test_no_instance_dict(self):
+        job = self.job()
+        assert not hasattr(job, "__dict__")
+        with pytest.raises(TypeError):
+            weakref.ref(job)
 
 
 class TestTrace:

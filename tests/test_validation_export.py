@@ -104,6 +104,9 @@ class TestClaimsTable:
         assert by_name["waiting-job rescheduling improves further (T4 vs T2)"] == (
             "-79% vs -75% CT(susp)"
         )
+        assert by_name["random ~ util with second chances (T4-T5)"] == (
+            "Rand vs Util AvgWCT +0.8% (T4), -0.6% (T5)"
+        )
 
     def test_claims_catch_a_selector_that_picks_the_busiest_pool(self, monkeypatch):
         """ResSusUtil's Table 1 gains vanish when "Util" sends jobs to the
