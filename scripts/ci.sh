@@ -72,7 +72,9 @@
 #           recovery time regressing more than 25% past the committed
 #           baseline, fails the leg)
 #   paper   the paper's claims: `repro validate` at its defaults
-#           (scale 0.25, seed 2010) runs every table and figure once
+#           (scale 0.25, seed 2010) runs every table and figure once,
+#           as one grid on a 2-worker supervised fleet
+#           (REPRO_WORKERS=2) that simulates each distinct cell once,
 #           and fails the leg on any claim in repro.validation.CLAIMS
 #           that does not hold
 #   all     tests + lint + smoke + faults (default; bench, ingest,
@@ -398,7 +400,7 @@ EOF
 
 run_paper() {
     echo "== paper: every claim of repro.validation holds at the defaults =="
-    python -m repro validate
+    REPRO_WORKERS=2 python -m repro validate
 }
 
 case "${1:-all}" in

@@ -59,7 +59,7 @@ __all__ = [
 
 
 def _default_scenario(scale: Optional[float], seed: Optional[int]) -> Scenario:
-    return high_load(scale or presets.table_scale(), seed or presets.seed())
+    return high_load(presets.table_scale(scale), presets.seed(seed))
 
 
 def SELECTOR_FAMILY() -> List[Tuple[str, PoolSelector]]:

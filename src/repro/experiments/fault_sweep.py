@@ -185,7 +185,7 @@ def fault_sweep(
     """
     mtbfs = tuple(mtbf_minutes if mtbf_minutes is not None else presets.fault_mtbfs())
     mttr = mttr_minutes if mttr_minutes is not None else presets.fault_mttr()
-    scenario = high_load(scale or presets.table_scale(), seed or presets.seed())
+    scenario = high_load(presets.table_scale(scale), presets.seed(seed))
     cells: List[FaultSweepCell] = []
     for mtbf in mtbfs:
         faults = FaultConfig.with_exponential_churn(

@@ -1,14 +1,16 @@
-"""One function per figure in the paper (Figures 2-4).
+"""The paper's Figures 2-4, one :class:`~.experiment.Experiment` each.
 
-Each ``figureN()`` regenerates the figure's underlying data series from
-a fresh simulation and returns both the analysis object and a plain-text
-rendering, so the benchmark harness can print the same series the paper
-plots.  (The figures are data products — no plotting dependency is
-needed to compare shapes.)
+:data:`FIGURES` holds each figure's definition — scenario, strategies
+and the analysis its ``finish`` step runs over the full simulation
+results — and :mod:`repro.validation` merges it into ``EXPERIMENTS``.
+``figureN()`` runs its entry and returns the analysis object, which
+renders as plain text, so the benchmark harness can print the same
+series the paper plots.  (The figures are data products — no plotting
+dependency is needed to compare shapes.)
 
 Like the tables, every figure accepts ``workers`` / ``cache_dir`` /
 ``use_cache`` (defaulting to ``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` /
-``REPRO_NO_CACHE``) and runs through the shared execution backend, so
+``REPRO_NO_CACHE``) and runs through the shared grid driver, so
 long-horizon figure runs are memoized on disk and Figure 3's three
 simulations can run in parallel.  Figure caching stores the full
 simulation result (records *and* samples): the first run of a given
@@ -17,53 +19,27 @@ configuration pays the simulation, later ones only unpickle.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, Optional, Tuple
+from dataclasses import dataclass, replace
+from functools import partial
+from typing import Callable, Dict, Optional, Tuple
 
 from ..analysis.suspension import SuspensionAnalysis, analyze_suspension, suspension_time_cdf
 from ..analysis.utilization import UtilizationAnalysis, analyze_utilization
 from ..analysis.waste import WasteFigure, waste_decomposition
 from ..core.policies import no_res, res_sus_rand, res_sus_util
 from ..metrics.report import render_waste_components
-from ..schedulers.initial import RoundRobinScheduler
-from ..simulator.config import SimulationConfig
 from ..workload.scenarios import busy_week, year
 from . import presets
-from .cache import open_cache
-from .parallel import execute_cells, make_cell_task
+from .experiment import Experiment
 
 __all__ = [
+    "FIGURES",
     "Figure2",
     "Figure4",
     "figure2",
     "figure3",
     "figure4",
 ]
-
-
-def _run_figure_cells(scenario, policies, workers, cache_dir, use_cache, progress=None):
-    """Run one figure's simulations through the shared backend.
-
-    Returns the full simulation results, in ``policies`` order.
-    """
-    tasks = [
-        make_cell_task(
-            index,
-            scenario,
-            policy,
-            RoundRobinScheduler(),
-            SimulationConfig(strict=False),
-            keep_result=True,
-        )
-        for index, policy in enumerate(policies)
-    ]
-    outcomes = execute_cells(
-        tasks,
-        n_workers=workers if workers is not None else presets.workers(),
-        cache=open_cache(cache_dir, use_cache),
-        progress=progress,
-    )
-    return [outcome.result for outcome in outcomes]
 
 
 @dataclass(frozen=True)
@@ -82,56 +58,6 @@ class Figure2:
         for value, fraction in self.cdf_points:
             lines.append(f"    {value:>10.1f} -> {fraction:>6.3f}")
         return "\n".join(lines)
-
-
-def figure2(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    horizon: Optional[float] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-) -> Figure2:
-    """Figure 2: suspension-time CDF from a long-horizon NoRes run."""
-    scenario = year(
-        scale=scale or presets.year_scale(),
-        seed=seed or presets.seed(),
-        horizon=horizon or presets.year_horizon(),
-    )
-    (result,) = _run_figure_cells(
-        scenario, [no_res()], workers, cache_dir, use_cache, progress
-    )
-    cdf = suspension_time_cdf(result)
-    return Figure2(
-        analysis=analyze_suspension(result),
-        cdf_points=tuple(cdf.points(count=20)),
-    )
-
-
-def figure3(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-) -> WasteFigure:
-    """Figure 3: waste decomposition under normal load (busy week, RR).
-
-    Three bars — NoRes, ResSusUtil, ResSusRand — each split into wait,
-    suspend, and rescheduling waste.
-    """
-    scenario = busy_week(scale or presets.table_scale(), seed or presets.seed())
-    results = _run_figure_cells(
-        scenario,
-        [no_res(), res_sus_util(), res_sus_rand()],
-        workers,
-        cache_dir,
-        use_cache,
-        progress,
-    )
-    return waste_decomposition(results)
 
 
 def render_figure3(figure: WasteFigure) -> str:
@@ -169,6 +95,76 @@ class Figure4:
         return "\n".join(lines)
 
 
+def _figure2(outcomes, horizon=None) -> Figure2:
+    """Figure 2's finish: the NoRes run's suspension statistics and CDF."""
+    result = outcomes[0].result
+    cdf = suspension_time_cdf(result)
+    return Figure2(analysis=analyze_suspension(result), cdf_points=tuple(cdf.points(count=20)))
+
+
+def _figure3(outcomes, horizon=None) -> WasteFigure:
+    """Figure 3's finish: each strategy's waste split into its components."""
+    return waste_decomposition([outcome.result for outcome in outcomes])
+
+
+def _figure4(outcomes, horizon=None, window_minutes: float = 100.0) -> Figure4:
+    """Figure 4's finish: windowed utilization, clipped to the submission horizon.
+
+    The paper's year-long window is a continuously-fed system, while
+    our simulator runs on past the horizon until the last straggler
+    completes.
+    """
+    horizon = presets.year_horizon(horizon)
+    return Figure4(analysis=analyze_utilization(outcomes[0].result, window_minutes, up_to_minute=horizon))
+
+
+#: Figure key -> its experiment, in the paper's order.
+FIGURES: Dict[str, Experiment] = {
+    "figure2": Experiment(
+        "Figure 2: CDF of job suspension time",
+        year, (no_res,), _figure2, keep_results=True, render_figure=Figure2.render,
+    ),
+    "figure3": Experiment(
+        "Figure 3: average wasted completion time components",
+        busy_week, (no_res, res_sus_util, res_sus_rand), _figure3,
+        keep_results=True, render_figure=render_figure3,
+    ),
+    "figure4": Experiment(
+        "Figure 4: suspension and utilization over the horizon",
+        year, (no_res,), _figure4, keep_results=True, render_figure=Figure4.render,
+    ),
+}
+
+
+def figure2(
+    scale: Optional[float] = None,
+    seed: Optional[int] = None,
+    horizon: Optional[float] = None,
+    workers: Optional[int] = None,
+    cache_dir=None,
+    use_cache: Optional[bool] = None,
+    progress: Optional[Callable] = None,
+) -> Figure2:
+    """Figure 2: suspension-time CDF from a long-horizon NoRes run."""
+    return FIGURES["figure2"].run(scale, seed, horizon, None, None, workers, cache_dir, use_cache, progress)
+
+
+def figure3(
+    scale: Optional[float] = None,
+    seed: Optional[int] = None,
+    workers: Optional[int] = None,
+    cache_dir=None,
+    use_cache: Optional[bool] = None,
+    progress: Optional[Callable] = None,
+) -> WasteFigure:
+    """Figure 3: waste decomposition under normal load (busy week, RR).
+
+    Three bars — NoRes, ResSusUtil, ResSusRand — each split into wait,
+    suspend, and rescheduling waste.
+    """
+    return FIGURES["figure3"].run(scale, seed, None, None, None, workers, cache_dir, use_cache, progress)
+
+
 def figure4(
     scale: Optional[float] = None,
     seed: Optional[int] = None,
@@ -179,23 +175,6 @@ def figure4(
     use_cache: Optional[bool] = None,
     progress: Optional[Callable] = None,
 ) -> Figure4:
-    """Figure 4: utilization & suspension over a long-horizon NoRes run.
-
-    The analysis is clipped to the submission horizon: the paper's
-    year-long window is a continuously-fed system, while our simulator
-    runs on past the horizon until the last straggler completes.
-    """
-    resolved_horizon = horizon or presets.year_horizon()
-    scenario = year(
-        scale=scale or presets.year_scale(),
-        seed=seed or presets.seed(),
-        horizon=resolved_horizon,
-    )
-    (result,) = _run_figure_cells(
-        scenario, [no_res()], workers, cache_dir, use_cache, progress
-    )
-    return Figure4(
-        analysis=analyze_utilization(
-            result, window_minutes, up_to_minute=resolved_horizon
-        )
-    )
+    """Figure 4: utilization & suspension over a long-horizon NoRes run."""
+    experiment = replace(FIGURES["figure4"], finish=partial(_figure4, window_minutes=window_minutes))
+    return experiment.run(scale, seed, horizon, None, None, workers, cache_dir, use_cache, progress)

@@ -363,8 +363,9 @@ def run_grid_parallel(
         progress: optional callable invoked with each
             :class:`CellOutcome` as it completes — cache hits included,
             fleet cells as they are published (completion order, not
-            grid order).  If it has an ``add_total(count)`` method,
-            that is called first with this batch's size.
+            grid order).  Cells sharing a cache key are computed and
+            reported once.  If it has an ``add_total(count)`` method,
+            that is called first with the number of distinct cells.
 
     Raises:
         ExperimentExecutionError: without ``keep_going``, when any cell

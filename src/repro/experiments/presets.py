@@ -78,23 +78,28 @@ def _float_env(name: str, default: float) -> float:
     return value
 
 
-def table_scale() -> float:
-    """Scale for the busy-week table experiments."""
-    return _float_env("REPRO_SCALE", DEFAULT_TABLE_SCALE)
+def table_scale(scale: Optional[float] = None) -> float:
+    """``scale``, or when it is ``None`` the scale for the busy-week table experiments."""
+    return _float_env("REPRO_SCALE", DEFAULT_TABLE_SCALE) if scale is None else scale
 
 
-def year_scale() -> float:
-    """Scale for the long-horizon figure experiments."""
-    return _float_env("REPRO_YEAR_SCALE", DEFAULT_YEAR_SCALE)
+def year_scale(scale: Optional[float] = None) -> float:
+    """``scale``, or when it is ``None`` the scale for the long-horizon figure experiments."""
+    return _float_env("REPRO_YEAR_SCALE", DEFAULT_YEAR_SCALE) if scale is None else scale
 
 
-def year_horizon() -> float:
-    """Horizon (minutes) for the long-horizon figure experiments."""
-    return _float_env("REPRO_YEAR_HORIZON", DEFAULT_YEAR_HORIZON)
+def year_horizon(horizon: Optional[float] = None) -> float:
+    """``horizon``, or when it is ``None`` the horizon (minutes) for the long-horizon figures."""
+    return _float_env("REPRO_YEAR_HORIZON", DEFAULT_YEAR_HORIZON) if horizon is None else horizon
 
 
-def seed() -> int:
-    """Workload seed for all experiments."""
+def seed(value: Optional[int] = None) -> int:
+    """``value``, or when it is ``None`` the workload seed for all experiments.
+
+    ``None``, not any falsy value, asks for the preset: seed 0 is a seed.
+    """
+    if value is not None:
+        return value
     raw = os.environ.get("REPRO_SEED")
     if raw is None:
         return DEFAULT_SEED
@@ -104,8 +109,10 @@ def seed() -> int:
         raise ConfigurationError(f"REPRO_SEED must be an int, got {raw!r}") from None
 
 
-def workers() -> int:
-    """Worker-process count for experiment grids (``REPRO_WORKERS``)."""
+def workers(value: Optional[int] = None) -> int:
+    """``value``, or when it is ``None`` the worker-process count for grids (``REPRO_WORKERS``)."""
+    if value is not None:
+        return value
     raw = os.environ.get("REPRO_WORKERS")
     if raw is None:
         return DEFAULT_WORKERS

@@ -150,7 +150,7 @@ def replicate(
         raise ConfigurationError("replicate needs at least one policy factory")
     if not seeds:
         raise ConfigurationError("replicate needs at least one seed")
-    resolved_scale = scale or presets.table_scale()
+    resolved_scale = presets.table_scale(scale)
     run_config = config or SimulationConfig(strict=False, record_samples=False)
 
     per_strategy: Dict[str, Dict[str, List[float]]] = {}

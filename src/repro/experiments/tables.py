@@ -1,10 +1,12 @@
-"""One function per table in the paper's evaluation (Section 3).
+"""The paper's tables (Section 3), one :class:`~.experiment.Experiment` each.
 
-Each ``tableN()`` reproduces the corresponding experiment end to end —
-scenario construction, one simulation per strategy, summary — and
-returns a :class:`~repro.analysis.comparison.StrategyComparison` whose
-rows line up with the paper's table rows.  ``render`` turns it into the
-paper's column layout.
+:data:`TABLES` holds each table's definition — scenario, strategies,
+initial scheduler — and :mod:`repro.validation` merges it into
+``EXPERIMENTS``.  ``tableN()`` runs its entry end to end (scenario
+construction, one simulation per strategy, summary) and returns a
+:class:`~repro.analysis.comparison.StrategyComparison` whose rows line
+up with the paper's table rows; ``render`` turns it into the paper's
+column layout.
 
 Mapping (see DESIGN.md section 4 and EXPERIMENTS.md for
 paper-vs-measured values):
@@ -18,33 +20,25 @@ Table 4    high load, round-robin initial, {NoRes, ResSusWaitUtil,
 Table 5    high load, utilization-based initial, same as Table 4
 (in-text)  the high-suspension scenario of Section 3.2.1
 =========  =================================================================
+
+``tableN(policies=...)`` replaces the table's strategies with zero-arg
+factories or registry spec strings (``"dfrs:share=0.5"``).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Optional, Sequence
+from typing import Callable, Dict, Optional, Sequence
 
-from ..analysis.comparison import StrategyComparison, compare_strategies
-from ..core.policies import (
-    no_res,
-    res_sus_rand,
-    res_sus_util,
-    res_sus_wait_rand,
-    res_sus_wait_util,
-)
-from ..policies import policy_from_spec
+from ..analysis.comparison import StrategyComparison
+from ..core.policies import no_res, res_sus_rand, res_sus_util, res_sus_wait_rand, res_sus_wait_util
 from ..metrics.report import render_table
-from ..schedulers.initial import (
-    InitialScheduler,
-    RoundRobinScheduler,
-    UtilizationBasedScheduler,
-)
+from ..schedulers.initial import UtilizationBasedScheduler
 from ..simulator.config import SimulationConfig
-from ..workload.scenarios import Scenario, busy_week, high_load, high_suspension
-from . import presets
-from .cache import open_cache
+from ..workload.scenarios import busy_week, high_load, high_suspension
+from .experiment import Experiment
 
 __all__ = [
+    "TABLES",
     "table1",
     "table2",
     "table3",
@@ -59,157 +53,69 @@ _SUSPENDED_ONLY = (no_res, res_sus_util, res_sus_rand)
 _WITH_WAITING = (no_res, res_sus_wait_util, res_sus_wait_rand)
 
 
-def _run(
-    scenario: Scenario,
-    policy_factories,
-    scheduler_factory: Callable[[], InitialScheduler],
-    config: Optional[SimulationConfig],
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-) -> StrategyComparison:
-    """Shared execution path for all tables.
-
-    ``workers``/``cache_dir``/``use_cache`` default to the environment
-    (``REPRO_WORKERS`` / ``REPRO_CACHE_DIR`` / ``REPRO_NO_CACHE``), so
-    the benchmark suite and CI parallelize and memoize without touching
-    each call site.
-
-    ``policy_factories`` entries may be zero-arg factories or registry
-    spec strings (``"dfrs:share=0.5"``); strings resolve with the
-    scenario's ``wait_threshold`` as the default.
-    """
-    policies = [
-        policy_from_spec(
-            entry, defaults={"wait_threshold": scenario.wait_threshold}
-        )
-        if isinstance(entry, str)
-        else entry()
-        for entry in policy_factories
-    ]
-    return compare_strategies(
-        scenario,
-        policies,
-        scheduler_factory=scheduler_factory,
-        config=config or SimulationConfig(strict=False),
-        n_workers=workers if workers is not None else presets.workers(),
-        cache=open_cache(cache_dir, use_cache),
-        progress=progress,
-    )
+def _comparison(outcomes, horizon=None) -> StrategyComparison:
+    """A table's finish: the strategies' summaries, baseline first."""
+    return StrategyComparison(outcomes[0].scenario_name, tuple(o.summary for o in outcomes), tuple(outcomes))
 
 
-def table1(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """Table 1: rescheduling of suspended jobs under normal load (RR initial)."""
-    scenario = busy_week(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or _SUSPENDED_ONLY, RoundRobinScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
+#: Table key -> its experiment, in the paper's order.
+TABLES: Dict[str, Experiment] = {
+    "1": Experiment(
+        "Table 1: suspended-job rescheduling, normal load, RR initial",
+        busy_week, _SUSPENDED_ONLY, _comparison,
+    ),
+    "2": Experiment(
+        "Table 2: suspended-job rescheduling, high load, RR initial",
+        high_load, _SUSPENDED_ONLY, _comparison,
+    ),
+    "3": Experiment(
+        "Table 3: suspended-job rescheduling, high load, util initial",
+        high_load, _SUSPENDED_ONLY, _comparison, UtilizationBasedScheduler,
+    ),
+    "4": Experiment(
+        "Table 4: +waiting-job rescheduling, high load, RR initial",
+        high_load, _WITH_WAITING, _comparison,
+    ),
+    "5": Experiment(
+        "Table 5: +waiting-job rescheduling, high load, util initial",
+        high_load, _WITH_WAITING, _comparison, UtilizationBasedScheduler,
+    ),
+    # The paper engineered a trace with a ~14% suspend rate and reports a
+    # 7% AvgCT reduction over all jobs and 44% over suspended jobs for
+    # ResSusUtil; this runs {NoRes, ResSusUtil} on our heavy-burst trace.
+    "high-suspension": Experiment(
+        "High-suspension scenario (Section 3.2.1, in text)",
+        high_suspension, (no_res, res_sus_util), _comparison,
+    ),
+}
 
 
-def table2(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """Table 2: the same strategies under high load (cores halved)."""
-    scenario = high_load(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or _SUSPENDED_ONLY, RoundRobinScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
+def _table_function(name: str, key: str) -> Callable[..., StrategyComparison]:
+    """The public ``name()`` for the table ``key``: a run of its entry."""
+
+    def run_table(
+        scale: Optional[float] = None,
+        seed: Optional[int] = None,
+        config: Optional[SimulationConfig] = None,
+        workers: Optional[int] = None,
+        cache_dir=None,
+        use_cache: Optional[bool] = None,
+        progress: Optional[Callable] = None,
+        policies: Optional[Sequence] = None,
+    ) -> StrategyComparison:
+        return TABLES[key].run(scale, seed, None, policies, config, workers, cache_dir, use_cache, progress)
+
+    run_table.__name__ = run_table.__qualname__ = name
+    run_table.__doc__ = f"{TABLES[key].title}."
+    return run_table
 
 
-def table3(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """Table 3: high load with the utilization-based initial scheduler."""
-    scenario = high_load(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or _SUSPENDED_ONLY, UtilizationBasedScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
-
-
-def table4(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """Table 4: waiting-job + suspended-job rescheduling, RR initial, high load."""
-    scenario = high_load(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or _WITH_WAITING, RoundRobinScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
-
-
-def table5(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """Table 5: waiting-job + suspended-job rescheduling, util-based initial."""
-    scenario = high_load(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or _WITH_WAITING, UtilizationBasedScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
-
-
-def high_suspension_experiment(
-    scale: Optional[float] = None,
-    seed: Optional[int] = None,
-    config: Optional[SimulationConfig] = None,
-    workers: Optional[int] = None,
-    cache_dir=None,
-    use_cache: Optional[bool] = None,
-    progress: Optional[Callable] = None,
-    policies: Optional[Sequence] = None,
-) -> StrategyComparison:
-    """The in-text high-suspension experiment of Section 3.2.1.
-
-    The paper engineered a trace with a ~14% suspend rate and reports a
-    7% AvgCT reduction over all jobs and 44% over suspended jobs for
-    ResSusUtil; this runs {NoRes, ResSusUtil} on our heavy-burst trace.
-    """
-    scenario = high_suspension(scale or presets.table_scale(), seed or presets.seed())
-    return _run(
-        scenario, policies or (no_res, res_sus_util), RoundRobinScheduler, config,
-        workers, cache_dir, use_cache, progress,
-    )
+table1 = _table_function("table1", "1")
+table2 = _table_function("table2", "2")
+table3 = _table_function("table3", "3")
+table4 = _table_function("table4", "4")
+table5 = _table_function("table5", "5")
+high_suspension_experiment = _table_function("high_suspension_experiment", "high-suspension")
 
 
 def render(comparison: StrategyComparison, title: str = "") -> str:

@@ -6,11 +6,15 @@ distributed, and returns one shape of report.  The division of labour:
 * the **backend** makes results appear in the shared cache (however it
   likes — local subprocesses, remote hosts); no backend means the grid
   runs serially in-process;
-* the **coordinator** pre-scans the cache, streams results out of it
-  *as workers publish them* (emitting progress), attributes provenance
-  from the lease journal, turns unpublished cells that killed a fleet
-  worker into :class:`~repro.experiments.parallel.CellFailure` records,
-  and computes the leftovers — unpicklable or uncacheable cells, cells
+* the **coordinator** first merges *twins* — tasks with one cache key —
+  into one task (keeping the full result if any twin asks for it), so
+  each distinct cell is computed once, serially or on a fleet, and
+  fans its outcome or failure out to every twin at its own index.  It
+  pre-scans the cache, streams results out of it *as workers publish
+  them* (emitting progress), attributes provenance from the lease
+  journal, turns unpublished cells that killed a fleet worker into
+  :class:`~repro.experiments.parallel.CellFailure` records, and
+  computes the leftovers — unpicklable or uncacheable cells, cells
   no worker could publish, a lone pending cell, or the whole grid when
   there is no backend — serially in-process.
 
@@ -33,7 +37,7 @@ import json
 import sys
 import tempfile
 import threading
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from pathlib import Path
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
@@ -137,34 +141,31 @@ def _stream_fleet(
             return PROVENANCE_CLAIMED_ELSEWHERE
         return PROVENANCE_COMPUTED
 
-    # Cells with identical content share one key (and one computation).
-    waiting: Dict[str, List[CellTask]] = {}
-    for task in tasks:
-        waiting.setdefault(task.cache_key, []).append(task)
+    # One task per key: run_grid_fabric merged the grid's twins.
+    waiting: Dict[str, CellTask] = {task.cache_key: task for task in tasks}
 
     def sweep() -> None:
         for key in list(waiting):
             entry = cache.peek(key)
             if entry is None:
                 continue
-            wanted = waiting[key]
-            if any(t.keep_result for t in wanted) and entry.get("result") is None:
+            task = waiting[key]
+            if task.keep_result and entry.get("result") is None:
                 continue  # a summary-only entry; the serial pass recomputes
             del waiting[key]
             source = provenance(key)
             if source == PROVENANCE_COMPUTED:
                 # A worker stored it on this run's behalf.
                 cache.stats.stores += 1
-            for task in wanted:
-                record(
-                    _outcome(
-                        task,
-                        entry["summary"],
-                        entry.get("result") if task.keep_result else None,
-                        entry.get("wall_seconds", 0.0),
-                        provenance=source,
-                    )
+            record(
+                _outcome(
+                    task,
+                    entry["summary"],
+                    entry.get("result") if task.keep_result else None,
+                    entry.get("wall_seconds", 0.0),
+                    provenance=source,
                 )
+            )
 
     try:
         while thread.is_alive():
@@ -182,9 +183,7 @@ def _stream_fleet(
     thread.join()
     sweep()
 
-    left = sorted(
-        (t for wanted in waiting.values() for t in wanted), key=lambda t: t.index
-    )
+    left = sorted(waiting.values(), key=lambda t: t.index)
     if backend_error:
         exc = backend_error[0]
         if isinstance(exc, BackendError):
@@ -223,7 +222,8 @@ def run_grid_fabric(
             then coordinates through a temporary cache deleted after
             the run.
         progress: per-cell callback (cache hits included, completion
-            order); ``add_total`` is honoured once for the whole grid.
+            order), called once per distinct cell: twins share one
+            call; ``add_total`` is honoured once for the whole grid.
         registry: optional
             :class:`~repro.telemetry.registry.MetricsRegistry`; the
             run publishes ``repro_fabric_cells{backend=,state=}``
@@ -243,10 +243,23 @@ def run_grid_fabric(
             off; carries every completed cell, in grid order.
     """
     run_id = run_id or new_run_id()
+    # --- merge twins: tasks with one cache key are one computation,
+    # which keeps the full result if any twin asks for it.
+    merged: Dict[object, CellTask] = {}  # cache key (uncached: grid index) -> task
+    for task in tasks:
+        key = task.cache_key or task.index
+        first = merged.setdefault(key, task)
+        if task.keep_result and not first.keep_result:
+            merged[key] = replace(first, keep_result=True)
+    unique = list(merged.values())
+
+    def merged_index(task: CellTask) -> int:
+        return merged[task.cache_key or task.index].index
+
     if progress is not None:
         add_total = getattr(progress, "add_total", None)
         if add_total is not None:
-            add_total(len(tasks))
+            add_total(len(unique))
 
     outcomes: Dict[int, CellOutcome] = {}
     failures: Dict[int, CellFailure] = {}
@@ -255,6 +268,14 @@ def run_grid_fabric(
         outcomes[outcome.index] = outcome
         if progress is not None:
             progress(outcome)
+
+    def settled(task: CellTask) -> Optional[CellOutcome]:
+        """``task``'s outcome: its merged task's, with the result only if it asked."""
+        got = outcomes.get(merged_index(task))
+        if got is None or (got.index == task.index and (task.keep_result or got.result is None)):
+            return got
+        result = got.result if task.keep_result else None
+        return _outcome(task, got.summary, result, got.wall_seconds, got.provenance)
 
     def fail(task: CellTask, exc: BaseException, attempts: int) -> None:
         scheduler_name = task.scheduler.name if task.scheduler else "RoundRobin"
@@ -266,7 +287,7 @@ def run_grid_fabric(
                 exc,
                 # Grid order, not completion order: error reports must
                 # be stable however the fleet interleaved the cells.
-                completed_cells=tuple(outcomes[i] for i in sorted(outcomes)),
+                completed_cells=tuple(filter(None, map(settled, tasks))),
             ) from exc
         failures[task.index] = CellFailure(
             index=task.index,
@@ -283,7 +304,7 @@ def run_grid_fabric(
     # --- pre-scan: serve what the cache already holds
     pending: List[CellTask] = []
     summary_only = set()  # keep_result cells whose entry lacks the result
-    for task in tasks:
+    for task in unique:
         entry = cache.get(task.cache_key) if cache is not None and task.cache_key else None
         if entry is not None and (
             not task.keep_result or entry.get("result") is not None
@@ -358,9 +379,14 @@ def run_grid_fabric(
         record(_outcome(task, summary, result, wall))
 
     backend_name = backend.name if backend is not None else SERIAL_BACKEND_NAME
+    # --- fan out: every twin gets the merged task's outcome or failure
     report = FabricReport(
-        outcomes=tuple(outcomes.get(t.index) for t in tasks),
-        failures=tuple(failures[t.index] for t in tasks if t.index in failures),
+        outcomes=tuple(map(settled, tasks)),
+        failures=tuple(
+            replace(failures[first], index=t.index)
+            for t in tasks
+            if (first := merged_index(t)) in failures
+        ),
         backend=backend_name,
         run_id=run_id,
         worker_totals=tuple(sorted(worker_totals.items())),

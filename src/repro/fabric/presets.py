@@ -68,9 +68,7 @@ def fault_sweep_grid(
         mtbf_minutes if mtbf_minutes is not None else exp_presets.fault_mtbfs()
     )
     mttr = mttr_minutes if mttr_minutes is not None else exp_presets.fault_mttr()
-    scenario = high_load(
-        scale or exp_presets.table_scale(), seed or exp_presets.seed()
-    )
+    scenario = high_load(exp_presets.table_scale(scale), exp_presets.seed(seed))
     specs = tuple(policies) if policies else _FAULT_POLICY_SPECS
     tasks: List[CellTask] = []
     for mtbf in mtbfs:
@@ -98,9 +96,7 @@ def table_grid(
     policies: Optional[Sequence[str]] = None,
 ) -> List[CellTask]:
     """The paper's five policies under normal load (the Table 1/4 axis)."""
-    scenario = busy_week(
-        scale or exp_presets.table_scale(), seed or exp_presets.seed()
-    )
+    scenario = busy_week(exp_presets.table_scale(scale), exp_presets.seed(seed))
     config = SimulationConfig(strict=False)
     tasks: List[CellTask] = []
     for policy in _build_policies(policies or _TABLE_POLICY_SPECS, scenario):
@@ -129,7 +125,7 @@ def smoke_grid(
     smoke runs and for the scheduling-bound fabric benchmark where
     per-cell cost is padded via ``REPRO_FABRIC_CELL_FLOOR``.
     """
-    base_seed = seed or exp_presets.seed()
+    base_seed = exp_presets.seed(seed)
     config = SimulationConfig(strict=False)
     specs = tuple(policies) if policies else _SMOKE_POLICY_SPECS
     tasks: List[CellTask] = []

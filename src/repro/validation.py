@@ -4,12 +4,18 @@ Two pieces of data drive ``repro validate``, ``repro table`` and the
 paper benchmarks (``benchmarks/bench_paper.py``):
 
 * :data:`EXPERIMENTS` — experiment key -> :class:`Experiment` (title,
-  run function, rendering) for Tables 1-5, the in-text high-suspension
-  run and Figures 2-4;
+  scenario, strategies, finish step, rendering) for Tables 1-5, the
+  in-text high-suspension run and Figures 2-4, defined in
+  :mod:`repro.experiments.tables` and :mod:`repro.experiments.figures`;
 * :data:`CLAIMS` — every qualitative claim the reproduction checks:
   its name, the experiments it needs, the paper's value (computed from
   :mod:`repro.paper` wherever the paper gives a number) and one
   predicate over the needed experiments' results.
+
+:func:`validate_paper_claims` runs every experiment the claims need as
+one grid, so a cell two experiments share (Figure 3's and Table 1's
+three, the NoRes rows Tables 4 and 5 share with Tables 2 and 3, the
+year-long NoRes run of Figures 2 and 4) is simulated once.
 
 A regression in the simulator or a recalibration of the workload shows
 up as a failed claim rather than a silently drifting number.  See
@@ -19,11 +25,12 @@ known gaps that are deliberately *not* claimed here.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .analysis.comparison import reduction_pct
 from .experiments import figures, tables
+from .experiments.experiment import Experiment, execute_grid
 from .paper import PAPER_EVALUATION_SETUP, PAPER_FIGURE2, PAPER_HIGH_SUSPENSION, PAPER_TABLES
 
 __all__ = [
@@ -88,61 +95,9 @@ class ValidationReport:
 
 # -- the experiments ---------------------------------------------------------------
 
-
-@dataclass(frozen=True)
-class Experiment:
-    """One of the paper's tables or figures.
-
-    Attributes:
-        build: the ``repro.experiments`` entry point that produces it.
-        title: its heading.
-        render_figure: a figure's own text rendering (which carries its
-            heading); ``None`` for a table, rendered in the paper's
-            table layout under ``title``.
-        long_horizon: a year-trace figure whose ``build`` takes ``horizon``.
-    """
-
-    build: Callable[..., Any]
-    title: str
-    render_figure: Optional[Callable[[Any], str]] = None
-    long_horizon: bool = False
-
-    @property
-    def is_table(self) -> bool:
-        """Listed by ``repro table``; its ``build`` takes ``policies=``."""
-        return self.render_figure is None
-
-    def run(self, scale=None, seed=None, horizon=None, **execution: Any) -> Any:
-        """Run the experiment; ``execution`` is passed to ``build`` as is."""
-        if self.long_horizon:
-            execution["horizon"] = horizon
-        return self.build(scale=scale, seed=seed, **execution)
-
-    def render(self, result: Any) -> str:
-        """The experiment's text rendering of ``result``."""
-        return tables.render(result, self.title) if self.is_table else self.render_figure(result)
-
-
-#: experiment key -> experiment, in the paper's order.
-EXPERIMENTS: Dict[str, Experiment] = {
-    "1": Experiment(tables.table1, "Table 1: suspended-job rescheduling, normal load, RR initial"),
-    "2": Experiment(tables.table2, "Table 2: suspended-job rescheduling, high load, RR initial"),
-    "3": Experiment(tables.table3, "Table 3: suspended-job rescheduling, high load, util initial"),
-    "4": Experiment(tables.table4, "Table 4: +waiting-job rescheduling, high load, RR initial"),
-    "5": Experiment(tables.table5, "Table 5: +waiting-job rescheduling, high load, util initial"),
-    "high-suspension": Experiment(
-        tables.high_suspension_experiment, "High-suspension scenario (Section 3.2.1, in text)"
-    ),
-    "figure2": Experiment(
-        figures.figure2, "Figure 2: CDF of job suspension time", figures.Figure2.render, True
-    ),
-    "figure3": Experiment(
-        figures.figure3, "Figure 3: average wasted completion time components", figures.render_figure3
-    ),
-    "figure4": Experiment(
-        figures.figure4, "Figure 4: suspension and utilization over the horizon", figures.Figure4.render, True
-    ),
-}
+#: experiment key -> experiment, in the paper's order: Tables 1-5, the
+#: in-text high-suspension run, then Figures 2-4.
+EXPERIMENTS: Dict[str, Experiment] = {**tables.TABLES, **figures.FIGURES}
 
 
 # -- the claims --------------------------------------------------------------------
@@ -413,8 +368,22 @@ CLAIMS: Tuple[Claim, ...] = tuple(_REGISTERED)
 def run_experiments(
     keys: Iterable[str], scale=None, seed=None, year_horizon=None, **execution: Any
 ) -> Dict[str, Any]:
-    """Run each experiment in ``keys`` once; key -> result."""
-    return {key: EXPERIMENTS[key].run(scale, seed, year_horizon, **execution) for key in keys}
+    """Run the experiments in ``keys`` as one grid; key -> result.
+
+    Every experiment's cells go to one :func:`execute_grid` call
+    (``execution``: ``workers``, ``cache_dir``, ``use_cache``,
+    ``progress``), where a cell two experiments share is simulated
+    once; each experiment then finishes its own slice of the outcomes.
+    """
+    grid: List = []
+    slices: Dict[str, slice] = {}
+    for key in keys:
+        start = len(grid)
+        for task in EXPERIMENTS[key].tasks(scale, seed, year_horizon):
+            grid.append(replace(task, index=len(grid)))
+        slices[key] = slice(start, len(grid))
+    outcomes = execute_grid(grid, **execution)
+    return {key: EXPERIMENTS[key].finish(outcomes[cells], year_horizon) for key, cells in slices.items()}
 
 
 def evaluate_claims(results: Mapping[str, Any], claims: Iterable[Claim] = CLAIMS) -> List[ClaimResult]:
@@ -431,7 +400,7 @@ def validate_paper_claims(
     seed: Optional[int] = None,
     year_horizon: Optional[float] = None,
 ) -> ValidationReport:
-    """Run every experiment a claim needs once and check :data:`CLAIMS`."""
+    """Run every experiment a claim needs, as one grid, and check :data:`CLAIMS`."""
     needed = {key for claim in CLAIMS for key in claim.needs}
     results = run_experiments([key for key in EXPERIMENTS if key in needed], scale, seed, year_horizon)
     return ValidationReport(results=evaluate_claims(results))

@@ -9,7 +9,10 @@ import pytest
 import repro
 from repro.errors import ConfigurationError
 from repro.experiments import ablations, figures, presets, tables
+from repro.experiments.parallel import make_cell_task
 from repro.experiments.runner import ExperimentRunner
+from repro.fabric import build_grid
+from repro.schedulers.initial import RoundRobinScheduler
 from repro.simulator.config import SimulationConfig
 
 TINY = 0.06
@@ -70,6 +73,23 @@ class TestTables:
         hs = tables.high_suspension_experiment(scale=TINY, config=FAST)
         t1 = tables.table1(scale=TINY, config=FAST)
         assert hs.baseline().suspend_rate > t1.baseline().suspend_rate
+
+    def test_seed_zero_runs_the_seed_zero_scenario(self):
+        comparison = tables.table1(scale=TINY, seed=0, config=FAST, workers=1, use_cache=False)
+        scenario = repro.busy_week(TINY, 0)
+        expected = [
+            make_cell_task(i, scenario, factory(), RoundRobinScheduler(), FAST).config.seed
+            for i, factory in enumerate((repro.no_res, repro.res_sus_util, repro.res_sus_rand))
+        ]
+        assert [cell.seed for cell in comparison.cells] == expected
+        default = tables.table1(
+            scale=TINY, seed=presets.DEFAULT_SEED, config=FAST, workers=1, use_cache=False
+        )
+        assert comparison.summaries != default.summaries
+
+    @pytest.mark.parametrize("preset", ["fault-sweep", "table1", "smoke"])
+    def test_grid_presets_honour_seed_zero(self, preset):
+        assert build_grid(preset, scale=TINY, seed=0)[0].scenario.seed == 0
 
 
 class TestFigures:

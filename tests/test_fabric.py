@@ -545,3 +545,67 @@ class TestSubprocessBackend:
         totals = dict(report.worker_totals)
         assert totals["computed"] == len(tasks)
         assert totals["failed"] == 0
+
+
+class TestTwinCells:
+    """Tasks sharing a cache key are computed once and reported per index."""
+
+    @pytest.fixture
+    def twins(self, smoke_scenario):
+        tasks = small_grid(smoke_scenario, n_policies=2)
+        twin = make_cell_task(2, smoke_scenario, repro.no_res(), None, FAST, keep_result=True)
+        assert twin.cache_key == tasks[0].cache_key
+        return tasks + [twin]
+
+    @pytest.fixture
+    def simulated(self, monkeypatch):
+        """Grid indices the coordinator simulates in-process, in order."""
+        import repro.fabric.coordinator as coordinator_mod
+
+        real, indices = coordinator_mod._simulate_task, []
+
+        def sim(task):
+            indices.append(task.index)
+            return real(task)
+
+        monkeypatch.setattr(coordinator_mod, "_simulate_task", sim)
+        return indices
+
+    @staticmethod
+    def assert_fanned_out(report):
+        first, _, twin = report.outcomes
+        assert [o.index for o in report.outcomes] == [0, 1, 2]
+        assert first.summary == twin.summary and first.seed == twin.seed
+        assert first.result is None and twin.result is not None
+
+    def test_serial_grid_simulates_a_twin_pair_once(self, twins, simulated):
+        seen = []
+        report = run_grid_fabric(twins, None, progress=seen.append)
+        assert simulated == [0, 1]
+        assert sorted(o.index for o in seen) == [0, 1]
+        self.assert_fanned_out(report)
+
+    def test_fleet_leaves_no_twin_to_the_serial_pass(
+        self, twins, simulated, tmp_path
+    ):
+        report = run_grid_parallel(twins, n_workers=2, cache=ResultCache(tmp_path))
+        assert simulated == []
+        self.assert_fanned_out(report)
+
+    def test_failing_twin_pair_fails_at_each_index(
+        self, twins, monkeypatch
+    ):
+        import repro.fabric.coordinator as coordinator_mod
+
+        bad_key, real = twins[0].cache_key, coordinator_mod._simulate_task
+
+        def sim(task):
+            if task.cache_key == bad_key:
+                raise RuntimeError("deterministic boom")
+            return real(task)
+
+        monkeypatch.setattr(coordinator_mod, "_simulate_task", sim)
+        report = run_grid_fabric(twins, None, keep_going=True)
+        assert [f.index for f in report.failures] == [0, 2]
+        assert {f.message for f in report.failures} == {"deterministic boom"}
+        assert [o is None for o in report.outcomes] == [True, False, True]

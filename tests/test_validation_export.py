@@ -131,6 +131,48 @@ class TestClaimsTable:
         assert verdicts() == [False, False]
 
 
+def _comparable(result):
+    """What a result's equality means: a table's or Figure 3's summaries, else itself."""
+    return getattr(result, "summaries", result)
+
+
+class TestExperimentsAsOneGrid:
+    """``run_experiments`` submits every cell at once and computes shared cells once."""
+
+    @pytest.fixture(scope="class")
+    def small_presets(self):
+        with pytest.MonkeyPatch.context() as patch:
+            for name, value in (
+                ("REPRO_SCALE", "0.06"),
+                ("REPRO_YEAR_SCALE", "0.03"),
+                ("REPRO_YEAR_HORIZON", "15000"),
+            ):
+                patch.setenv(name, value)
+            patch.delenv("REPRO_SEED", raising=False)
+            yield
+
+    @pytest.fixture(scope="class")
+    def merged(self, small_presets):
+        computed = []
+        results = run_experiments(
+            list(EXPERIMENTS), workers=1, use_cache=False, progress=computed.append
+        )
+        return results, computed
+
+    def test_shared_cells_are_simulated_once(self, merged):
+        _, computed = merged
+        cells = sum(len(experiment.policies) for experiment in EXPERIMENTS.values())
+        assert (cells, len(computed)) == (22, 16)
+        assert {outcome.provenance for outcome in computed} == {"computed"}
+
+    @pytest.mark.parametrize("key", list(EXPERIMENTS))
+    def test_matches_the_experiment_run_alone(self, merged, key):
+        results, _ = merged
+        alone = EXPERIMENTS[key].run(workers=1, use_cache=False)
+        assert _comparable(results[key]) == _comparable(alone)
+        assert EXPERIMENTS[key].render(results[key]) == EXPERIMENTS[key].render(alone)
+
+
 class TestExport:
     def test_summaries_csv_round_trips(self, tmp_path, smoke_result):
         path = tmp_path / "summary.csv"
