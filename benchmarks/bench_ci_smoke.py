@@ -61,8 +61,8 @@ def test_cached_rerun_is_faster(benchmark, tmp_path):
             cache=ResultCache(tmp_path),
         )
 
-    # two equal scenarios, so the warm run hashes its own trace for the
-    # cell keys instead of reusing the cold run's fingerprint memo
+    # two equal scenarios: the warm run keys its cells by its own
+    # scenario's recipe, not by anything the cold run left behind
     cold_scenario, warm_scenario = (
         busy_week(presets.table_scale(), presets.seed()) for _ in range(2)
     )

@@ -42,9 +42,10 @@
 #           regression gate (throughput drop > 20% normalised, or RSS
 #           growth past the recorded baseline, fails the leg)
 #   fabric  distributed-fabric gate: lease/worker/coordinator/zygote
-#           test files, then a real 2-worker subprocess fleet racing the
-#           smoke grid (benchmarks/bench_fabric_smoke.py — sharded
-#           results must be bit-identical to serial), a CLI run-grid +
+#           and scenario-recipe test files, then a real 2-worker
+#           subprocess fleet racing the smoke grid
+#           (benchmarks/bench_fabric_smoke.py — sharded results must
+#           be bit-identical to serial), a CLI run-grid +
 #           cache stats/gc round trip, a cache-less `--backend local:2`
 #           fault-sweep whose digest must equal the serial run's (the
 #           temporary-cache path), the same fleet launched from a
@@ -72,7 +73,9 @@
 #           recovery time regressing more than 25% past the committed
 #           baseline, fails the leg)
 #   paper   the paper's claims: `repro validate` at its defaults
-#           (scale 0.25, seed 2010) runs every table and figure once,
+#           (seed 2010; scale 0.25 for the tables and Figure 3, 0.08
+#           for the year-long Figures 2 and 4) runs every table and
+#           figure once,
 #           as one grid on a 2-worker supervised fleet
 #           (REPRO_WORKERS=2) that simulates each distinct cell once,
 #           and fails the leg on any claim in repro.validation.CLAIMS
@@ -255,7 +258,8 @@ EOF
 run_fabric() {
     echo "== fabric: lease protocol + worker + coordinator tests =="
     python -m pytest tests/test_fabric_lease.py tests/test_fabric.py \
-        tests/test_cache_gc.py tests/test_zygote.py -q
+        tests/test_cache_gc.py tests/test_zygote.py \
+        tests/test_scenario_recipe.py -q
 
     echo "== fabric: 2-worker subprocess fleet vs serial (bit-identical) =="
     python -m pytest benchmarks/bench_fabric_smoke.py -q -s

@@ -620,7 +620,7 @@ def _ingest_gate(prev, cur, calibration, threshold) -> List[str]:
 # a sharded run that is not bit-identical to the serial run is a
 # correctness failure, never a timing.
 #
-# Two cells:
+# Three cells:
 #
 # * ``fault_sweep`` — the real CPU-bound grid.  Its speedup is honest
 #   and therefore bounded by ``available_cores`` (recorded in every
@@ -633,6 +633,9 @@ def _ingest_gate(prev, cur, calibration, threshold) -> List[str]:
 #   gate holds even on single-core runners, and a fabric-layer
 #   serialisation bug (workers accidentally convoying on a lock or a
 #   lease) shows up as a speedup collapse no matter the host.
+# * ``table1_paper`` — Table 1's five strategies at the paper scale
+#   (0.25), serial and on two workers: one shared scenario, which each
+#   worker builds from its recipe.  Full matrix only.
 
 
 @dataclass(frozen=True)
@@ -712,6 +715,7 @@ GRID_WORKLOADS: Tuple[GridSpec, ...] = (
         name="smoke_padded", preset="smoke", seed=2010, cell_floor=3.0,
         worker_counts=(1, 2, 4),
     ),
+    GridSpec(name="table1_paper", preset="table1", scale=0.25, seed=2010, worker_counts=(2,)),
 )
 
 #: The cheap subset CI gates on every push: the padded grid is

@@ -63,7 +63,7 @@ from .policies import policy_from_spec
 from .schedulers.initial import INITIAL_SCHEDULER_NAMES, initial_scheduler_from_name
 from .simulator.config import SimulationConfig
 from .simulator.simulation import run_simulation
-from .validation import EXPERIMENTS, validate_paper_claims
+from .validation import EXPERIMENTS, run_experiments, validate_paper_claims
 from .workload import io as workload_io
 from .workload.scenarios import busy_week, high_load, high_suspension, smoke, year
 
@@ -327,7 +327,12 @@ def build_parser() -> argparse.ArgumentParser:
     validate = sub.add_parser(
         "validate", help="run the experiments and check the paper's claims"
     )
-    _add_scale_seed(validate)
+    _add_scale_seed(
+        validate,
+        scale_help="cluster scale factor of every experiment, the year-long "
+        "Figures 2 and 4 included (default: REPRO_SCALE or 0.25 for the tables "
+        "and Figure 3, REPRO_YEAR_SCALE or 0.08 for Figures 2 and 4)",
+    )
     validate.add_argument(
         "--year-horizon", type=float, default=None, help="horizon for figures 2/4"
     )
@@ -408,8 +413,10 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _add_scale_seed(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--scale", type=float, default=None, help="cluster scale factor")
+def _add_scale_seed(
+    parser: argparse.ArgumentParser, scale_help: str = "cluster scale factor"
+) -> None:
+    parser.add_argument("--scale", type=float, default=None, help=scale_help)
     parser.add_argument("--seed", type=int, default=None, help="workload seed")
 
 
@@ -556,11 +563,13 @@ def _print_cell_stats(cells) -> None:
 
 def _cmd_table(args: argparse.Namespace) -> int:
     feed = _make_cell_feed(args)
-    for key in _TABLE_KEYS if args.which == "all" else [args.which]:
+    keys = _TABLE_KEYS if args.which == "all" else [args.which]
+    # One grid: a cell two tables share (Tables 4/5 NoRes) runs once.
+    comparisons = run_experiments(
+        keys, args.scale, args.seed, policies=args.policy, **_execution_kwargs(args, feed)
+    )
+    for key, comparison in comparisons.items():
         experiment = EXPERIMENTS[key]
-        comparison = experiment.run(
-            args.scale, args.seed, policies=args.policy, **_execution_kwargs(args, feed)
-        )
         print(experiment.render(comparison))
         _print_cell_stats(comparison.cells)
         print()

@@ -8,7 +8,9 @@ memoizes those runs: a cell's output (its
 key derived purely from the cell's *content* —
 
 * the scenario (name, seed, and a structural fingerprint of its cluster
-  and every trace job),
+  and every trace job — or, for a
+  :class:`~repro.workload.scenarios.ScenarioRecipe`, its builder,
+  arguments and the generator version),
 * the policy (class, selector, wait threshold, name),
 * the initial scheduler,
 * the :class:`~repro.simulator.config.SimulationConfig` (every field
@@ -49,6 +51,7 @@ from typing import Any, Dict, Optional
 from .._version import __version__
 from ..errors import CacheError
 from ..fsutil import atomic_write_bytes, tmp_writer_alive
+from ..workload.scenarios import GENERATOR_VERSION, ScenarioRecipe
 
 __all__ = [
     "CACHE_SCHEMA_VERSION",
@@ -73,7 +76,8 @@ __all__ = [
 #: state zipped onto the slots), so those entries must never load.
 #: 3: the records became named tuples; a schema-2 record pickle now
 #: fails to load (``TypeError``) instead of loading corrupt.
-CACHE_SCHEMA_VERSION = 3
+#: 4: a recipe cell's key hashes its recipe, not its trace and cluster.
+CACHE_SCHEMA_VERSION = 4
 
 #: File magic identifying a repro cache entry.
 _MAGIC = b"repro-cache\x00"
@@ -162,7 +166,8 @@ def _trace_fingerprint(trace) -> str:
 
 
 def _scenario_fingerprint(scenario) -> Dict[str, Any]:
-    """Content fingerprint of a scenario: identity plus cluster + trace.
+    """Content fingerprint of a scenario: identity plus cluster + trace,
+    or plus the recipe of a recipe or of a scenario that carries one.
 
     Trace-replay scenarios (:class:`~repro.workload.traces.TraceScenario`)
     carry a precomputed ``trace_digest`` — a SHA-256 of the *source trace
@@ -170,14 +175,23 @@ def _scenario_fingerprint(scenario) -> Dict[str, Any]:
     materialised jobs.  Using it keeps cache-key construction O(1) in
     trace size instead of re-hashing every job of a real-log replay.
     """
-    digest = getattr(scenario, "trace_digest", None)
-    return {
+    identity = {
         "name": scenario.name,
         "seed": scenario.seed,
         "wait_threshold": scenario.wait_threshold,
-        "cluster": stable_hash(tuple(scenario.cluster)),
-        "trace": digest if digest is not None else _trace_fingerprint(scenario.trace),
     }
+    recipe = scenario if isinstance(scenario, ScenarioRecipe) else getattr(scenario, "recipe", None)
+    if recipe is not None:
+        # What a recipe builds is fixed by its builder, its arguments
+        # and the generator version; hashing those builds nothing, and
+        # a built scenario that carries its recipe shares the key.
+        identity["recipe"] = [recipe.builder, _canonical(recipe.args), recipe.cores_halved]
+        identity["generator"] = GENERATOR_VERSION
+        return identity
+    digest = getattr(scenario, "trace_digest", None)
+    identity["cluster"] = stable_hash(tuple(scenario.cluster))
+    identity["trace"] = digest if digest is not None else _trace_fingerprint(scenario.trace)
+    return identity
 
 
 def _policy_fingerprint(policy) -> Dict[str, Any]:
@@ -438,14 +452,21 @@ class ResultCache:
         atomic_write_bytes(path, blob)
         self.stats.stores += 1
 
-    def _decode(self, blob: bytes) -> Optional[Any]:
-        """Verify and unpickle one entry; ``None`` on any defect."""
+    @staticmethod
+    def _payload(blob: bytes) -> Optional[memoryview]:
+        """An entry's pickled payload, if its header and digest verify."""
         header_len = len(_MAGIC) + 32
         if len(blob) <= header_len or not blob.startswith(_MAGIC):
             return None
-        digest = blob[len(_MAGIC) : header_len]
-        payload = blob[header_len:]
-        if hashlib.sha256(payload).digest() != digest:
+        payload = memoryview(blob)[header_len:]
+        if hashlib.sha256(payload).digest() != blob[len(_MAGIC) : header_len]:
+            return None
+        return payload
+
+    def _decode(self, blob: bytes) -> Optional[Any]:
+        """Verify and unpickle one entry; ``None`` on any defect."""
+        payload = self._payload(blob)
+        if payload is None:
             return None
         try:
             envelope = pickle.loads(payload)
@@ -472,6 +493,19 @@ class ResultCache:
         except OSError:
             return None
         return self._decode(blob)
+
+    def contains(self, key: str) -> bool:
+        """Whether ``key`` has an entry whose digest verifies.
+
+        :meth:`peek` without the unpickling, which for a kept
+        year-long result costs hundreds of megabytes: a fabric worker
+        asks only whether a cell is published.
+        """
+        try:
+            blob = self.path_for(key).read_bytes()
+        except OSError:
+            return False
+        return self._payload(blob) is not None
 
     def iter_entries(self):
         """Yield ``(key, path, size_bytes, mtime)`` for every entry on disk.

@@ -17,7 +17,7 @@ from ..metrics.report import render_table
 from ..policies import policy_from_spec
 from ..schedulers.initial import InitialScheduler, RoundRobinScheduler
 from ..simulator.config import SimulationConfig
-from ..workload.scenarios import year
+from ..workload.scenarios import ScenarioRecipe, year
 from . import presets
 from .cache import open_cache
 from .parallel import CellOutcome, CellTask, execute_cells, make_cell_task
@@ -40,7 +40,9 @@ class Experiment:
     Attributes:
         title: its heading.
         scenario: the scenario builder, ``(scale, seed) -> Scenario``
-            (:func:`~repro.workload.scenarios.year` also takes the horizon).
+            (:func:`~repro.workload.scenarios.year` also takes the
+            horizon); one that a
+            :class:`~repro.workload.scenarios.ScenarioRecipe` can name.
         policies: the default strategies, baseline first: zero-arg
             factories or registry spec strings.
         finish: ``(outcomes, horizon) -> result``, over the cells'
@@ -66,7 +68,7 @@ class Experiment:
         return self.render_figure is None
 
     def tasks(self, scale=None, seed=None, horizon=None, policies=None, config=None) -> List[CellTask]:
-        """One cell per strategy, indexed from 0.
+        """One cell per strategy, indexed from 0, carrying the scenario's recipe.
 
         ``None`` takes the presets: ``REPRO_SCALE`` (``REPRO_YEAR_SCALE``
         for a year-long scenario), ``REPRO_SEED`` and, for a year-long
@@ -75,9 +77,10 @@ class Experiment:
         ``wait_threshold`` as the default.
         """
         if self.scenario is year:
-            scenario = year(presets.year_scale(scale), presets.seed(seed), presets.year_horizon(horizon))
+            args = (presets.year_scale(scale), presets.seed(seed), presets.year_horizon(horizon))
         else:
-            scenario = self.scenario(presets.table_scale(scale), presets.seed(seed))
+            args = (presets.table_scale(scale), presets.seed(seed))
+        scenario = ScenarioRecipe.of(self.scenario, *args)
         config = config or SimulationConfig(strict=False)
         defaults = {"wait_threshold": scenario.wait_threshold}
         return [

@@ -43,6 +43,7 @@ from ..metrics.summary import PerformanceSummary, summarize
 from ..simulator.config import SimulationConfig
 from ..simulator.results import SimulationResult
 from ..simulator.simulation import run_simulation
+from ..workload.scenarios import ScenarioBuilds
 from .cache import ResultCache, cell_cache_key, derive_cell_seed
 
 __all__ = [
@@ -74,7 +75,10 @@ class CellTask:
     Attributes:
         index: position in the grid (outcomes are returned in this
             order regardless of completion order).
-        scenario: the workload + cluster to simulate.
+        scenario: the workload + cluster to simulate: a built
+            :class:`~repro.workload.scenarios.Scenario`, or a
+            :class:`~repro.workload.scenarios.ScenarioRecipe` the grid
+            pass that runs the cell builds.
         policy: the rescheduling policy instance.
         scheduler: the initial scheduler instance (``None`` = engine
             default round-robin).
@@ -256,7 +260,13 @@ def _simulate_task(task: CellTask) -> Tuple[int, PerformanceSummary, Optional[Si
     sample ticks) are on, and when instrumentation is attached (its
     gauges are fed per tick).  ``task.config`` itself — and with it the
     cache key — is left as built.
+
+    A recipe scenario is built here; a grid pass resolves it through
+    its :class:`~repro.workload.scenarios.ScenarioBuilds` first
+    (``builds.resolve(task)``), so cells sharing a scenario share one
+    build.
     """
+    scenario = ScenarioBuilds().get(task.scenario)
     config = task.config
     if not (
         task.keep_result
@@ -266,8 +276,8 @@ def _simulate_task(task: CellTask) -> Tuple[int, PerformanceSummary, Optional[Si
         config = replace(config, record_samples=False)
     start = time.perf_counter()
     result = run_simulation(
-        task.scenario.trace,
-        task.scenario.cluster,
+        scenario.trace,
+        scenario.cluster,
         policy=task.policy,
         initial_scheduler=task.scheduler,
         config=config,

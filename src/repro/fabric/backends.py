@@ -283,7 +283,7 @@ class SubprocessWorkerBackend:
         unpublished = [
             t.cache_key
             for t in tasks
-            if t.cache_key and cache.peek(t.cache_key) is None
+            if t.cache_key and not cache.contains(t.cache_key)
         ]
         if not unpublished:
             return

@@ -18,6 +18,13 @@ distributed, and returns one shape of report.  The division of labour:
   no worker could publish, a lone pending cell, or the whole grid when
   there is no backend — serially in-process.
 
+A cell may carry a :class:`~repro.workload.scenarios.ScenarioRecipe`
+instead of a built scenario.  The coordinator never builds one for the
+fleet: the manifest ships the recipe, and each worker builds the
+scenarios of the cells it claims.  Its own serial pass builds through a
+:class:`~repro.workload.scenarios.ScenarioBuilds` that ends with the
+pass.
+
 Streaming keeps the coordinator's memory at O(grid) summaries: fleet
 cells travel as summaries only (``result=None`` in the cache envelope
 unless the task asked for its full result), so it never materializes
@@ -55,6 +62,7 @@ from ..experiments.parallel import (
     _portable_tasks,
     _simulate_task,
 )
+from ..workload.scenarios import ScenarioBuilds
 from .backends import Backend, BackendError, new_run_id
 from .lease import DEFAULT_TTL_SECONDS, DONE, LeaseStore
 
@@ -364,10 +372,12 @@ def run_grid_fabric(
                 serial_tasks.append(task)
         serial_tasks.sort(key=lambda t: t.index)
 
-    # --- the serial pass
+    # --- the serial pass: cells sharing a recipe share one build, and
+    # the builds go when the pass ends.
+    builds = ScenarioBuilds()
     for task in serial_tasks:
         try:
-            _, summary, result, wall = _simulate_task(task)
+            _, summary, result, wall = _simulate_task(builds.resolve(task))
         except Exception as exc:
             fail(task, exc, 1)
             continue

@@ -9,7 +9,9 @@ same cells everywhere a digest is compared.
 
 Every builder is deterministic in its arguments: same preset + scale
 + seed → same cell ids, same cache keys, same derived per-cell seeds,
-whichever host builds it.  That property is what lets a coordinator
+whichever host builds it.  The cells carry
+:class:`~repro.workload.scenarios.ScenarioRecipe` scenarios, so building
+a grid generates no trace: the process that runs a cell builds it.  That property is what lets a coordinator
 and its workers (or two static shards) construct the grid
 independently and still agree on every cell.
 """
@@ -25,7 +27,7 @@ from ..faults import FaultConfig
 from ..policies import policy_from_spec
 from ..schedulers.initial import RoundRobinScheduler
 from ..simulator.config import SimulationConfig
-from ..workload.scenarios import busy_week, high_load, smoke
+from ..workload.scenarios import ScenarioRecipe, busy_week, high_load, smoke
 
 __all__ = ["GRID_PRESETS", "build_grid", "fault_sweep_grid", "smoke_grid", "table_grid"]
 
@@ -41,7 +43,7 @@ _SMOKE_POLICY_SPECS = ("NoRes", "ResSusUtil", "ResSusWaitUtil")
 
 
 def _build_policies(specs: Sequence[str], scenario) -> List[object]:
-    """Fresh policy instances for one scenario, from registry specs."""
+    """Fresh policy instances for one scenario (or recipe), from registry specs."""
     return [
         policy_from_spec(spec, defaults={"wait_threshold": scenario.wait_threshold})
         for spec in specs
@@ -68,7 +70,7 @@ def fault_sweep_grid(
         mtbf_minutes if mtbf_minutes is not None else exp_presets.fault_mtbfs()
     )
     mttr = mttr_minutes if mttr_minutes is not None else exp_presets.fault_mttr()
-    scenario = high_load(exp_presets.table_scale(scale), exp_presets.seed(seed))
+    scenario = ScenarioRecipe.of(high_load, exp_presets.table_scale(scale), exp_presets.seed(seed))
     specs = tuple(policies) if policies else _FAULT_POLICY_SPECS
     tasks: List[CellTask] = []
     for mtbf in mtbfs:
@@ -96,7 +98,7 @@ def table_grid(
     policies: Optional[Sequence[str]] = None,
 ) -> List[CellTask]:
     """The paper's five policies under normal load (the Table 1/4 axis)."""
-    scenario = busy_week(exp_presets.table_scale(scale), exp_presets.seed(seed))
+    scenario = ScenarioRecipe.of(busy_week, exp_presets.table_scale(scale), exp_presets.seed(seed))
     config = SimulationConfig(strict=False)
     tasks: List[CellTask] = []
     for policy in _build_policies(policies or _TABLE_POLICY_SPECS, scenario):
@@ -130,7 +132,7 @@ def smoke_grid(
     specs = tuple(policies) if policies else _SMOKE_POLICY_SPECS
     tasks: List[CellTask] = []
     for i in range(n_seeds):
-        scenario = smoke(seed=base_seed + i)
+        scenario = ScenarioRecipe.of(smoke, seed=base_seed + i)
         for policy in _build_policies(specs, scenario):
             tasks.append(
                 make_cell_task(

@@ -201,7 +201,7 @@ class FleetLeases(LeaseStore):
             if (lease := self.read(key)) is not None
             and lease.status == CLAIMED
             and lease.worker_id == worker_id
-            and (self._cache.peek(key) is not None) == published
+            and self._cache.contains(key) == published
         ]
 
     def held_by(self, worker_id: str) -> List[str]:
@@ -715,7 +715,7 @@ def sweep_settled_leases(
             if lease is None or lease.status != CLAIMED:
                 candidates.pop(key)
                 continue
-            if cache.peek(key) is None:
+            if not cache.contains(key):
                 # Unpublished claim: not ours to judge — the lease
                 # protocol's TTL owns it.
                 candidates.pop(key)
@@ -822,7 +822,7 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
         def status() -> int:
             abandoned = supervisor.stats.abandoned
             return sum(
-                1 for k in keys if k not in abandoned and cache.peek(k) is None
+                1 for k in keys if k not in abandoned and not cache.contains(k)
             )
 
         def spawn(slot: int, incarnation: int):

@@ -14,6 +14,13 @@ the result through the cache's atomic write; replace the lease with a
 ``done`` marker.  A daemon thread heartbeats every held lease so slow
 cells are not mistaken for dead workers.
 
+A cell whose scenario is a
+:class:`~repro.workload.scenarios.ScenarioRecipe` is built by the worker
+that runs it, through the worker's own
+:class:`~repro.workload.scenarios.ScenarioBuilds` (dropped when the loop
+ends).  A claim pass takes cells of scenarios the worker has built
+first.
+
 Adaptive batching: grids of sub-100ms cells would otherwise spend
 more time on lease I/O than simulation, so the worker claims cells in
 batches whose size doubles while the observed mean cell cost stays
@@ -61,6 +68,7 @@ from ..errors import ReproError
 from ..experiments.cache import ResultCache
 from ..experiments.parallel import CellTask, PickledTasks, _simulate_task
 from ..fsutil import atomic_write_text
+from ..workload.scenarios import ScenarioBuilds
 from .lease import CLAIMED, DEFAULT_TTL_SECONDS, DONE, QUARANTINED, LeaseStore
 
 __all__ = [
@@ -92,7 +100,8 @@ class WorkerStats:
     """What one worker did to the grid (its exit report).
 
     ``claimed`` counts won leases, ``stolen`` the subset won by
-    stale-lease takeover; ``computed`` cells actually simulated;
+    stale-lease takeover; ``built`` scenario traces generated from
+    recipes; ``computed`` cells actually simulated;
     ``published`` results written to the cache; ``skipped`` cells
     observed already published by a peer; ``failed`` cells whose
     simulation raised (lease released, left unpublished for the
@@ -104,6 +113,7 @@ class WorkerStats:
     worker_id: str
     claimed: int = 0
     stolen: int = 0
+    built: int = 0
     computed: int = 0
     published: int = 0
     skipped: int = 0
@@ -242,17 +252,22 @@ def run_worker(
     failed: set = set()
     batch_size = 1
     recent_walls: List[float] = []
+    builds = ScenarioBuilds()
 
     with _Heartbeat(leases, stats) as heartbeat:
         while len(remaining) > len(failed):
             claimed: List[CellTask] = []
             limit = min(batch_size, max(1, (len(remaining) - len(failed)) // TAIL_SHARE))
-            for key in list(remaining):
+            # Cells of scenarios this worker has built first.
+            built_first = sorted(
+                remaining, key=lambda k: not builds.holds(getattr(remaining[k], "scenario", None))
+            )
+            for key in built_first:
                 if len(claimed) >= limit:
                     break
                 if key in failed:
                     continue
-                if cache.peek(key) is not None:
+                if cache.contains(key):
                     remaining.pop(key)
                     stats.skipped += 1
                     continue
@@ -268,13 +283,13 @@ def run_worker(
                     continue
                 if before is not None and before.status != CLAIMED:
                     # Publication order is cache.put → release_done, so
-                    # a done marker normally means our peek above lost a
-                    # race with the publisher — re-peek before trusting
+                    # a done marker normally means our check above lost a
+                    # race with the publisher — re-check before trusting
                     # it.  A done marker with *still* no cache entry is
                     # a genuine orphan (the entry was gc'ed), and another
                     # run's quarantine is not this run's verdict; clear
                     # either so the cell is claimable again.
-                    if before.status == DONE and cache.peek(key) is not None:
+                    if before.status == DONE and cache.contains(key):
                         remaining.pop(key)
                         stats.skipped += 1
                         continue
@@ -297,7 +312,7 @@ def run_worker(
                 try:
                     if chaos is not None:
                         chaos.on_compute(key, ordinal)
-                    _, summary, result, wall = _simulate_task(task)
+                    _, summary, result, wall = _simulate_task(builds.resolve(task))
                     if cell_floor is not None and wall < cell_floor:
                         sleep(cell_floor - wall)
                         wall = cell_floor
@@ -355,6 +370,7 @@ def run_worker(
                 if wake_fd is None:
                     sleep(poll_interval)
 
+    stats.built = builds.built
     stats.wall_seconds = time.perf_counter() - start
     return stats
 

@@ -366,7 +366,7 @@ CLAIMS: Tuple[Claim, ...] = tuple(_REGISTERED)
 
 
 def run_experiments(
-    keys: Iterable[str], scale=None, seed=None, year_horizon=None, **execution: Any
+    keys: Iterable[str], scale=None, seed=None, year_horizon=None, policies=None, **execution: Any
 ) -> Dict[str, Any]:
     """Run the experiments in ``keys`` as one grid; key -> result.
 
@@ -374,12 +374,19 @@ def run_experiments(
     (``execution``: ``workers``, ``cache_dir``, ``use_cache``,
     ``progress``), where a cell two experiments share is simulated
     once; each experiment then finishes its own slice of the outcomes.
+
+    ``scale`` is the cluster scale of *every* cell, the year-long
+    Figures 2 and 4 included.  ``None`` takes the presets instead,
+    which differ: ``REPRO_SCALE`` (default 0.25) for the tables and
+    Figure 3, ``REPRO_YEAR_SCALE`` (default 0.08) for Figures 2 and 4.
+    ``policies``, when given, replaces every experiment's strategies
+    (see :meth:`Experiment.tasks`).
     """
     grid: List = []
     slices: Dict[str, slice] = {}
     for key in keys:
         start = len(grid)
-        for task in EXPERIMENTS[key].tasks(scale, seed, year_horizon):
+        for task in EXPERIMENTS[key].tasks(scale, seed, year_horizon, policies):
             grid.append(replace(task, index=len(grid)))
         slices[key] = slice(start, len(grid))
     outcomes = execute_grid(grid, **execution)
@@ -400,7 +407,10 @@ def validate_paper_claims(
     seed: Optional[int] = None,
     year_horizon: Optional[float] = None,
 ) -> ValidationReport:
-    """Run every experiment a claim needs, as one grid, and check :data:`CLAIMS`."""
+    """Run every experiment a claim needs, as one grid, and check :data:`CLAIMS`.
+
+    ``scale`` applies to every cell, as in :func:`run_experiments`.
+    """
     needed = {key for claim in CLAIMS for key in claim.needs}
     results = run_experiments([key for key in EXPERIMENTS if key in needed], scale, seed, year_horizon)
     return ValidationReport(results=evaluate_claims(results))

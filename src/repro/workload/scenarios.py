@@ -18,6 +18,15 @@ below correspond to the paper's evaluation conditions:
   time series).
 * :func:`smoke` — a tiny deterministic scenario for unit tests.
 
+A :class:`ScenarioRecipe` names one of these builds — the builder and
+its arguments — without running it, and carries the ``name``, ``seed``
+and ``wait_threshold`` the build will have.  A grid cell that holds a
+recipe ships a few hundred bytes instead of a trace, and is built where
+it runs, through the :class:`ScenarioBuilds` cache of the grid pass
+that runs it.  Every scenario these builders return carries its recipe
+too, so cache keys name the recipe whether a cell holds the recipe or
+the built scenario.
+
 Every preset takes ``scale`` (machines-per-pool multiplier, with arrival
 rates re-derived from the scaled cluster so utilization is preserved)
 and ``seed``.  The derivation targets the paper's operating point:
@@ -27,8 +36,10 @@ average utilization around 40% and a NoRes suspend rate on the order of
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
-from typing import Tuple
+import inspect
+from collections import OrderedDict
+from dataclasses import dataclass, field, replace
+from typing import Any, Callable, Dict, Optional, Tuple
 
 from ..errors import ConfigurationError
 from .arrivals import BurstProcess, DiurnalPoissonProcess
@@ -38,7 +49,10 @@ from .generator import WorkloadGenerator, WorkloadModel
 from .trace import Trace
 
 __all__ = [
+    "GENERATOR_VERSION",
     "Scenario",
+    "ScenarioBuilds",
+    "ScenarioRecipe",
     "busy_week",
     "high_load",
     "high_suspension",
@@ -55,10 +69,25 @@ WEEK_MINUTES = 10_080.0
 #: about twice the expected average waiting time in the original system".
 DEFAULT_WAIT_THRESHOLD = 30.0
 
+#: Version of what the builders below generate.  A recipe's cache key
+#: names its builder and arguments, not its jobs, so bump this whenever
+#: a builder's trace or cluster changes for the same arguments.
+#: ``tests/test_generation_golden.py`` pins what they generate next to
+#: this number, so re-pinning a digest without bumping it fails.
+GENERATOR_VERSION = 1
+
 
 @dataclass(frozen=True)
 class Scenario:
-    """A ready-to-simulate experiment condition."""
+    """A ready-to-simulate experiment condition.
+
+    ``recipe`` is the :class:`ScenarioRecipe` of the builder call that
+    made the scenario, when a builder of this module did (``None``
+    otherwise).  A cache key names it instead of hashing the trace and
+    cluster, so a scenario derived with :func:`dataclasses.replace` that
+    changes either must pass ``recipe=None``;
+    :meth:`with_cores_halved` carries it over itself.
+    """
 
     name: str
     description: str
@@ -66,15 +95,53 @@ class Scenario:
     trace: Trace
     seed: int
     wait_threshold: float = DEFAULT_WAIT_THRESHOLD
+    recipe: Optional["ScenarioRecipe"] = field(default=None, compare=False, repr=False)
 
     def with_cores_halved(self) -> "Scenario":
         """This scenario on the paper's high-load (half-cores) cluster."""
         return replace(
             self,
-            name=f"{self.name}+high-load",
+            name=_cores_halved_name(self.name),
             description=f"{self.description} (cores halved)",
             cluster=self.cluster.with_cores_halved(),
+            recipe=self.recipe.with_cores_halved() if self.recipe is not None else None,
         )
+
+
+def _cores_halved_name(name: str) -> str:
+    return f"{name}+high-load"
+
+
+#: Builders a recipe can name, by name.
+_RECIPE_BUILDERS: Dict[str, Callable[..., Scenario]] = {}
+#: Builder name -> the name of the scenario it builds; builders take
+#: their scenario's name from here, through their recipe.
+_SCENARIO_NAMES: Dict[str, str] = {}
+#: Builder name -> the builder it re-runs on the half-cores cluster.
+_CORES_HALVED_OF: Dict[str, str] = {}
+
+
+def _recipe_builder(scenario_name: str):
+    """Register a builder a :class:`ScenarioRecipe` can name, whose
+    scenarios are called ``scenario_name``."""
+
+    def register(builder):
+        _RECIPE_BUILDERS[builder.__name__] = builder
+        _SCENARIO_NAMES[builder.__name__] = scenario_name
+        return builder
+
+    return register
+
+
+def _cores_halved_builder(base):
+    """Register a builder that re-runs ``base`` on the half-cores cluster."""
+
+    def register(builder):
+        _RECIPE_BUILDERS[builder.__name__] = builder
+        _CORES_HALVED_OF[builder.__name__] = base.__name__
+        return builder
+
+    return register
 
 
 def _derive_base_rate(
@@ -108,7 +175,7 @@ def _burst_rate_for(
 
 
 def _build_scenario(
-    name: str,
+    recipe: "ScenarioRecipe",
     description: str,
     *,
     scale: float,
@@ -183,11 +250,12 @@ def _build_scenario(
     )
     trace = WorkloadGenerator(model, streams.spawn("workload")).generate()
     return Scenario(
-        name=name,
+        name=recipe.name,
         description=description,
         cluster=cluster,
         trace=trace,
         seed=seed,
+        recipe=recipe,
     )
 
 
@@ -229,6 +297,7 @@ def _business_group_pool_sets(template: ClusterTemplate) -> Tuple[Tuple[str, ...
     return tuple(groups)
 
 
+@_recipe_builder("busy-week")
 def busy_week(scale: float = 0.25, seed: int = 2010) -> Scenario:
     """The paper's one-week busy period under normal load.
 
@@ -237,7 +306,7 @@ def busy_week(scale: float = 0.25, seed: int = 2010) -> Scenario:
     site stays moderately (~40%) utilized.
     """
     return _build_scenario(
-        "busy-week",
+        ScenarioRecipe.of(busy_week, scale, seed),
         "one-week busy period, normal load (~40% utilization)",
         scale=scale,
         seed=seed,
@@ -252,11 +321,13 @@ def busy_week(scale: float = 0.25, seed: int = 2010) -> Scenario:
     )
 
 
+@_cores_halved_builder(busy_week)
 def high_load(scale: float = 0.25, seed: int = 2010) -> Scenario:
     """The busy week re-run on the half-cores cluster (paper Tables 2-5)."""
-    return busy_week(scale=scale, seed=seed).with_cores_halved()
+    return ScenarioRecipe.of(high_load, scale, seed).build()
 
 
+@_recipe_builder("high-suspension")
 def high_suspension(scale: float = 0.25, seed: int = 2010) -> Scenario:
     """An engineered trace with an order-of-magnitude higher suspend rate.
 
@@ -267,7 +338,7 @@ def high_suspension(scale: float = 0.25, seed: int = 2010) -> Scenario:
     the low-priority population gets preempted at least once.
     """
     return _build_scenario(
-        "high-suspension",
+        ScenarioRecipe.of(high_suspension, scale, seed),
         "engineered heavy-burst week with ~10x the baseline suspend rate",
         scale=scale,
         seed=seed,
@@ -283,6 +354,7 @@ def high_suspension(scale: float = 0.25, seed: int = 2010) -> Scenario:
     )
 
 
+@_recipe_builder("year")
 def year(
     scale: float = 0.06,
     seed: int = 2010,
@@ -299,7 +371,7 @@ def year(
     being a flat Poisson process.
     """
     return _build_scenario(
-        "year",
+        ScenarioRecipe.of(year, scale, seed, horizon, diurnal),
         f"long-horizon ({horizon:.0f} min) trace for Figures 2 and 4",
         scale=scale,
         seed=seed,
@@ -313,6 +385,7 @@ def year(
     )
 
 
+@_recipe_builder("smoke")
 def smoke(seed: int = 7) -> Scenario:
     """A tiny deterministic scenario for unit and integration tests.
 
@@ -356,10 +429,128 @@ def smoke(seed: int = 7) -> Scenario:
         burst=replace(burst, burst_rate=burst_rate),
     )
     trace = WorkloadGenerator(model, streams.spawn("workload")).generate()
+    recipe = ScenarioRecipe.of(smoke, seed)
     return Scenario(
-        name="smoke",
+        name=recipe.name,
         description="tiny three-day scenario for tests",
         cluster=cluster,
         trace=trace,
         seed=seed,
+        recipe=recipe,
     )
+
+
+@dataclass(frozen=True)
+class ScenarioRecipe:
+    """One scenario build, named by its builder and arguments.
+
+    ``name``, ``seed`` and ``wait_threshold`` are those of the scenario
+    :meth:`build` returns, so a cell id, child seed and policy defaults
+    derive from the recipe exactly as from the built scenario.  Make
+    one with :meth:`of`.
+
+    Attributes:
+        builder: the builder's name (``busy_week``,
+            ``high_suspension``, ``year`` or ``smoke``).
+        args: every builder argument, defaults included, as
+            ``(name, value)`` pairs in signature order.
+        cores_halved: the build is re-run on the half-cores cluster
+            (:meth:`Scenario.with_cores_halved`); a ``high_load``
+            recipe is its ``busy_week`` recipe with this set.
+    """
+
+    builder: str
+    args: Tuple[Tuple[str, Any], ...]
+    name: str
+    seed: int
+    wait_threshold: float = DEFAULT_WAIT_THRESHOLD
+    cores_halved: bool = False
+
+    @classmethod
+    def of(cls, builder, *args, **kwargs) -> "ScenarioRecipe":
+        """The recipe of ``builder(*args, **kwargs)``; ``builder`` is a
+        builder function of this module or its name."""
+        key = builder if isinstance(builder, str) else builder.__name__
+        known = _RECIPE_BUILDERS.get(key)
+        if known is None or not (isinstance(builder, str) or builder is known):
+            raise ConfigurationError(
+                f"no scenario recipe for {key!r} "
+                f"(available: {', '.join(_RECIPE_BUILDERS)})"
+            )
+        if key in _CORES_HALVED_OF:
+            return cls.of(_CORES_HALVED_OF[key], *args, **kwargs).with_cores_halved()
+        bound = inspect.signature(known).bind(*args, **kwargs)
+        bound.apply_defaults()
+        return cls(key, tuple(bound.arguments.items()), _SCENARIO_NAMES[key], bound.arguments["seed"])
+
+    def with_cores_halved(self) -> Optional["ScenarioRecipe"]:
+        """The recipe of this build on the half-cores cluster; ``None``
+        if its cores are halved already (no recipe halves twice)."""
+        if self.cores_halved:
+            return None
+        return replace(self, name=_cores_halved_name(self.name), cores_halved=True)
+
+    @property
+    def base(self) -> Optional["ScenarioRecipe"]:
+        """The recipe whose build this one halves the cores of, else ``None``."""
+        if not self.cores_halved:
+            return None
+        return replace(self, name=_SCENARIO_NAMES[self.builder], cores_halved=False)
+
+    def build(self) -> Scenario:
+        """Run the builder."""
+        base = self.base
+        if base is not None:
+            return base.build().with_cores_halved()
+        return _RECIPE_BUILDERS[self.builder](**dict(self.args))
+
+
+class ScenarioBuilds:
+    """The scenarios one grid pass built from recipes; the last few are kept.
+
+    A grid pass (a fabric worker's loop, or the coordinator's serial
+    pass) owns one and drops it when the pass ends, so no trace
+    outlives its grid.  A high-load recipe is its busy-week build with
+    the cores halved, so it generates no trace of its own.
+    """
+
+    #: Built scenarios kept, most recently used first.  A grid's cells
+    #: sharing a scenario run together, so a few are enough.
+    SIZE = 4
+
+    def __init__(self) -> None:
+        self._kept: "OrderedDict[ScenarioRecipe, Scenario]" = OrderedDict()
+        #: Traces generated (builder runs) so far.
+        self.built = 0
+
+    def holds(self, scenario) -> bool:
+        """Whether ``scenario`` is ready without generating a trace."""
+        if not isinstance(scenario, ScenarioRecipe):
+            return True
+        return scenario in self._kept or scenario.base in self._kept
+
+    def get(self, scenario) -> Scenario:
+        """``scenario`` built (a built :class:`Scenario` is returned as is)."""
+        if not isinstance(scenario, ScenarioRecipe):
+            return scenario
+        built = self._kept.get(scenario)
+        if built is not None:
+            self._kept.move_to_end(scenario)
+            return built
+        base = scenario.base
+        if base is not None:
+            built = self.get(base).with_cores_halved()
+        else:
+            built = scenario.build()
+            self.built += 1
+        self._kept[scenario] = built
+        if len(self._kept) > self.SIZE:
+            self._kept.popitem(last=False)
+        return built
+
+    def resolve(self, task):
+        """``task`` (a grid cell) with its scenario built through this cache."""
+        scenario = getattr(task, "scenario", None)
+        if not isinstance(scenario, ScenarioRecipe):
+            return task
+        return replace(task, scenario=self.get(scenario))

@@ -213,7 +213,7 @@ class TestSchemaBump:
         with pytest.raises(TypeError):
             pickle.loads(payload)
 
-        assert CACHE_SCHEMA_VERSION == 3
+        assert CACHE_SCHEMA_VERSION == 4
         cache = ResultCache(tmp_path)
         key = "cc" + "0" * 62
         path = _write_entry(cache, key, payload)

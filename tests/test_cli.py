@@ -3,6 +3,7 @@
 import pytest
 
 from repro.cli import build_parser, main
+from repro.validation import EXPERIMENTS
 
 
 class TestParser:
@@ -73,6 +74,27 @@ class TestCommands:
         out = capsys.readouterr().out
         assert "Table 1" in out
         assert "NoRes" in out
+
+    def test_table_all_is_one_grid(self, capsys, monkeypatch):
+        import repro.fabric.coordinator as coordinator_mod
+
+        real, simulated = coordinator_mod._simulate_task, []
+
+        def sim(task):
+            simulated.append(task.cell_id)
+            return real(task)
+
+        monkeypatch.setattr(coordinator_mod, "_simulate_task", sim)
+        monkeypatch.delenv("REPRO_WORKERS", raising=False)
+        code = main(["table", "all", "--scale", "0.03", "--no-cache"])
+        assert code == 0
+        lines = capsys.readouterr().out.splitlines()
+        cells = [line for line in lines if line.startswith("  [") and line.endswith(" simulated")]
+        # Tables 4 and 5 share their NoRes cells with Tables 2 and 3.
+        assert (len(cells), len(simulated)) == (17, 15)
+        assert [line for line in lines if line.startswith(("Table", "High"))] == [
+            experiment.title for experiment in EXPERIMENTS.values() if experiment.is_table
+        ]
 
     def test_figure3_small_scale(self, capsys):
         code = main(["figure", "3", "--scale", "0.05"])

@@ -6,6 +6,11 @@ a change to every result.  These digests hash every field of every job
 (``_trace_fingerprint``, the cache key's trace component) and the
 generated cluster, for each preset at small scale and two seeds; any
 speed work on the generator must leave them bit-identical.
+
+A cache key of a recipe-built scenario names its builder, arguments and
+``GENERATOR_VERSION`` instead of hashing the trace, so the version is
+pinned here beside the digests: re-pinning a digest without bumping it
+fails, and would otherwise serve stale cached results.
 """
 
 from __future__ import annotations
@@ -19,10 +24,15 @@ BUILDERS = {
     "busy_week": lambda seed: scenarios.busy_week(scale=0.05, seed=seed),
     "high_suspension": lambda seed: scenarios.high_suspension(scale=0.05, seed=seed),
     "smoke": lambda seed: scenarios.smoke(seed=seed),
+    "year": lambda seed: scenarios.year(scale=0.02, seed=seed, horizon=20_000.0),
     "year-diurnal": lambda seed: scenarios.year(
         scale=0.02, seed=seed, horizon=20_000.0, diurnal=True
     ),
 }
+
+#: The ``GENERATOR_VERSION`` that generates :data:`GOLDEN`; bump both
+#: together.
+GOLDEN_GENERATOR_VERSION = 1
 
 #: (scenario, seed) -> (job count, trace fingerprint, cluster hash).
 GOLDEN = {
@@ -56,6 +66,16 @@ GOLDEN = {
         "3e811b501c3209ecebf7a5bd2cd680fafa1e8af112e77505f38026fd0dec773b",
         "de52bd01f6e0e029f9fc3774414f1e103bb44dc4711d120c1a92c202702c5523",
     ),
+    ("year", 1): (
+        3919,
+        "fef9bf940bf2e5d171dfc4cbf8a898ace20909b9f186f298635377b7d15cd5a0",
+        "df48c283b8ed81f989acc229cba1f34f5e193de561912595331096f7d8dd5466",
+    ),
+    ("year", 2): (
+        3410,
+        "32144be21079d15d9228f3b41b32c670e61b9ca424eadc579b53ddd57de5b0dd",
+        "c10d2b28a3c926cefaf4cfa73f01d835d3e233c7b7c4d2eef5986522c474d4b8",
+    ),
     ("year-diurnal", 1): (
         3423,
         "e173ef092cda1c79311803625f831d05ff1f8306e823228060b6a8cf55c9c72b",
@@ -78,3 +98,9 @@ def test_generated_scenario_is_bit_identical(name, seed):
         stable_hash(tuple(scenario.cluster)),
     )
     assert got == GOLDEN[(name, seed)], f"{name} seed={seed} generated a different scenario"
+
+
+def test_golden_is_pinned_to_the_generator_version():
+    assert scenarios.GENERATOR_VERSION == GOLDEN_GENERATOR_VERSION, (
+        "GENERATOR_VERSION changed: re-pin GOLDEN and GOLDEN_GENERATOR_VERSION together"
+    )
