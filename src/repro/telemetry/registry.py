@@ -156,9 +156,6 @@ class _GaugeSeries:
     def inc(self, amount: float = 1.0) -> None:
         self.value += amount
 
-    def dec(self, amount: float = 1.0) -> None:
-        self.value -= amount
-
 
 class Gauge(_Metric):
     """A value that can go up and down (queue depth, utilization)."""

@@ -22,6 +22,7 @@ from __future__ import annotations
 import math
 import random
 from dataclasses import dataclass
+from math import log as _log
 from typing import Iterator, List, Optional, Tuple
 
 from ..errors import ConfigurationError
@@ -66,24 +67,18 @@ class PoissonProcess:
         """Generate sorted arrival times on ``[0, horizon)``."""
         if horizon < 0:
             raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
-        if self.rate == 0:
-            return []
-        times: List[float] = []
-        t = 0.0
-        mean_gap = 1.0 / self.rate
-        while True:
-            t += rng.expovariate(1.0 / mean_gap)
-            if t >= horizon:
-                return times
-            times.append(t)
+        return list(self.iter_arrivals(horizon, rng))
 
     def iter_arrivals(self, horizon: float, rng: random.Random) -> Iterator[float]:
         """Lazily yield arrival times on ``[0, horizon)``."""
-        if self.rate == 0:
+        rate = self.rate
+        if rate == 0:
             return
+        draw = rng.random
         t = 0.0
         while True:
-            t += rng.expovariate(self.rate)
+            # rng.expovariate(rate), inlined: the same arithmetic.
+            t += -_log(1.0 - draw()) / rate
             if t >= horizon:
                 return
             yield t
@@ -147,12 +142,14 @@ class DiurnalPoissonProcess:
         if self.base_rate == 0:
             return
         max_rate = self.base_rate * (1.0 + self.daily_amplitude)
+        draw = rng.random
+        rate_at = self.rate_at
         t = 0.0
         while True:
-            t += rng.expovariate(max_rate)
+            t += -_log(1.0 - draw()) / max_rate  # rng.expovariate(max_rate)
             if t >= horizon:
                 return
-            if rng.random() <= self.rate_at(t) / max_rate:
+            if draw() <= rate_at(t) / max_rate:
                 yield t
 
     def arrivals(self, horizon: float, rng: random.Random) -> List[float]:
@@ -221,29 +218,36 @@ class BurstProcess:
         if horizon < 0:
             raise ConfigurationError(f"horizon must be >= 0, got {horizon}")
         result: List[BurstWindow] = []
+        # Each gap is rng.expovariate(rate), inlined with the same
+        # arithmetic: -log(1 - random()) / rate.
+        draw = rng.random
+        gap_rate = 1.0 / self.mean_gap
+        duration_rate = 1.0 / self.mean_duration
+        burst_rate = self.burst_rate
         t = 0.0
         first = True
         while True:
             if first and self.first_burst_start is not None:
                 t = self.first_burst_start
             else:
-                t += rng.expovariate(1.0 / self.mean_gap)
+                t += -_log(1.0 - draw()) / gap_rate
             if t >= horizon:
                 return result
             if first and self.first_burst_start is not None:
                 duration = self.first_burst_duration or self.mean_duration
             else:
-                duration = rng.expovariate(1.0 / self.mean_duration)
+                duration = -_log(1.0 - draw()) / duration_rate
             first = False
             end = min(t + duration, horizon)
             arrivals: List[float] = []
-            if self.burst_rate > 0:
+            if burst_rate > 0:
+                append = arrivals.append
                 a = t
                 while True:
-                    a += rng.expovariate(self.burst_rate)
+                    a += -_log(1.0 - draw()) / burst_rate
                     if a >= end:
                         break
-                    arrivals.append(a)
+                    append(a)
             result.append(BurstWindow(start=t, end=end, arrivals=tuple(arrivals)))
             t = end
 

@@ -13,11 +13,12 @@ The sampler classes implement a tiny common protocol::
 
 where ``rng`` is a :class:`random.Random`.  Samplers are immutable value
 objects: they carry their parameters and, for the weighted
-:class:`Mixture` and :class:`Categorical`, a lookup table derived from
-them once at construction.  They carry no state that a draw changes,
-which makes them safe to share between generators and trivial to
-compare in tests; the derived table is not a dataclass field, so
-``repr``, ``==`` and field-based hashing see the parameters alone.
+:class:`Mixture` and :class:`Categorical` and for :class:`BoundedPareto`,
+a lookup table or constants derived from them once at construction.
+They carry no state that a draw changes, which makes them safe to share
+between generators and trivial to compare in tests; what is derived is
+not a dataclass field, so ``repr``, ``==`` and field-based hashing see
+the parameters alone.
 """
 
 from __future__ import annotations
@@ -28,6 +29,8 @@ import random
 from bisect import bisect
 from dataclasses import dataclass
 from itertools import accumulate
+from math import exp as _exp, log as _log
+from random import NV_MAGICCONST as _NV_MAGICCONST
 from typing import Sequence, Tuple
 
 from ..errors import ConfigurationError
@@ -170,7 +173,16 @@ class LogNormal(Sampler):
             raise ConfigurationError(f"LogNormal: sigma must be >= 0, got {self.sigma}")
 
     def sample(self, rng: random.Random) -> float:
-        return rng.lognormvariate(self.mu, self.sigma)
+        # rng.lognormvariate(mu, sigma) without its two nested calls:
+        # CPython's Kinderman-Monahan normalvariate loop, same arithmetic
+        # in the same order, so the draws and the stream's state match.
+        draw = rng.random
+        while True:
+            u1 = draw()
+            u2 = 1.0 - draw()
+            z = _NV_MAGICCONST * (u1 - 0.5) / u2
+            if z * z / 4.0 <= -_log(u2):
+                return _exp(self.mu + z * self.sigma)
 
     def mean(self) -> float:
         return math.exp(self.mu + self.sigma * self.sigma / 2.0)
@@ -207,13 +219,16 @@ class BoundedPareto(Sampler):
             raise ConfigurationError(
                 f"BoundedPareto: need 0 < low < high, got low={self.low} high={self.high}"
             )
+        la = self.low**self.alpha
+        ha = self.high**self.alpha
+        # Stored like Mixture's table: not a field, so not part of the value.
+        object.__setattr__(self, "_constants", (la, ha, ha * la, -1.0 / self.alpha))
 
     def sample(self, rng: random.Random) -> float:
         # Inverse-transform sampling of the truncated Pareto CDF.
         u = rng.random()
-        la = self.low**self.alpha
-        ha = self.high**self.alpha
-        return (-(u * ha - u * la - ha) / (ha * la)) ** (-1.0 / self.alpha)
+        la, ha, hala, exponent = self._constants
+        return (-(u * ha - u * la - ha) / hala) ** exponent
 
     def mean(self) -> float:
         a, lo, hi = self.alpha, self.low, self.high

@@ -25,6 +25,7 @@ are in :mod:`repro.workload.scenarios`.
 from __future__ import annotations
 
 import random
+from bisect import bisect
 from dataclasses import dataclass, field
 from typing import List, Optional, Tuple
 
@@ -226,12 +227,17 @@ class WorkloadGenerator:
         group_count = len(group_pool_sets) if group_pool_sets else 0
         # One name object per group, shared by all of that group's jobs.
         group_users = [f"group-{group:02d}" for group in range(group_count)]
-        # Bound once: this loop runs once per base-stream job.
+        # Bound once: this loop runs once per base-stream job.  Each
+        # Categorical draw is its sample(), inlined on its table; the
+        # values are converted once here instead of once per draw.
         append = jobs.append
         attr_random = attr_rng.random
-        sample_os = model.os_families.sample
-        sample_cores = model.cores.sample
-        sample_memory = model.memory_gb.sample
+        os_values, os_cum, os_total, os_hi = model.os_families._table
+        os_values = tuple(map(str, os_values))
+        cores_values, cores_cum, cores_total, cores_hi = model.cores._table
+        cores_values = tuple(map(int, cores_values))
+        mem_values, mem_cum, mem_total, mem_hi = model.memory_gb._table
+        mem_values = tuple(map(float, mem_values))
         sample_runtime = model.runtime.sample
         medium_fraction = model.medium_priority_fraction
         medium_priority = model.medium_priority
@@ -253,7 +259,7 @@ class WorkloadGenerator:
                 this_task: Optional[int] = task_id
             else:
                 this_task = None
-            os_family = str(sample_os(attr_rng))
+            os_family = os_values[bisect(os_cum, attr_random() * os_total, 0, os_hi)]
             candidate_pools: Optional[Tuple[str, ...]] = None
             if group_count and os_family == "linux":
                 group = next_id % group_count
@@ -261,20 +267,13 @@ class WorkloadGenerator:
                 user = group_users[group]
             else:
                 user = users[next_id % user_count]
-            append(
-                TraceJob(
-                    job_id=next_id,
-                    submit_minute=submit,
-                    runtime_minutes=max(0.5, sample_runtime(runtime_rng)),
-                    priority=priority,
-                    cores=int(sample_cores(attr_rng)),
-                    memory_gb=float(sample_memory(attr_rng)),
-                    os_family=os_family,
-                    candidate_pools=candidate_pools,
-                    task_id=this_task,
-                    user=user,
-                )
-            )
+            runtime = sample_runtime(runtime_rng)
+            append(TraceJob(
+                next_id, submit, runtime if runtime > 0.5 else 0.5, priority,
+                cores_values[bisect(cores_cum, attr_random() * cores_total, 0, cores_hi)],
+                mem_values[bisect(mem_cum, attr_random() * mem_total, 0, mem_hi)],
+                os_family, candidate_pools, this_task, user,
+            ))
             next_id += 1
         return next_id
 
@@ -284,10 +283,14 @@ class WorkloadGenerator:
         attr_rng = self._streams.stream("burst-attributes")
         runtime_rng = self._streams.stream("burst-runtimes")
 
-        # Bound once: the inner loop runs once per burst job.
+        # Bound once: the inner loop runs once per burst job (see
+        # _generate_base_stream for the inlined Categorical draws).
         append = jobs.append
-        sample_cores = model.cores.sample
-        sample_memory = model.memory_gb.sample
+        attr_random = attr_rng.random
+        cores_values, cores_cum, cores_total, cores_hi = model.cores._table
+        cores_values = tuple(map(int, cores_values))
+        mem_values, mem_cum, mem_total, mem_hi = model.memory_gb._table
+        mem_values = tuple(map(float, mem_values))
         sample_runtime = model.burst_runtime.sample
         high_priority = model.high_priority
         windows = model.burst.windows(model.horizon_minutes, burst_rng)
@@ -295,22 +298,15 @@ class WorkloadGenerator:
             target_pools = self._pick_burst_pools(window, attr_rng)
             owner = f"owner-{int(window.start) % 7}"
             for submit in window.arrivals:
-                append(
-                    TraceJob(
-                        job_id=next_id,
-                        submit_minute=submit,
-                        runtime_minutes=max(0.5, sample_runtime(runtime_rng)),
-                        priority=high_priority,
-                        cores=int(sample_cores(attr_rng)),
-                        memory_gb=float(sample_memory(attr_rng)),
-                        # Burst jobs stay on the dominant OS so the pool
-                        # pressure concentrates, as in the paper.
-                        os_family="linux",
-                        candidate_pools=target_pools,
-                        task_id=None,
-                        user=owner,
-                    )
-                )
+                runtime = sample_runtime(runtime_rng)
+                # Burst jobs stay on the dominant OS so the pool pressure
+                # concentrates, as in the paper.
+                append(TraceJob(
+                    next_id, submit, runtime if runtime > 0.5 else 0.5, high_priority,
+                    cores_values[bisect(cores_cum, attr_random() * cores_total, 0, cores_hi)],
+                    mem_values[bisect(mem_cum, attr_random() * mem_total, 0, mem_hi)],
+                    "linux", target_pools, None, owner,
+                ))
                 next_id += 1
         return next_id
 

@@ -31,9 +31,11 @@ PRIORITY_MEDIUM = 50
 PRIORITY_HIGH = 100
 
 _INF = float("inf")
+_submit_minute = attrgetter("submit_minute")
+_job_id = attrgetter("job_id")
 
 
-@dataclass(frozen=True, slots=True)
+@dataclass(frozen=True, slots=True, init=False)
 class TraceJob:
     """One submitted job, as recorded in a NetBatch-style trace.
 
@@ -68,6 +70,27 @@ class TraceJob:
     candidate_pools: Optional[Tuple[str, ...]] = None
     task_id: Optional[int] = None
     user: str = ""
+
+    def __init__(
+        self, job_id: int, submit_minute: float, runtime_minutes: float,
+        priority: int = PRIORITY_LOW, cores: int = 1, memory_gb: float = 1.0,
+        os_family: str = "linux", candidate_pools: Optional[Tuple[str, ...]] = None,
+        task_id: Optional[int] = None, user: str = "",
+    ) -> None:
+        # The dataclass's frozen __init__ makes one object.__setattr__
+        # call per field; the slots' own descriptors set them in half
+        # the time.  Generators build one record per job.
+        _set_job_id(self, job_id)
+        _set_submit_minute(self, submit_minute)
+        _set_runtime_minutes(self, runtime_minutes)
+        _set_priority(self, priority)
+        _set_cores(self, cores)
+        _set_memory_gb(self, memory_gb)
+        _set_os_family(self, os_family)
+        _set_candidate_pools(self, candidate_pools)
+        _set_task_id(self, task_id)
+        _set_user(self, user)
+        self.__post_init__()
 
     def __post_init__(self) -> None:
         if self.job_id < 0:
@@ -104,6 +127,13 @@ class TraceJob:
 #: The field values of a :class:`TraceJob`, read shallowly in field order.
 _trace_job_values = attrgetter(*(f.name for f in fields(TraceJob)))
 
+#: Each slot's setter, which bypasses the frozen ``__setattr__``.
+(
+    _set_job_id, _set_submit_minute, _set_runtime_minutes, _set_priority,
+    _set_cores, _set_memory_gb, _set_os_family, _set_candidate_pools,
+    _set_task_id, _set_user,
+) = (TraceJob.__dict__[f.name].__set__ for f in fields(TraceJob))
+
 
 @dataclass(frozen=True)
 class TraceStats:
@@ -133,13 +163,14 @@ class Trace:
     """
 
     def __init__(self, jobs: Sequence[TraceJob]) -> None:
-        ordered = sorted(jobs, key=lambda j: j.submit_minute)
-        seen: set = set()
-        for job in ordered:
-            if job.job_id in seen:
-                raise TraceError(f"duplicate job_id in trace: {job.job_id}")
-            seen.add(job.job_id)
-        self._jobs: Tuple[TraceJob, ...] = tuple(ordered)
+        ordered = tuple(sorted(jobs, key=_submit_minute))
+        if len(set(map(_job_id, ordered))) != len(ordered):
+            seen: set = set()
+            for job in ordered:
+                if job.job_id in seen:
+                    raise TraceError(f"duplicate job_id in trace: {job.job_id}")
+                seen.add(job.job_id)
+        self._jobs: Tuple[TraceJob, ...] = ordered
 
     # -- container protocol ------------------------------------------------
 

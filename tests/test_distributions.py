@@ -1,5 +1,6 @@
 """Unit tests for repro.workload.distributions."""
 
+import copy
 import dataclasses
 import math
 import pickle
@@ -249,6 +250,14 @@ class TestWeightedPick:
             "fb7031f1192c9bec84a500789301c571269e5ec1b19f2965872434b95615c667"
         )
         assert runtime == default_runtime_model()
+        tail = runtime.components[1]
+        assert [f.name for f in dataclasses.fields(tail)] == ["alpha", "low", "high"]
+        assert repr(tail) == "BoundedPareto(alpha=1.35, low=400.0, high=9000.0)"
+        assert stable_hash(tail) == (
+            "1f512cdbc63d1e1132e9a73c9ea3263f44748904d7ddbcfc6748e3e6e75db52c"
+        )
+        assert tail == BoundedPareto(1.35, 400.0, 9000.0)
+        assert hash(tail) == hash(BoundedPareto(1.35, 400.0, 9000.0))
 
     def test_copies_keep_or_rebuild_the_table(self):
         coin = Categorical(("heads", "tails"), (1.0, 0.0))
@@ -256,6 +265,17 @@ class TestWeightedPick:
         assert clone == coin and clone.sample(random.Random(1)) == "heads"
         flipped = dataclasses.replace(coin, weights=(0.0, 1.0))
         assert flipped.sample(random.Random(1)) == "tails"
+
+    def test_copies_keep_or_rebuild_the_pareto_constants(self):
+        tail = BoundedPareto(alpha=1.35, low=400.0, high=9000.0)
+        expected = tail.sample(random.Random(1))
+        for duplicate in (pickle.loads(pickle.dumps(tail)), copy.copy(tail), copy.deepcopy(tail)):
+            assert duplicate == tail and duplicate.sample(random.Random(1)) == expected
+        moved = dataclasses.replace(tail, low=800.0)
+        assert moved.sample(random.Random(1)) == BoundedPareto(1.35, 800.0, 9000.0).sample(
+            random.Random(1)
+        )
+        assert moved.sample(random.Random(1)) != expected
 
 
 class TestQuantile:

@@ -147,6 +147,62 @@ class TestTraceJobContract:
         with pytest.raises(dataclasses.FrozenInstanceError):
             del job.user
 
+    def test_positional_keyword_and_default_construction_agree(self):
+        assert TraceJob(*self.VALUES) == self.job()
+        names = [f.name for f in dataclasses.fields(TraceJob)]
+        assert TraceJob(**dict(zip(names, self.VALUES))) == self.job()
+        defaults = TraceJob(4, 2.0, 9.0)
+        assert defaults == TraceJob(4, 2.0, 9.0, 0, 1, 1.0, "linux", None, None, "")
+        assert defaults == TraceJob(job_id=4, submit_minute=2.0, runtime_minutes=9.0)
+        with pytest.raises(TypeError):
+            TraceJob(4, 2.0)
+        with pytest.raises(TypeError):
+            TraceJob(4, 2.0, 9.0, colour="red")
+
+    def test_every_copy_keeps_value_repr_and_hash(self):
+        job = self.job()
+        names = [f.name for f in dataclasses.fields(TraceJob)]
+        copies = [
+            TraceJob(*(getattr(job, name) for name in names)),
+            dataclasses.replace(job),
+            copy.copy(job),
+            pickle.loads(pickle.dumps(job)),
+        ]
+        for duplicate in copies:
+            assert type(duplicate) is TraceJob
+            assert (duplicate, repr(duplicate), hash(duplicate)) == (job, repr(job), hash(job))
+
+    @pytest.mark.parametrize(
+        "name", ["job_id", "submit_minute", "runtime_minutes", "priority", "cores",
+                 "memory_gb", "os_family", "candidate_pools", "task_id", "user"],
+    )
+    def test_every_field_is_frozen(self, name):
+        job = self.job()
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            setattr(job, name, getattr(job, name))
+        assert job == self.job()
+
+    @pytest.mark.parametrize(
+        "changes, message",
+        [
+            ({"job_id": -1}, "job_id must be >= 0, got -1"),
+            ({"submit_minute": -1.0}, "job 7: submit_minute must be finite and >= 0"),
+            ({"runtime_minutes": 0.0}, "job 7: runtime_minutes must be finite and > 0, got 0.0"),
+            ({"cores": 0}, "job 7: cores must be >= 1, got 0"),
+            ({"memory_gb": -2.0}, "job 7: memory_gb must be finite and > 0, got -2.0"),
+            ({"candidate_pools": ()}, "job 7: candidate_pools may not be an empty tuple"),
+        ],
+    )
+    def test_invalid_fields_keep_their_messages(self, changes, message):
+        values = dict(zip([f.name for f in dataclasses.fields(TraceJob)], self.VALUES))
+        values.update(changes)
+        with pytest.raises(TraceError) as raised:
+            TraceJob(**values)
+        assert str(raised.value) == message
+        with pytest.raises(TraceError) as raised:
+            TraceJob(*values.values())
+        assert str(raised.value) == message
+
     def test_no_instance_dict(self):
         job = self.job()
         assert not hasattr(job, "__dict__")
@@ -162,6 +218,14 @@ class TestTrace:
     def test_duplicate_ids_rejected(self):
         with pytest.raises(TraceError):
             Trace([make_job(1), make_job(1, submit=2.0)])
+
+    def test_duplicate_named_is_the_first_in_submit_order(self):
+        # Listed order repeats 7 first; submit order repeats 2 first.
+        jobs = [make_job(7, submit=1.0), make_job(7, submit=5.0),
+                make_job(2, submit=0.0), make_job(2, submit=2.0)]
+        with pytest.raises(TraceError) as raised:
+            Trace(jobs)
+        assert str(raised.value) == "duplicate job_id in trace: 2"
 
     def test_window_selects_half_open_interval(self):
         trace = Trace([make_job(i, submit=float(i)) for i in range(10)])
