@@ -115,10 +115,6 @@ class TraceJob:
         # unpickled job is validated again.
         return type(self), _trace_job_values(self)
 
-    def restricted_to(self, pools: Sequence[str]) -> "TraceJob":
-        """Return a copy whose candidate pools are ``pools``."""
-        return replace(self, candidate_pools=tuple(pools))
-
     def is_allowed_in(self, pool_id: str) -> bool:
         """Whether this job may run in ``pool_id`` at all."""
         return self.candidate_pools is None or pool_id in self.candidate_pools
@@ -235,10 +231,6 @@ class Trace:
     def filter(self, predicate) -> "Trace":
         """Jobs for which ``predicate(job)`` is true, as a new trace."""
         return Trace([j for j in self._jobs if predicate(j)])
-
-    def merged_with(self, other: "Trace") -> "Trace":
-        """Union of two traces (job ids must not collide)."""
-        return Trace(list(self._jobs) + list(other.jobs))
 
     def head(self, count: int) -> "Trace":
         """The earliest ``count`` jobs, as a new trace."""

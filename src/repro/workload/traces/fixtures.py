@@ -30,9 +30,10 @@ import heapq
 import math
 import random
 from pathlib import Path
-from typing import Dict, Iterator, Union
+from typing import Callable, Dict, Iterator, Tuple, Union
 
-from .swf import SWFJob, write_swf
+from ..distributions import LogNormal
+from .swf import _write_swf_rows
 
 __all__ = ["generate_swf_fixture", "generate_google_fixture"]
 
@@ -51,11 +52,10 @@ def _draw_cores(rng: random.Random) -> int:
     return 8
 
 
-def _draw_runtime_seconds(rng: random.Random, mean_minutes: float) -> int:
-    """Lognormal service demand with the requested mean, >= 1 second."""
-    sigma = 1.1
-    mu = math.log(mean_minutes) - sigma * sigma / 2.0
-    return max(1, int(rng.lognormvariate(mu, sigma) * 60.0))
+def _runtime_minutes(mean_minutes: float) -> Callable[[random.Random], float]:
+    """Lognormal service demand in minutes with the requested mean (the
+    callers floor it at one second)."""
+    return LogNormal(math.log(mean_minutes) - 1.1 * 1.1 / 2.0, 1.1).sample
 
 
 class _PriorityBursts:
@@ -129,38 +129,28 @@ def generate_swf_fixture(
     bursts = _PriorityBursts(rng)
     totals = {"jobs": float(jobs), "horizon_minutes": 0.0, "core_minutes": 0.0}
 
-    def emit() -> Iterator[SWFJob]:
-        submit_s = 0.0
+    def emit() -> Iterator[Tuple[int, ...]]:
+        # Rows in SWF column order; the fixture bytes pin the order of the draws.
+        expovariate, randrange, draw = rng.expovariate, rng.randrange, rng.random
+        runtime, queue_for = _runtime_minutes(mean_runtime_minutes), bursts.queue_for
+        submit_s = horizon = core_minutes = 0.0
         for number in range(1, jobs + 1):
-            submit_s += rng.expovariate(rate) * 60.0
-            run_s = _draw_runtime_seconds(rng, mean_runtime_minutes)
+            submit_s += expovariate(rate) * 60.0
+            run_s = max(1, int(runtime(rng) * 60.0))
             cores = _draw_cores(rng)
-            queue = bursts.queue_for(submit_s / 60.0)
-            user = rng.randrange(users)
-            mem_kb = rng.randrange(100_000, 4_000_000)
-            status = 1 if rng.random() < 0.97 else 0
-            totals["horizon_minutes"] = submit_s / 60.0
-            totals["core_minutes"] += run_s / 60.0 * cores
-            yield SWFJob(
-                job_number=number,
-                submit_time=int(submit_s),
-                wait_time=-1,
-                run_time=run_s,
-                allocated_procs=cores,
-                avg_cpu_time=-1,
-                used_memory_kb=mem_kb,
-                requested_procs=cores,
-                requested_time=int(run_s * 1.2) + 60,
-                requested_memory_kb=mem_kb,
-                status=status,
-                user_id=user,
-                group_id=user % 8,
-                executable=rng.randrange(1, 40),
-                queue=queue,
-                partition=1,
-                preceding_job=-1,
-                think_time=-1,
+            queue = queue_for(submit_s / 60.0)
+            user = randrange(users)
+            mem_kb = randrange(100_000, 4_000_000)
+            status = 1 if draw() < 0.97 else 0
+            horizon = submit_s / 60.0
+            core_minutes += run_s / 60.0 * cores
+            yield (
+                number, int(submit_s), -1, run_s, cores, -1, mem_kb, cores,
+                int(run_s * 1.2) + 60, mem_kb, status, user, user % 8,
+                randrange(1, 40), queue, 1, -1, -1,
             )
+        totals["horizon_minutes"] = horizon
+        totals["core_minutes"] = core_minutes
 
     comments = (
         "; Synthetic SWF fixture (repro.workload.traces.fixtures)",
@@ -169,7 +159,7 @@ def generate_swf_fixture(
         "; Computer: synthetic NetBatch-like site (not a real archive trace)",
         "; Queues: 0=low 1=medium 2=high priority",
     )
-    write_swf(Path(path), emit(), comments)
+    _write_swf_rows(Path(path), emit(), comments)
     return totals
 
 
@@ -193,9 +183,10 @@ def generate_google_fixture(
     rng = random.Random(seed)
     rate = _arrival_rate_per_minute(target_cores, utilization, mean_runtime_minutes)
     bursts = _PriorityBursts(rng)
-    totals = {"jobs": float(tasks), "horizon_minutes": 0.0, "core_minutes": 0.0}
     future: list = []  # (timestamp_us, sequence, row)
     seq = 0
+    runtime = _runtime_minutes(mean_runtime_minutes)
+    horizon = core_minutes = 0.0
 
     def row(ts_us: int, job_id: int, index: int, event: int, user: str,
             klass: int, priority: int, cpu: float, mem: float) -> str:
@@ -210,7 +201,7 @@ def generate_google_fixture(
             submit_min += rng.expovariate(rate)
             submit_us = int(submit_min * 60_000_000)
             wait_us = int(rng.expovariate(1.0 / 60.0) * 1_000_000)  # ~1 min mean
-            run_s = _draw_runtime_seconds(rng, mean_runtime_minutes)
+            run_s = max(1, int(runtime(rng) * 60.0))
             schedule_us = submit_us + wait_us
             end_us = schedule_us + run_s * 1_000_000
             queue = bursts.queue_for(submit_min)
@@ -218,8 +209,8 @@ def generate_google_fixture(
             cpu = rng.choice((0.0125, 0.025, 0.05))
             mem = rng.choice((0.0062, 0.0124, 0.0311))
             job_id = 6_000_000 + task
-            totals["horizon_minutes"] = submit_min
-            totals["core_minutes"] += run_s / 60.0
+            horizon = submit_min
+            core_minutes += run_s / 60.0
 
             # Flush every already-generated event at or before this
             # submission so the file stays event-time ordered.
@@ -234,4 +225,4 @@ def generate_google_fixture(
                 seq += 1
         while future:
             handle.write(heapq.heappop(future)[2] + "\n")
-    return totals
+    return {"jobs": float(tasks), "horizon_minutes": horizon, "core_minutes": core_minutes}

@@ -39,7 +39,7 @@ from dataclasses import dataclass, fields
 from itertools import starmap
 from operator import attrgetter
 from pathlib import Path
-from typing import IO, Callable, Iterable, Iterator, List, Optional, Tuple, TypeVar, Union
+from typing import IO, Callable, Iterable, Iterator, List, Optional, Sequence, Tuple, TypeVar, Union
 
 from ...errors import TraceError
 
@@ -122,9 +122,19 @@ def _format_field(value: Union[int, float]) -> str:
 _job_values = attrgetter(*(f.name for f in fields(SWFJob)))
 
 
+def _format_row(values: Sequence[Union[int, float]]) -> str:
+    # ``str`` is canonical for every int and float except an integral
+    # float under 1e16, whose ``str`` always holds a "." (as does any
+    # other finite float's); only such lines take the per-field path.
+    line = " ".join(map(str, values))
+    if "." in line:
+        return " ".join(map(_format_field, values))
+    return line
+
+
 def format_swf_job(job: SWFJob) -> str:
     """The canonical (single-space separated) SWF line for ``job``."""
-    return " ".join(map(_format_field, _job_values(job)))
+    return _format_row(_job_values(job))
 
 
 def _open(source: Source):
@@ -209,16 +219,11 @@ def read_swf(source: Source) -> Tuple[List[str], List[SWFJob]]:
     return comments, jobs
 
 
-def write_swf(
-    dest: Source, jobs: Iterable[SWFJob], comments: Iterable[str] = ()
+def _write_swf_rows(
+    dest: Source, rows: Iterable[Sequence[Union[int, float]]], comments: Iterable[str]
 ) -> int:
-    """Write ``comments`` then ``jobs`` in canonical form; returns job count.
-
-    Comment lines are written verbatim (a leading ``;`` is added when
-    missing) before the job lines.  Output from ``write_swf(path,
-    *read_swf(path)[::-1])`` is byte-identical to a canonical input —
-    the round-trip property the fixture tests pin.
-    """
+    """:func:`write_swf` over plain 18-value rows in column order (the
+    writing mirror of :func:`iter_swf_rows`)."""
     if isinstance(dest, (str, Path)):
         handle: IO[str] = open(dest, "w", encoding="utf-8")
         should_close = True
@@ -230,10 +235,23 @@ def write_swf(
             if not comment.lstrip().startswith(";"):
                 comment = f"; {comment}"
             handle.write(comment + "\n")
-        for job in jobs:
-            handle.write(format_swf_job(job) + "\n")
+        for row in rows:
+            handle.write(_format_row(row) + "\n")
             count += 1
     finally:
         if should_close:
             handle.close()
     return count
+
+
+def write_swf(
+    dest: Source, jobs: Iterable[SWFJob], comments: Iterable[str] = ()
+) -> int:
+    """Write ``comments`` then ``jobs`` in canonical form; returns job count.
+
+    Comment lines are written verbatim (a leading ``;`` is added when
+    missing) before the job lines.  Output from ``write_swf(path,
+    *read_swf(path)[::-1])`` is byte-identical to a canonical input —
+    the round-trip property the fixture tests pin.
+    """
+    return _write_swf_rows(dest, map(_job_values, jobs), comments)

@@ -60,10 +60,6 @@ class TestTraceJob:
         assert restricted.is_allowed_in("a")
         assert not restricted.is_allowed_in("c")
 
-    def test_restricted_to(self):
-        job = make_job(1).restricted_to(["x", "y"])
-        assert job.candidate_pools == ("x", "y")
-
 
 class _Reduced:
     """Pickles as the given reduce tuple, to forge a ``TraceJob`` pickle."""
@@ -255,16 +251,6 @@ class TestTrace:
         trace = Trace([make_job(i, priority=i % 2) for i in range(6)])
         high = trace.filter(lambda j: j.priority == 1)
         assert len(high) == 3
-
-    def test_merged_with(self):
-        a = Trace([make_job(1, submit=1.0)])
-        b = Trace([make_job(2, submit=0.5)])
-        merged = a.merged_with(b)
-        assert [j.job_id for j in merged] == [2, 1]
-
-    def test_merged_with_id_collision_rejected(self):
-        with pytest.raises(TraceError):
-            Trace([make_job(1)]).merged_with(Trace([make_job(1)]))
 
     def test_head(self):
         trace = Trace([make_job(i, submit=float(i)) for i in range(5)])

@@ -44,6 +44,14 @@ MIXED_SWF_DIGEST = (
 SWF_FIXTURE_BYTES_SHA256 = (
     "43c10643a144d0fd5beb62e59595769ac533abecd10b4d49b1f3247c09512164"
 )
+#: The ``totals`` that call returns.
+SWF_FIXTURE_TOTALS = {
+    "jobs": 3000.0, "horizon_minutes": 1737.1293510518394, "core_minutes": 673741.3999999979,
+}
+#: SHA-256 of ``generate_google_fixture(path, 2000, seed=7)``'s bytes.
+GOOGLE_FIXTURE_BYTES_SHA256 = (
+    "2440ce9f6cc7704ca8945f98d0c92adcc81ba0df6d3677072f412a814d5efd1b"
+)
 
 
 def _spec():
@@ -88,7 +96,7 @@ def _mixed_swf_text(lines: int, seed: int) -> str:
 class TestPinnedReplayDigests:
     def test_swf_fixture_replay(self, tmp_path):
         path = tmp_path / "f.swf"
-        generate_swf_fixture(path, 3000, seed=7)
+        assert generate_swf_fixture(path, 3000, seed=7) == SWF_FIXTURE_TOTALS
         assert hashlib.sha256(path.read_bytes()).hexdigest() == SWF_FIXTURE_BYTES_SHA256
         jobs = list(_spec().replay(path, "swf"))
         assert len(jobs) == 3000
@@ -97,9 +105,14 @@ class TestPinnedReplayDigests:
     def test_google_fixture_replay(self, tmp_path):
         path = tmp_path / "f.csv"
         generate_google_fixture(path, 2000, seed=7)
+        assert hashlib.sha256(path.read_bytes()).hexdigest() == GOOGLE_FIXTURE_BYTES_SHA256
         jobs = list(_spec().replay(path, "google"))
         assert len(jobs) == 2000
         assert stable_hash(jobs) == GOOGLE_FIXTURE_DIGEST
+
+    def test_empty_swf_fixture_totals(self, tmp_path):
+        totals = generate_swf_fixture(tmp_path / "e.swf", 0, seed=7)
+        assert totals == {"jobs": 0.0, "horizon_minutes": 0.0, "core_minutes": 0.0}
 
     def test_mixed_token_swf_replay(self, tmp_path):
         path = tmp_path / "m.swf"

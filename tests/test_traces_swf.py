@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import io
+import math
 
 import pytest
 from hypothesis import given, settings
@@ -85,6 +86,45 @@ class TestRoundTrip:
         write_swf(path, [], comments=("bare note",))
         comments, _ = read_swf(path)
         assert comments == ["; bare note"]
+
+
+def _reference_field(value):
+    """One field by the per-field rule: ints by ``str``, integral floats
+    under 1e16 as ints, every other float by ``repr``."""
+    if isinstance(value, int):
+        return str(value)
+    if float(value).is_integer() and abs(value) < 1e16:
+        return str(int(value))
+    return repr(value)
+
+
+_EDGE_FLOATS = (
+    1e16, -1e16, math.nextafter(1e16, 0.0), math.nextafter(1e16, math.inf),
+    -math.nextafter(1e16, 0.0), 0.0, -0.0, 5e-324, -5e-324, 3.0, 2.5,
+)
+_any_field = st.one_of(
+    st.integers(),
+    st.integers(min_value=2**63 - 2, max_value=2**80),
+    st.integers(min_value=-(2**80), max_value=-1),
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.integers(min_value=-(2**60), max_value=2**60).map(float),
+    st.sampled_from(_EDGE_FLOATS),
+    st.sampled_from((math.inf, -math.inf, math.nan)),
+)
+
+
+class TestFormatter:
+    @given(st.lists(_any_field, min_size=18, max_size=18))
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_field_reference(self, values):
+        expected = " ".join(map(_reference_field, values))
+        assert format_swf_job(SWFJob(*values)) == expected
+
+    def test_write_swf_writes_integral_floats_as_ints(self):
+        values = [7, 3.0, -1.0, 3.0, 2, -0.0, 1e15, 2, 4.5, 1e16, 1, 3, 3, 1, 0, 1, -1, 3.0]
+        out = io.StringIO()
+        assert write_swf(out, [SWFJob(*values)]) == 1
+        assert out.getvalue() == "7 3 -1 3 2 0 1000000000000000 2 4.5 1e+16 1 3 3 1 0 1 -1 3\n"
 
 
 class TestErrors:
