@@ -1,9 +1,11 @@
 """Shared helpers for the benchmark suite.
 
-``bench_paper.py`` regenerates each of the paper's tables and figures,
-prints the same rows/series the paper reports and asserts the claims of
-``repro.validation.CLAIMS`` it completes; the other ``bench_*`` modules
-cover ablations, extensions and the CI smoke checks.  A
+``bench_paper.py`` regenerates each of the paper's tables and figures
+and each experiment beyond them (ablations, fault sweep, inter-site
+rescheduling, Section 2 observations), prints its rows/series and
+asserts the claims of ``repro.validation.CLAIMS`` and
+``EXTENSION_CLAIMS`` it completes; the other ``bench_*`` modules cover
+replication, the engine and the CI smoke checks.  A
 ``pytest benchmarks/ --benchmark-only`` run doubles as the full
 reproduction log.  Scales are controlled by the ``REPRO_SCALE`` /
 ``REPRO_YEAR_SCALE`` / ``REPRO_YEAR_HORIZON`` / ``REPRO_SEED``

@@ -72,14 +72,15 @@
 #           --chaos --check: any invariant violation, or a scenario's
 #           recovery time regressing more than 25% past the committed
 #           baseline, fails the leg)
-#   paper   the paper's claims: `repro validate` at its defaults
-#           (seed 2010; scale 0.25 for the tables and Figure 3, 0.08
-#           for the year-long Figures 2 and 4) runs every table and
-#           figure once,
+#   paper   the paper's claims, then the extensions': `repro validate`
+#           at its defaults (seed 2010; scale 0.25 for the tables,
+#           Figure 3 and the ablations, 0.08 for the year-long Figures
+#           2 and 4, 0.2 for inter-site) runs every table, figure and
+#           extension a claim needs (the fault sweep has none) once,
 #           as one grid on a 2-worker supervised fleet
 #           (REPRO_WORKERS=2) that simulates each distinct cell once,
 #           and fails the leg on any claim in repro.validation.CLAIMS
-#           that does not hold
+#           or EXTENSION_CLAIMS that does not hold
 #   all     tests + lint + smoke + faults (default; bench, ingest,
 #           fabric and chaos are their own CI jobs because they are
 #           timing-sensitive, and policies and paper are their own jobs
@@ -403,7 +404,7 @@ EOF
 }
 
 run_paper() {
-    echo "== paper: every claim of repro.validation holds at the defaults =="
+    echo "== paper: every paper and extension claim of repro.validation holds at the defaults =="
     REPRO_WORKERS=2 python -m repro validate
 }
 

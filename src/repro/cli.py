@@ -63,7 +63,7 @@ from .policies import policy_from_spec
 from .schedulers.initial import INITIAL_SCHEDULER_NAMES, initial_scheduler_from_name
 from .simulator.config import SimulationConfig
 from .simulator.simulation import run_simulation
-from .validation import EXPERIMENTS, run_experiments, validate_paper_claims
+from .validation import EXPERIMENTS, run_experiments, validate_all_claims
 from .workload import io as workload_io
 from .workload.scenarios import busy_week, high_load, high_suspension, smoke, year
 
@@ -945,11 +945,14 @@ def _cmd_generate_trace(args: argparse.Namespace) -> int:
 
 
 def _cmd_validate(args: argparse.Namespace) -> int:
-    report = validate_paper_claims(
+    paper, extensions = validate_all_claims(
         scale=args.scale, seed=args.seed, year_horizon=args.year_horizon
     )
-    print(report.render())
-    return 0 if report.passed else 1
+    print(paper.render())
+    print()
+    print("Beyond the paper: ablations, inter-site rescheduling, Section 2 observations")
+    print(extensions.render())
+    return 0 if paper.passed and extensions.passed else 1
 
 
 def _cmd_export(args: argparse.Namespace) -> int:

@@ -1,4 +1,4 @@
-"""Ablation experiments beyond the paper's tables.
+"""Ablation experiments beyond the paper's tables, one :class:`~.experiment.Experiment` each.
 
 These quantify the design choices the paper discusses but does not
 evaluate numerically, plus its future-work ideas:
@@ -18,13 +18,19 @@ evaluate numerically, plus its future-work ideas:
 * :func:`migration_ablation` — the Condor/VM-migration alternative the
   paper rejects on overhead grounds (Section 2.3), swept across
   virtualisation penalties so the crossover against restart is visible.
+
+:data:`ABLATIONS` holds the entries, all on the high-load scenario with
+the round-robin initial scheduler, and :mod:`repro.validation` merges
+them into ``EXTENSIONS``; each function above runs its entry, with its
+arguments as the entry's strategies.  The NoRes and ResSusUtil cells
+are Table 2's, so one grid simulates them once.
 """
 
 from __future__ import annotations
 
-from typing import Dict, List, Optional, Tuple
+from typing import Dict, Optional, Tuple
 
-from ..analysis.comparison import StrategyComparison, compare_strategies
+from ..analysis.comparison import StrategyComparison
 from ..core.overheads import RestartOverhead
 from ..core.policies import (
     DuplicateSuspended,
@@ -41,14 +47,12 @@ from ..core.selectors import (
     ShortestQueueSelector,
     WeightedSelector,
 )
-from ..metrics.summary import PerformanceSummary, summarize
-from ..schedulers.initial import RoundRobinScheduler
-from ..simulator.config import SimulationConfig
-from ..simulator.simulation import run_simulation
-from ..workload.scenarios import Scenario, high_load
-from . import presets
+from ..metrics.summary import PerformanceSummary
+from ..workload.scenarios import high_load
+from .experiment import Experiment, strategy_comparison
 
 __all__ = [
+    "ABLATIONS",
     "selector_ablation",
     "threshold_sweep",
     "overhead_sweep",
@@ -57,20 +61,95 @@ __all__ = [
     "SELECTOR_FAMILY",
 ]
 
+#: The selector family, by the name its row carries.
+_SELECTORS = (
+    ("util", LowestUtilizationSelector),
+    ("random", RandomSelector),
+    ("queue", ShortestQueueSelector),
+    ("weighted", WeightedSelector),
+    ("predicted", PredictedWaitSelector),
+)
 
-def _default_scenario(scale: Optional[float], seed: Optional[int]) -> Scenario:
-    return high_load(presets.table_scale(scale), presets.seed(seed))
+
+def SELECTOR_FAMILY() -> list[Tuple[str, PoolSelector]]:
+    """The named selector family :func:`selector_ablation` compares, one fresh instance each."""
+    return [(name, selector()) for name, selector in _SELECTORS]
 
 
-def SELECTOR_FAMILY() -> List[Tuple[str, PoolSelector]]:
-    """The named selector family used by :func:`selector_ablation`."""
+def _policy(policy, selector, *args, name: str):
+    """A zero-arg factory of ``policy(selector(), *args, name=name)``."""
+    return lambda: policy(selector(), *args, name=name)
+
+
+def _selectors(wait_threshold: float) -> Tuple:
+    return (NoRescheduling,) + tuple(
+        _policy(RescheduleSuspendedAndWaiting, selector, wait_threshold, name=f"ResSusWait[{name}]")
+        for name, selector in _SELECTORS
+    )
+
+
+def _thresholds(thresholds: Tuple[float, ...]) -> Tuple:
+    return (NoRescheduling,) + tuple(
+        _policy(RescheduleSuspendedAndWaiting, LowestUtilizationSelector, threshold,
+                name=f"ResSusWaitUtil[{threshold:g}m]")
+        for threshold in thresholds
+    )
+
+
+def _restart_costs(scenario, fixed_minutes):
+    """ResSusUtil once per fixed restart overhead."""
     return [
-        ("util", LowestUtilizationSelector()),
-        ("random", RandomSelector()),
-        ("queue", ShortestQueueSelector()),
-        ("weighted", WeightedSelector()),
-        ("predicted", PredictedWaitSelector()),
+        (
+            _policy(RescheduleSuspended, LowestUtilizationSelector, name=f"ResSusUtil[+{fixed:g}m]"),
+            "",
+            {"restart_overhead": RestartOverhead(fixed_minutes=fixed)},
+        )
+        for fixed in fixed_minutes
     ]
+
+
+def _dilations(scenario, dilations):
+    """MigSusUtil once per virtualisation dilation."""
+    return [
+        (
+            _policy(MigrateSuspended, LowestUtilizationSelector, name=f"MigSusUtil[{dilation * 100:g}%]"),
+            "",
+            {"migration_dilation": dilation},
+        )
+        for dilation in dilations
+    ]
+
+
+#: Ablation key -> its experiment.
+ABLATIONS: Dict[str, Experiment] = {
+    "selectors": Experiment(
+        "Ablation: alternate-pool selectors (high load, RR initial)",
+        high_load, _selectors(30.0), strategy_comparison,
+    ),
+    "threshold": Experiment(
+        "Ablation: waiting-time threshold sweep (high load, RR initial)",
+        high_load, _thresholds((10.0, 30.0, 60.0, 120.0, 480.0)), strategy_comparison,
+    ),
+    "overhead": Experiment(
+        "Ablation: restart overhead sweep (ResSusUtil, high load)",
+        high_load, (0.0, 15.0, 60.0, 240.0), strategy_comparison, strategies=_restart_costs,
+    ),
+    "duplication": Experiment(
+        "Ablation: restart vs duplication (high load, RR initial)",
+        high_load,
+        (
+            NoRescheduling,
+            _policy(RescheduleSuspended, LowestUtilizationSelector, name="ResSusUtil"),
+            _policy(DuplicateSuspended, LowestUtilizationSelector, name="DupSusUtil"),
+            _policy(MigrateSuspended, LowestUtilizationSelector, name="MigSusUtil"),
+        ),
+        strategy_comparison,
+    ),
+    "migration": Experiment(
+        "Ablation: migration dilation sweep (MigSusUtil, high load)",
+        high_load, (0.0, 0.15, 0.30), strategy_comparison, strategies=_dilations,
+    ),
+}
 
 
 def selector_ablation(
@@ -79,20 +158,7 @@ def selector_ablation(
     wait_threshold: float = 30.0,
 ) -> StrategyComparison:
     """Combined rescheduling with every selector, NoRes baseline first."""
-    scenario = _default_scenario(scale, seed)
-    policies = [NoRescheduling()]
-    for name, selector in SELECTOR_FAMILY():
-        policies.append(
-            RescheduleSuspendedAndWaiting(
-                selector, wait_threshold, name=f"ResSusWait[{name}]"
-            )
-        )
-    return compare_strategies(
-        scenario,
-        policies,
-        scheduler_factory=RoundRobinScheduler,
-        config=SimulationConfig(strict=False),
-    )
+    return ABLATIONS["selectors"].run(scale, seed, policies=_selectors(wait_threshold))
 
 
 def threshold_sweep(
@@ -101,22 +167,7 @@ def threshold_sweep(
     seed: Optional[int] = None,
 ) -> StrategyComparison:
     """ResSusWaitUtil across waiting thresholds, NoRes baseline first."""
-    scenario = _default_scenario(scale, seed)
-    policies = [NoRescheduling()]
-    for threshold in thresholds:
-        policies.append(
-            RescheduleSuspendedAndWaiting(
-                LowestUtilizationSelector(),
-                threshold,
-                name=f"ResSusWaitUtil[{threshold:g}m]",
-            )
-        )
-    return compare_strategies(
-        scenario,
-        policies,
-        scheduler_factory=RoundRobinScheduler,
-        config=SimulationConfig(strict=False),
-    )
+    return ABLATIONS["threshold"].run(scale, seed, policies=_thresholds(thresholds))
 
 
 def overhead_sweep(
@@ -129,23 +180,8 @@ def overhead_sweep(
     Returns a map from fixed overhead minutes to the run's summary; the
     0.0 entry is the paper's free-restart assumption.
     """
-    scenario = _default_scenario(scale, seed)
-    summaries: Dict[float, PerformanceSummary] = {}
-    for fixed in fixed_minutes:
-        policy = RescheduleSuspended(
-            LowestUtilizationSelector(), name=f"ResSusUtil[+{fixed:g}m]"
-        )
-        result = run_simulation(
-            scenario.trace,
-            scenario.cluster,
-            policy=policy,
-            initial_scheduler=RoundRobinScheduler(),
-            config=SimulationConfig(
-                strict=False, restart_overhead=RestartOverhead(fixed_minutes=fixed)
-            ),
-        )
-        summaries[fixed] = summarize(result)
-    return summaries
+    comparison = ABLATIONS["overhead"].run(scale, seed, policies=fixed_minutes)
+    return dict(zip(fixed_minutes, comparison.summaries))
 
 
 def migration_ablation(
@@ -163,21 +199,8 @@ def migration_ablation(
     dilation fraction to the run's summary; compare against
     :func:`duplication_ablation`'s restart-based rows.
     """
-    scenario = _default_scenario(scale, seed)
-    summaries: Dict[float, PerformanceSummary] = {}
-    for dilation in dilations:
-        policy = MigrateSuspended(
-            LowestUtilizationSelector(), name=f"MigSusUtil[{dilation * 100:g}%]"
-        )
-        result = run_simulation(
-            scenario.trace,
-            scenario.cluster,
-            policy=policy,
-            initial_scheduler=RoundRobinScheduler(),
-            config=SimulationConfig(strict=False, migration_dilation=dilation),
-        )
-        summaries[dilation] = summarize(result)
-    return summaries
+    comparison = ABLATIONS["migration"].run(scale, seed, policies=dilations)
+    return dict(zip(dilations, comparison.summaries))
 
 
 def duplication_ablation(
@@ -185,16 +208,4 @@ def duplication_ablation(
     seed: Optional[int] = None,
 ) -> StrategyComparison:
     """NoRes vs restart-based vs duplication-based suspended rescheduling."""
-    scenario = _default_scenario(scale, seed)
-    policies = [
-        NoRescheduling(),
-        RescheduleSuspended(LowestUtilizationSelector(), name="ResSusUtil"),
-        DuplicateSuspended(LowestUtilizationSelector(), name="DupSusUtil"),
-        MigrateSuspended(LowestUtilizationSelector(), name="MigSusUtil"),
-    ]
-    return compare_strategies(
-        scenario,
-        policies,
-        scheduler_factory=RoundRobinScheduler,
-        config=SimulationConfig(strict=False),
-    )
+    return ABLATIONS["duplication"].run(scale, seed)

@@ -16,43 +16,35 @@ suspension-time and turnaround (completion-time) distributions as
 CLI (``repro faults``) can print percentile tables per MTBF.  Like
 every experiment in this repository the sweep is deterministic: same
 seed, same cells, bit-identical distributions.
+
+:data:`FAULT_SWEEP` is the sweep's :class:`~.experiment.Experiment`.
+Its cells are those of the ``fault-sweep`` grid preset
+(:func:`repro.fabric.presets.fault_sweep_grid`), each seeded from its
+cell id, so ``repro faults`` and ``repro run-grid --preset
+fault-sweep`` agree cell for cell.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import partial
 from typing import List, Optional, Sequence, Tuple
 
-from ..core.policies import (
-    NoRescheduling,
-    RescheduleSuspended,
-    RescheduleSuspendedAndWaiting,
-)
-from ..core.selectors import LowestUtilizationSelector
 from ..faults import FaultConfig, FaultStats
 from ..metrics.cdf import EmpiricalCDF
-from ..metrics.summary import PerformanceSummary, summarize
-from ..schedulers.initial import RoundRobinScheduler
-from ..simulator.config import SimulationConfig
-from ..simulator.simulation import run_simulation
-from ..workload.scenarios import Scenario, high_load
+from ..metrics.summary import PerformanceSummary
+from ..workload.scenarios import high_load
 from . import presets
+from .experiment import Experiment
 
-__all__ = ["FaultSweepCell", "FaultSweep", "fault_sweep", "FAULT_POLICY_FAMILY"]
+__all__ = ["FAULT_SWEEP", "FaultSweepCell", "FaultSweep", "fault_sweep", "fault_sweep_experiment"]
 
 #: Percentiles printed for each CDF column of the rendered sweep.
 _RENDER_PERCENTILES = (50.0, 90.0, 99.0)
 
-
-def FAULT_POLICY_FAMILY() -> List[object]:
-    """The policies compared under churn: baseline plus both reschedulers."""
-    return [
-        NoRescheduling(),
-        RescheduleSuspended(LowestUtilizationSelector(), name="ResSusUtil"),
-        RescheduleSuspendedAndWaiting(
-            LowestUtilizationSelector(), 30.0, name="ResSusWaitUtil"
-        ),
-    ]
+#: The policies compared under churn, as registry specs: the baseline
+#: plus both reschedulers.
+_FAULT_POLICY_SPECS = ("NoRes", "ResSusUtil", "ResSusWaitUtil")
 
 
 @dataclass(frozen=True)
@@ -139,20 +131,38 @@ class FaultSweep:
         return "\n".join(lines)
 
 
-def _cell(scenario: Scenario, policy, mtbf: float, mttr: float, config: SimulationConfig) -> FaultSweepCell:
-    result = run_simulation(
-        scenario.trace,
-        scenario.cluster,
-        policy=policy,
-        initial_scheduler=RoundRobinScheduler(),
-        config=config,
-    )
+def _under_churn(mtbf_minutes, mttr_minutes, job_failure_probability, changes, scenario, policies):
+    """Every policy at every rung of the MTBF ladder, rung by rung.
+
+    The MTBF lives in the *config* (the fault model), not the
+    scenario/policy/scheduler triple, so each rung is distinguished
+    through the cell-id ``variant``: distinct seeds, distinct cache keys.
+    ``changes`` are further config changes for every cell.
+    """
+    mtbfs = mtbf_minutes if mtbf_minutes is not None else presets.fault_mtbfs()
+    mttr = mttr_minutes if mttr_minutes is not None else presets.fault_mttr()
+    return [
+        (
+            policy,
+            f"mtbf={mtbf:g}",
+            {"faults": FaultConfig.with_exponential_churn(
+                mtbf, mttr, job_failure_probability=job_failure_probability
+            ), **changes},
+        )
+        for mtbf in mtbfs
+        for policy in policies
+    ]
+
+
+def _cell(outcome, task) -> FaultSweepCell:
+    result = outcome.result
+    churn = task.config.faults.machine_churn
     completed = list(result.completed_records())
     suspended = [r for r in completed if r.was_suspended]
     return FaultSweepCell(
-        mtbf_minutes=mtbf,
-        policy_name=policy.name,
-        summary=summarize(result),
+        mtbf_minutes=churn.mtbf.mean(),
+        policy_name=outcome.policy_name,
+        summary=outcome.summary,
         fault_stats=result.fault_stats,
         suspension_cdf=(
             EmpiricalCDF([r.suspend_time for r in suspended]) if suspended else None
@@ -164,6 +174,51 @@ def _cell(scenario: Scenario, policy, mtbf: float, mttr: float, config: Simulati
     )
 
 
+def _sweep(outcomes, tasks) -> FaultSweep:
+    """The fault sweep's finish: each cell's distributions, from its kept result."""
+    cells = tuple(_cell(outcome, task) for outcome, task in zip(outcomes, tasks))
+    return FaultSweep(
+        mtbf_minutes=tuple(dict.fromkeys(cell.mtbf_minutes for cell in cells)),
+        mttr_minutes=tasks[0].config.faults.machine_churn.mttr.mean(),
+        cells=cells,
+    )
+
+
+def fault_sweep_experiment(
+    mtbf_minutes: Optional[Sequence[float]] = None,
+    mttr_minutes: Optional[float] = None,
+    job_failure_probability: float = 0.0,
+    keep_results: bool = True,
+) -> Experiment:
+    """The fault sweep over one MTBF ladder, as an experiment.
+
+    The high-load scenario, the three-policy fault family, and one cell
+    per policy and rung of the ladder.  ``None`` takes
+    :func:`repro.experiments.presets.fault_mtbfs` and
+    :func:`~repro.experiments.presets.fault_mttr` when the cells are
+    built.  The sweep's percentiles read each cell's job records, so
+    its cells keep their results, but without state samples: a run
+    under churn goes on long past the last submission, and its samples
+    (357,795 in one MTBF-2000 cell at scale 0.1) are never read.  With
+    ``keep_results=False`` the cells keep only their summaries and
+    their configs stay as built (:func:`repro.fabric.presets.fault_sweep_grid`).
+    """
+    changes = {"record_samples": False} if keep_results else {}
+    return Experiment(
+        "Fault-injection sweep: rescheduling policies under machine churn",
+        high_load,
+        _FAULT_POLICY_SPECS,
+        _sweep,
+        keep_results=keep_results,
+        render_figure=FaultSweep.render,
+        strategies=partial(_under_churn, mtbf_minutes, mttr_minutes, job_failure_probability, changes),
+    )
+
+
+#: The fault sweep at the presets' ladder.
+FAULT_SWEEP = fault_sweep_experiment()
+
+
 def fault_sweep(
     mtbf_minutes: Optional[Sequence[float]] = None,
     mttr_minutes: Optional[float] = None,
@@ -172,6 +227,10 @@ def fault_sweep(
     job_failure_probability: float = 0.0,
 ) -> FaultSweep:
     """Run the (machine MTBF x policy) fault grid; deterministic per seed.
+
+    Its cells are those of
+    :func:`repro.fabric.presets.fault_sweep_grid` (same cell ids, same
+    per-cell seeds), so a summary here equals that grid's.
 
     Args:
         mtbf_minutes: MTBF values to sweep; defaults to
@@ -183,16 +242,5 @@ def fault_sweep(
         job_failure_probability: additional per-execution-segment
             transient job failure probability (retried with backoff).
     """
-    mtbfs = tuple(mtbf_minutes if mtbf_minutes is not None else presets.fault_mtbfs())
-    mttr = mttr_minutes if mttr_minutes is not None else presets.fault_mttr()
-    scenario = high_load(presets.table_scale(scale), presets.seed(seed))
-    cells: List[FaultSweepCell] = []
-    for mtbf in mtbfs:
-        faults = FaultConfig.with_exponential_churn(
-            mtbf, mttr, job_failure_probability=job_failure_probability
-        )
-        # The cells read records, fault stats and CDFs, never samples.
-        config = SimulationConfig(strict=False, faults=faults, record_samples=False)
-        for policy in FAULT_POLICY_FAMILY():
-            cells.append(_cell(scenario, policy, mtbf, mttr, config))
-    return FaultSweep(mtbf_minutes=mtbfs, mttr_minutes=mttr, cells=tuple(cells))
+    experiment = fault_sweep_experiment(mtbf_minutes, mttr_minutes, job_failure_probability)
+    return experiment.run(scale, seed)

@@ -29,7 +29,6 @@ from ..analysis.waste import WasteFigure, waste_decomposition
 from ..core.policies import no_res, res_sus_rand, res_sus_util
 from ..metrics.report import render_waste_components
 from ..workload.scenarios import busy_week, year
-from . import presets
 from .experiment import Experiment
 
 __all__ = [
@@ -95,26 +94,26 @@ class Figure4:
         return "\n".join(lines)
 
 
-def _figure2(outcomes, horizon=None) -> Figure2:
+def _figure2(outcomes, tasks) -> Figure2:
     """Figure 2's finish: the NoRes run's suspension statistics and CDF."""
     result = outcomes[0].result
     cdf = suspension_time_cdf(result)
     return Figure2(analysis=analyze_suspension(result), cdf_points=tuple(cdf.points(count=20)))
 
 
-def _figure3(outcomes, horizon=None) -> WasteFigure:
+def _figure3(outcomes, tasks) -> WasteFigure:
     """Figure 3's finish: each strategy's waste split into its components."""
     return waste_decomposition([outcome.result for outcome in outcomes])
 
 
-def _figure4(outcomes, horizon=None, window_minutes: float = 100.0) -> Figure4:
+def _figure4(outcomes, tasks, window_minutes: float = 100.0) -> Figure4:
     """Figure 4's finish: windowed utilization, clipped to the submission horizon.
 
     The paper's year-long window is a continuously-fed system, while
     our simulator runs on past the horizon until the last straggler
     completes.
     """
-    horizon = presets.year_horizon(horizon)
+    horizon = dict(tasks[0].scenario.args)["horizon"]
     return Figure4(analysis=analyze_utilization(outcomes[0].result, window_minutes, up_to_minute=horizon))
 
 

@@ -1,8 +1,11 @@
 """Grid cells and the local entry points that run them.
 
-Every sweep in this repository — the paper's tables, the ablations, any
-user grid through :class:`~repro.experiments.runner.ExperimentRunner` —
-reduces to the same unit of work: simulate one
+Every sweep in this repository — the paper's tables and figures, the
+ablations, the fault sweep and the other
+:class:`~repro.experiments.experiment.Experiment` entries, the fabric
+presets, any user grid through
+:class:`~repro.experiments.runner.ExperimentRunner` — reduces to the
+same unit of work: simulate one
 (scenario, policy, scheduler) *cell* and summarize it.  This module
 owns that unit:
 

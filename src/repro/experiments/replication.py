@@ -116,15 +116,6 @@ class ReplicatedComparison:
             lines.append(f"{strategy:<18}" + "".join(cells))
         return "\n".join(lines)
 
-    def significantly_better(
-        self, challenger: str, incumbent: str, metric: str = "avg_wct"
-    ) -> bool:
-        """Whether ``challenger``'s 95% interval sits wholly below
-        ``incumbent``'s on ``metric`` (lower is better)."""
-        a = self.estimates[challenger][metric]
-        b = self.estimates[incumbent][metric]
-        return a.high < b.low
-
 
 def replicate(
     policy_factories: Sequence[Callable[[], ReschedulingPolicy]],

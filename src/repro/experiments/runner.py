@@ -15,7 +15,7 @@ parallel, or from cache.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Dict, List, Optional, Sequence, Tuple, Union
+from typing import Callable, List, Optional, Sequence, Tuple, Union
 
 from ..core.policy import ReschedulingPolicy
 from ..errors import ConfigurationError, ExperimentExecutionError
@@ -348,11 +348,3 @@ class ExperimentRunner:
             provenance=outcome.provenance,
             policy_spec=outcome.policy_spec,
         )
-
-    @staticmethod
-    def by_scenario(cells: Sequence[ExperimentCell]) -> Dict[str, List[ExperimentCell]]:
-        """Group cells by scenario name, preserving order."""
-        grouped: Dict[str, List[ExperimentCell]] = {}
-        for cell in cells:
-            grouped.setdefault(cell.scenario_name, []).append(cell)
-        return grouped

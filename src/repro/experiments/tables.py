@@ -35,7 +35,7 @@ from ..metrics.report import render_table
 from ..schedulers.initial import UtilizationBasedScheduler
 from ..simulator.config import SimulationConfig
 from ..workload.scenarios import busy_week, high_load, high_suspension
-from .experiment import Experiment
+from .experiment import Experiment, strategy_comparison
 
 __all__ = [
     "TABLES",
@@ -53,39 +53,34 @@ _SUSPENDED_ONLY = (no_res, res_sus_util, res_sus_rand)
 _WITH_WAITING = (no_res, res_sus_wait_util, res_sus_wait_rand)
 
 
-def _comparison(outcomes, horizon=None) -> StrategyComparison:
-    """A table's finish: the strategies' summaries, baseline first."""
-    return StrategyComparison(outcomes[0].scenario_name, tuple(o.summary for o in outcomes), tuple(outcomes))
-
-
 #: Table key -> its experiment, in the paper's order.
 TABLES: Dict[str, Experiment] = {
     "1": Experiment(
         "Table 1: suspended-job rescheduling, normal load, RR initial",
-        busy_week, _SUSPENDED_ONLY, _comparison,
+        busy_week, _SUSPENDED_ONLY, strategy_comparison,
     ),
     "2": Experiment(
         "Table 2: suspended-job rescheduling, high load, RR initial",
-        high_load, _SUSPENDED_ONLY, _comparison,
+        high_load, _SUSPENDED_ONLY, strategy_comparison,
     ),
     "3": Experiment(
         "Table 3: suspended-job rescheduling, high load, util initial",
-        high_load, _SUSPENDED_ONLY, _comparison, UtilizationBasedScheduler,
+        high_load, _SUSPENDED_ONLY, strategy_comparison, UtilizationBasedScheduler,
     ),
     "4": Experiment(
         "Table 4: +waiting-job rescheduling, high load, RR initial",
-        high_load, _WITH_WAITING, _comparison,
+        high_load, _WITH_WAITING, strategy_comparison,
     ),
     "5": Experiment(
         "Table 5: +waiting-job rescheduling, high load, util initial",
-        high_load, _WITH_WAITING, _comparison, UtilizationBasedScheduler,
+        high_load, _WITH_WAITING, strategy_comparison, UtilizationBasedScheduler,
     ),
     # The paper engineered a trace with a ~14% suspend rate and reports a
     # 7% AvgCT reduction over all jobs and 44% over suspended jobs for
     # ResSusUtil; this runs {NoRes, ResSusUtil} on our heavy-burst trace.
     "high-suspension": Experiment(
         "High-suspension scenario (Section 3.2.1, in text)",
-        high_suspension, (no_res, res_sus_util), _comparison,
+        high_suspension, (no_res, res_sus_util), strategy_comparison,
     ),
 }
 

@@ -22,12 +22,13 @@ from typing import Callable, Dict, List, Optional, Sequence
 
 from ..errors import ConfigurationError
 from ..experiments import presets as exp_presets
+from ..experiments.fault_sweep import fault_sweep_experiment
 from ..experiments.parallel import CellTask, make_cell_task
-from ..faults import FaultConfig
+from ..experiments.tables import TABLES
 from ..policies import policy_from_spec
 from ..schedulers.initial import RoundRobinScheduler
 from ..simulator.config import SimulationConfig
-from ..workload.scenarios import ScenarioRecipe, busy_week, high_load, smoke
+from ..workload.scenarios import ScenarioRecipe, smoke
 
 __all__ = ["GRID_PRESETS", "build_grid", "fault_sweep_grid", "smoke_grid", "table_grid"]
 
@@ -35,7 +36,6 @@ __all__ = ["GRID_PRESETS", "build_grid", "fault_sweep_grid", "smoke_grid", "tabl
 #: through the registry keeps the instances bit-identical to direct
 #: construction (the builtins delegate to the same factories) while
 #: stamping each cell with its ``policy_spec`` for telemetry/provenance.
-_FAULT_POLICY_SPECS = ("NoRes", "ResSusUtil", "ResSusWaitUtil")
 _TABLE_POLICY_SPECS = (
     "NoRes", "ResSusUtil", "ResSusRand", "ResSusWaitUtil", "ResSusWaitRand"
 )
@@ -59,37 +59,14 @@ def fault_sweep_grid(
 ) -> List[CellTask]:
     """The (MTBF x policy) churn grid of ``repro faults``, as cells.
 
-    One scenario, the three-policy fault family (override with
-    ``policies``, a sequence of registry spec strings), and one cell per
-    rung of the MTBF ladder.  The MTBF lives in the *config* (the fault
-    model), not the scenario/policy/scheduler triple, so each rung is
-    distinguished through the cell-id ``variant`` — distinct seeds,
-    distinct cache keys.
+    The fault-sweep experiment's cells
+    (:func:`~repro.experiments.fault_sweep.fault_sweep_experiment`),
+    summary only: one scenario, the three-policy fault family (override
+    with ``policies``, a sequence of registry spec strings), and one
+    cell per policy and rung of the MTBF ladder.
     """
-    mtbfs = tuple(
-        mtbf_minutes if mtbf_minutes is not None else exp_presets.fault_mtbfs()
-    )
-    mttr = mttr_minutes if mttr_minutes is not None else exp_presets.fault_mttr()
-    scenario = ScenarioRecipe.of(high_load, exp_presets.table_scale(scale), exp_presets.seed(seed))
-    specs = tuple(policies) if policies else _FAULT_POLICY_SPECS
-    tasks: List[CellTask] = []
-    for mtbf in mtbfs:
-        config = SimulationConfig(
-            strict=False,
-            faults=FaultConfig.with_exponential_churn(mtbf, mttr),
-        )
-        for policy in _build_policies(specs, scenario):
-            tasks.append(
-                make_cell_task(
-                    index=len(tasks),
-                    scenario=scenario,
-                    policy=policy,
-                    scheduler=RoundRobinScheduler(),
-                    config=config,
-                    variant=f"mtbf={mtbf:g}",
-                )
-            )
-    return tasks
+    experiment = fault_sweep_experiment(mtbf_minutes, mttr_minutes, keep_results=False)
+    return experiment.tasks(scale, seed, policies=policies)
 
 
 def table_grid(
@@ -97,21 +74,8 @@ def table_grid(
     seed: Optional[int] = None,
     policies: Optional[Sequence[str]] = None,
 ) -> List[CellTask]:
-    """The paper's five policies under normal load (the Table 1/4 axis)."""
-    scenario = ScenarioRecipe.of(busy_week, exp_presets.table_scale(scale), exp_presets.seed(seed))
-    config = SimulationConfig(strict=False)
-    tasks: List[CellTask] = []
-    for policy in _build_policies(policies or _TABLE_POLICY_SPECS, scenario):
-        tasks.append(
-            make_cell_task(
-                index=len(tasks),
-                scenario=scenario,
-                policy=policy,
-                scheduler=RoundRobinScheduler(),
-                config=config,
-            )
-        )
-    return tasks
+    """The paper's five policies under normal load: Table 1's cells, Table 4's strategies added."""
+    return TABLES["1"].tasks(scale, seed, policies=policies or _TABLE_POLICY_SPECS)
 
 
 def smoke_grid(

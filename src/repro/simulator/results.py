@@ -10,7 +10,7 @@ lives in :mod:`repro.metrics` and :mod:`repro.analysis`.
 
 from __future__ import annotations
 
-from typing import Dict, Iterator, List, NamedTuple, Optional, Sequence, Tuple
+from typing import Iterator, List, NamedTuple, Optional, Sequence, Tuple
 
 __all__ = ["JobRecord", "StateSample", "SimulationResult", "RecordingSink"]
 
@@ -201,13 +201,6 @@ class SimulationResult:
             if record.job_id == job_id:
                 return record
         raise KeyError(f"no record for job id {job_id}")
-
-    def records_by_user(self) -> Dict[str, List[JobRecord]]:
-        """Group completed records by submitting user."""
-        grouped: Dict[str, List[JobRecord]] = {}
-        for record in self.completed_records():
-            grouped.setdefault(record.user, []).append(record)
-        return grouped
 
 
 class RecordingSink:

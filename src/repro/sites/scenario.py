@@ -17,6 +17,7 @@ from ..workload.arrivals import BurstProcess
 from ..workload.cluster import ClusterSpec, ClusterTemplate, PoolSpec
 from ..workload.distributions import RandomStreams
 from ..workload.generator import WorkloadGenerator, WorkloadModel
+from ..workload.scenarios import DEFAULT_WAIT_THRESHOLD
 from ..workload.trace import Trace
 from .topology import SiteSpec, SiteTopology
 
@@ -58,6 +59,10 @@ class MultiSiteScenario:
     trace: Trace
     seed: int
     burst_site: str
+
+    #: The waiting-job threshold a policy spec defaults to, as for a
+    #: single-site scenario; a grid cell's cache key reads it.
+    wait_threshold = DEFAULT_WAIT_THRESHOLD
 
 
 def multi_site_scenario(

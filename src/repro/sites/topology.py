@@ -146,7 +146,10 @@ class SiteTopology:
         return self._default_latency
 
     def __repr__(self) -> str:
+        # The latencies are part of the repr because a cache key hashes
+        # a topology (in a selector or an overhead) by it.
+        latency = self._default_latency if self._pair_latency is None else sorted(self._pair_latency.items())
         return (
             f"SiteTopology(sites={len(self._sites)}, "
-            f"pools={sum(len(s.pools) for s in self._sites)})"
+            f"pools={sum(len(s.pools) for s in self._sites)}, transfer_minutes={latency})"
         )

@@ -1,21 +1,29 @@
 """The paper's claims, defined once, and the experiments they are checked on.
 
-Two pieces of data drive ``repro validate``, ``repro table`` and the
+Four pieces of data drive ``repro validate``, ``repro table`` and the
 paper benchmarks (``benchmarks/bench_paper.py``):
 
 * :data:`EXPERIMENTS` — experiment key -> :class:`Experiment` (title,
   scenario, strategies, finish step, rendering) for Tables 1-5, the
   in-text high-suspension run and Figures 2-4, defined in
   :mod:`repro.experiments.tables` and :mod:`repro.experiments.figures`;
+* :data:`EXTENSIONS` — the experiments beyond the paper: the ablations
+  (:mod:`repro.experiments.ablations`), the fault sweep
+  (:mod:`repro.experiments.fault_sweep`), inter-site rescheduling
+  (:mod:`repro.sites.experiments`) and the Section 2 observations
+  (:mod:`repro.experiments.motivation`);
 * :data:`CLAIMS` — every qualitative claim the reproduction checks:
   its name, the experiments it needs, the paper's value (computed from
   :mod:`repro.paper` wherever the paper gives a number) and one
-  predicate over the needed experiments' results.
+  predicate over the needed experiments' results;
+* :data:`EXTENSION_CLAIMS` — the same for the extensions; their paper
+  column names the future-work item or the cited paper they test.
 
-:func:`validate_paper_claims` runs every experiment the claims need as
+:func:`validate_all_claims` runs every experiment the claims need as
 one grid, so a cell two experiments share (Figure 3's and Table 1's
 three, the NoRes rows Tables 4 and 5 share with Tables 2 and 3, the
-year-long NoRes run of Figures 2 and 4) is simulated once.
+year-long NoRes run of Figures 2 and 4, the ablations' NoRes and
+ResSusUtil rows and Table 2's) is simulated once.
 
 A regression in the simulator or a recalibration of the workload shows
 up as a failed claim rather than a silently drifting number.  See
@@ -29,19 +37,25 @@ from dataclasses import dataclass, replace
 from typing import Any, Callable, Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
 
 from .analysis.comparison import reduction_pct
-from .experiments import figures, tables
+from .experiments import ablations, figures, motivation, tables
+from .experiments.fault_sweep import FAULT_SWEEP
 from .experiments.experiment import Experiment, execute_grid
 from .paper import PAPER_EVALUATION_SETUP, PAPER_FIGURE2, PAPER_HIGH_SUSPENSION, PAPER_TABLES
+from .sites.experiments import INTER_SITE
+from .workload.scenarios import year
 
 __all__ = [
     "CLAIMS",
     "Claim",
     "ClaimResult",
     "EXPERIMENTS",
+    "EXTENSIONS",
+    "EXTENSION_CLAIMS",
     "Experiment",
     "ValidationReport",
     "evaluate_claims",
     "run_experiments",
+    "validate_all_claims",
     "validate_paper_claims",
 ]
 
@@ -99,6 +113,18 @@ class ValidationReport:
 #: in-text high-suspension run, then Figures 2-4.
 EXPERIMENTS: Dict[str, Experiment] = {**tables.TABLES, **figures.FIGURES}
 
+#: experiment key -> experiment, for the experiments beyond the paper.
+#: The fault sweep has no claim, so ``repro validate`` does not run it.
+EXTENSIONS: Dict[str, Experiment] = {
+    **ablations.ABLATIONS,
+    "fault-sweep": FAULT_SWEEP,
+    "inter-site": INTER_SITE,
+    **motivation.MOTIVATION,
+}
+
+#: Every experiment :func:`run_experiments` runs, in report order.
+_REGISTRY: Dict[str, Experiment] = {**EXPERIMENTS, **EXTENSIONS}
+
 
 # -- the claims --------------------------------------------------------------------
 
@@ -109,8 +135,8 @@ class Claim:
 
     Attributes:
         name: the claim as the report prints it.
-        needs: the :data:`EXPERIMENTS` keys whose results ``check`` takes,
-            in this order.
+        needs: the :data:`EXPERIMENTS` or :data:`EXTENSIONS` keys whose
+            results ``check`` takes, in this order.
         paper: what the paper reports.
         check: ``(*results) -> (measured, holds)``.
     """
@@ -122,8 +148,8 @@ class Claim:
 
     @property
     def owner(self) -> str:
-        """The experiment that completes ``needs``: its last in :data:`EXPERIMENTS` order."""
-        return max(self.needs, key=list(EXPERIMENTS).index)
+        """The experiment that completes ``needs``: its last in report order."""
+        return max(self.needs, key=list(_REGISTRY).index)
 
 
 _REGISTERED: List[Claim] = []
@@ -365,32 +391,154 @@ def _suspension_underutilized(fig4):
 CLAIMS: Tuple[Claim, ...] = tuple(_REGISTERED)
 
 
+# -- the extensions' claims ----------------------------------------------------------
+
+
+@_claim("every selector beats NoRes on AvgWCT (selectors)", ["selectors"], "future work: combined metrics")
+def _every_selector_helps(comparison):
+    baseline = comparison.baseline()
+    improvements = {s.policy_name: baseline.avg_wct - s.avg_wct for s in comparison.summaries[1:]}
+    best = max(improvements, key=improvements.get)
+    return f"best {best} ({improvements[best]:+.1f} min/job)", all(
+        s.avg_wct < baseline.avg_wct for s in comparison.summaries[1:]
+    )
+
+
+@_claim("smaller thresholds move jobs more often (threshold)", ["threshold"], "30 min, not swept")
+def _threshold_moves(comparison):
+    ordered = [s.avg_waiting_moves for s in comparison.summaries[1:]]
+    return "moves/job " + " > ".join(f"{m:.3f}" for m in ordered), ordered == sorted(ordered, reverse=True)
+
+
+@_claim("the 30-min threshold beats NoRes on AvgWCT (threshold)", ["threshold"], "30 min ~ 2x avg wait")
+def _thirty_minutes_helps(comparison):
+    baseline, thirty = comparison.baseline(), comparison.by_name("ResSusWaitUtil[30m]")
+    return _ARROW.format(baseline.avg_wct, thirty.avg_wct), thirty.avg_wct < baseline.avg_wct
+
+
+@_claim("restart overheads cannot speed suspended jobs (overhead)", ["overhead"], "future work: overheads")
+def _overheads_cost(comparison):
+    free, worst = comparison.summaries[0], comparison.summaries[-1]
+    return (
+        f"AvgCT(susp) {_ARROW.format(free.avg_ct_suspended, worst.avg_ct_suspended)}",
+        worst.avg_ct_suspended >= free.avg_ct_suspended * 0.95,
+    )
+
+
+@_claim("duplication never hurts suspended jobs (duplication)", ["duplication"], "future work: duplication")
+def _duplication_safe(comparison):
+    no_res, dup = comparison.baseline(), comparison.by_name("DupSusUtil")
+    return (
+        f"AvgCT(susp) {_VERSUS.format(dup.avg_ct_suspended, no_res.avg_ct_suspended)}",
+        dup.avg_ct_suspended <= no_res.avg_ct_suspended * 1.05,
+    )
+
+
+_MIGRATION_PAPER = "priced migration (arXiv:1204.6631)"
+
+
+@_claim("dilation cannot shrink resched waste (migration)", ["migration"], _MIGRATION_PAPER)
+def _dilation_wastes(comparison):
+    free, paper_range = comparison.by_name("MigSusUtil[0%]"), comparison.by_name("MigSusUtil[15%]")
+    return (
+        f"resched waste {free.waste.resched_time:.1f} -> {paper_range.waste.resched_time:.1f} min",
+        paper_range.waste.resched_time >= free.waste.resched_time,
+    )
+
+
+@_claim("migrating at 15% beats staying suspended (migration, T2)", ["2", "migration"], "10-20% VM overhead")
+def _migration_beats_suspension(t2, comparison):
+    no_res, paper_range = t2.baseline(), comparison.by_name("MigSusUtil[15%]")
+    return (
+        f"AvgCT(susp) {_VERSUS.format(paper_range.avg_ct_suspended, no_res.avg_ct_suspended)}",
+        paper_range.avg_ct_suspended < no_res.avg_ct_suspended,
+    )
+
+
+_SITES_PAPER = "site-then-pool (arXiv:1412.4213)"
+
+
+def _beats_no_res_across_sites(name: str):
+    @_claim(f"{name} beats NoRes on AvgWCT (inter-site)", ["inter-site"], _SITES_PAPER)
+    def check(comparison):
+        no_res, row = comparison.baseline(), comparison.by_name(name)
+        return _ARROW.format(no_res.avg_wct, row.avg_wct), row.avg_wct < no_res.avg_wct
+
+
+_beats_no_res_across_sites("LocalFirst")
+_beats_no_res_across_sites("TransferAware")
+_OBSERVATION_3 = "Sec 2.3, observation 3"
+
+
+@_claim("the burst saturates its target pools (pool imbalance)", ["pool-imbalance"], _OBSERVATION_3)
+def _pools_saturate(analysis):
+    return f"{len(analysis.episodes)} episodes >= 30 min", bool(analysis.episodes)
+
+
+@_claim("some pool saturated while the cluster idles (pool imbalance)", ["pool-imbalance"], _OBSERVATION_3)
+def _hot_while_idle(analysis):
+    return f"{analysis.hot_while_idle_fraction:.0%} of samples", analysis.hot_while_idle_fraction > 0.02
+
+
+@_claim("saturation without cluster-wide overload (pool imbalance)", ["pool-imbalance"], _OBSERVATION_3)
+def _no_overload(analysis):
+    peak = max((e.cluster_utilization_during for e in analysis.episodes), default=0.0)
+    return f"cluster at most {peak:.0%}", all(e.cluster_utilization_during < 0.8 for e in analysis.episodes)
+
+
+_SECTION_2_2 = "Sec 2.2, task motivation"
+
+
+@_claim("ResSusWaitUtil cuts task completion time (task level)", ["task-level"], _SECTION_2_2)
+def _tasks_complete_sooner(out):
+    base_tasks, res_tasks = out["NoRes"][1], out["ResSusWaitUtil"][1]
+    return (
+        _ARROW.format(base_tasks.avg_task_completion, res_tasks.avg_task_completion),
+        res_tasks.avg_task_completion < base_tasks.avg_task_completion,
+    )
+
+
+@_claim("tasks amplify stragglers' cost (task level, NoRes)", ["task-level"], _SECTION_2_2)
+def _tasks_amplify(out):
+    base_tasks = out["NoRes"][1]
+    return f"{base_tasks.amplification:.2f}x member AvgCT", base_tasks.amplification > 1.0
+
+
+#: The extensions' claims, in report order.
+EXTENSION_CLAIMS: Tuple[Claim, ...] = tuple(_REGISTERED[len(CLAIMS):])
+
+
 def run_experiments(
     keys: Iterable[str], scale=None, seed=None, year_horizon=None, policies=None, **execution: Any
 ) -> Dict[str, Any]:
     """Run the experiments in ``keys`` as one grid; key -> result.
 
+    ``keys`` name :data:`EXPERIMENTS` and :data:`EXTENSIONS` entries.
     Every experiment's cells go to one :func:`execute_grid` call
     (``execution``: ``workers``, ``cache_dir``, ``use_cache``,
     ``progress``), where a cell two experiments share is simulated
     once; each experiment then finishes its own slice of the outcomes.
+    The year-long experiments' cells come first in the grid: they are
+    its longest, so a fleet that starts them first finishes sooner.
 
     ``scale`` is the cluster scale of *every* cell, the year-long
     Figures 2 and 4 included.  ``None`` takes the presets instead,
     which differ: ``REPRO_SCALE`` (default 0.25) for the tables and
-    Figure 3, ``REPRO_YEAR_SCALE`` (default 0.08) for Figures 2 and 4.
-    ``policies``, when given, replaces every experiment's strategies
-    (see :meth:`Experiment.tasks`).
+    Figure 3, ``REPRO_YEAR_SCALE`` (default 0.08) for Figures 2 and 4;
+    the inter-site study keeps its own defaults (scale 0.2, seed
+    2010).  ``policies``, when given, replaces every experiment's
+    strategies (see :meth:`Experiment.tasks`).
     """
+    keys = list(keys)
     grid: List = []
     slices: Dict[str, slice] = {}
-    for key in keys:
+    for key in sorted(keys, key=lambda key: _REGISTRY[key].scenario is not year):
         start = len(grid)
-        for task in EXPERIMENTS[key].tasks(scale, seed, year_horizon, policies):
+        for task in _REGISTRY[key].tasks(scale, seed, year_horizon, policies):
             grid.append(replace(task, index=len(grid)))
         slices[key] = slice(start, len(grid))
     outcomes = execute_grid(grid, **execution)
-    return {key: EXPERIMENTS[key].finish(outcomes[cells], year_horizon) for key, cells in slices.items()}
+    return {key: _REGISTRY[key].finish(outcomes[slices[key]], grid[slices[key]]) for key in keys}
 
 
 def evaluate_claims(results: Mapping[str, Any], claims: Iterable[Claim] = CLAIMS) -> List[ClaimResult]:
@@ -402,6 +550,13 @@ def evaluate_claims(results: Mapping[str, Any], claims: Iterable[Claim] = CLAIMS
     return evaluated
 
 
+def _validate(claim_sets: Sequence[Sequence[Claim]], scale, seed, year_horizon) -> List[ValidationReport]:
+    """Run every experiment ``claim_sets`` need, as one grid, and check each set."""
+    needed = {key for claims in claim_sets for claim in claims for key in claim.needs}
+    results = run_experiments([key for key in _REGISTRY if key in needed], scale, seed, year_horizon)
+    return [ValidationReport(evaluate_claims(results, claims)) for claims in claim_sets]
+
+
 def validate_paper_claims(
     scale: Optional[float] = None,
     seed: Optional[int] = None,
@@ -411,6 +566,18 @@ def validate_paper_claims(
 
     ``scale`` applies to every cell, as in :func:`run_experiments`.
     """
-    needed = {key for claim in CLAIMS for key in claim.needs}
-    results = run_experiments([key for key in EXPERIMENTS if key in needed], scale, seed, year_horizon)
-    return ValidationReport(results=evaluate_claims(results))
+    (report,) = _validate([CLAIMS], scale, seed, year_horizon)
+    return report
+
+
+def validate_all_claims(
+    scale: Optional[float] = None,
+    seed: Optional[int] = None,
+    year_horizon: Optional[float] = None,
+) -> Tuple[ValidationReport, ValidationReport]:
+    """Check :data:`CLAIMS` and :data:`EXTENSION_CLAIMS` on one grid; (paper, extensions).
+
+    ``scale`` applies to every cell, as in :func:`run_experiments`.
+    """
+    paper, extensions = _validate([CLAIMS, EXTENSION_CLAIMS], scale, seed, year_horizon)
+    return paper, extensions

@@ -483,6 +483,11 @@ class ScenarioRecipe:
         bound.apply_defaults()
         return cls(key, tuple(bound.arguments.items()), _SCENARIO_NAMES[key], bound.arguments["seed"])
 
+    @staticmethod
+    def can_name(builder) -> bool:
+        """Whether :meth:`of` takes the builder function ``builder``."""
+        return _RECIPE_BUILDERS.get(getattr(builder, "__name__", None)) is builder
+
     def with_cores_halved(self) -> Optional["ScenarioRecipe"]:
         """The recipe of this build on the half-cores cluster; ``None``
         if its cores are halved already (no recipe halves twice)."""

@@ -159,12 +159,6 @@ class TestRunner:
         cells = runner.run([smoke_scenario], [repro.no_res])
         assert cells[0].result is not None
 
-    def test_by_scenario_grouping(self, smoke_scenario):
-        runner = ExperimentRunner(config=FAST)
-        cells = runner.run([smoke_scenario], [repro.no_res])
-        grouped = ExperimentRunner.by_scenario(cells)
-        assert list(grouped) == ["smoke"]
-
     def test_validation(self, smoke_scenario):
         runner = ExperimentRunner()
         with pytest.raises(ConfigurationError):

@@ -302,27 +302,59 @@ class TestFaultSweep:
         assert "ResSusUtil" in text
 
     def test_sweep_without_samples_matches_sampled_runs(self):
+        """The sweep's cells keep their results but record no state
+        samples; the same cells run with samples agree on everything the
+        sweep reads."""
+        from dataclasses import replace
+
         from repro.experiments.cache import stable_hash
-        from repro.experiments.fault_sweep import FAULT_POLICY_FAMILY, _cell, fault_sweep
+        from repro.experiments.fault_sweep import fault_sweep, fault_sweep_experiment
         from repro.workload.scenarios import high_load
 
         sweep = fault_sweep(mtbf_minutes=(4000.0,), scale=0.03, seed=11)
+        tasks = fault_sweep_experiment(mtbf_minutes=(4000.0,)).tasks(scale=0.03, seed=11)
         scenario = high_load(0.03, 11)
-        faults = FaultConfig.with_exponential_churn(4000.0, sweep.mttr_minutes)
-        sampled = SimulationConfig(strict=False, faults=faults, record_samples=True)
-        for cell, policy in zip(sweep.cells, FAULT_POLICY_FAMILY()):
-            reference = _cell(scenario, policy, 4000.0, sweep.mttr_minutes, sampled)
-            assert cell.policy_name == reference.policy_name
-            assert stable_hash(cell.summary) == stable_hash(reference.summary)
-            assert cell.fault_stats == reference.fault_stats
-            assert cell.failed_count == reference.failed_count
-            for lean, full in (
-                (cell.suspension_cdf, reference.suspension_cdf),
-                (cell.turnaround_cdf, reference.turnaround_cdf),
-            ):
-                assert (lean is None) == (full is None)
-                if lean is not None:
-                    assert list(lean.values) == list(full.values)
+        assert len(sweep.cells) == len(tasks)
+        for cell, task in zip(sweep.cells, tasks):
+            assert task.keep_result and not task.config.record_samples
+            full = repro.run_simulation(
+                scenario.trace,
+                scenario.cluster,
+                policy=task.policy,
+                initial_scheduler=task.scheduler,
+                config=replace(task.config, record_samples=True),
+            )
+            assert full.samples
+            completed = list(full.completed_records())
+            suspended = [r.suspend_time for r in completed if r.was_suspended]
+            assert cell.policy_name == full.policy_name
+            assert stable_hash(cell.summary) == stable_hash(summarize(full))
+            assert cell.fault_stats == full.fault_stats
+            assert cell.failed_count == full.failed_count()
+            assert list(cell.turnaround_cdf.values) == sorted(r.completion_time for r in completed)
+            if cell.suspension_cdf is None:
+                assert suspended == []
+            else:
+                assert list(cell.suspension_cdf.values) == sorted(suspended)
+
+    def test_sweep_cells_are_the_preset_grid_cells(self):
+        """``repro faults`` and ``run-grid --preset fault-sweep`` run the
+        same cells: same ids, same per-cell seeds, same summaries."""
+        from repro.experiments.cache import stable_hash
+        from repro.experiments.fault_sweep import fault_sweep
+        from repro.experiments.parallel import run_grid_parallel
+        from repro.fabric.presets import fault_sweep_grid
+
+        ladder = (4000.0, 16000.0)
+        sweep = fault_sweep(mtbf_minutes=ladder, scale=0.03, seed=11)
+        grid = run_grid_parallel(fault_sweep_grid(scale=0.03, seed=11, mtbf_minutes=ladder))
+        assert sweep.mtbf_minutes == ladder
+        assert [(c.mtbf_minutes, c.policy_name) for c in sweep.cells] == [
+            (mtbf, o.policy_name) for mtbf in ladder for o in grid.outcomes[:3]
+        ]
+        assert [stable_hash(c.summary) for c in sweep.cells] == [
+            stable_hash(o.summary) for o in grid.outcomes
+        ]
 
     def test_sweep_deterministic(self):
         from repro.experiments.fault_sweep import fault_sweep

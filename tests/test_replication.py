@@ -66,10 +66,6 @@ class TestReplicate:
         assert "NoRes" in text
         assert "±" in text
 
-    def test_significantly_better_is_conservative(self, comparison):
-        # identical strategy vs itself is never "significantly better"
-        assert not comparison.significantly_better("NoRes", "NoRes")
-
     def test_validation(self):
         with pytest.raises(ConfigurationError):
             replicate([], seeds=(1,))

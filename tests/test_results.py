@@ -160,19 +160,6 @@ class TestSimulationResult:
         with pytest.raises(KeyError):
             result.record_by_id(99)
 
-    def test_records_by_user(self):
-        result = SimulationResult(
-            records=[record(0, user="a"), record(1, user="b"), record(2, user="a")],
-            samples=[],
-            pool_ids=("p0",),
-            policy_name="NoRes",
-            scheduler_name="RoundRobin",
-            total_cores=4,
-        )
-        grouped = result.records_by_user()
-        assert len(grouped["a"]) == 2
-        assert len(grouped["b"]) == 1
-
 
 class TestVirtualPoolManager:
     def make_vpm(self, pool_count=2, machine_count=1):

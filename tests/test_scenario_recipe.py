@@ -9,7 +9,8 @@ its arguments.  The guarantees pinned here:
 * a built scenario carries its recipe, so a cell keys the same whether
   it holds the recipe or the build;
 * the grids built from recipes keep the cell ids, child seeds and order
-  the grids of built scenarios had (a golden computed before recipes);
+  the grids of built scenarios had (a golden computed before recipes),
+  and the experiments beyond the paper keep theirs;
 * a manifest of recipe cells is kilobytes, even for ten seeds of the
   paper's experiments;
 * a grid pass builds each recipe once (a high-load recipe reuses its
@@ -33,7 +34,7 @@ from repro.fabric.presets import fault_sweep_grid, smoke_grid, table_grid
 from repro.fabric.worker import write_manifest
 from repro.policies import policy_from_spec
 from repro.simulator.config import SimulationConfig
-from repro.validation import CLAIMS, EXPERIMENTS
+from repro.validation import CLAIMS, EXPERIMENTS, EXTENSION_CLAIMS, EXTENSIONS
 from repro.workload import scenarios
 from repro.workload.scenarios import ScenarioBuilds, ScenarioRecipe
 
@@ -68,7 +69,21 @@ GOLDEN_GRIDS = {
     "EXPERIMENTS['figure2']": (1, "efffc6794d4e3a35"),
     "EXPERIMENTS['figure3']": (3, "7e3666fd6cdda350"),
     "EXPERIMENTS['figure4']": (1, "efffc6794d4e3a35"),
+    # Pinned when the extensions became entries; the fault sweep's cells
+    # are the fault_sweep_grid() preset's.
+    "EXTENSIONS['selectors']": (6, "307def73c62468f6"),
+    "EXTENSIONS['threshold']": (6, "f572c07e9f80a3f7"),
+    "EXTENSIONS['overhead']": (4, "00f5ff74df069fa0"),
+    "EXTENSIONS['duplication']": (4, "5ea17b0e1f8a6204"),
+    "EXTENSIONS['migration']": (3, "f6f8a2f622abbde8"),
+    "EXTENSIONS['fault-sweep']": (9, "244fb7c93128f5c1"),
+    "EXTENSIONS['pool-imbalance']": (1, "404bcea97378989f"),
+    "EXTENSIONS['task-level']": (2, "523b6b63c7cf92ba"),
 }
+
+#: The inter-site cells carry their built multi-site scenario (no
+#: recipe names it), so they are pinned apart from GOLDEN_GRIDS.
+INTER_SITE_GOLDEN = (4, "06ccf6a3f7e6f97a")
 
 _PRESET_ENV = (
     "REPRO_SCALE", "REPRO_SEED", "REPRO_YEAR_SCALE", "REPRO_YEAR_HORIZON",
@@ -92,7 +107,14 @@ def _grids():
     }
     for key, experiment in EXPERIMENTS.items():
         grids[f"EXPERIMENTS[{key!r}]"] = experiment.tasks
+    for key, experiment in EXTENSIONS.items():
+        grids[f"EXTENSIONS[{key!r}]"] = experiment.tasks
     return grids
+
+
+def _digest(tasks):
+    lines = "".join(f"{t.index}|{t.cell_id}|{t.config.seed}\n" for t in tasks)
+    return (len(tasks), hashlib.sha256(lines.encode()).hexdigest()[:16]), lines
 
 
 def _validate_grid(seed=None):
@@ -175,9 +197,14 @@ class TestGridsKeepTheirCells:
     def test_cell_ids_child_seeds_and_order(self, name, preset_defaults):
         tasks = _grids()[name]()
         assert all(isinstance(t.scenario, ScenarioRecipe) for t in tasks)
-        lines = "".join(f"{t.index}|{t.cell_id}|{t.config.seed}\n" for t in tasks)
-        digest = hashlib.sha256(lines.encode()).hexdigest()[:16]
-        assert (len(tasks), digest) == GOLDEN_GRIDS[name], lines
+        digest, lines = _digest(tasks)
+        assert digest == GOLDEN_GRIDS[name], lines
+
+    def test_inter_site_cell_ids_child_seeds_and_order(self, preset_defaults):
+        tasks = EXTENSIONS["inter-site"].tasks()
+        digest, lines = _digest(tasks)
+        assert digest == INTER_SITE_GOLDEN, lines
+        assert {t.scenario.name for t in tasks} == {"multi-site-2"}
 
     def test_figures_2_and_4_share_one_cache_key(self, preset_defaults):
         (fig2,) = EXPERIMENTS["figure2"].tasks()
@@ -188,6 +215,24 @@ class TestGridsKeepTheirCells:
         grid = _validate_grid()
         assert len(grid) == 22
         assert len({t.cache_key for t in grid}) == 16
+
+    def test_extension_cells_share_the_tables_cells(self, preset_defaults):
+        """The ablations' NoRes is Table 2's (as are duplication's
+        ResSusUtil and task level's NoRes), task level's ResSusWaitUtil is
+        Table 4's, and pool imbalance's NoRes is Figure 3's."""
+
+        def key(experiments, name, policy):
+            (task,) = [t for t in experiments[name].tasks() if t.policy.name == policy]
+            return task.cache_key
+
+        no_res = key(EXPERIMENTS, "2", "NoRes")
+        for name in ("selectors", "threshold", "duplication", "task-level"):
+            assert key(EXTENSIONS, name, "NoRes") == no_res, name
+        assert key(EXTENSIONS, "duplication", "ResSusUtil") == key(EXPERIMENTS, "2", "ResSusUtil")
+        assert key(EXTENSIONS, "task-level", "ResSusWaitUtil") == key(EXPERIMENTS, "4", "ResSusWaitUtil")
+        assert key(EXTENSIONS, "pool-imbalance", "NoRes") == key(EXPERIMENTS, "figure3", "NoRes")
+        needed = {k for claim in CLAIMS + EXTENSION_CLAIMS for k in claim.needs}
+        assert "fault-sweep" not in needed
 
     def test_cache_key_names_the_recipe_and_generator_version(self, monkeypatch):
         recipe = ScenarioRecipe.of(scenarios.smoke, seed=5)

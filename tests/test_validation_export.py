@@ -16,6 +16,8 @@ from repro.core.selectors import LowestUtilizationSelector
 from repro.validation import (
     CLAIMS,
     EXPERIMENTS,
+    EXTENSION_CLAIMS,
+    EXTENSIONS,
     ClaimResult,
     ValidationReport,
     evaluate_claims,
@@ -171,6 +173,76 @@ class TestExperimentsAsOneGrid:
         alone = EXPERIMENTS[key].run(workers=1, use_cache=False)
         assert _comparable(results[key]) == _comparable(alone)
         assert EXPERIMENTS[key].render(results[key]) == EXPERIMENTS[key].render(alone)
+
+
+class TestValidateGrid:
+    """``repro validate`` checks both claim tables on one grid."""
+
+    @pytest.fixture(scope="class")
+    def merged(self):
+        needed = {key for claim in CLAIMS + EXTENSION_CLAIMS for key in claim.needs}
+        keys = [key for key in {**EXPERIMENTS, **EXTENSIONS} if key in needed]
+        computed = []
+        results = run_experiments(
+            keys, scale=0.03, year_horizon=8000.0, workers=1, use_cache=False,
+            progress=computed.append,
+        )
+        grid = [
+            task
+            for key in keys
+            for task in {**EXPERIMENTS, **EXTENSIONS}[key].tasks(0.03, None, 8000.0)
+        ]
+        return results, computed, grid
+
+    def test_every_cache_key_is_computed_once(self, merged):
+        _, computed, grid = merged
+        assert len(computed) == len({task.cache_key for task in grid}) < len(grid)
+        assert {outcome.provenance for outcome in computed} == {"computed"}
+
+    def test_the_ablations_no_res_twin_is_simulated_once(self, merged):
+        results, computed, _ = merged
+        twins = [
+            o for o in computed
+            if (o.scenario_name, o.policy_name, o.scheduler_name)
+            == ("busy-week+high-load", "NoRes", "RoundRobin")
+        ]
+        assert len(twins) == 1
+        table2 = results["2"].baseline()
+        for key in ("selectors", "threshold", "duplication"):
+            assert results[key].baseline() == table2, key
+        assert results["task-level"]["NoRes"][0] == table2
+
+    def test_the_year_long_cell_runs_first(self, merged):
+        _, computed, _ = merged
+        assert computed[0].scenario_name.startswith("year")
+
+    def test_every_claim_is_evaluated(self, merged):
+        results, _, _ = merged
+        evaluated = evaluate_claims(results, CLAIMS + EXTENSION_CLAIMS)
+        assert [r.claim for r in evaluated] == [c.name for c in CLAIMS + EXTENSION_CLAIMS]
+
+
+class TestCliValidate:
+    def reports(self, extension_holds):
+        def report(names, holds):
+            return ValidationReport([ClaimResult(n, "p", "m", holds) for n in names])
+
+        return (
+            report([c.name for c in CLAIMS], True),
+            report([c.name for c in EXTENSION_CLAIMS], extension_holds),
+        )
+
+    @pytest.mark.parametrize("extension_holds", [True, False])
+    def test_prints_the_paper_table_then_the_extensions(self, monkeypatch, capsys, extension_holds):
+        from repro import cli
+
+        paper, extensions = self.reports(extension_holds)
+        monkeypatch.setattr(cli, "validate_all_claims", lambda **_: (paper, extensions))
+        code = cli.main(["validate"])
+        out = capsys.readouterr().out
+        assert out.startswith(paper.render() + "\n\n")
+        assert out.endswith(extensions.render() + "\n")
+        assert code == (0 if extension_holds else 1)
 
 
 class TestExport:
