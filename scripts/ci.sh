@@ -28,10 +28,13 @@
 #           byte-identical across two invocations
 #   bench   engine-throughput gate: perfbench's own tests (its probes
 #           wrap named engine methods, so a rename fails here), then
-#           measures the quick workload matrix
-#           (scripts/bench_record.py --check) and fails when
-#           calibration-normalised throughput regresses more than 20%
-#           against the last committed BENCH_engine.json record
+#           times the quick workload matrix against the code of the
+#           last commit that changed BENCH_engine.json, checked out
+#           into a scratch git worktree (scripts/bench_record.py
+#           --check; needs full git history): fails when a cell's
+#           median paired tree/baseline throughput ratio drops more
+#           than 20%, or a result digest differs from the last
+#           committed record
 #   ingest  streaming-ingestion gate: trace-adapter test files (with
 #           the pinned replay-parity digests and the SWF tokenizer-vs-
 #           reference property test), then a 100k-job synthetic SWF

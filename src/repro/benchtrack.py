@@ -47,6 +47,7 @@ import hashlib
 import json
 import math
 import os
+import statistics
 import time
 from dataclasses import asdict, dataclass, fields
 from typing import Any, Callable, Dict, List, Optional, Sequence, Tuple
@@ -67,6 +68,8 @@ __all__ = [
     "record_to_dict",
     "record_from_dict",
     "check_regression",
+    "check_paired",
+    "paired_ratios",
     "median_of_runs",
     "WorkloadSpec",
     "WorkloadResult",
@@ -127,6 +130,9 @@ class Record:
             (:func:`median_of_runs`), cell name -> ``{"runs", "min",
             "max"}`` of the suite's :attr:`Suite.rate` across the runs;
             ``None`` for a single-run point.
+        calls_per_job: engine suite — Python calls per simulated job
+            from ``scripts/call_census.py`` at its defaults (``None``
+            for points recorded before it was stored).
     """
 
     suite: str
@@ -139,6 +145,7 @@ class Record:
     table1_cold_seconds: Optional[float] = None
     table1_warm_seconds: Optional[float] = None
     spread: Optional[Dict[str, Dict[str, float]]] = None
+    calls_per_job: Optional[float] = None
 
 
 @dataclass(frozen=True)
@@ -1091,6 +1098,8 @@ def record_to_dict(record: Record) -> Dict:
     data.update((name, getattr(record, name)) for name in suite.header)
     if record.spread is not None:
         data["spread"] = record.spread
+    if record.calls_per_job is not None:
+        data["calls_per_job"] = record.calls_per_job
     return data
 
 
@@ -1138,6 +1147,7 @@ def record_from_dict(data: Dict) -> Record:
             results=tuple(results),
             notes=data.get("notes", ""),
             spread=data.get("spread"),
+            calls_per_job=data.get("calls_per_job"),
             **{name: data[name] for name in suite.header},
         )
     except KeyError as exc:
@@ -1269,4 +1279,64 @@ def check_regression(
         if prev is not None and prev.spec == result.spec:
             calibration = (previous.calibration_score, current.calibration_score)
             failures += suite.gate(prev, result, calibration, threshold)
+    return failures
+
+
+def paired_ratios(
+    pairs: Sequence[Tuple[Sequence[WorkloadResult], Sequence[WorkloadResult]]],
+) -> Dict[str, List[float]]:
+    """Each cell's tree/baseline jobs/sec ratio, one per pair.
+
+    ``pairs`` holds one ``(baseline_results, tree_results)`` per pair
+    of engine-matrix measurements taken back to back on one host.
+    Cells are joined by name and compared only when their spec is
+    unchanged; a pair whose baseline measured a cell at zero jobs/sec
+    contributes no ratio for it.
+    """
+    ratios: Dict[str, List[float]] = {}
+    for baseline, tree in pairs:
+        before = {result.spec.name: result for result in baseline}
+        for result in tree:
+            prev = before.get(result.spec.name)
+            if prev is None or prev.spec != result.spec or prev.jobs_per_second <= 0:
+                continue
+            ratios.setdefault(result.spec.name, []).append(
+                result.jobs_per_second / prev.jobs_per_second
+            )
+    return ratios
+
+
+def check_paired(
+    previous: Optional[Record],
+    pairs: Sequence[Tuple[Sequence[WorkloadResult], Sequence[WorkloadResult]]],
+    threshold: float = 0.20,
+) -> List[str]:
+    """The engine gate on paired runs; returns failures (empty = pass).
+
+    Throughput is compared on one host, baseline code against the
+    tree, never against a stored number: a cell fails when the median
+    of its paired ratios (:func:`paired_ratios`) is below
+    ``1 - threshold``.  The tree's result digests are still gated
+    against the same-spec cells of ``previous``, the last committed
+    point, as :func:`check_regression` gates them.
+    """
+    failures: List[str] = []
+    stored = {} if previous is None else {r.spec.name: r for r in previous.results}
+    for _, tree in pairs:
+        for result in tree:
+            prev = stored.get(result.spec.name)
+            if prev is not None and prev.spec == result.spec:
+                failures += _digest_change(
+                    result.spec.name, "result", prev.result_digest, result.result_digest,
+                    "same-spec records no longer reproduce the committed run",
+                )
+    failures = list(dict.fromkeys(failures))
+    for name, ratios in paired_ratios(pairs).items():
+        ratio = statistics.median(ratios)
+        if ratio < 1.0 - threshold:
+            failures.append(
+                f"{name}: median paired throughput ratio {ratio:.3f} over "
+                f"{len(ratios)} pair(s) (a drop of {1.0 - ratio:.1%}; "
+                f"limit {threshold:.0%})"
+            )
     return failures

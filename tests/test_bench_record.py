@@ -210,6 +210,108 @@ class TestMedianOfRuns:
         assert record_from_dict(old).spread is None
 
 
+class TestPairedGate:
+    """The engine ``--check``: tree against baseline code, pair by pair."""
+
+    @staticmethod
+    def pairs(*rates, name="cell", **spec_kwargs):
+        """One pair per ``(baseline_jps, tree_jps)``."""
+        return [
+            ((workload(name, jps=base, **spec_kwargs),), (workload(name, jps=tree, **spec_kwargs),))
+            for base, tree in rates
+        ]
+
+    def test_median_ratio_below_the_threshold_fails(self):
+        failures = benchtrack.check_paired(None, self.pairs((100, 75), (100, 78), (100, 74)))
+        assert len(failures) == 1
+        assert "cell" in failures[0] and "0.750" in failures[0]
+
+    def test_one_slow_pair_does_not_fail(self):
+        pairs = self.pairs((100, 50), (100, 97), (100, 102))
+        assert benchtrack.paired_ratios(pairs) == {"cell": [0.5, 0.97, 1.02]}
+        assert benchtrack.check_paired(None, pairs) == []
+
+    def test_threshold_is_honoured(self):
+        pairs = self.pairs((100, 85), (100, 85), (100, 85))
+        assert benchtrack.check_paired(None, pairs, threshold=0.20) == []
+        assert len(benchtrack.check_paired(None, pairs, threshold=0.10)) == 1
+
+    def test_stored_point_gates_digests(self):
+        stored = record(workloads=[workload(digest="a" * 64)])
+        pairs = [((workload(digest="a" * 64),), (workload(digest="b" * 64),))] * 3
+        failures = benchtrack.check_paired(stored, pairs)
+        assert len(failures) == 1
+        assert "digest" in failures[0]
+
+    def test_respecd_cells_are_not_compared(self):
+        pairs = [
+            ((workload(jps=100.0, scale=0.08),), (workload(jps=10.0, scale=0.25),))
+        ]
+        assert benchtrack.paired_ratios(pairs) == {}
+        stored = record(workloads=[workload(digest="a" * 64, scale=0.08)])
+        assert benchtrack.check_paired(stored, pairs) == []
+
+    def test_calls_per_job_round_trips_and_old_points_load_without_it(self):
+        original = record(workloads=[workload()], calls_per_job=74.1)
+        payload = json.loads(json.dumps(record_to_dict(original)))
+        assert record_from_dict(payload) == original
+        old = record_to_dict(record(workloads=[workload()]))
+        assert "calls_per_job" not in old
+        assert record_from_dict(old).calls_per_job is None
+
+    def test_committed_engine_history_loads(self):
+        import os
+
+        root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+        for name in ("engine", "ingest", "grid", "chaos"):
+            assert load_history(os.path.join(root, f"BENCH_{name}.json"))
+
+
+class TestEngineCheckDriver:
+    """``bench_record.py --check`` on the engine suite runs paired, not stored."""
+
+    @pytest.fixture
+    def driver(self, monkeypatch, tmp_path):
+        module = _load_driver()
+        spec = WorkloadSpec(name="cell")
+        monkeypatch.setitem(benchtrack.SUITES, "engine", replace(
+            benchtrack.SUITES["engine"], matrix=(spec,), quick=(spec,),
+        ))
+        monkeypatch.setattr(module, "baseline_commit", lambda path: "c" * 40)
+
+        @__import__("contextlib").contextmanager
+        def checkout(commit):
+            yield str(tmp_path / "baseline")
+
+        monkeypatch.setattr(module, "checkout", checkout)
+        monkeypatch.setattr(module, "calls_per_job", lambda root: 60.0)
+        monkeypatch.chdir(tmp_path)
+        return module
+
+    def test_paired_drop_fails_and_stored_rates_are_not_read(self, driver, monkeypatch, tmp_path):
+        # The stored point is ten times faster than anything measured:
+        # a stored-number gate would fail, the paired gate does not.
+        write_record(str(tmp_path / "BENCH_engine.json"), record(
+            calibration=10.0, workloads=[workload(jps=1000.0)],
+        ))
+        runs = {"ratio": 1.0}
+
+        def paired_runs(base, tree, specs, pairs):
+            assert base == str(tmp_path / "baseline") and tree == driver.REPO
+            return [((workload(jps=100.0),), (workload(jps=100.0 * runs["ratio"]),))] * pairs
+
+        monkeypatch.setattr(driver, "paired_runs", paired_runs)
+        assert driver.main(["--check", "--quick"]) == 0
+        runs["ratio"] = 0.7
+        assert driver.main(["--check", "--quick"]) == 1
+
+    def test_shallow_history_is_an_error(self, monkeypatch):
+        module = _load_driver()
+        monkeypatch.setattr(module, "_git", lambda *args: "true")
+        with pytest.raises(SystemExit, match="fetch-depth: 0"):
+            module.baseline_commit("BENCH_engine.json")
+
+
 class TestMeasurement:
     TINY = WorkloadSpec(name="tiny", scale=0.02)
 
