@@ -16,7 +16,10 @@ from .ablations import (
     threshold_sweep,
 )
 from .cache import CacheStats, ResultCache, derive_cell_seed, open_cache
-from .fault_sweep import FaultSweep, FaultSweepCell, fault_sweep
+# The sweep's function is not re-exported here: under its submodule's
+# name it would shadow the submodule (``repro.experiments.fault_sweep``).
+# It is ``repro.fault_sweep`` and ``repro.experiments.fault_sweep.fault_sweep``.
+from .fault_sweep import FaultSweep, FaultSweepCell
 from .figures import Figure2, Figure4, figure2, figure3, figure4, render_figure3
 from .parallel import (
     CellFailure,
@@ -57,7 +60,6 @@ __all__ = [
     "open_cache",
     "FaultSweep",
     "FaultSweepCell",
-    "fault_sweep",
     "CellFailure",
     "CellOutcome",
     "CellTask",

@@ -45,6 +45,7 @@ from __future__ import annotations
 
 import dataclasses
 import hashlib
+import os
 import sys
 import threading
 import time
@@ -759,6 +760,47 @@ def sweep_tmp_droppings(cache: ResultCache) -> int:
     return removed
 
 
+class _PublishedEntries:
+    """Counts a run's cache keys that hold no verified entry.
+
+    The supervisor asks on every tick, and verifying an entry hashes
+    all of it (tens of megabytes for a kept year-long result).  So an
+    entry that verified once is trusted while its
+    ``(st_ino, st_size, st_mtime_ns)`` stamp is unchanged: a publish,
+    an eviction or a torn rewrite changes the stamp and is verified
+    again.  ``full=True`` verifies every entry regardless, which also
+    catches a corruption in place that kept the stamp.
+    """
+
+    def __init__(self, cache: ResultCache, keys: Sequence[str]) -> None:
+        self._cache = cache
+        self._keys = keys
+        self._verified: Dict[str, tuple] = {}
+
+    def unpublished(self, skip=(), full: bool = False) -> int:
+        """Keys not in ``skip`` whose entry is missing or fails to verify."""
+        return sum(
+            1 for key in self._keys if key not in skip and not self._published(key, full)
+        )
+
+    def _published(self, key: str, full: bool) -> bool:
+        try:
+            st = os.stat(self._cache.path_for(key))
+        except OSError:
+            self._verified.pop(key, None)
+            return False
+        stamp = (st.st_ino, st.st_size, st.st_mtime_ns)
+        if not full and self._verified.get(key) == stamp:
+            return True
+        # Stamped before the read: a rewrite in between leaves a stamp
+        # that no longer matches, so the next tick verifies again.
+        if self._cache.contains(key):
+            self._verified[key] = stamp
+            return True
+        self._verified.pop(key, None)
+        return False
+
+
 class SupervisedWorkerBackend(SubprocessWorkerBackend):
     """A subprocess fleet kept healthy by a :class:`FleetSupervisor`.
 
@@ -819,11 +861,10 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
         cache = ResultCache(cache_dir)
         keys = list(dict.fromkeys(t.cache_key for t in tasks if t.cache_key))
 
-        def status() -> int:
-            abandoned = supervisor.stats.abandoned
-            return sum(
-                1 for k in keys if k not in abandoned and not cache.contains(k)
-            )
+        published = _PublishedEntries(cache, keys)
+
+        def status(full: bool = False) -> int:
+            return published.unpublished(supervisor.stats.abandoned, full)
 
         def spawn(slot: int, incarnation: int):
             # Incarnations are first-class: slot 2's original process
@@ -852,10 +893,10 @@ class SupervisedWorkerBackend(SubprocessWorkerBackend):
             self.current_supervisor = None
         if stats.drained:
             raise BackendError(
-                f"supervised fleet drained on request with {status()} "
+                f"supervised fleet drained on request with {status(full=True)} "
                 "cell(s) unpublished"
             )
-        remaining = status()
+        remaining = status(full=True)
         if remaining:
             print(
                 f"[fabric] supervised fleet stopped with {remaining} "

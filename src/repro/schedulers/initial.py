@@ -92,7 +92,7 @@ class RoundRobinScheduler(InitialScheduler):
             return []
         cursor = self._cursors.get(key, 0) % len(key)
         self._cursors[key] = cursor + 1
-        return list(key[cursor:]) + list(key[:cursor])
+        return list(key[cursor:] + key[:cursor])
 
 
 class UtilizationBasedScheduler(InitialScheduler):

@@ -190,6 +190,7 @@ class SimulationEngine:
             VirtualPoolManager(f"vpm-{i}", self.scheduler, self.pools)
             for i in range(self.config.vpm_count)
         ]
+        self._vpm_count = len(self._vpms)
         self._events = EventQueue()
         self._sink = sink if sink is not None else RecordingSink()
         # Hot-path record/sample routing, bound once.
@@ -344,7 +345,10 @@ class SimulationEngine:
         max_minutes = self.config.max_minutes
         faults = self._faults
         dispatch = self._dispatch
-        submit = dispatch[EVENT_SUBMIT]
+        # ``_on_submit`` adds only the submit emission (and, through the
+        # dispatch table, telemetry's event count); without taps a
+        # submission goes straight to placement.
+        submit = dispatch[EVENT_SUBMIT] if self._emit_enabled else self._place_via_vpm
         pop = events.pop
         peek = events.peek_time
         advance = events.advance_to
@@ -458,7 +462,7 @@ class SimulationEngine:
                 )
                 return
             candidates = available
-        vpm = self._vpms[job.job_id % len(self._vpms)]
+        vpm = self._vpms[job.job_id % self._vpm_count]
         result, _ = vpm.submit(job, candidates, self.view, now)
         victims = self._after_placement(job, result, now)
         if victims:
@@ -483,16 +487,55 @@ class SimulationEngine:
             return  # stale completion from before a suspension/restart
         if self._emit_enabled:
             self._emit(now, "finish", job, pool_id=finish_pool)
-        partner = self._dup_partner.pop(job.job_id, None)
+        # Duplication is rare: most runs never fill either map.
+        partner = self._dup_partner.pop(job.job_id, None) if self._dup_partner else None
         if partner is not None:
             self._dup_partner.pop(partner.job_id, None)
             self._cancel_attempt(partner, now)
-        else:
+        elif self._dup_fallen:
             # A pair member that permanently failed earlier has nothing
             # left to cancel, but its accounting still merges in.
             partner = self._dup_fallen.pop(job.job_id, None)
-        self._record_completion(job, partner, now)
-        self._fill(pool, machine, now)
+        if partner is None:
+            if job.is_shadow:  # pragma: no cover - defensive
+                raise SimulationError(
+                    f"shadow {job.job_id} finished without a linked original"
+                )
+            # Overwhelmingly common case: a single attempt, no merging.
+            spec = job.spec
+            # Positional, in field order: cheaper than keywords.
+            self._add_record(JobRecord(
+                job.job_id,
+                job.priority,
+                spec.submit_minute,
+                now,
+                spec.runtime_minutes,
+                spec.cores,
+                spec.memory_gb,
+                job.total_wait,
+                job.total_suspend,
+                job.wasted_restart,
+                job.suspension_count,
+                job.restart_count,
+                job.migration_count,
+                job.waiting_move_count,
+                tuple(job.pools_visited),
+                False,
+                spec.task_id,
+                spec.user,
+                job.machine_failures,
+                job.transient_failures,
+            ))
+            self._outstanding -= 1
+        else:
+            # For duplicate pairs the winner may be the shadow; see
+            # :meth:`_record_attempts`.
+            self._record_attempts(job, partner, now)
+        # With no suspended job resident and nothing queued, the refill
+        # could place nothing; the finish already bumped the pool's
+        # capacity version.
+        if machine.suspended or pool.wait_queue.members:
+            self._fill(pool, machine, now)
 
     def _on_wait_timeout(self, payload: Tuple[Job, int], now: float) -> None:
         job, episode = payload
@@ -750,7 +793,11 @@ class SimulationEngine:
         if outcome is SubmitOutcome.QUEUED:
             if self._emit_enabled:
                 self._emit(now, "queue", job, pool_id=job.pool_id)
-            self._arm_wait_timer(job, now)
+            threshold = self.policy.wait_threshold
+            if threshold is not None:
+                self._events.push(
+                    now + threshold, EVENT_WAIT_TIMEOUT, (job, job.wait_episode)
+                )
             return ()
         if outcome is SubmitOutcome.INELIGIBLE:
             if self.config.strict:
@@ -784,21 +831,15 @@ class SimulationEngine:
         return self._after_placement(job, result, now)
 
     def _schedule_finish(self, job: Job, now: float) -> None:
-        speed = job.machine.spec.speed_factor
-        duration = job.remaining_minutes() / speed
+        # Job.remaining_minutes, inline: this runs on every start.
+        remaining = job.spec.runtime_minutes - job.progress
+        duration = (remaining if remaining > 0.0 else 0.0) / job.machine.spec.speed_factor
         if self._faults is not None:
             fail_after = self._faults.roll_segment_failure(duration)
             if fail_after is not None:
                 self._events.push(now + fail_after, EVENT_JOB_FAILURE, (job, job.epoch))
                 return
         self._events.push(now + duration, EVENT_FINISH, (job, job.epoch))
-
-    def _arm_wait_timer(self, job: Job, now: float) -> None:
-        threshold = self.policy.wait_threshold
-        if threshold is not None:
-            self._events.push(
-                now + threshold, EVENT_WAIT_TIMEOUT, (job, job.wait_episode)
-            )
 
     def _process_victims(self, victims: Tuple[Job, ...], now: float) -> None:
         """Run the policy's suspension hook over a preemption's victims.
@@ -975,47 +1016,6 @@ class SimulationEngine:
             self._schedule_finish(placed, now)
 
     # -- record building ---------------------------------------------------------------
-
-    def _record_completion(self, winner: Job, partner: Optional[Job], now: float) -> None:
-        """Emit the JobRecord for a finished logical job.
-
-        For duplicate pairs the winner may be the shadow; see
-        :meth:`_record_attempts`.
-        """
-        if winner.is_shadow and partner is None:  # pragma: no cover - defensive
-            raise SimulationError(
-                f"shadow {winner.job_id} finished without a linked original"
-            )
-        if partner is None:
-            # Overwhelmingly common case: a single attempt, no merging.
-            spec = winner.spec
-            # Positional, in field order: cheaper than keywords.
-            record = JobRecord(
-                winner.job_id,
-                winner.priority,
-                spec.submit_minute,
-                now,
-                spec.runtime_minutes,
-                spec.cores,
-                spec.memory_gb,
-                winner.total_wait,
-                winner.total_suspend,
-                winner.wasted_restart,
-                winner.suspension_count,
-                winner.restart_count,
-                winner.migration_count,
-                winner.waiting_move_count,
-                tuple(winner.pools_visited),
-                False,
-                spec.task_id,
-                spec.user,
-                winner.machine_failures,
-                winner.transient_failures,
-            )
-            self._add_record(record)
-            self._outstanding -= 1
-            return
-        self._record_attempts(winner, partner, now)
 
     def _record_failure(self, job: Job, partner: Optional[Job], now: float) -> None:
         """Emit the JobRecord for a permanently failed logical job."""

@@ -238,13 +238,15 @@ class CalendarEventQueue:
         """Remove and return the earliest event, advancing the clock."""
         cursor = self._cursor
         current = self._current
-        if cursor >= len(current):
+        size = len(current)
+        if cursor >= size:
             self._activate_next_bucket()
             cursor = 0
             current = self._current
+            size = len(current)
         event = current[cursor]
         cursor += 1
-        if cursor >= len(current):
+        if cursor >= size:
             # Bucket consumed: drop the storage so pushes landing back
             # in this (still-current) bucket start from a clean list.
             current.clear()

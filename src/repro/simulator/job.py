@@ -14,7 +14,10 @@ are later computed:
 State diagram (all transitions validated; illegal ones raise
 :class:`~repro.errors.JobStateError`).  The *start* transition is made
 by :meth:`repro.simulator.pool.PhysicalPool._start_on`, together with
-the machine and pool accounting it implies, so a start is one call::
+the machine and pool accounting it implies, so a start is one call; a
+running job's *finish* is likewise made by
+:meth:`~repro.simulator.pool.PhysicalPool.finish_job`, which repeats
+:meth:`Job.finish`'s running branch inline::
 
     PENDING --start--> RUNNING --finish--> FINISHED
        |                |   ^

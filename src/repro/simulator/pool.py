@@ -26,6 +26,7 @@ keeps only its run's eligible machines and negative first-fit cache.
 from __future__ import annotations
 
 import enum
+from collections import defaultdict
 from typing import Dict, List, NamedTuple, Optional, Tuple
 
 from ..core.context import PoolSnapshot
@@ -84,6 +85,12 @@ class PhysicalPool:
         #: The pool's identifier (a copy of ``spec.pool_id``).
         self.pool_id: str = spec.pool_id
         self.machines: List[Machine] = [Machine(m) for m in spec.machines]
+        # A start carries nothing but its machine, so each machine has
+        # one immutable STARTED result that every start there returns.
+        self._started: Dict[Machine, SubmitResult] = {
+            machine: SubmitResult(SubmitOutcome.STARTED, machine)
+            for machine in self.machines
+        }
         self.wait_queue = PriorityWaitQueue()
         self.suspended: Dict[int, Job] = {}
         self.total_cores = spec.total_cores
@@ -92,8 +99,9 @@ class PhysicalPool:
         # Histogram of running-job priorities (counts may sit at zero).
         # Lets submit prove "nothing in this pool is preemptible by
         # priority p" without scanning any machine; traces use a
-        # handful of priority levels.
-        self._running_priorities: Dict[int, int] = {}
+        # handful of priority levels, so a level is missing only until
+        # its first start.
+        self._running_priorities: Dict[int, int] = defaultdict(int)
         self._suspend_order: Dict[int, int] = {}
         self._suspend_counter = 0
         self._index = eligibility if eligibility is not None else EligibilityIndex((spec,))
@@ -189,14 +197,15 @@ class PhysicalPool:
             self.total_cores - self.busy_cores >= cores
             and self._no_first_fit.get(sig) != self._capacity_version
         ):
+            # Free cores first: that test rejects most machines.
             for machine in eligible:
                 if (
-                    machine.up
-                    and machine.free_cores >= cores
+                    machine.free_cores >= cores
                     and machine.free_memory_gb >= memory
+                    and machine.up
                 ):
                     self._start_on(job, machine, now)
-                    return SubmitResult(SubmitOutcome.STARTED, machine)
+                    return self._started[machine]
             self._no_first_fit[sig] = self._capacity_version
         # 2. Preemption: first eligible machine where suspending
         #    lower-priority work makes room.  The priority histogram
@@ -277,17 +286,15 @@ class PhysicalPool:
                 self._suspend_order.pop(job.job_id, None)
                 self.busy_cores += job.spec.cores
                 self.running_jobs += 1
-                counts = self._running_priorities
-                priority = job.priority
-                counts[priority] = counts.get(priority, 0) + 1
+                self._running_priorities[job.priority] += 1
                 placed.append(job)
                 continue
             if not wait_queue.members:
                 break
             # Machine fit depends only on the job's requirement
-            # signature, so the sharded queue evaluates it once per
-            # signature instead of once per queued job.
-            job = wait_queue.best_schedulable(machine.can_start)
+            # signature, so the sharded queue reads it off each
+            # signature instead of testing every queued job.
+            job = wait_queue.best_schedulable(machine)
             if job is None:
                 break
             wait_queue.remove(job)
@@ -314,8 +321,9 @@ class PhysicalPool:
         """Account a running job's completion; returns its machine.
 
         The machine release and its running-priority histogram update
-        happen here (the mirror image of :meth:`_start_on`), followed
-        by the job's one ``finish`` transition.
+        happen here, followed by the job's *finish* transition
+        (:meth:`Job.finish` for a running job, inline): the mirror
+        image of :meth:`_start_on`.
         """
         machine = job.machine
         job_id = job.job_id
@@ -341,7 +349,12 @@ class PhysicalPool:
         self.running_jobs -= 1
         self._running_priorities[priority] -= 1
         self._capacity_version += 1
-        job.finish(now)
+        job.progress = spec.runtime_minutes
+        job.state = JobState.FINISHED
+        job.finish_minute = now
+        job.epoch += 1
+        job.machine = None
+        job.segment_start = now
         return machine
 
     def finish_suspended(self, job: Job, now: float) -> Machine:
@@ -527,8 +540,7 @@ class PhysicalPool:
         job.segment_start = now
         self.busy_cores += cores
         self.running_jobs += 1
-        counts = self._running_priorities
-        counts[priority] = counts.get(priority, 0) + 1
+        self._running_priorities[priority] += 1
 
     def _suspend_on(self, victim: Job, machine: Machine, now: float) -> None:
         machine.suspend(victim)

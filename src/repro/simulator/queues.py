@@ -30,7 +30,6 @@ yield it twice (which in turn double-removes during pool drains).
 from __future__ import annotations
 
 import heapq
-import itertools
 from typing import Callable, Dict, Iterator, List, NamedTuple, Optional, Tuple
 
 from ..errors import SchedulingError
@@ -62,7 +61,6 @@ class PriorityWaitQueue:
     __slots__ = (
         "_shards",
         "_valid",
-        "_counter",
         "members",
         "_pushes",
         "_peak_depth",
@@ -74,7 +72,6 @@ class PriorityWaitQueue:
         self._shards: Dict[Signature, List[Tuple[int, int, Job]]] = {}
         # Valid (non-removed) entry count per shard.
         self._valid: Dict[Signature, int] = {}
-        self._counter = itertools.count()
         #: Currently queued jobs keyed by id (read-only outside this
         #: class; pools test it for emptiness without a method call).
         #: The value carries the order token of the job's live entry, so
@@ -103,7 +100,8 @@ class PriorityWaitQueue:
             raise SchedulingError(f"job {job.job_id} is already in this wait queue")
         spec = job.spec
         sig = (spec.os_family, spec.cores, spec.memory_gb)
-        order = next(self._counter)
+        # The push count doubles as the global insertion order.
+        order = self._pushes
         shard = self._shards.get(sig)
         if shard is None:
             self._shards[sig] = [(-job.priority, order, job)]
@@ -178,29 +176,35 @@ class PriorityWaitQueue:
         if stored > 16 and stored > 2 * valid:
             self._compact(sig, valid)
 
-    def best_schedulable(self, fits: Callable[[object], bool]) -> Optional[Job]:
-        """Highest-priority (oldest within level) job whose *spec* fits.
+    def best_schedulable(self, machine) -> Optional[Job]:
+        """Highest-priority (oldest within level) job that can start on ``machine``.
 
-        ``fits`` receives a job's :class:`~repro.workload.trace.TraceJob`
-        spec and must depend only on its requirement signature
-        (OS family, cores, memory) — exactly the machine eligibility +
-        capacity checks pools perform.  Under that contract the result
-        equals :meth:`best_match` on the equivalent per-job predicate,
-        but costs O(signatures) instead of O(queued jobs): within one
-        shard every entry fits or none does, so only shard tops are
-        consulted.  This is the pool hot path on every capacity release.
+        ``machine`` is a :class:`~repro.simulator.machine.Machine`; the
+        result equals :meth:`best_match` on ``machine.can_start`` applied
+        to each job's spec, but costs O(signatures) instead of
+        O(queued jobs), with no call per shard: a shard's key is its
+        jobs' requirement signature, so the fit is read off the key
+        against the machine's free cores, free memory and OS family.
+        The static core and memory checks of eligibility are implied,
+        because free capacity never exceeds total capacity.  This is
+        the pool hot path on every capacity release.
 
         A shard's stored top, stale or live, orders no later than its
-        live top and carries the shard's signature, so it settles both
-        "can this shard beat the best so far?" and "does it fit?"
+        live top, so it settles "can this shard beat the best so far?"
         before the (popping) validation runs on the few shards left.
         """
+        if not machine.up:
+            return None
+        free_cores = machine.free_cores
+        free_memory = machine.free_memory_gb
+        os_family = machine.spec.os_family
+        shards = self._shards
         best_entry = None
-        for sig, shard in list(self._shards.items()):
-            top = shard[0]
-            if best_entry is not None and best_entry < top:
+        # Over a copy of the keys: ``_shard_top`` drops a drained shard.
+        for sig in list(shards):
+            if sig[1] > free_cores or sig[2] > free_memory or sig[0] != os_family:
                 continue
-            if not fits(top[2].spec):
+            if best_entry is not None and best_entry < shards[sig][0]:
                 continue
             entry = self._shard_top(sig)
             if entry is not None and (best_entry is None or entry < best_entry):

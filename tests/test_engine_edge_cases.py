@@ -170,3 +170,40 @@ class TestPathologicalInputs:
         engine.run()
         with pytest.raises(SimulationError):
             engine.run()
+
+
+class TestFinishWithoutRefill:
+    """A finish that leaves nothing to resume or start skips the refill,
+    yet a signature that failed first fit before it must scan again."""
+
+    def test_skipped_refill_still_invalidates_failed_first_fit(self, monkeypatch):
+        from repro.simulator.job import Job, JobState
+        from repro.simulator.pool import PhysicalPool, SubmitOutcome
+
+        engine = SimulationEngine([], ClusterSpec([make_pool("p0", 2)]))
+        pool = engine.pools["p0"]
+        first, second = Job(make_job(1, cores=3)), Job(make_job(2, cores=3))
+        for job in (first, second):
+            assert pool.submit(job, 0.0).outcome is SubmitOutcome.STARTED
+        # Two free cores in the pool, one per machine: the scan fails.
+        blocked = Job(make_job(3, cores=2))
+        assert pool.submit(blocked, 1.0).outcome is SubmitOutcome.QUEUED
+        assert pool._no_first_fit[("linux", 2, 1.0)] == pool._capacity_version
+        pool.remove_waiting(blocked, 2.0)
+
+        fills = []
+        refill = PhysicalPool.fill_machine
+
+        def spy(self, machine, now):
+            fills.append(machine)
+            return refill(self, machine, now)
+
+        monkeypatch.setattr(PhysicalPool, "fill_machine", spy)
+        engine._outstanding = 1
+        engine._on_finish((first, first.epoch), 10.0)
+        assert first.state is JobState.FINISHED
+        assert fills == []
+        later = Job(make_job(4, cores=2))
+        result = pool.submit(later, 11.0)
+        assert result.outcome is SubmitOutcome.STARTED
+        assert result.machine is pool.machines[0]

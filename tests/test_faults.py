@@ -287,6 +287,15 @@ class TestFaultTelemetry:
 
 
 class TestFaultSweep:
+    def test_submodule_is_not_shadowed_by_its_function(self):
+        import importlib
+
+        import repro.experiments.fault_sweep as module
+
+        assert module is importlib.import_module("repro.experiments.fault_sweep")
+        assert module.FAULT_SWEEP.title == module.fault_sweep_experiment().title
+        assert repro.fault_sweep is module.fault_sweep
+
     def test_sweep_shape_and_render(self):
         from repro.experiments.fault_sweep import fault_sweep
 

@@ -147,9 +147,9 @@ def probes(monkeypatch):
     calls = []
     original = PriorityWaitQueue.best_schedulable
 
-    def spy(self, fits):
+    def spy(self, machine):
         calls.append(self)
-        return original(self, fits)
+        return original(self, machine)
 
     monkeypatch.setattr(PriorityWaitQueue, "best_schedulable", spy)
     return calls

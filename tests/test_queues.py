@@ -5,7 +5,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.errors import SchedulingError
-from repro.schedulers.eligibility import machine_eligible
 from repro.simulator.job import Job
 from repro.simulator.machine import Machine
 from repro.simulator.queues import PriorityWaitQueue
@@ -15,6 +14,16 @@ from conftest import make_job, make_machine
 
 def job(job_id, priority=0):
     return Job(make_job(job_id, priority=priority))
+
+
+def roomy():
+    """A machine every test job here can start on."""
+    return Machine(make_machine(cores=64, memory_gb=1024.0))
+
+
+def fits(machine):
+    """``best_match``'s per-job twin of ``best_schedulable(machine)``."""
+    return lambda job_: machine.can_start(job_.spec)
 
 
 class TestOrdering:
@@ -115,7 +124,7 @@ class TestRemoval:
         q.remove(a)
         q.push(a)
         assert q.best_match(lambda j: True) is b
-        assert q.best_schedulable(lambda spec: True) is b
+        assert q.best_schedulable(roomy()) is b
 
     def test_compaction_after_many_removals(self):
         q = PriorityWaitQueue()
@@ -186,10 +195,11 @@ class TestBestSchedulable:
             q.push(j)
         for j in rng.sample(jobs, 150):
             q.remove(j)
+        machine = Machine(make_machine(cores=4, memory_gb=64.0))
         for free_cores, free_mem in ((1, 2.0), (2, 8.0), (4, 64.0), (0, 0.0)):
-            fits = lambda spec: spec.cores <= free_cores and spec.memory_gb <= free_mem
-            fast = q.best_schedulable(fits)
-            slow = q.best_match(lambda job_: fits(job_.spec))
+            machine.free_cores, machine.free_memory_gb = free_cores, free_mem
+            fast = q.best_schedulable(machine)
+            slow = q.best_match(fits(machine))
             assert (fast is None) == (slow is None)
             if fast is not None:
                 assert fast is slow
@@ -203,15 +213,17 @@ class TestBestSchedulable:
             q.push(j)
         # All three fit: the oldest at the shared priority wins, even
         # though a and c share a shard and b sits in another.
-        assert q.best_schedulable(lambda spec: True) is a
+        assert q.best_schedulable(roomy()) is a
         q.remove(a)
-        assert q.best_schedulable(lambda spec: True) is b
+        assert q.best_schedulable(roomy()) is b
 
     def test_empty_and_no_fit(self):
         q = PriorityWaitQueue()
-        assert q.best_schedulable(lambda spec: True) is None
+        assert q.best_schedulable(roomy()) is None
         q.push(self.sig_job(1, priority=0, cores=4, memory=16.0))
-        assert q.best_schedulable(lambda spec: spec.cores <= 2) is None
+        machine = Machine(make_machine(cores=4, memory_gb=16.0))
+        machine.free_cores = 2
+        assert q.best_schedulable(machine) is None
 
 
 class TestCheckInvariants:
@@ -288,14 +300,6 @@ class TestShardAccountingProperty:
             for i, (priority, (os_family, cores, memory)) in enumerate(specs)
         ]
         machine = Machine(make_machine(cores=4, memory_gb=8.0))
-
-        def fits(spec):
-            return (
-                machine.free_cores >= spec.cores
-                and machine.free_memory_gb >= spec.memory_gb
-                and machine_eligible(machine.spec, spec)
-            )
-
         q = PriorityWaitQueue()
         for op in ops:
             if op[0] == "push":
@@ -317,7 +321,75 @@ class TestShardAccountingProperty:
                     assert q.pop() is expected
             else:
                 machine.free_cores, machine.free_memory_gb = op[1], op[2]
-                expected = q.best_match(lambda j: fits(j.spec))
-                assert q.best_schedulable(fits) is expected
+                expected = q.best_match(fits(machine))
+                assert q.best_schedulable(machine) is expected
             q.check_invariants()
         assert sorted(j.job_id for j in q.iter_jobs()) == sorted(q.members)
+
+
+#: Signatures over two OS families, some too big for small machines.
+_DIFF_SIGNATURES = _SIGNATURES + [("windows", 2, 4.0), ("linux", 8, 16.0)]
+
+
+class TestBestSchedulableDifferential:
+    """``best_schedulable(machine)`` reads fit off each shard's signature;
+    ``best_match`` on ``machine.can_start`` tests every queued job.
+
+    Machines of either OS family and of any size, up or down, are probed
+    at any free capacity within their totals, between pushes, removals
+    and re-pushes that leave stale shard tops behind; priorities come
+    from two levels, so equal priorities fall back to FIFO order.
+    """
+
+    @given(
+        specs=st.lists(
+            st.tuples(st.sampled_from([0, 100]), st.sampled_from(_DIFF_SIGNATURES)),
+            min_size=1,
+            max_size=16,
+        ),
+        host=st.tuples(
+            st.sampled_from(["linux", "windows"]),
+            st.sampled_from([1, 2, 4, 8]),
+            st.sampled_from([1.0, 4.0, 8.0, 16.0]),
+        ),
+        ops=st.lists(
+            st.one_of(
+                st.tuples(st.sampled_from(["push", "remove", "repush"]), st.integers(0, 15)),
+                st.tuples(
+                    st.just("probe"),
+                    st.integers(0, 8),
+                    st.sampled_from([0.0, 1.0, 4.0, 8.0, 16.0]),
+                    st.booleans(),
+                ),
+            ),
+            max_size=120,
+        ),
+    )
+    @settings(max_examples=300, deadline=None)
+    def test_matches_per_job_can_start(self, specs, host, ops):
+        jobs = [
+            Job(make_job(i, priority=priority, cores=cores, memory_gb=memory,
+                         os_family=os_family))
+            for i, (priority, (os_family, cores, memory)) in enumerate(specs)
+        ]
+        os_family, cores, memory = host
+        machine = Machine(make_machine(cores=cores, memory_gb=memory, os_family=os_family))
+        q = PriorityWaitQueue()
+        for op in ops:
+            if op[0] == "probe":
+                machine.free_cores = min(op[1], cores)
+                machine.free_memory_gb = min(op[2], memory)
+                machine.up = op[3]
+                assert q.best_schedulable(machine) is q.best_match(fits(machine))
+                continue
+            target = jobs[op[1] % len(jobs)]
+            if op[0] == "push" and target not in q:
+                q.push(target)
+            elif op[0] == "remove" and target in q:
+                q.remove(target)
+            elif op[0] == "repush":
+                # The job's old entry goes stale; it queues at the back.
+                if target in q:
+                    q.remove(target)
+                q.push(target)
+            q.check_invariants()

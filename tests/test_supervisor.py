@@ -736,3 +736,85 @@ class TestSupervisedBackendIntegration:
         )
         assert audit.violations == ()
         assert audit.counter("claimed_leases") == 0
+
+
+def _corrupt_in_place(path):
+    """Flip an entry's last byte, keeping its inode, size and mtime."""
+    import os
+
+    before = path.stat()
+    blob = bytearray(path.read_bytes())
+    blob[-1] ^= 0xFF
+    with open(path, "r+b") as handle:
+        handle.write(blob)
+    os.utime(path, ns=(before.st_atime_ns, before.st_mtime_ns))
+    after = path.stat()
+    assert (after.st_ino, after.st_size, after.st_mtime_ns) == (
+        before.st_ino, before.st_size, before.st_mtime_ns,
+    )
+
+
+class TestPublishedCount:
+    """The per-tick count hashes an entry again only when its stamp moved;
+    the count after the fleet stops verifies every entry in full."""
+
+    KEYS = ["aa" + "0" * 62, "bb" + "1" * 62]
+
+    def test_tick_rehashes_only_changed_entries(self, tmp_path, monkeypatch):
+        from repro.fabric.supervisor import _PublishedEntries
+
+        cache = ResultCache(tmp_path)
+        first, second = self.KEYS
+        cache.put(first, "one")
+        published = _PublishedEntries(cache, self.KEYS)
+        assert published.unpublished() == 1
+        hashed = []
+        contains = ResultCache.contains
+
+        def spy(self, key):
+            hashed.append(key)
+            return contains(self, key)
+
+        monkeypatch.setattr(ResultCache, "contains", spy)
+        cache.put(second, "two")
+        assert published.unpublished() == 0
+        assert hashed == [second]
+        del hashed[:]
+        assert published.unpublished() == 0
+        assert hashed == []
+        # A torn rewrite is a new file: its stamp moved, so it is hashed.
+        path = cache.path_for(second)
+        path.write_bytes(b"garbage")
+        assert published.unpublished() == 1
+        assert published.unpublished(skip={second}) == 0
+
+    def test_full_count_catches_corruption_that_kept_the_stamp(self, tmp_path):
+        from repro.fabric.supervisor import _PublishedEntries
+
+        cache = ResultCache(tmp_path)
+        for key in self.KEYS:
+            cache.put(key, key)
+        published = _PublishedEntries(cache, self.KEYS)
+        assert published.unpublished() == 0
+        _corrupt_in_place(cache.path_for(self.KEYS[0]))
+        assert published.unpublished() == 0
+        assert published.unpublished(full=True) == 1
+        assert published.unpublished() == 1
+
+    def test_backend_final_count_catches_it(self, tmp_path, monkeypatch, capsys):
+        tasks = build_grid("smoke")[:2]
+        cache = ResultCache(tmp_path)
+        keys = list(dict.fromkeys(task.cache_key for task in tasks))
+
+        def publish_then_corrupt(self, status, poll_interval=0.1):
+            for key in keys:
+                cache.put(key, "published")
+            assert status() == 0
+            _corrupt_in_place(cache.path_for(keys[0]))
+            assert status() == 0
+            return self.stats
+
+        monkeypatch.setattr(FleetSupervisor, "run", publish_then_corrupt)
+        backend = SupervisedWorkerBackend(min_workers=1, max_workers=2)
+        backend.run(tasks, tmp_path, "verify-run")
+        assert "stopped with 1 cell(s) unpublished" in capsys.readouterr().err
